@@ -13,12 +13,9 @@ import os
 import numpy as np
 
 from jacobi_spectra import (
-    ArcsineDensity,
+    REGIMES,
     JacobiParams,
-    RatioDensity,
     RngStream,
-    ScalingSequence,
-    SemicircleDensity,
     density_eval,
     ks_distance,
     model_cdf,
@@ -30,18 +27,16 @@ os.makedirs(OUT, exist_ok=True)
 n = 2000
 seed = RngStream(0x4A41434F424921, 0)
 
-runs = []
-p = JacobiParams(n, 3.0 * n, 3.0 * n, 2.0)
-runs.append(("ratio", p, ScalingSequence(0.5, 0.5, n), "doubled", RatioDensity(3.0, 3.0)))
-p = JacobiParams(n, math.sqrt(n), math.sqrt(n), 2.0 * n)
-runs.append(("arcsine", p, ScalingSequence(1.0, 0.0, n), "plain", ArcsineDensity()))
-p = JacobiParams(n, n - 1.0, n - 1.0, 2.0 * n**-0.25)
-delta = 2.0 * math.sqrt(n / (p.a_tilde - 1.0))
-runs.append(("semicircle", p, ScalingSequence(delta, 0.0, n), "plain",
-             SemicircleDensity(math.sqrt(2.0))))
+# each regime fixes its limit density and eigenvalue scaling from the parameters
+runs = [
+    ("ratio", JacobiParams(n, 3.0 * n, 3.0 * n, 2.0)),
+    ("arcsine", JacobiParams(n, math.sqrt(n), math.sqrt(n), 2.0 * n)),
+    ("semicircle", JacobiParams(n, n - 1.0, n - 1.0, 2.0 * n**-0.25)),
+]
 
-for i, (name, params, scaling, mode, model) in enumerate(runs):
-    ecdf = monte_carlo_esd(params, scaling, 1, seed.substream(i), mode=mode)
+for i, (name, params) in enumerate(runs):
+    model, scaling = REGIMES[name](params)
+    ecdf = monte_carlo_esd(params, scaling, 1, seed.substream(i))
     ks = ks_distance(ecdf, model_cdf(model))
     lo, hi = model.support
     print(f"{name:11s} n={params.n}  support=({lo:+.3f}, {hi:+.3f})  KS vs limit = {ks:.4f}")

@@ -61,6 +61,7 @@ from .polyroots import (
     second_param_lowering_residual,
 )
 from .spectra import (
+    REGIMES,
     ArcsineDensity,
     DensityModel,
     DeviationReport,

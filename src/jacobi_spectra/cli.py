@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 
 import numpy as np
@@ -32,12 +30,10 @@ from .fmatrix import (
 )
 from .polyroots import JacobiPolyParams, jacobi_roots_scaled
 from .spectra import (
-    ArcsineDensity,
+    REGIMES,
+    SCALING_MODES,
     Ecdf,
-    EdgeDensity,
-    RatioDensity,
     ScalingSequence,
-    SemicircleDensity,
     density_eval,
     deviation_probability_bound,
     deviation_report,
@@ -54,20 +50,6 @@ SCHEMA_VERSION = 1
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("JACOBI_SPECTRA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ParameterDomainError(
-                f"JACOBI_SPECTRA_THREADS must be an integer, got {env!r}"
-            ) from exc
-    return 1
 
 
 def _jacobi_params(args) -> JacobiParams:
@@ -110,13 +92,12 @@ def _rows_payload(header: tuple[str, ...], rows, fmt: str) -> str:
 
 def cmd_sample(args) -> int:
     p = _jacobi_params(args)
-    threads = _resolve_threads(args)
     rng = RngStream(args.seed, 0)
 
     def one(t: int) -> np.ndarray:
         return eig_tridiag(random_matrix(sample_alphas(p, rng.substream(t)))).values
 
-    spectra = run_trials(one, args.trials, threads)
+    spectra = run_trials(one, args.trials)
     rows = [
         (t, i, float(v))
         for t, vals in enumerate(spectra)
@@ -143,15 +124,13 @@ def _quantiles(vals) -> dict:
 
 def cmd_deviation(args) -> int:
     p = _jacobi_params(args)
-    threads = _resolve_threads(args)
     rng = RngStream(args.seed, 0)
     roots = jacobi_roots_scaled(
         JacobiPolyParams(p.n, p.a_tilde - 1.0, p.b_tilde - 1.0)
     ).values
 
     reports = run_trials(
-        lambda t: deviation_report(p, rng.substream(t), roots=roots),
-        args.trials, threads,
+        lambda t: deviation_report(p, rng.substream(t), roots=roots), args.trials
     )
     violations = sum(1 for r in reports if r.max_dev > r.chain_bound)
     payload = {
@@ -172,55 +151,24 @@ def cmd_deviation(args) -> int:
 
 
 def _compare_model(args, p: JacobiParams):
-    """Model + plug-in parameters + documented automatic scaling."""
-    n, at, bt = p.n, p.a_tilde, p.b_tilde
-    if args.model == "ratio":
-        model = RatioDensity(at / n, bt / n)
-        auto = ("plain", 1.0, 0.0)
-    elif args.model == "arcsine":
-        model = ArcsineDensity()
-        auto = ("plain", 1.0, 0.0)
-    elif args.model == "semicircle":
-        g = at / bt
-        model = SemicircleDensity(4.0 * g / (1.0 + g) ** 1.5)
-        if at <= 1.0:
-            raise ParameterDomainError("semicircle scaling needs a_tilde > 1")
-        auto = ("plain", 2.0 * math.sqrt(n / (at - 1.0)),
-                -2.0 * (at - bt) / (at + bt - 2.0))
-    elif args.model == "edge":
-        model = EdgeDensity(bt / n)
-        if at <= 1.0:
-            raise ParameterDomainError("edge scaling needs a_tilde > 1")
-        auto = ("plain", 2.0 * n / (at - 1.0), -2.0)
-    elif args.model == "shifted-semicircle":
-        model = SemicircleDensity(4.0, 2.0)
-        if at <= 1.0 or bt <= 1.0:
-            raise ParameterDomainError("shifted-semicircle scaling needs a_tilde, b_tilde > 1")
-        w = math.sqrt(n * (bt - 1.0))
-        auto = ("plain", 2.0 * w / (at - 1.0),
-                -2.0 * (at + 2.0 * w - bt) / (2.0 * n + at + bt - 2.0))
-    else:
-        raise ParameterDomainError(f"unknown model {args.model!r}")
+    """Regime model with plug-in parameters, plus the requested scaling."""
+    model, scaling = REGIMES[args.model](p)
     if args.scaling == "auto":
-        mode, delta, eps = auto
-    else:
-        parts = args.scaling.split(":")
-        if len(parts) != 3 or parts[0] not in ("plain", "doubled"):
-            raise ParameterDomainError(
-                "--scaling must be 'auto' or '<plain|doubled>:<delta>:<eps>'"
-            )
-        mode, delta, eps = parts[0], float(parts[1]), float(parts[2])
-    return model, mode, ScalingSequence(delta, eps, p.n)
+        return model, "plain", scaling
+    parts = args.scaling.split(":")
+    if len(parts) != 3 or parts[0] not in SCALING_MODES:
+        raise ParameterDomainError(
+            "--scaling must be 'auto' or '<plain|doubled>:<delta>:<eps>'"
+        )
+    return model, parts[0], ScalingSequence(float(parts[1]), float(parts[2]), p.n)
 
 
 def cmd_compare(args) -> int:
     p = _jacobi_params(args)
-    threads = _resolve_threads(args)
     model, mode, scaling = _compare_model(args, p)
     if (args.bins or args.grid) and args.out is None:
         raise ParameterDomainError("--bins/--grid emit CSV companions and need --out")
-    ecdf = monte_carlo_esd(p, scaling, args.trials, RngStream(args.seed, 0),
-                           mode=mode, threads=threads)
+    ecdf = monte_carlo_esd(p, scaling, args.trials, RngStream(args.seed, 0), mode=mode)
     ks = ks_distance(ecdf, model_cdf(model))
     lo, hi = model.support
     payload = {
@@ -239,46 +187,33 @@ def cmd_compare(args) -> int:
     _write(json.dumps(payload), args.out)
     if args.bins:
         counts, edges = np.histogram(ecdf.points, bins=args.bins, range=(lo, hi))
-        rows = [
-            (float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)
-        ]
-        lines = ["bin_left,bin_right,count"]
-        lines += [f"{_fmt(a)},{_fmt(b)},{c}" for a, b, c in rows]
-        _write("\n".join(lines), args.out + ".hist.csv")
+        rows = zip(edges[:-1], edges[1:], counts)
+        _write(_rows_payload(("bin_left", "bin_right", "count"), rows, "csv"),
+               args.out + ".hist.csv")
     if args.grid:
         # midpoint-spaced grid avoids evaluating at singular support endpoints
         step = (hi - lo) / args.grid
         xs = lo + step * (np.arange(args.grid) + 0.5)
-        fs = density_eval(model, xs)
-        lines = ["x,f"]
-        lines += [f"{_fmt(x)},{_fmt(f)}" for x, f in zip(xs, fs)]
-        _write("\n".join(lines), args.out + ".density.csv")
+        rows = zip(xs, density_eval(model, xs))
+        _write(_rows_payload(("x", "f"), rows, "csv"), args.out + ".density.csv")
     return 0
 
 
 def cmd_fmatrix(args) -> int:
     d = FDims(args.n, args.n1, args.n2)
-    threads = _resolve_threads(args)
     rng = RngStream(args.seed, 0)
     transform = args.transform
-    if transform not in TRANSFORMS:
-        raise ParameterDomainError(f"unknown transform {transform!r}")
-    tf = TRANSFORMS[transform]
-    if args.route == "direct":
+    tf = TRANSFORMS[transform][0]
 
-        def one(t: int) -> np.ndarray:
-            g = sample_gaussian_pair(d, rng.substream(t))
-            return np.sort(np.asarray(tf(f_eigs_direct(g, d).values, d)))
+    def one(t: int) -> np.ndarray:
+        sub = rng.substream(t)
+        if args.route == "direct":
+            vals = f_eigs_direct(sample_gaussian_pair(d, sub), d).values
+        else:
+            vals = f_eigs_tridiag(d, sub).values
+        return np.sort(np.asarray(tf(vals, d)))
 
-    elif args.route == "tridiag":
-
-        def one(t: int) -> np.ndarray:
-            vals = f_eigs_tridiag(d, rng.substream(t)).values
-            return np.sort(np.asarray(tf(vals, d)))
-
-    else:
-        raise ParameterDomainError(f"unknown route {args.route!r}; use direct or tridiag")
-    spectra = run_trials(one, args.trials, threads)
+    spectra = run_trials(one, args.trials)
 
     if args.format == "json":
         pool = Ecdf(np.concatenate(spectra))
@@ -303,8 +238,7 @@ def cmd_fmatrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = _resolve_threads(args)
-    report = run_all(seed=args.seed, threads=threads)
+    report = run_all(seed=args.seed)
     _write(json.dumps(report, indent=2), args.out)
     return 0 if report["all_pass"] else 1
 
@@ -316,8 +250,6 @@ def cmd_verify(args) -> int:
 def _add_common(sp, *, trials=True, ensemble=False, dims=False):
     sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                     help="64-bit seed (default 0x4A41434F424921)")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker cap; env JACOBI_SPECTRA_THREADS is the fallback")
     sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     if trials:
         sp.add_argument("--trials", type=int, default=1)
@@ -362,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="pooled scaled ESD vs a limit density (JSON)")
     _add_common(sp, ensemble=True)
-    sp.add_argument("--model", required=True,
-                    choices=("ratio", "arcsine", "semicircle", "edge", "shifted-semicircle"))
+    sp.add_argument("--model", required=True, choices=tuple(REGIMES))
     sp.add_argument("--scaling", type=str, default="auto",
                     help="'auto' or '<plain|doubled>:<delta>:<eps>'")
     sp.add_argument("--grid", type=int, default=None,
@@ -375,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fmatrix", help="F-matrix spectra (CSV) or summary (JSON)")
     _add_common(sp, dims=True)
     sp.add_argument("--route", choices=("tridiag", "direct"), default="tridiag")
-    sp.add_argument("--transform", choices=("none", "thm42", "thm43", "thm44"),
-                    default="none")
+    sp.add_argument("--transform", choices=tuple(TRANSFORMS), default="none")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_fmatrix)
 

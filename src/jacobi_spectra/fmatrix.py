@@ -20,7 +20,9 @@ import numpy as np
 from .betarand import RngStream
 from .ensemble import JacobiParams, random_matrix, sample_alphas
 from .errors import DegenerateSampleError, NotPositiveDefiniteError, ParameterDomainError
-from .spectra import EdgeDensity, FMatrixDensity, SemicircleDensity, cdf_grid, run_trials
+from .spectra import (
+    EdgeDensity, FMatrixDensity, SemicircleDensity, cdf_grid, model_cdf, run_trials,
+)
 from .trieig import DENSE_SIZE_CAP, DenseSym, Spectrum, eig_generalized_sym, eig_tridiag
 
 
@@ -208,12 +210,37 @@ def shifted_semicircle_transform(lam_f, d: FDims):
     return float(out) if np.ndim(lam_f) == 0 else out
 
 
+def _reciprocal_edge_limit_cdf(d: FDims):
+    edge = EdgeDensity(d.n2 / d.n - 1.0)
+
+    def cdf(xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            inv = np.where(xs > 0.0, 1.0 / np.where(xs > 0.0, xs, 1.0), np.inf)
+        return 1.0 - cdf_grid(edge, inv)
+
+    return cdf
+
+
+# kind -> (F-eigenvalue map (lam, d) -> mu, dims d -> CDF of the limit law of mu)
 TRANSFORMS = {
-    "none": lambda lam, d: np.asarray(lam, dtype=np.float64),
-    "thm42": semicircle_transform,
-    "thm43": reciprocal_edge_transform,
-    "thm44": shifted_semicircle_transform,
+    "none": (
+        lambda lam, d: np.asarray(lam, dtype=np.float64),
+        lambda d: model_cdf(FMatrixDensity(d.n / d.n1, d.n / d.n2)),
+    ),
+    "thm42": (
+        semicircle_transform,
+        lambda d: model_cdf(SemicircleDensity(4.0 * (d.n1 / d.n2) / (1.0 + d.n1 / d.n2) ** 1.5)),
+    ),
+    "thm43": (reciprocal_edge_transform, _reciprocal_edge_limit_cdf),
+    "thm44": (shifted_semicircle_transform, lambda d: model_cdf(SemicircleDensity(4.0, -2.0))),
 }
+
+
+def _transform(kind: str):
+    if kind not in TRANSFORMS:
+        raise ParameterDomainError(f"unknown transform {kind!r}")
+    return TRANSFORMS[kind]
 
 
 def transform_limit_cdf(kind: str, d: FDims):
@@ -223,44 +250,19 @@ def transform_limit_cdf(kind: str, d: FDims):
     ``thm43`` the limit is the distribution of 1/Z with Z ~ EdgeDensity, so
     its CDF is evaluated by reflection rather than through a density model.
     """
-    if kind == "none":
-        return lambda xs: cdf_grid(FMatrixDensity(d.n / d.n1, d.n / d.n2), xs)
-    if kind == "thm42":
-        g = d.n1 / d.n2
-        return lambda xs: cdf_grid(SemicircleDensity(4.0 * g / (1.0 + g) ** 1.5), xs)
-    if kind == "thm43":
-        edge = EdgeDensity(d.n2 / d.n - 1.0)
-
-        def cdf(xs):
-            xs = np.asarray(xs, dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                inv = np.where(xs > 0.0, 1.0 / np.where(xs > 0.0, xs, 1.0), np.inf)
-            return 1.0 - cdf_grid(edge, inv)
-
-        return cdf
-    if kind == "thm44":
-        return lambda xs: cdf_grid(SemicircleDensity(4.0, -2.0), xs)
-    raise ParameterDomainError(f"unknown transform {kind!r}")
+    return _transform(kind)[1](d)
 
 
-def f_esd_pooled(
-    d: FDims,
-    trials: int,
-    rng: RngStream,
-    transform: str = "none",
-    threads: int = 1,
-) -> np.ndarray:
+def f_esd_pooled(d: FDims, trials: int, rng: RngStream, transform: str = "none") -> np.ndarray:
     """Pooled sorted (optionally transformed) F eigenvalues over trials.
 
     Tridiagonal route; trial t consumes rng.substream(t), so the pool is
-    schedule-independent.
+    deterministic for a given base stream.
     """
-    fn = TRANSFORMS.get(transform)
-    if fn is None:
-        raise ParameterDomainError(f"unknown transform {transform!r}")
+    fn = _transform(transform)[0]
 
     def one(t: int) -> np.ndarray:
         vals = f_eigs_tridiag(d, rng.substream(t)).values
         return np.asarray(fn(vals, d), dtype=np.float64)
 
-    return np.sort(np.concatenate(run_trials(one, trials, threads)))
+    return np.sort(np.concatenate(run_trials(one, trials)))

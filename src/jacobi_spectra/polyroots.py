@@ -10,11 +10,12 @@ variable is internal only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import MagnitudeOverflowError, ParameterDomainError
 from .trieig import Spectrum, eig_tridiag
 from .ensemble import SymTridiag
 
@@ -71,19 +72,34 @@ def _eval_recurrence(n: int, g: float, d: float, xa: np.ndarray) -> np.ndarray:
 
 
 def jacobi_eval(p: JacobiPolyParams, x):
-    """Value of P_n^{(gamma, delta)} at x (scalar or array)."""
-    out = _eval_recurrence(p.n, p.gamma, p.delta, np.asarray(x, dtype=np.float64))
+    """Value of P_n^{(gamma, delta)} at x (scalar or array).
+
+    Raises MagnitudeOverflowError when the recurrence leaves float64 range
+    (large degree with large weight exponents).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _eval_recurrence(p.n, p.gamma, p.delta, np.asarray(x, dtype=np.float64))
+    if not np.all(np.isfinite(out)):
+        raise MagnitudeOverflowError(
+            f"Jacobi polynomial of degree {p.n} overflowed float64"
+        )
     return float(out) if np.ndim(x) == 0 else out
 
 
 def monic_factor(p: JacobiPolyParams) -> float:
-    """Factor 2^n n! / (n + gamma + delta + 1)_n turning P_n into the monic one."""
+    """Factor 2^n n! / (n + gamma + delta + 1)_n turning P_n into the monic one.
+
+    Raises MagnitudeOverflowError when either product overflows float64
+    (from degree ~150 at gamma = delta = 0) instead of returning 0 or NaN.
+    """
     denom = pochhammer(p.n + p.gamma + p.delta + 1.0, p.n)
     if denom == 0.0:
         raise ParameterDomainError("zero Pochhammer divisor in monic factor")
     num = 1.0
     for k in range(1, p.n + 1):
         num *= 2.0 * k
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise MagnitudeOverflowError(f"monic factor of degree {p.n} overflowed float64")
     return num / denom
 
 

@@ -8,14 +8,13 @@ caller, because mixing them is the most likely implementation bug:
 * ``doubled``:  xi = (lambda - 2*(2*eps_n - 1)) / (2*delta_n)
 
 Monte Carlo trials run one RNG substream per trial (substream index = trial
-index), so pooled results are identical for any thread count or schedule.
+index), so a pooled result depends only on the base stream and the trial count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,11 +430,6 @@ def model_cdf(m: DensityModel):
     return lambda xs: cdf_grid(m, xs)
 
 
-def ks_vs_model(e: Ecdf, m: DensityModel) -> float:
-    """One-sample KS statistic of an ECDF against a density model."""
-    return ks_distance(e, model_cdf(m))
-
-
 # ---------------------------------------------------------------------------
 # deviation machinery
 
@@ -526,6 +520,57 @@ def scale_eigenvalues(lam: np.ndarray, s: ScalingSequence, mode: str) -> np.ndar
     raise ParameterDomainError(f"unknown scaling mode {mode!r}; use plain or doubled")
 
 
+# ---------------------------------------------------------------------------
+# limit regimes: model with plug-in parameters and automatic plain scaling
+
+
+def _ratio_regime(p: JacobiParams):
+    return RatioDensity(p.a_tilde / p.n, p.b_tilde / p.n), ScalingSequence(1.0, 0.0, p.n)
+
+
+def _arcsine_regime(p: JacobiParams):
+    return ArcsineDensity(), ScalingSequence(1.0, 0.0, p.n)
+
+
+def _semicircle_regime(p: JacobiParams):
+    n, at, bt = p.n, p.a_tilde, p.b_tilde
+    if at <= 1.0:
+        raise ParameterDomainError("semicircle scaling needs a_tilde > 1")
+    if at + bt == 2.0:
+        raise ParameterDomainError("semicircle centring needs a_tilde + b_tilde != 2")
+    g = at / bt
+    return SemicircleDensity(4.0 * g / (1.0 + g) ** 1.5), ScalingSequence(
+        2.0 * math.sqrt(n / (at - 1.0)), -2.0 * (at - bt) / (at + bt - 2.0), n
+    )
+
+
+def _edge_regime(p: JacobiParams):
+    n, at, bt = p.n, p.a_tilde, p.b_tilde
+    if at <= 1.0:
+        raise ParameterDomainError("edge scaling needs a_tilde > 1")
+    return EdgeDensity(bt / n), ScalingSequence(2.0 * n / (at - 1.0), -2.0, n)
+
+
+def _shifted_semicircle_regime(p: JacobiParams):
+    n, at, bt = p.n, p.a_tilde, p.b_tilde
+    if at <= 1.0 or bt <= 1.0:
+        raise ParameterDomainError("shifted-semicircle scaling needs a_tilde, b_tilde > 1")
+    w = math.sqrt(n * (bt - 1.0))
+    return SemicircleDensity(4.0, 2.0), ScalingSequence(
+        2.0 * w / (at - 1.0), -2.0 * (at + 2.0 * w - bt) / (2.0 * n + at + bt - 2.0), n
+    )
+
+
+# regime name -> (JacobiParams -> (limit density, automatic plain scaling))
+REGIMES = {
+    "ratio": _ratio_regime,
+    "arcsine": _arcsine_regime,
+    "semicircle": _semicircle_regime,
+    "edge": _edge_regime,
+    "shifted-semicircle": _shifted_semicircle_regime,
+}
+
+
 def general_density_params_at_n(
     p: JacobiParams, s: ScalingSequence
 ) -> tuple[float, float, float, float]:
@@ -554,32 +599,23 @@ def general_density_params_at_n(
     return a1, a2, b1, b2
 
 
-def run_trials(fn, trials: int, threads: int = 1) -> list:
-    """Evaluate fn(trial_index) for each trial, optionally on a thread pool.
+def run_trials(fn, trials: int) -> list:
+    """Evaluate fn(trial_index) for each trial, in trial order.
 
-    Results are gathered in trial order, so the output is independent of the
-    schedule. fn must derive all randomness from its trial index.
+    fn must derive all randomness from its trial index.
     """
     if trials < 1:
         raise ParameterDomainError("need trials >= 1")
-    if threads <= 1 or trials == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
+    return [fn(t) for t in range(trials)]
 
 
 def monte_carlo_esd(
-    p: JacobiParams,
-    s: ScalingSequence,
-    trials: int,
-    rng: RngStream,
-    mode: str = "plain",
-    threads: int = 1,
+    p: JacobiParams, s: ScalingSequence, trials: int, rng: RngStream, mode: str = "plain"
 ) -> Ecdf:
     """Pooled ECDF of affinely scaled eigenvalues over independent trials.
 
-    Trial t consumes ``rng.substream(t)``; output is deterministic for a given
-    base stream regardless of the thread count.
+    Trial t consumes ``rng.substream(t)``, so the pool is deterministic for a
+    given base stream.
     """
     if mode not in SCALING_MODES:
         raise ParameterDomainError(f"unknown scaling mode {mode!r}")
@@ -598,5 +634,5 @@ def monte_carlo_esd(
         lam = eig_tridiag(random_matrix(sample_alphas(p, sub))).values
         return scale_eigenvalues(lam, s, mode)
 
-    pooled = np.concatenate(run_trials(one, trials, threads))
+    pooled = np.concatenate(run_trials(one, trials))
     return Ecdf(np.sort(pooled))

@@ -31,13 +31,11 @@ from .fmatrix import (
 )
 from .polyroots import JacobiPolyParams, jacobi_eval, jacobi_roots_scaled
 from .spectra import (
-    ArcsineDensity,
+    REGIMES,
     Ecdf,
     FMatrixDensity,
     GeneralDensity,
     RatioDensity,
-    ScalingSequence,
-    SemicircleDensity,
     density_eval,
     deviation_report,
     ks_distance,
@@ -74,7 +72,7 @@ def _record(cid, description, observed, threshold, seconds, budget, detail=None,
     return rec
 
 
-def criterion_01(rng: RngStream, threads: int = 1) -> dict:
+def criterion_01(rng: RngStream) -> dict:
     """Spectrum of the mean-entry matrix equals the doubled Jacobi roots."""
     t0 = time.perf_counter()
     worst = 0.0
@@ -91,7 +89,7 @@ def criterion_01(rng: RngStream, threads: int = 1) -> dict:
     )
 
 
-def criterion_02(rng: RngStream, threads: int = 1) -> dict:
+def criterion_02(rng: RngStream) -> dict:
     """Contiguous-parameter identity residuals, relative to the term scale."""
     t0 = time.perf_counter()
     u = rng.substream(2).uniforms(400)
@@ -117,7 +115,7 @@ def criterion_02(rng: RngStream, threads: int = 1) -> dict:
     )
 
 
-def criterion_03(rng: RngStream, threads: int = 1) -> dict:
+def criterion_03(rng: RngStream) -> dict:
     """Per-realization deviation chain bound is never violated."""
     t0 = time.perf_counter()
     p = JacobiParams(20, 10.0, 10.0, 2.0)
@@ -134,7 +132,7 @@ def criterion_03(rng: RngStream, threads: int = 1) -> dict:
     )
 
 
-def criterion_04(rng: RngStream, threads: int = 1) -> dict:
+def criterion_04(rng: RngStream) -> dict:
     """Scaling proxy: medians of max_dev ((a+b)/log n)^(1/4) span a ratio <= 3."""
     t0 = time.perf_counter()
     medians = {}
@@ -154,52 +152,50 @@ def criterion_04(rng: RngStream, threads: int = 1) -> dict:
     )
 
 
-def _esd_ks(rng, sub_id, p, scaling, mode, model, trials=1, threads=1):
-    e = monte_carlo_esd(p, scaling, trials, rng.substream(sub_id), mode=mode, threads=threads)
+def _esd_ks(rng, sub_id, p, regime):
+    """KS distance of one realization's ESD from its regime's limit density."""
+    model, scaling = REGIMES[regime](p)
+    e = monte_carlo_esd(p, scaling, 1, rng.substream(sub_id))
     return ks_distance(e, model_cdf(model))
 
 
-def criterion_05(rng: RngStream, threads: int = 1) -> dict:
+def criterion_05(rng: RngStream) -> dict:
     """Single n=5000 realization vs the linear-growth-ratio limit density."""
     t0 = time.perf_counter()
     n = 5000
     p = JacobiParams(n, 3.0 * n, 3.0 * n, 2.0)
-    ks = _esd_ks(rng, 5, p, ScalingSequence(0.5, 0.5, n), "doubled",
-                 RatioDensity(3.0, 3.0), threads=threads)
+    ks = _esd_ks(rng, 5, p, "ratio")
     return _record(
         "C05", "ESD vs ratio-limit density (n=5000, a=b=3n, beta=2)",
         ks, 0.05, time.perf_counter() - t0, 60.0,
     )
 
 
-def criterion_06(rng: RngStream, threads: int = 1) -> dict:
+def criterion_06(rng: RngStream) -> dict:
     """Single n=5000 realization vs the arcsine law (beta growing like 2n)."""
     t0 = time.perf_counter()
     n = 5000
     p = JacobiParams(n, math.sqrt(n), math.sqrt(n), 2.0 * n)
-    ks = _esd_ks(rng, 6, p, ScalingSequence(1.0, 0.0, n), "plain",
-                 ArcsineDensity(), threads=threads)
+    ks = _esd_ks(rng, 6, p, "arcsine")
     return _record(
         "C06", "ESD vs arcsine law (n=5000, a=b=sqrt(n), beta=2n)",
         ks, 0.05, time.perf_counter() - t0, 60.0,
     )
 
 
-def criterion_07(rng: RngStream, threads: int = 1) -> dict:
+def criterion_07(rng: RngStream) -> dict:
     """Scaled n=3000 realization vs the semicircle of radius sqrt(2)."""
     t0 = time.perf_counter()
     n = 3000
     p = JacobiParams(n, n - 1.0, n - 1.0, 2.0 * n**-0.25)
-    delta = 2.0 * math.sqrt(n / (p.a_tilde - 1.0))
-    ks = _esd_ks(rng, 7, p, ScalingSequence(delta, 0.0, n), "plain",
-                 SemicircleDensity(math.sqrt(2.0)), threads=threads)
+    ks = _esd_ks(rng, 7, p, "semicircle")
     return _record(
         "C07", "scaled ESD vs semicircle (n=3000, a=b=n-1, beta=2 n^{-1/4})",
         ks, 0.06, time.perf_counter() - t0, 60.0,
     )
 
 
-def criterion_08(rng: RngStream, threads: int = 1) -> dict:
+def criterion_08(rng: RngStream) -> dict:
     """Four-parameter density at (0, 0, 1/2, 7/16) matches the ratio density."""
     t0 = time.perf_counter()
     g = GeneralDensity(0.0, 0.0, 0.5, 7.0 / 16.0)
@@ -213,7 +209,7 @@ def criterion_08(rng: RngStream, threads: int = 1) -> dict:
     )
 
 
-def criterion_09(rng: RngStream, threads: int = 1) -> dict:
+def criterion_09(rng: RngStream) -> dict:
     """Same-realization F <-> Jacobi eigenvalue correspondence, 50 seeds."""
     t0 = time.perf_counter()
     d = FDims(6, 40, 60)
@@ -230,11 +226,11 @@ def criterion_09(rng: RngStream, threads: int = 1) -> dict:
     )
 
 
-def criterion_10(rng: RngStream, threads: int = 1) -> dict:
+def criterion_10(rng: RngStream) -> dict:
     """Tridiagonal-route F ESD vs the classical F-matrix limit density."""
     t0 = time.perf_counter()
     d = FDims(2000, 4000, 6000)
-    pool = f_esd_pooled(d, 1, rng.substream(10), threads=threads)
+    pool = f_esd_pooled(d, 1, rng.substream(10))
     ks = ks_distance(Ecdf(pool), model_cdf(FMatrixDensity(0.5, 1.0 / 3.0)))
     return _record(
         "C10", "F-matrix ESD vs limit density (n=2000, n1=4000, n2=6000)",
@@ -242,15 +238,14 @@ def criterion_10(rng: RngStream, threads: int = 1) -> dict:
     )
 
 
-def criterion_11(rng: RngStream, threads: int = 1) -> dict:
+def criterion_11(rng: RngStream) -> dict:
     """Transformed F ESDs vs their three degenerate-ratio limit laws."""
     t0 = time.perf_counter()
     detail = {}
     worst_margin = -math.inf
     base = rng.substream(11)
     for i, (kind, (dims, trials, tol)) in enumerate(TRANSFORM_DIMS.items()):
-        pool = f_esd_pooled(dims, trials, base.substream(i), transform=kind,
-                            threads=threads)
+        pool = f_esd_pooled(dims, trials, base.substream(i), transform=kind)
         ks = ks_distance(Ecdf(pool), transform_limit_cdf(kind, dims))
         detail[kind] = {
             "ks": round(ks, 5), "tolerance": tol,
@@ -263,7 +258,7 @@ def criterion_11(rng: RngStream, threads: int = 1) -> dict:
     )
 
 
-def criterion_12(rng: RngStream, threads: int = 1) -> dict:
+def criterion_12(rng: RngStream) -> dict:
     """Empirical beta concentration never beats the tail bound by > 3 s.e."""
     t0 = time.perf_counter()
     base = rng.substream(12)
@@ -291,7 +286,7 @@ def criterion_12(rng: RngStream, threads: int = 1) -> dict:
     )
 
 
-def criterion_13(rng: RngStream, threads: int = 1) -> dict:
+def criterion_13(rng: RngStream) -> dict:
     """Tridiagonal F route is far faster than the cubically extrapolated dense one."""
     t0 = time.perf_counter()
     d_tri = FDims(2000, 4000, 6000)
@@ -327,18 +322,17 @@ CRITERIA = {
 }
 
 
-def run_all(seed: int = DEFAULT_SEED, threads: int = 1, only: list[str] | None = None) -> dict:
+def run_all(seed: int = DEFAULT_SEED, only: list[str] | None = None) -> dict:
     """Run the acceptance suite (optionally a subset of criterion ids)."""
     rng = RngStream(seed, 0)
     records = []
     for cid, fn in CRITERIA.items():
         if only and cid not in only:
             continue
-        records.append(fn(rng, threads=threads))
+        records.append(fn(rng))
     return {
         "schema_version": 1,
         "seed": seed,
-        "threads": threads,
         "all_pass": all(r["passed"] for r in records),
         "criteria": records,
     }

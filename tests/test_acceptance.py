@@ -25,7 +25,7 @@ EXPECTED_MISCALIBRATED = {
 
 
 def _run(cid):
-    rec = CRITERIA[cid](RngStream(DEFAULT_SEED, 0), threads=1)
+    rec = CRITERIA[cid](RngStream(DEFAULT_SEED, 0))
     status = "PASS" if rec["passed"] else "FAIL"
     print(
         f"{status} {rec['id']}: {rec['description']} "

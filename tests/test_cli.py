@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import jacobi_spectra.cli as cli
-from jacobi_spectra.fmatrix import FDims, semicircle_transform
+from jacobi_spectra.fmatrix import TRANSFORMS, FDims, semicircle_transform
+from jacobi_spectra.spectra import REGIMES
 
 
 def run_cli(*args, **kw):
@@ -150,7 +151,7 @@ def test_fmatrix_json_summary():
 def test_verify_exit_code_tracks_report(monkeypatch, capsys):
     fake = {"schema_version": 1, "all_pass": True,
             "criteria": [{"id": "C01", "passed": True}]}
-    monkeypatch.setattr(cli, "run_all", lambda seed, threads: fake)
+    monkeypatch.setattr(cli, "run_all", lambda seed: fake)
     assert cli.main(["verify"]) == 0
     fake["all_pass"] = False
     assert cli.main(["verify"]) == 1
@@ -158,14 +159,11 @@ def test_verify_exit_code_tracks_report(monkeypatch, capsys):
     assert '"C01"' in out
 
 
-def test_threads_env_fallback():
-    r = run_cli("sample", "--n", "4", "--a", "1", "--b", "1", "--beta", "2",
-                "--trials", "3", "--seed", "9")
-    import os
-    env = dict(os.environ, JACOBI_SPECTRA_THREADS="3")
-    r_env = subprocess.run(
-        [sys.executable, "-m", "jacobi_spectra", "sample", "--n", "4", "--a", "1",
-         "--b", "1", "--beta", "2", "--trials", "3", "--seed", "9"],
-        capture_output=True, text=True, env=env,
-    )
-    assert r.stdout == r_env.stdout  # thread count never changes the bytes
+def _choices(command, dest):
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+
+def test_model_and_transform_choices_are_the_table_keys():
+    assert tuple(_choices("compare", "model")) == tuple(REGIMES)
+    assert tuple(_choices("fmatrix", "transform")) == tuple(TRANSFORMS)

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import eval_jacobi, roots_jacobi
 
 from jacobi_spectra.ensemble import JacobiParams, expected_matrix
-from jacobi_spectra.errors import ParameterDomainError
+from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 from jacobi_spectra.polyroots import (
     JacobiPolyParams,
     first_param_lowering_residual,
@@ -55,6 +55,18 @@ def test_monic_factor():
     p = JacobiPolyParams(2, 0.0, 0.0)
     for x in (-0.8, 0.1, 0.9):
         assert monic_factor(p) * jacobi_eval(p, x) == pytest.approx(x * x - 1.0 / 3.0)
+
+
+def test_overflow_raises_instead_of_nan():
+    with pytest.raises(MagnitudeOverflowError):
+        jacobi_eval(JacobiPolyParams(2000, 5000.0, 5000.0), 0.3)
+    with pytest.raises(MagnitudeOverflowError):
+        jacobi_eval(JacobiPolyParams(2000, 5000.0, 5000.0), np.array([0.0, 0.3]))
+    with pytest.raises(MagnitudeOverflowError):
+        monic_factor(JacobiPolyParams(170, 0.0, 0.0))
+    # the divisor alone overflowing would otherwise return 0.0 silently
+    with pytest.raises(MagnitudeOverflowError):
+        monic_factor(JacobiPolyParams(150, 0.0, 0.0))
 
 
 def test_roots_closed_forms():

@@ -9,6 +9,7 @@ from jacobi_spectra.ensemble import JacobiParams
 from jacobi_spectra.errors import ParameterDomainError
 from jacobi_spectra.polyroots import JacobiPolyParams, jacobi_roots_scaled
 from jacobi_spectra.spectra import (
+    REGIMES,
     ArcsineDensity,
     Ecdf,
     EdgeDensity,
@@ -304,13 +305,28 @@ def test_scaling_modes():
         ScalingSequence(0.0, 0.0, 7)
 
 
-def test_monte_carlo_deterministic_across_threads():
+def test_monte_carlo_same_stream_same_pool():
     p = JacobiParams(30, 20.0, 20.0, 2.0)
     s = ScalingSequence(1.0, 0.0, 30)
-    a = monte_carlo_esd(p, s, 8, RngStream(3, 0), threads=1)
-    b = monte_carlo_esd(p, s, 8, RngStream(3, 0), threads=4)
+    a = monte_carlo_esd(p, s, 8, RngStream(3, 0))
+    b = monte_carlo_esd(p, s, 8, RngStream(3, 0))
     assert np.array_equal(a.points, b.points)
     assert a.n == 8 * 30
+
+
+def test_regime_domain_checks():
+    p = JacobiParams(20, 30.0, 30.0, 2.0)
+    for name, make in REGIMES.items():
+        model, scaling = make(p)
+        assert scaling.n == 20 and model.support[0] < model.support[1], name
+    # a_tilde = 1.5, b_tilde = 0.5: the semicircle centring divides by a_tilde + b_tilde - 2
+    with pytest.raises(ParameterDomainError):
+        REGIMES["semicircle"](JacobiParams(20, 0.5, -0.5, 2.0))
+    for name in ("semicircle", "edge", "shifted-semicircle"):
+        with pytest.raises(ParameterDomainError):
+            REGIMES[name](JacobiParams(20, -0.5, 30.0, 2.0))
+    with pytest.raises(ParameterDomainError):
+        REGIMES["shifted-semicircle"](JacobiParams(20, 30.0, -0.5, 2.0))
 
 
 def test_monte_carlo_warns_on_weak_transfer():
