@@ -114,12 +114,6 @@ class BetaParams:
             raise ParameterDomainError("beta shapes must satisfy p > 0 and q > 0")
 
 
-def sample_normal(rng: RngStream, size: int | None = None):
-    """One standard normal draw, or an array of ``size`` draws."""
-    z = rng.normals(1 if size is None else size)
-    return float(z[0]) if size is None else z
-
-
 def _gamma_shape_ge1(rng: RngStream, shape: np.ndarray) -> np.ndarray:
     """Marsaglia-Tsang squeeze/rejection sampler; requires all shapes >= 1."""
     d = shape - 1.0 / 3.0

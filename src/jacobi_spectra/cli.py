@@ -86,6 +86,11 @@ def _rows_payload(header: tuple[str, ...], rows, fmt: str) -> str:
     )
 
 
+def _trial_rows(spectra) -> list[tuple[int, int, float]]:
+    """(trial, index, value) rows of per-trial spectra."""
+    return [(t, i, float(v)) for t, vals in enumerate(spectra) for i, v in enumerate(vals)]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -97,12 +102,7 @@ def cmd_sample(args) -> int:
     def one(t: int) -> np.ndarray:
         return eig_tridiag(random_matrix(sample_alphas(p, rng.substream(t)))).values
 
-    spectra = run_trials(one, args.trials)
-    rows = [
-        (t, i, float(v))
-        for t, vals in enumerate(spectra)
-        for i, v in enumerate(vals)
-    ]
+    rows = _trial_rows(run_trials(one, args.trials))
     _write(_rows_payload(("trial", "index", "value"), rows, args.format), args.out)
     return 0
 
@@ -228,11 +228,7 @@ def cmd_fmatrix(args) -> int:
         }
         _write(json.dumps(payload), args.out)
     else:
-        rows = [
-            (t, i, float(v))
-            for t, vals in enumerate(spectra)
-            for i, v in enumerate(vals)
-        ]
+        rows = _trial_rows(spectra)
         _write(_rows_payload(("trial", "index", "value"), rows, "csv"), args.out)
     return 0
 
@@ -322,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParameterDomainError, IndexError) as exc:
+    except ParameterDomainError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

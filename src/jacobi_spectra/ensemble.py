@@ -121,14 +121,6 @@ def alpha_shapes(p: JacobiParams) -> tuple[np.ndarray, np.ndarray]:
     return ps, qs
 
 
-def alpha_shape_params(p: JacobiParams, k: int) -> BetaParams:
-    """Shape pair of the k-th driving variate; k even and odd use different laws."""
-    if not 0 <= k <= 2 * p.n - 2:
-        raise IndexError(f"alpha index k={k} outside 0..{2 * p.n - 2}")
-    ps, qs = alpha_shapes(p)
-    return BetaParams(float(ps[k]), float(qs[k]))
-
-
 def sample_alphas(p: JacobiParams, rng: RngStream) -> AlphaVector:
     """Draw the 2n-1 independent variates for one matrix realization."""
     ps, qs = alpha_shapes(p)

@@ -103,7 +103,7 @@ def f_eigs_direct(g: GaussianPair, d: FDims) -> Spectrum:
     except NotPositiveDefiniteError as exc:
         raise DegenerateSampleError(f"rank-deficient Gaussian sample: {exc}") from exc
     # pencil of PSD vs PD matrices; clip the rounding fuzz below zero
-    return Spectrum(np.maximum(spec.values, 0.0), "random")
+    return Spectrum(np.maximum(spec.values, 0.0))
 
 
 def manova_eigs(g: GaussianPair, d: FDims) -> Spectrum:
@@ -152,7 +152,7 @@ def f_eigs_tridiag(d: FDims, rng: RngStream) -> Spectrum:
     p = d.jacobi_params()
     lam_j = eig_tridiag(random_matrix(sample_alphas(p, rng))).values
     lam_f = jacobi_to_f(lam_j, d)  # decreasing map: reverse to ascend
-    return Spectrum(np.maximum(lam_f[::-1], 0.0), "transformed")
+    return Spectrum(np.maximum(lam_f[::-1], 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -138,12 +138,22 @@ def jacobi_roots_scaled(p: JacobiPolyParams) -> Spectrum:
     diag, off_sq = recurrence_coefficients(p)
     # B_k > 0 in exact arithmetic for an integrable weight; guard rounding
     off = np.sqrt(np.maximum(off_sq, 0.0))
-    spec = eig_tridiag(SymTridiag(diag, off), provenance="deterministic")
-    return Spectrum(2.0 * spec.values, "deterministic")
+    return Spectrum(2.0 * eig_tridiag(SymTridiag(diag, off)).values)
+
+
+def _term_relative(t1, t2, t3) -> float:
+    """|t1 - t2 + t3| relative to the largest of the three terms.
+
+    Raises MagnitudeOverflowError on a non-finite term, which a caller's
+    running max() would otherwise drop silently.
+    """
+    if not np.all(np.isfinite((t1, t2, t3))):
+        raise MagnitudeOverflowError("contiguous-identity terms overflowed float64")
+    return float(abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3), 1e-300))
 
 
 def first_param_lowering_residual(p: JacobiPolyParams, x: float) -> float:
-    """Absolute residual of the contiguous relation lowering the first parameter.
+    """Term-relative residual of the contiguous relation lowering the first parameter.
 
     (n + delta - 1) P_{n-2}^{(g, d)} - (n + g + d - 1) P_{n-1}^{(g, d)}
         + (2n + g + d - 2) P_{n-1}^{(g-1, d)}  ==  0
@@ -152,14 +162,15 @@ def first_param_lowering_residual(p: JacobiPolyParams, x: float) -> float:
     if p.n < 2:
         raise ParameterDomainError("identity needs degree n >= 2")
     n, g, d = p.n, p.gamma, p.delta
-    t1 = (n + d - 1.0) * _eval_recurrence(n - 2, g, d, np.float64(x))
-    t2 = (n + g + d - 1.0) * _eval_recurrence(n - 1, g, d, np.float64(x))
-    t3 = (2.0 * n + g + d - 2.0) * _eval_recurrence(n - 1, g - 1.0, d, np.float64(x))
-    return abs(t1 - t2 + t3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = (n + d - 1.0) * _eval_recurrence(n - 2, g, d, np.float64(x))
+        t2 = (n + g + d - 1.0) * _eval_recurrence(n - 1, g, d, np.float64(x))
+        t3 = (2.0 * n + g + d - 2.0) * _eval_recurrence(n - 1, g - 1.0, d, np.float64(x))
+    return _term_relative(t1, t2, t3)
 
 
 def second_param_lowering_residual(p: JacobiPolyParams, x: float) -> float:
-    """Absolute residual of the contiguous relation lowering the second parameter.
+    """Term-relative residual of the contiguous relation lowering the second parameter.
 
     (n + g - 1) P_{n-1}^{(g-1, d)} - (2n + g + d - 1) P_n^{(g-1, d-1)}
         + (n + g + d - 1) P_n^{(g-1, d)}  ==  0
@@ -168,7 +179,8 @@ def second_param_lowering_residual(p: JacobiPolyParams, x: float) -> float:
     if p.n < 1:
         raise ParameterDomainError("identity needs degree n >= 1")
     n, g, d = p.n, p.gamma, p.delta
-    t1 = (n + g - 1.0) * _eval_recurrence(n - 1, g - 1.0, d, np.float64(x))
-    t2 = (2.0 * n + g + d - 1.0) * _eval_recurrence(n, g - 1.0, d - 1.0, np.float64(x))
-    t3 = (n + g + d - 1.0) * _eval_recurrence(n, g - 1.0, d, np.float64(x))
-    return abs(t1 - t2 + t3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = (n + g - 1.0) * _eval_recurrence(n - 1, g - 1.0, d, np.float64(x))
+        t2 = (2.0 * n + g + d - 1.0) * _eval_recurrence(n, g - 1.0, d - 1.0, np.float64(x))
+        t3 = (n + g + d - 1.0) * _eval_recurrence(n, g - 1.0, d, np.float64(x))
+    return _term_relative(t1, t2, t3)

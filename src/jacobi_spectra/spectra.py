@@ -315,8 +315,8 @@ def density_eval(m: DensityModel, x):
 # quadrature: adaptive Simpson with sqrt substitution at the support endpoints
 
 
-def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int = 40) -> float:
-    """Classic adaptive Simpson with Richardson correction; absolute tol."""
+def _adaptive_simpson(g, a: float, b: float, tol: float) -> float:
+    """Classic adaptive Simpson with Richardson correction; absolute tol, depth <= 40."""
     if a == b:
         return 0.0
 
@@ -334,7 +334,7 @@ def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int = 40) ->
         err = left + right - whole
         if abs(err) <= 15.0 * tol:
             return left + right + err / 15.0
-        if depth >= max_depth:
+        if depth >= 40:
             raise NumericalFailureError("adaptive quadrature did not converge")
         return recurse(x0, x1, f0, flm, f1, left, tol / 2.0, depth + 1) + recurse(
             x1, x2, f1, frm, f2, right, tol / 2.0, depth + 1
@@ -385,24 +385,24 @@ def _integrate_density(m: DensityModel, lo: float, hi: float, tol: float) -> flo
     return total
 
 
-def density_norm(m: DensityModel, tol: float = 1e-8) -> float:
-    """Raw quadrature of the density over its support (should be 1)."""
+def density_norm(m: DensityModel) -> float:
+    """Raw quadrature of the density over its support (should be 1); tol 1e-8."""
     lo, hi = m.support
-    return _integrate_density(m, lo, hi, tol)
+    return _integrate_density(m, lo, hi, 1e-8)
 
 
-def cdf_eval(m: DensityModel, xi: float, tol: float = 1e-8) -> float:
-    """CDF of the model at xi by adaptive quadrature; clamped to [0, 1]."""
+def cdf_eval(m: DensityModel, xi: float) -> float:
+    """CDF of the model at xi by adaptive quadrature (tol 1e-8); clamped to [0, 1]."""
     lo, hi = m.support
     if xi <= lo:
         return 0.0
     if xi >= hi:
         return 1.0
-    return min(max(_integrate_density(m, lo, xi, tol), 0.0), 1.0)
+    return min(max(_integrate_density(m, lo, xi, 1e-8), 0.0), 1.0)
 
 
-def cdf_grid(m: DensityModel, xs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """CDF at many (arbitrary-order) points, by incremental panel integration."""
+def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
+    """CDF at many (arbitrary-order) points, by incremental panel integration (tol 1e-10)."""
     xs = np.asarray(xs, dtype=np.float64)
     order = np.argsort(xs, kind="stable")
     sorted_xs = xs[order]
@@ -417,7 +417,7 @@ def cdf_grid(m: DensityModel, xs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         if x >= hi:
             vals[i] = 1.0
             continue
-        acc += _integrate_density(m, prev, x, tol)
+        acc += _integrate_density(m, prev, x, 1e-10)
         prev = x
         vals[i] = min(max(acc, 0.0), 1.0)
     out = np.empty_like(vals)

@@ -30,10 +30,9 @@ DENSE_SIZE_CAP = 500  # dense routines are an oracle, not a production path
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending real eigenvalues (or roots) with a provenance tag."""
+    """Ascending real eigenvalues (or roots)."""
 
     values: np.ndarray
-    provenance: str = "random"  # random | deterministic | transformed
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -42,8 +41,6 @@ class Spectrum:
             raise ParameterDomainError("spectrum must be a nonempty vector")
         if np.any(np.diff(v) < 0.0):
             raise ParameterDomainError("spectrum must be sorted ascending")
-        if self.provenance not in ("random", "deterministic", "transformed"):
-            raise ParameterDomainError(f"unknown provenance tag {self.provenance!r}")
 
     @property
     def n(self) -> int:
@@ -71,22 +68,20 @@ class DenseSym:
         return self.a.shape[0]
 
 
-def eig_tridiag(t: SymTridiag, rel_tol: float = 1e-13, provenance: str = "random") -> Spectrum:
+def eig_tridiag(t: SymTridiag) -> Spectrum:
     """All eigenvalues of a symmetric tridiagonal matrix by Sturm bisection.
 
-    Each eigenvalue is located to about rel_tol * ||T||_inf + 1e-30 inside the
+    Each eigenvalue is located to about 1e-13 * ||T||_inf + 1e-30 inside the
     Gershgorin enclosure. Multiplicities are resolved by the Sturm counts.
     """
-    if not rel_tol >= 1e-14:
-        raise ParameterDomainError("rel_tol must satisfy rel_tol >= 1e-14")
     norm = t.norm_inf()
     if norm == 0.0:
-        return Spectrum(np.zeros(t.n), provenance)
+        return Spectrum(np.zeros(t.n))
     vals = eigvalsh_tridiagonal(
-        t.diag, t.off, lapack_driver="stebz", tol=rel_tol * norm + 1e-30,
+        t.diag, t.off, lapack_driver="stebz", tol=1e-13 * norm + 1e-30,
         check_finite=False,
     )
-    return Spectrum(np.sort(vals), provenance)
+    return Spectrum(np.sort(vals))
 
 
 def sturm_count(t: SymTridiag, x: float) -> int:
@@ -142,30 +137,30 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def eig_dense_sym(a: DenseSym, tol: float = 1e-12, provenance: str = "random") -> Spectrum:
+def eig_dense_sym(a: DenseSym) -> Spectrum:
     """All eigenvalues of a dense symmetric matrix via cyclic plane rotations.
 
     Disjoint pivot pairs are rotated simultaneously (round-robin schedule);
     sweeps repeat until the off-diagonal Frobenius mass drops below
-    tol * ||A||_F, with a hard cap of 50 sweeps.
+    1e-12 * ||A||_F, with a hard cap of 50 sweeps.
     """
     if a.n > DENSE_SIZE_CAP:
         raise ParameterDomainError(f"dense solver is capped at n = {DENSE_SIZE_CAP}")
     m = a.a.copy()
     n = a.n
     if n == 1:
-        return Spectrum(m[0, :1].copy(), provenance)
+        return Spectrum(m[0, :1].copy())
     norm_f = float(np.linalg.norm(m))
     if norm_f == 0.0:
-        return Spectrum(np.zeros(n), provenance)
+        return Spectrum(np.zeros(n))
     rounds = _round_robin(n)
     for _ in range(50):
         # off-diagonal Frobenius mass, summed directly (a difference of
         # near-equal squares would stall at the rounding floor)
         msq = m * m
         np.fill_diagonal(msq, 0.0)
-        if math.sqrt(float(np.sum(msq))) <= tol * norm_f:
-            return Spectrum(np.sort(np.diag(m)), provenance)
+        if math.sqrt(float(np.sum(msq))) <= 1e-12 * norm_f:
+            return Spectrum(np.sort(np.diag(m)))
         for p, q in rounds:
             apq = m[p, q]
             live = apq != 0.0
@@ -206,8 +201,7 @@ def cholesky(a: DenseSym) -> np.ndarray:
     return low
 
 
-def eig_generalized_sym(a: DenseSym, b: DenseSym, tol: float = 1e-12,
-                        provenance: str = "random") -> Spectrum:
+def eig_generalized_sym(a: DenseSym, b: DenseSym) -> Spectrum:
     """Eigenvalues of A v = lambda B v with B positive definite.
 
     Reduces to the standard symmetric problem L^-1 A L^-T via the Cholesky
@@ -219,4 +213,4 @@ def eig_generalized_sym(a: DenseSym, b: DenseSym, tol: float = 1e-12,
     half = solve_triangular(low, a.a, lower=True, check_finite=False)
     reduced = solve_triangular(low, half.T, lower=True, check_finite=False)
     reduced = (reduced + reduced.T) / 2.0
-    return eig_dense_sym(DenseSym(reduced), tol=tol, provenance=provenance)
+    return eig_dense_sym(DenseSym(reduced))

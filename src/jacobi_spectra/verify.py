@@ -29,7 +29,12 @@ from .fmatrix import (
     sample_gaussian_pair,
     transform_limit_cdf,
 )
-from .polyroots import JacobiPolyParams, jacobi_eval, jacobi_roots_scaled
+from .polyroots import (
+    JacobiPolyParams,
+    first_param_lowering_residual,
+    jacobi_roots_scaled,
+    second_param_lowering_residual,
+)
 from .spectra import (
     REGIMES,
     Ecdf,
@@ -80,7 +85,7 @@ def criterion_01(rng: RngStream) -> dict:
         for at in (0.5, 1.0, 3.7):
             for bt in (0.5, 1.0, 3.7):
                 p = JacobiParams(n, at - 1.0, bt - 1.0, 2.0)
-                ev = eig_tridiag(expected_matrix(p), provenance="deterministic").values
+                ev = eig_tridiag(expected_matrix(p)).values
                 roots = jacobi_roots_scaled(JacobiPolyParams(n, at - 1.0, bt - 1.0)).values
                 worst = max(worst, float(np.max(np.abs(ev - roots))))
     return _record(
@@ -95,20 +100,14 @@ def criterion_02(rng: RngStream) -> dict:
     u = rng.substream(2).uniforms(400)
     worst = 0.0
     for i in range(100):
-        n = 2 + int(u[4 * i] * 9)  # 2..10
-        g = 0.05 + 4.95 * u[4 * i + 1]
-        d = 0.05 + 4.95 * u[4 * i + 2]
+        p = JacobiPolyParams(
+            2 + int(u[4 * i] * 9),  # 2..10
+            0.05 + 4.95 * u[4 * i + 1],
+            0.05 + 4.95 * u[4 * i + 2],
+        )
         x = 2.0 * u[4 * i + 3] - 1.0
-        t1 = (n + d - 1.0) * jacobi_eval(JacobiPolyParams(n - 2, g, d), x)
-        t2 = (n + g + d - 1.0) * jacobi_eval(JacobiPolyParams(n - 1, g, d), x)
-        t3 = (2.0 * n + g + d - 2.0) * jacobi_eval(JacobiPolyParams(n - 1, g - 1.0, d), x)
-        scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
-        worst = max(worst, abs(t1 - t2 + t3) / scale)
-        s1 = (n + g - 1.0) * jacobi_eval(JacobiPolyParams(n - 1, g - 1.0, d), x)
-        s2 = (2.0 * n + g + d - 1.0) * jacobi_eval(JacobiPolyParams(n, g - 1.0, d - 1.0), x)
-        s3 = (n + g + d - 1.0) * jacobi_eval(JacobiPolyParams(n, g - 1.0, d), x)
-        scale = max(abs(s1), abs(s2), abs(s3), 1e-300)
-        worst = max(worst, abs(s1 - s2 + s3) / scale)
+        worst = max(worst, first_param_lowering_residual(p, x),
+                    second_param_lowering_residual(p, x))
     return _record(
         "C02", "contiguous-parameter identities: max relative residual",
         worst, 1e-9, time.perf_counter() - t0, 1.0,

@@ -167,3 +167,14 @@ def _choices(command, dest):
 def test_model_and_transform_choices_are_the_table_keys():
     assert tuple(_choices("compare", "model")) == tuple(REGIMES)
     assert tuple(_choices("fmatrix", "transform")) == tuple(TRANSFORMS)
+
+
+def test_internal_index_error_is_not_a_parameter_error(monkeypatch):
+    # an indexing bug inside a subcommand must surface as a traceback,
+    # not as exit code 2 blamed on the user's parameters
+    def broken(args):
+        raise IndexError("internal indexing bug")
+
+    monkeypatch.setattr(cli, "cmd_roots", broken)
+    with pytest.raises(IndexError):
+        cli.main(["roots", "--n", "3"])

@@ -5,7 +5,6 @@ from jacobi_spectra.betarand import BetaParams, RngStream, sample_beta_pm1
 from jacobi_spectra.ensemble import (
     AlphaVector,
     JacobiParams,
-    alpha_shape_params,
     alpha_shapes,
     expected_matrix,
     random_matrix,
@@ -33,14 +32,11 @@ def test_params_validation():
     assert p.a_tilde == 2.0 and p.b_tilde == 3.0
 
 
-def test_alpha_shape_params_examples():
-    p = JacobiParams(2, 0.0, 0.0, 2.0)
-    even = alpha_shape_params(p, 0)
-    assert (even.p, even.q) == (2.0, 2.0)
-    odd = alpha_shape_params(p, 1)
-    assert (odd.p, odd.q) == (2.0, 1.0)
-    with pytest.raises(IndexError):
-        alpha_shape_params(p, 3)
+def test_alpha_shapes_examples():
+    ps, qs = alpha_shapes(JacobiParams(2, 0.0, 0.0, 2.0))
+    assert ps.size == qs.size == 3  # k = 0..2n-2
+    assert (ps[0], qs[0]) == (2.0, 2.0)  # even k
+    assert (ps[1], qs[1]) == (2.0, 1.0)  # odd k
 
 
 def test_alpha_shapes_always_positive():
@@ -175,8 +171,8 @@ def test_expectation_consistency_with_reversal():
 def test_swap_weights_negates_spectrum():
     p1 = JacobiParams(10, 2.0, 5.0, 2.0)
     p2 = JacobiParams(10, 5.0, 2.0, 2.0)
-    e1 = eig_tridiag(expected_matrix(p1), provenance="deterministic").values
-    e2 = eig_tridiag(expected_matrix(p2), provenance="deterministic").values
+    e1 = eig_tridiag(expected_matrix(p1)).values
+    e2 = eig_tridiag(expected_matrix(p2)).values
     assert np.max(np.abs(e1 + e2[::-1])) == 0.0
     # and for the random matrix, in distribution
     r1, r2 = RngStream(SEED, 5), RngStream(SEED, 6)
