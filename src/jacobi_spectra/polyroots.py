@@ -109,21 +109,26 @@ def recurrence_coefficients(p: JacobiPolyParams) -> tuple[np.ndarray, np.ndarray
     x Phat_k = Phat_{k+1} + A_k Phat_k + B_k Phat_{k-1}; the B_k are the
     squared off-diagonal entries of the symmetrized recurrence matrix. All
     factors are kept in product form to avoid subtractive cancellation at
-    large parameters.
+    large parameters; MagnitudeOverflowError is raised when a product leaves
+    float64 range (weight exponents near 1e150 and above).
     """
-    g, d = p.gamma, p.delta
+    g, d = np.float64(p.gamma), np.float64(p.delta)
     n = p.n
     diag = np.empty(n)
     k = np.arange(1, n, dtype=np.float64)
-    diag[0] = (d - g) / (g + d + 2.0)
-    if n > 1:
-        diag[1:] = (d - g) * (d + g) / ((2.0 * k + g + d) * (2.0 * k + g + d + 2.0))
     s = 2.0 * k + g + d
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
+        diag[0] = (d - g) / (g + d + 2.0)
+        diag[1:] = (d - g) * (d + g) / (s * (s + 2.0))
         off_sq = 4.0 * k * (k + g) * (k + d) * (k + g + d) / (s * s * (s * s - 1.0))
-    if n > 1:
-        # k = 1 has a removable 0/0 at g + d = -1: cancel (1 + g + d)/(s - 1)
-        off_sq[0] = 4.0 * (1.0 + g) * (1.0 + d) / ((g + d + 2.0) ** 2 * (g + d + 3.0))
+        if n > 1:
+            # k = 1 has a removable 0/0 at g + d = -1: cancel (1 + g + d)/(s - 1)
+            off_sq[0] = 4.0 * (1.0 + g) * (1.0 + d) / ((g + d + 2.0) ** 2 * (g + d + 3.0))
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off_sq))):
+        raise MagnitudeOverflowError(
+            f"recurrence coefficients overflowed float64 at gamma = {p.gamma:g}, "
+            f"delta = {p.delta:g}"
+        )
     return diag, off_sq
 
 

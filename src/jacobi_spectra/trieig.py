@@ -2,11 +2,11 @@
 recurrence, desk-scale dense symmetric solver, Cholesky, and the
 symmetric-definite generalized problem.
 
-The tridiagonal path is the production solver (bisection with Sturm counts,
-deterministic accuracy, eigenvalues only). The dense routines are a desk-scale
-oracle for the Gaussian-matrix cross-checks and are capped at n = 500 by
-policy; they deliberately avoid LAPACK so the cross-checks do not share a
-solver with the tridiagonal path.
+The tridiagonal path is the production solver (LAPACK root-free QR,
+eigenvalues only). The dense routines are a desk-scale oracle for the
+Gaussian-matrix cross-checks and are capped at n = 500 by policy; they
+deliberately avoid LAPACK so the cross-checks do not share a solver with the
+tridiagonal path.
 """
 
 from __future__ import annotations
@@ -69,33 +69,21 @@ class DenseSym:
 
 
 def eig_tridiag(t: SymTridiag) -> Spectrum:
-    """All eigenvalues of a symmetric tridiagonal matrix by Sturm bisection.
+    """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    Each eigenvalue is located to about 1e-13 * ||T||_inf + 1e-30 inside the
-    Gershgorin enclosure. Multiplicities are resolved by the Sturm counts.
+    Pal-Walker-Kahan root-free QR (LAPACK ``dsterf``). The tests hold each
+    eigenvalue v_k to the Sturm-count bracket
+    count(v_k - tol) <= k < count(v_k + tol), tol = 1e-13 * ||T||_inf.
+    Raises NumericalFailureError when the QR iteration does not converge or
+    an eigenvalue is not finite, e.g. on a NaN or infinite entry.
     """
-    norm = t.norm_inf()
-    if norm == 0.0:
-        return Spectrum(np.zeros(t.n))
-    vals = eigvalsh_tridiagonal(
-        t.diag, t.off, lapack_driver="stebz", tol=1e-13 * norm + 1e-30,
-        check_finite=False,
-    )
-    return Spectrum(np.sort(vals))
-
-
-def sturm_count(t: SymTridiag, x: float) -> int:
-    """Number of eigenvalues strictly below x (negated-pivot count of T - xI)."""
-    count = 0
-    d = 1.0
-    off2 = t.off * t.off
-    for k in range(t.n):
-        d = (t.diag[k] - x) - (off2[k - 1] / d if k > 0 else 0.0)
-        if d == 0.0:
-            d = -1e-300
-        if d < 0.0:
-            count += 1
-    return count
+    try:
+        vals = eigvalsh_tridiagonal(t.diag, t.off, lapack_driver="sterf", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"tridiagonal QR did not converge: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise NumericalFailureError("tridiagonal matrix has a NaN or infinite entry")
+    return Spectrum(vals)
 
 
 def charpoly_eval(t: SymTridiag, x):

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: beta variates come
 from inverse-CDF sampling (bisection on the regularized incomplete beta),
-the Levy distance from a brute-force grid search, and entry ranges from
-exhaustive maximization over a grid on the cube.
+the Levy distance from a brute-force grid search, entry ranges from
+exhaustive maximization over a grid on the cube, and eigenvalue counts from
+Sturm sequences (bisection's inertia count, not the production QR solver).
 """
 
 import numpy as np
@@ -20,6 +21,24 @@ def inverse_cdf_beta(p: float, q: float, u: np.ndarray) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def sturm_count(t, x):
+    """Eigenvalues of the tridiagonal t strictly below x (scalar or array).
+
+    Counts the negative pivots of the LDL^T factorization of T - xI; a zero
+    pivot is replaced by -1e-300.
+    """
+    xs = np.asarray(x, dtype=np.float64)
+    count = np.zeros(xs.shape, dtype=np.int64)
+    d = np.ones_like(xs)
+    off2 = t.off * t.off
+    with np.errstate(over="ignore", divide="ignore"):
+        for k in range(t.n):
+            d = (t.diag[k] - xs) - (off2[k - 1] / d if k > 0 else 0.0)
+            d = np.where(d == 0.0, -1e-300, d)
+            count += d < 0.0
+    return int(count) if np.ndim(x) == 0 else count
 
 
 def ecdf_value(sample: np.ndarray, x: np.ndarray) -> np.ndarray:

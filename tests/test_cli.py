@@ -55,6 +55,18 @@ def test_roots_closed_form_and_symmetry():
     assert vals == pytest.approx([-v for v in vals[::-1]], abs=1e-12)
 
 
+@pytest.mark.parametrize("a, code", [("1e100", 0), ("1e150", 4), ("1e200", 4)])
+def test_roots_overflow_exits_4_without_traceback(a, code):
+    r = run_cli("roots", "--n", "5", "--a", a, "--b", a, "--beta", "2")
+    assert r.returncode == code
+    assert "Traceback" not in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    if code:
+        assert "overflowed float64" in r.stderr
+    else:
+        assert len(r.stdout.strip().splitlines()) == 6
+
+
 def test_deviation_summary():
     r = run_cli("deviation", "--n", "20", "--a", "10", "--b", "10", "--beta", "2",
                 "--trials", "100", "--eps", "1")

@@ -13,6 +13,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("name, marker", [
     ("01_sampling_and_roots.py", "max gap over a fresh draw"),
     ("02_determinant_identity.py", "relative residuals"),
+    ("03_limiting_densities.py", "KS vs limit ="),
+    ("04_deviation_scaling.py", "rate-scaled median ="),
+    ("05_fmatrix_correspondence.py", "shifted-semicircle limit: KS ="),
 ])
 def test_demo_runs(name, marker):
     env = dict(os.environ)

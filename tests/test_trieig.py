@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from jacobi_spectra.betarand import RngStream
-from jacobi_spectra.ensemble import SymTridiag
+from jacobi_spectra.ensemble import JacobiParams, SymTridiag, random_matrix, sample_alphas
 from jacobi_spectra.errors import (
     MagnitudeOverflowError,
     NotPositiveDefiniteError,
+    NumericalFailureError,
     ParameterDomainError,
 )
+from jacobi_spectra.fmatrix import FDims
+from jacobi_spectra.polyroots import JacobiPolyParams, recurrence_coefficients
 from jacobi_spectra.trieig import (
     DenseSym,
     charpoly_eval,
@@ -15,8 +18,8 @@ from jacobi_spectra.trieig import (
     eig_dense_sym,
     eig_generalized_sym,
     eig_tridiag,
-    sturm_count,
 )
+from oracles import sturm_count
 
 
 def _tridiag(diag, off):
@@ -38,12 +41,51 @@ def test_eig_tridiag_single_entry():
     assert eig_tridiag(_tridiag([4.2], [])).values == pytest.approx([4.2])
 
 
+def test_eig_tridiag_nonfinite_entry_raises():
+    with pytest.raises(NumericalFailureError):
+        eig_tridiag(_tridiag([1.0, np.nan, 3.0], [1.0, 1.0]))
+    with pytest.raises(NumericalFailureError):
+        eig_tridiag(_tridiag([np.nan], []))
+    with pytest.raises(NumericalFailureError):
+        eig_tridiag(_tridiag([1.0, np.inf, 3.0], [1.0, 1.0]))
+
+
 def test_sturm_count_matches_spectrum():
     rng = np.random.default_rng(0)
     t = _tridiag(rng.normal(size=9), np.abs(rng.normal(size=8)) + 0.1)
     vals = eig_tridiag(t).values
-    for x in (-3.0, -0.5, 0.2, 2.5):
+    xs = np.array([-3.0, -0.5, 0.2, 2.5])
+    for x in xs:
         assert sturm_count(t, x) == int(np.sum(vals < x))
+    assert list(sturm_count(t, xs)) == [int(np.sum(vals < x)) for x in xs]
+
+
+def _sampled(p: JacobiParams, stream: int) -> SymTridiag:
+    return random_matrix(sample_alphas(p, RngStream(7, stream)))
+
+
+def _root_matrix(p: JacobiPolyParams) -> SymTridiag:
+    diag, off_sq = recurrence_coefficients(p)
+    return SymTridiag(diag, np.sqrt(off_sq))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _sampled(JacobiParams(400, 1200.0, 1200.0, 2.0), 0),
+    lambda: _sampled(JacobiParams(400, -0.99, -0.99, 1e-3), 1),
+    lambda: _sampled(JacobiParams(400, -0.99, 5.0, 1e4), 2),
+    lambda: _sampled(FDims(1_000, 2_000_000, 100_000).jacobi_params(), 3),
+    lambda: _root_matrix(JacobiPolyParams(1000, 2999.0, 2999.0)),
+    lambda: _root_matrix(JacobiPolyParams(1000, -0.99, -0.99)),
+], ids=["ensemble-3n", "tiny-beta", "huge-beta", "thm44", "roots-2999", "roots-0.99"])
+def test_eig_tridiag_within_sturm_bracket(make):
+    # the k-th eigenvalue v_k (0-based) must satisfy
+    # count(v_k - tol) <= k < count(v_k + tol), tol = 1e-13 * ||T||_inf
+    t = make()
+    vals = eig_tridiag(t).values
+    tol = 1e-13 * t.norm_inf()
+    k = np.arange(t.n)
+    assert np.all(sturm_count(t, vals - tol) <= k)
+    assert np.all(k < sturm_count(t, vals + tol))
 
 
 def test_eig_matches_charpoly_bisection_oracle():
