@@ -21,7 +21,7 @@ import numpy as np
 
 from .betarand import BetaParams, RngStream, beta_mean_pm1
 from .ensemble import JacobiParams, alpha_shapes, random_matrix, sample_alphas
-from .errors import NumericalFailureError, ParameterDomainError
+from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
 from .polyroots import JacobiPolyParams, jacobi_roots_scaled
 from .trieig import eig_tridiag
 
@@ -38,8 +38,8 @@ class Ecdf:
     def __post_init__(self):
         pts = np.sort(np.asarray(self.points, dtype=np.float64))
         object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ParameterDomainError("ECDF needs a nonempty sample")
+        if pts.ndim != 1 or pts.size == 0 or not np.all(np.isfinite(pts)):
+            raise ParameterDomainError("ECDF needs a nonempty sample of finite points")
 
     @property
     def n(self) -> int:
@@ -312,115 +312,110 @@ def density_eval(m: DensityModel, x):
 
 
 # ---------------------------------------------------------------------------
-# quadrature: adaptive Simpson with sqrt substitution at the support endpoints
+# quadrature: blockwise Gauss-Legendre panels, sqrt substitution at the edges
+
+# 8-point Gauss-Legendre rule on [-1, 1]; literals, because computing them
+# with numpy.polynomial.legendre.leggauss loads numpy's own LAPACK
+_GL_NODES = np.array([
+    -0.9602898564975363, -0.7966664774136267, -0.5255324099163290, -0.1834346424956498,
+    0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975363,
+])
+_GL_WEIGHTS = np.array([
+    0.1012285362903763, 0.2223810344533745, 0.3137066458778873, 0.3626837833783620,
+    0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763,
+])
+# points per block: bounds the (intervals x nodes) temporaries
+_BLOCK = 1024
+# live intervals per block: a density the rule cannot resolve (a pole, rounding
+# noise above the halved tolerance) fails here, not after doubling to depth 40
+_MAX_INTERVALS = 16 * _BLOCK
 
 
-def _adaptive_simpson(g, a: float, b: float, tol: float) -> float:
-    """Classic adaptive Simpson with Richardson correction; absolute tol, depth <= 40."""
-    if a == b:
-        return 0.0
+def _gauss_legendre(m: DensityModel, a, b, upper):
+    """8-point rule for the substituted integrand 2v f(x) on each [a_i, b_i].
 
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = g(lm)
-        frm = g(rm)
-        left = simpson(f0, flm, f1, x1 - x0)
-        right = simpson(f1, frm, f2, x2 - x1)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        if depth >= 40:
-            raise NumericalFailureError("adaptive quadrature did not converge")
-        return recurse(x0, x1, f0, flm, f1, left, tol / 2.0, depth + 1) + recurse(
-            x1, x2, f1, frm, f2, right, tol / 2.0, depth + 1
-        )
-
-    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
-    whole = simpson(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    v is t = sqrt(x - s1), or u = sqrt(s2 - x) where ``upper``; the edge
+    distances v^2 feed :meth:`DensityModel.edge_density` exactly.
+    """
+    h = 0.5 * (b - a)
+    v = (0.5 * (a + b))[:, None] + h[:, None] * _GL_NODES
+    sq = v * v
+    rest = (m.support[1] - m.support[0]) - sq
+    up = upper[:, None]
+    dlo, dhi = np.where(up, rest, sq), np.where(up, sq, rest)
+    del sq, rest  # free before the density's own temporaries
+    return 2.0 * h * ((m.edge_density(dlo, dhi) * v) @ _GL_WEIGHTS)
 
 
-def _integrate_density(m: DensityModel, lo: float, hi: float, tol: float) -> float:
-    """Integral of the density over [lo, hi] inside the support.
+def _panel_integrals(m: DensityModel, edges: np.ndarray) -> np.ndarray:
+    """Integrals of the density over [edges[i], edges[i+1]] inside the support.
 
-    Integrable inverse-square-root endpoint behaviour is removed by the
-    substitutions x = s1 + t^2 near the lower support endpoint and
-    x = s2 - u^2 near the upper one, which make the integrand analytic; the
-    edge distances t^2 and u^2 feed :meth:`DensityModel.edge_density` exactly,
-    with no subtractive cancellation.
+    Panels are integrated in t below the support midpoint and in u above it,
+    which makes inverse-square-root edges analytic. An interval whose two halves
+    miss the whole by more than 1e-10 (halved at each split) is split.
     """
     s1, s2 = m.support
-    width = s2 - s1
-    lo = max(lo, s1)
-    hi = min(hi, s2)
-    if hi <= lo:
-        return 0.0
     mid = 0.5 * (s1 + s2)
-    total = 0.0
-    left_hi = min(hi, mid)
-    if lo < left_hi:
-        # avoid evaluating 2t * f at exactly t = 0 (0 * inf at singular edges);
-        # the skipped mass below t = 1e-12 is O(1e-12) even for 1/sqrt edges
-        ta = max(math.sqrt(lo - s1), 1e-12)
-        tb = math.sqrt(left_hi - s1)
-        if ta < tb:
-            total += _adaptive_simpson(
-                lambda t: 2.0 * t * float(m.edge_density(t * t, width - t * t)),
-                ta, tb, tol,
-            )
-    right_lo = max(lo, mid)
-    if right_lo < hi:
-        ua = max(math.sqrt(s2 - hi), 1e-12)
-        ub = math.sqrt(s2 - right_lo)
-        if ua < ub:
-            total += _adaptive_simpson(
-                lambda u: 2.0 * u * float(m.edge_density(width - u * u, u * u)),
-                ua, ub, tol,
-            )
-    return total
-
-
-def density_norm(m: DensityModel) -> float:
-    """Raw quadrature of the density over its support (should be 1); tol 1e-8."""
-    lo, hi = m.support
-    return _integrate_density(m, lo, hi, 1e-8)
-
-
-def cdf_eval(m: DensityModel, xi: float) -> float:
-    """CDF of the model at xi by adaptive quadrature (tol 1e-8); clamped to [0, 1]."""
-    lo, hi = m.support
-    if xi <= lo:
-        return 0.0
-    if xi >= hi:
-        return 1.0
-    return min(max(_integrate_density(m, lo, xi, 1e-8), 0.0), 1.0)
+    a, b = edges[:-1], edges[1:]
+    # avoid evaluating 2v * f at exactly v = 0 (0 * inf at singular edges);
+    # the skipped mass below v = 1e-12 is O(1e-12) even for 1/sqrt edges
+    ta = np.maximum(np.sqrt(a - s1), 1e-12)
+    tb = np.sqrt(np.minimum(b, mid) - s1)
+    ua = np.maximum(np.sqrt(s2 - b), 1e-12)
+    ub = np.sqrt(s2 - np.maximum(a, mid))
+    keep = np.concatenate([ta < tb, ua < ub])
+    lo, hi = np.concatenate([ta, ua])[keep], np.concatenate([tb, ub])[keep]
+    upper = np.repeat([False, True], a.size)[keep]
+    owner = np.tile(np.arange(a.size), 2)[keep]
+    total = np.zeros(a.size)
+    whole = _gauss_legendre(m, lo, hi, upper)
+    tol = 1e-10
+    for depth in range(41):
+        half = 0.5 * (lo + hi)
+        left = _gauss_legendre(m, lo, half, upper)
+        right = _gauss_legendre(m, half, hi, upper)
+        est = left + right
+        if not np.all(np.isfinite(est)):
+            raise NumericalFailureError("density quadrature is not finite")
+        done = np.abs(est - whole) <= tol
+        total += np.bincount(owner[done], weights=est[done], minlength=a.size)
+        if done.all():
+            return total
+        split = ~done
+        if depth == 40 or 2 * np.count_nonzero(split) > _MAX_INTERVALS:
+            raise NumericalFailureError("adaptive quadrature did not converge")
+        lo = np.concatenate([lo[split], half[split]])
+        hi = np.concatenate([half[split], hi[split]])
+        whole = np.concatenate([left[split], right[split]])
+        upper = np.tile(upper[split], 2)
+        owner = np.tile(owner[split], 2)
+        tol *= 0.5
 
 
 def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
-    """CDF at many (arbitrary-order) points, by incremental panel integration (tol 1e-10)."""
+    """CDF at many (arbitrary-order) points, by incremental panel integration.
+
+    Sorted points are walked in blocks with a running total (tol 1e-10 per panel).
+    """
     xs = np.asarray(xs, dtype=np.float64)
+    if np.isnan(xs).any():
+        raise ParameterDomainError("CDF points must not be NaN")
     order = np.argsort(xs, kind="stable")
     sorted_xs = xs[order]
     lo, hi = m.support
-    vals = np.empty_like(sorted_xs)
-    acc = 0.0
-    prev = lo
-    for i, x in enumerate(sorted_xs):
-        if x <= lo:
-            vals[i] = 0.0
-            continue
-        if x >= hi:
-            vals[i] = 1.0
-            continue
-        acc += _integrate_density(m, prev, x, 1e-10)
-        prev = x
-        vals[i] = min(max(acc, 0.0), 1.0)
-    out = np.empty_like(vals)
+    first = np.searchsorted(sorted_xs, lo, side="right")
+    stop = np.searchsorted(sorted_xs, hi, side="left")
+    vals = np.zeros_like(sorted_xs)
+    vals[stop:] = 1.0
+    acc, prev = 0.0, lo
+    for i in range(first, stop, _BLOCK):
+        block = sorted_xs[i : min(i + _BLOCK, stop)]
+        panels = _panel_integrals(m, np.concatenate([[prev], block]))
+        cum = np.cumsum(np.concatenate([[acc], panels]))[1:]
+        vals[i : i + block.size] = cum
+        acc, prev = cum[-1], block[-1]
+    np.clip(vals, 0.0, 1.0, out=vals)
+    out = sorted_xs  # reuse its buffer: the points are no longer needed
     out[order] = vals
     return out
 
@@ -504,8 +499,8 @@ class ScalingSequence:
     n: int
 
     def __post_init__(self):
-        if not self.delta_n > 0.0:
-            raise ParameterDomainError("scale must satisfy delta_n > 0")
+        if not (0.0 < self.delta_n < math.inf and math.isfinite(self.epsilon_n)):
+            raise ParameterDomainError("scaling needs a finite delta_n > 0 and a finite epsilon_n")
 
 
 SCALING_MODES = ("plain", "doubled")
@@ -513,11 +508,16 @@ SCALING_MODES = ("plain", "doubled")
 
 def scale_eigenvalues(lam: np.ndarray, s: ScalingSequence, mode: str) -> np.ndarray:
     """Apply one of the two affine scaled-eigenvalue conventions."""
-    if mode == "plain":
-        return (lam - s.epsilon_n) / s.delta_n
-    if mode == "doubled":
-        return (lam - 2.0 * (2.0 * s.epsilon_n - 1.0)) / (2.0 * s.delta_n)
-    raise ParameterDomainError(f"unknown scaling mode {mode!r}; use plain or doubled")
+    with np.errstate(all="ignore"):
+        if mode == "plain":
+            out = (lam - s.epsilon_n) / s.delta_n
+        elif mode == "doubled":
+            out = (lam - 2.0 * (2.0 * s.epsilon_n - 1.0)) / (2.0 * s.delta_n)
+        else:
+            raise ParameterDomainError(f"unknown scaling mode {mode!r}; use plain or doubled")
+    if not np.all(np.isfinite(out)):
+        raise MagnitudeOverflowError("scaled eigenvalues overflowed float64")
+    return out
 
 
 # ---------------------------------------------------------------------------

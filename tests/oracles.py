@@ -3,12 +3,18 @@
 These deliberately avoid the library's own code paths: beta variates come
 from inverse-CDF sampling (bisection on the regularized incomplete beta),
 the Levy distance from a brute-force grid search, entry ranges from
-exhaustive maximization over a grid on the cube, and eigenvalue counts from
-Sturm sequences (bisection's inertia count, not the production QR solver).
+exhaustive maximization over a grid on the cube, eigenvalue counts from
+Sturm sequences (bisection's inertia count, not the production QR solver),
+and limit-law CDFs from scalar adaptive Simpson (not the production
+Gauss-Legendre panels).
 """
+
+import math
 
 import numpy as np
 from scipy.special import betainc
+
+from jacobi_spectra.errors import NumericalFailureError
 
 
 def inverse_cdf_beta(p: float, q: float, u: np.ndarray) -> np.ndarray:
@@ -70,3 +76,85 @@ def max_over_cube(fn, dims: int, grid: int = 21) -> float:
     axes = [np.linspace(-1.0, 1.0, grid)] * dims
     mesh = np.meshgrid(*axes, indexing="ij")
     return float(np.max(fn(*mesh)))
+
+
+def adaptive_simpson(g, a: float, b: float, tol: float) -> float:
+    """Classic adaptive Simpson with Richardson correction; absolute tol, depth <= 40."""
+    if a == b:
+        return 0.0
+
+    def simpson(fa, fm, fb, h):
+        return h / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
+        x1 = 0.5 * (x0 + x2)
+        lm = 0.5 * (x0 + x1)
+        rm = 0.5 * (x1 + x2)
+        flm = g(lm)
+        frm = g(rm)
+        left = simpson(f0, flm, f1, x1 - x0)
+        right = simpson(f1, frm, f2, x2 - x1)
+        err = left + right - whole
+        if abs(err) <= 15.0 * tol:
+            return left + right + err / 15.0
+        if depth >= 40:
+            raise NumericalFailureError("adaptive quadrature did not converge")
+        return recurse(x0, x1, f0, flm, f1, left, tol / 2.0, depth + 1) + recurse(
+            x1, x2, f1, frm, f2, right, tol / 2.0, depth + 1
+        )
+
+    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
+    whole = simpson(fa, fm, fb, b - a)
+    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+
+
+def integrate_density(m, lo: float, hi: float, tol: float) -> float:
+    """Integral of a limit density over [lo, hi] inside its support.
+
+    Substitutes x = s1 + t^2 below the support midpoint and x = s2 - u^2
+    above it, feeding the exact edge distances to ``m.edge_density``.
+    """
+    s1, s2 = m.support
+    width = s2 - s1
+    lo = max(lo, s1)
+    hi = min(hi, s2)
+    if hi <= lo:
+        return 0.0
+    mid = 0.5 * (s1 + s2)
+    total = 0.0
+    left_hi = min(hi, mid)
+    if lo < left_hi:
+        # the skipped mass below t = 1e-12 is O(1e-12) even for 1/sqrt edges
+        ta = max(math.sqrt(lo - s1), 1e-12)
+        tb = math.sqrt(left_hi - s1)
+        if ta < tb:
+            total += adaptive_simpson(
+                lambda t: 2.0 * t * float(m.edge_density(t * t, width - t * t)),
+                ta, tb, tol,
+            )
+    right_lo = max(lo, mid)
+    if right_lo < hi:
+        ua = max(math.sqrt(s2 - hi), 1e-12)
+        ub = math.sqrt(s2 - right_lo)
+        if ua < ub:
+            total += adaptive_simpson(
+                lambda u: 2.0 * u * float(m.edge_density(width - u * u, u * u)),
+                ua, ub, tol,
+            )
+    return total
+
+
+def density_norm(m, tol: float) -> float:
+    """Quadrature of the density over its whole support (should be 1)."""
+    lo, hi = m.support
+    return integrate_density(m, lo, hi, tol)
+
+
+def cdf_eval(m, xi: float, tol: float) -> float:
+    """CDF of the model at xi by scalar adaptive quadrature, clamped to [0, 1]."""
+    lo, hi = m.support
+    if xi <= lo:
+        return 0.0
+    if xi >= hi:
+        return 1.0
+    return min(max(integrate_density(m, lo, xi, tol), 0.0), 1.0)

@@ -67,6 +67,25 @@ def test_roots_overflow_exits_4_without_traceback(a, code):
         assert len(r.stdout.strip().splitlines()) == 6
 
 
+@pytest.mark.parametrize(
+    "scaling, code, message",
+    [
+        ("plain:1:nan", 2, "a finite epsilon_n"),
+        ("plain:inf:0", 2, "a finite delta_n > 0"),
+        ("plain:nan:0", 2, "a finite delta_n > 0"),
+        ("doubled:1e-320:0", 4, "overflowed float64"),
+    ],
+)
+def test_compare_nonfinite_scaling_exits_without_traceback(scaling, code, message):
+    r = run_cli("compare", "--n", "20", "--a", "60", "--b", "60", "--model", "ratio",
+                "--scaling", scaling)
+    assert r.returncode == code
+    assert r.stdout == ""
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+
+
 def test_deviation_summary():
     r = run_cli("deviation", "--n", "20", "--a", "10", "--b", "10", "--beta", "2",
                 "--trials", "100", "--eps", "1")

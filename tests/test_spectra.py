@@ -6,11 +6,16 @@ import pytest
 
 from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import JacobiParams
-from jacobi_spectra.errors import ParameterDomainError
+from jacobi_spectra.errors import (
+    MagnitudeOverflowError,
+    NumericalFailureError,
+    ParameterDomainError,
+)
 from jacobi_spectra.polyroots import JacobiPolyParams, jacobi_roots_scaled
 from jacobi_spectra.spectra import (
     REGIMES,
     ArcsineDensity,
+    DensityModel,
     Ecdf,
     EdgeDensity,
     FMatrixDensity,
@@ -18,10 +23,8 @@ from jacobi_spectra.spectra import (
     RatioDensity,
     ScalingSequence,
     SemicircleDensity,
-    cdf_eval,
     cdf_grid,
     density_eval,
-    density_norm,
     deviation_probability_bound,
     deviation_report,
     ecdf_eval,
@@ -35,7 +38,7 @@ from jacobi_spectra.spectra import (
     two_sample_sup_distance,
 )
 
-from oracles import levy_grid_search
+from oracles import cdf_eval, density_norm, levy_grid_search
 
 SEED = 0x4A41434F424921
 
@@ -128,32 +131,32 @@ def test_fmatrix_support_properties():
     assert FMatrixDensity(1.0, 0.5).support[0] == 0.0
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        GeneralDensity(0.0, 0.0, 0.5, 7.0 / 16.0),
-        GeneralDensity(2.0, 2.0, 4.0, 4.0),
-        RatioDensity(3.0, 3.0),
-        RatioDensity(0.0, 0.0),
-        RatioDensity(0.0, 2.5),
-        ArcsineDensity(),
-        SemicircleDensity(math.sqrt(2.0)),
-        SemicircleDensity(4.0, 2.0),
-        SemicircleDensity(4.0, -2.0),
-        EdgeDensity(0.0),
-        EdgeDensity(1.0),
-        FMatrixDensity(0.5, 1.0 / 3.0),
-        FMatrixDensity(1.0, 0.5),
-    ],
-)
+MODELS = [
+    GeneralDensity(0.0, 0.0, 0.5, 7.0 / 16.0),
+    GeneralDensity(2.0, 2.0, 4.0, 4.0),
+    RatioDensity(3.0, 3.0),
+    RatioDensity(0.0, 0.0),
+    RatioDensity(0.0, 2.5),
+    ArcsineDensity(),
+    SemicircleDensity(math.sqrt(2.0)),
+    SemicircleDensity(4.0, 2.0),
+    SemicircleDensity(4.0, -2.0),
+    EdgeDensity(0.0),
+    EdgeDensity(1.0),
+    FMatrixDensity(0.5, 1.0 / 3.0),
+    FMatrixDensity(1.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("model", MODELS)
 def test_density_normalization(model):
-    assert abs(density_norm(model) - 1.0) < 1e-6
+    assert abs(density_norm(model, 1e-8) - 1.0) < 1e-6
 
 
 def test_cdf_endpoints_and_closed_form():
     m = ArcsineDensity()
-    assert cdf_eval(m, -2.0) == 0.0
-    assert cdf_eval(m, 2.0) == pytest.approx(1.0, abs=1e-6)
+    assert cdf_eval(m, -2.0, 1e-8) == 0.0
+    assert cdf_eval(m, 2.0, 1e-8) == pytest.approx(1.0, abs=1e-6)
     xs = np.linspace(-1.99, 1.99, 31)
     assert np.max(np.abs(cdf_grid(m, xs) - ArcsineDensity.cdf_closed_form(xs))) < 1e-7
 
@@ -162,22 +165,110 @@ def test_cdf_grid_handles_unsorted_input():
     m = SemicircleDensity(1.0)
     xs = np.array([0.5, -0.5, 0.0, 0.9, -2.0])
     out = cdf_grid(m, xs)
-    assert out == pytest.approx([cdf_eval(m, x) for x in xs], abs=1e-9)
+    assert out == pytest.approx([cdf_eval(m, x, 1e-8) for x in xs], abs=1e-9)
+
+
+# near-degenerate shapes: supports touching +-2 or 0, and a wide F support
+@pytest.mark.parametrize(
+    "model",
+    MODELS + [RatioDensity(1e-3, 1e-3), EdgeDensity(1e-4), FMatrixDensity(1e-3, 0.999)],
+)
+def test_cdf_grid_matches_scalar_oracle(model):
+    lo, hi = model.support
+    w = hi - lo
+    xs = np.concatenate([
+        np.linspace(lo - 0.05 * w, hi + 0.05 * w, 23),
+        [lo, hi, lo + 1e-9 * w, hi - 1e-9 * w, 0.5 * (lo + hi)],
+    ])
+    ref = np.array([cdf_eval(model, x, 1e-12) for x in xs])
+    assert np.max(np.abs(cdf_grid(model, xs) - ref)) < 1e-10
+
+
+def test_cdf_grid_closed_forms():
+    xs = np.linspace(-2.5, 2.5, 1001)
+    arcsine = ArcsineDensity.cdf_closed_form(xs)
+    assert np.max(np.abs(cdf_grid(ArcsineDensity(), xs) - arcsine)) < 1e-12
+    r = 1.3
+    xs = np.linspace(-r, r, 1001)
+    semicircle = 0.5 + xs * np.sqrt(r * r - xs * xs) / (np.pi * r * r) + np.arcsin(xs / r) / np.pi
+    assert np.max(np.abs(cdf_grid(SemicircleDensity(r), xs) - semicircle)) < 1e-12
+
+
+def test_cdf_grid_edge_cases():
+    m = RatioDensity(3.0, 3.0)
+    lo, hi = m.support
+    mid = 0.5 * (lo + hi)
+    assert cdf_grid(m, np.array([])).shape == (0,)
+    assert cdf_grid(m, np.array([0.3]))[0] == pytest.approx(cdf_eval(m, 0.3, 1e-12), abs=1e-10)
+    # unsorted with duplicates: equal points get equal values, order is kept
+    xs = np.array([0.3, -0.2, 0.3, hi, -0.2, lo, 0.3])
+    out = cdf_grid(m, xs)
+    assert out[0] == out[2] == out[6] and out[1] == out[4]
+    assert out == pytest.approx([cdf_eval(m, x, 1e-12) for x in xs], abs=1e-10)
+    # below, at and above each endpoint; exactly at the midpoint; +-inf
+    xs = np.array([-np.inf, lo - 1.0, lo, np.nextafter(lo, np.inf), mid,
+                   np.nextafter(hi, -np.inf), hi, hi + 1.0, np.inf])
+    out = cdf_grid(m, xs)
+    assert list(out[:3]) == [0.0, 0.0, 0.0] and list(out[-3:]) == [1.0, 1.0, 1.0]
+    assert out[4] == pytest.approx(0.5, abs=1e-12)  # symmetric density
+    assert out[1:-1] == pytest.approx([cdf_eval(m, x, 1e-12) for x in xs[1:-1]], abs=1e-10)
+    # several blocks: nondecreasing across block boundaries and still accurate
+    xs = np.linspace(-1.999, 1.999, 5001)
+    out = cdf_grid(ArcsineDensity(), xs[::-1])[::-1]
+    assert np.all(np.diff(out) >= 0.0)
+    assert np.max(np.abs(out - ArcsineDensity.cdf_closed_form(xs))) < 1e-12
+    with pytest.raises(ParameterDomainError):
+        cdf_grid(m, np.array([0.1, np.nan]))
+
+
+def test_gauss_legendre_literals_match_numpy():
+    from jacobi_spectra.spectra import _GL_NODES, _GL_WEIGHTS
+
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(_GL_NODES - nodes)) < 1e-15
+    assert np.max(np.abs(_GL_WEIGHTS - weights)) < 1e-15
+
+
+class _Recorded(DensityModel):
+    """Density on (0, 1) given by ``fn(x)``, recording the size of every call."""
+
+    support = (0.0, 1.0)
+
+    def __init__(self, fn):
+        self.fn, self.sizes = fn, []
+
+    def edge_density(self, dlo, dhi):
+        self.sizes.append(np.size(dlo))
+        return self.fn(np.asarray(dlo))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_quadrature_nonfinite_density_raises_at_once(value):
+    # a non-finite estimate fails every error test; without the finiteness
+    # check each round would double the number of intervals
+    m = _Recorded(lambda x: np.full(x.shape, value))
+    with pytest.raises(NumericalFailureError):
+        cdf_grid(m, np.linspace(0.1, 0.9, 2000))
+    assert len(m.sizes) <= 3 and max(m.sizes) <= 8 * 2 * 1025
 
 
 def test_quadrature_nonconvergence_raises():
-    from jacobi_spectra.errors import NumericalFailureError
-    from jacobi_spectra.spectra import DensityModel
-
-    class Broken(DensityModel):
-        # NaN defeats every error estimate, so the depth cap must trip
-        support = (0.0, 1.0)
-
-        def edge_density(self, dlo, dhi):
-            return np.nan * np.asarray(dlo)
-
-    with pytest.raises(NumericalFailureError):
-        cdf_eval(Broken(), 0.9)
+    # a unit step a third of the way along the first t = sqrt(x) interval:
+    # the binary halving keeps it between interior nodes, so the interval
+    # holding it fails at every depth and the depth cap trips, one failing
+    # interval per round
+    c = (1e-12 + (math.sqrt(0.5) - 1e-12) / 3.0) ** 2
+    m = _Recorded(lambda x: 1.0 + (x > c))
+    with pytest.raises(NumericalFailureError, match="did not converge"):
+        cdf_grid(m, np.array([0.9]))
+    assert len(m.sizes) == 3 + 2 * 40 and max(m.sizes) == 2 * 8
+    # a non-integrable 1/|x - c| pole: rounding keeps a fixed-width band of
+    # ever narrower intervals above the halved tolerance, so the cap on live
+    # intervals trips before the depth cap
+    m = _Recorded(lambda x: 1.0 / np.abs(x - 0.3))
+    with pytest.raises(NumericalFailureError, match="did not converge"):
+        cdf_grid(m, np.array([0.9]))
+    assert len(m.sizes) < 3 + 2 * 40 and max(m.sizes) <= 8 * 16 * 1024
 
 
 def test_general_matches_ratio_density():
@@ -303,6 +394,31 @@ def test_scaling_modes():
         scale_eigenvalues(lam, s, "identity")
     with pytest.raises(ParameterDomainError):
         ScalingSequence(0.0, 0.0, 7)
+
+
+@pytest.mark.parametrize(
+    "delta, eps", [(np.inf, 0.0), (np.nan, 0.0), (-1.0, 0.0), (1.0, np.nan), (1.0, -np.inf)]
+)
+def test_scaling_sequence_rejects_nonfinite_or_nonpositive(delta, eps):
+    with pytest.raises(ParameterDomainError):
+        ScalingSequence(delta, eps, 7)
+
+
+def test_scale_eigenvalues_overflow_raises_without_warning():
+    s = ScalingSequence(1e-320, 0.0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MagnitudeOverflowError):
+            scale_eigenvalues(np.array([-1.0, 1.0]), s, "doubled")
+        with pytest.raises(MagnitudeOverflowError):
+            scale_eigenvalues(np.array([-1.0, 1.0]), s, "plain")
+        assert np.all(np.isfinite(scale_eigenvalues(np.array([0.0]), s, "plain")))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ecdf_rejects_nonfinite_points(bad):
+    with pytest.raises(ParameterDomainError):
+        Ecdf(np.array([0.1, bad]))
 
 
 def test_monte_carlo_same_stream_same_pool():
