@@ -155,12 +155,16 @@ def _compare_model(args, p: JacobiParams):
     model, scaling = REGIMES[args.model](p)
     if args.scaling == "auto":
         return model, "plain", scaling
-    parts = args.scaling.split(":")
-    if len(parts) != 3 or parts[0] not in SCALING_MODES:
+    mode, *numbers = args.scaling.split(":")
+    try:
+        delta, eps = map(float, numbers)
+    except ValueError:  # not two fields, or not numbers
+        mode = None
+    if mode not in SCALING_MODES:
         raise ParameterDomainError(
             "--scaling must be 'auto' or '<plain|doubled>:<delta>:<eps>'"
         )
-    return model, parts[0], ScalingSequence(float(parts[1]), float(parts[2]), p.n)
+    return model, mode, ScalingSequence(delta, eps, p.n)
 
 
 def cmd_compare(args) -> int:

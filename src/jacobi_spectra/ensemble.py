@@ -85,8 +85,8 @@ class AlphaVector:
     """The 2n-1 independent beta variates alpha_0..alpha_{2n-2} driving one draw.
 
     Interior entries lie in (-1, 1); the boundary convention
-    alpha_{2n-1} = alpha_{-1} = alpha_{-2} = -1 is applied by the matrix
-    builder, not stored here.
+    alpha_{-1} = alpha_{-2} = -1 is applied by the matrix builder, not stored
+    here (the model's alpha_{2n-1} = -1 enters no entry formula).
     """
 
     alpha: np.ndarray
@@ -107,17 +107,14 @@ class AlphaVector:
 def alpha_shapes(p: JacobiParams) -> tuple[np.ndarray, np.ndarray]:
     """Beta shape pairs (p_k, q_k) for k = 0..2n-2, vectorized."""
     k = np.arange(2 * p.n - 1, dtype=np.float64)
-    even = k % 2 == 0
-    ps = np.where(
-        even,
-        (2.0 * p.n - k - 2.0) / 4.0 * p.beta + p.a + 1.0,
-        (2.0 * p.n - k - 3.0) / 4.0 * p.beta + p.a + p.b + 2.0,
-    )
-    qs = np.where(
-        even,
-        (2.0 * p.n - k - 2.0) / 4.0 * p.beta + p.b + 1.0,
-        (2.0 * p.n - k - 1.0) / 4.0 * p.beta,
-    )
+    ke, ko = k[0::2], k[1::2]
+    ps = np.empty(k.size)
+    qs = np.empty(k.size)
+    even = (2.0 * p.n - ke - 2.0) / 4.0 * p.beta
+    ps[0::2] = even + p.a + 1.0
+    qs[0::2] = even + p.b + 1.0
+    ps[1::2] = (2.0 * p.n - ko - 3.0) / 4.0 * p.beta + p.a + p.b + 2.0
+    qs[1::2] = (2.0 * p.n - ko - 1.0) / 4.0 * p.beta
     return ps, qs
 
 
@@ -134,20 +131,13 @@ def random_matrix(alphas: AlphaVector) -> SymTridiag:
     products of factors in (0, 2), hence strictly positive for interior alphas.
     """
     n = alphas.n
-
-    def at(j: np.ndarray) -> np.ndarray:
-        # boundary convention: indices -1, -2 (and 2n-1) evaluate to -1
-        out = np.where(j >= 0, alphas.alpha[np.maximum(j, 0)], -1.0)
-        return out
-
-    k = np.arange(n)
-    diag = (1.0 - at(2 * k - 1)) * at(2 * k) - (1.0 + at(2 * k - 1)) * at(2 * k - 2)
-    ko = np.arange(n - 1)
-    arg = (
-        (1.0 - at(2 * ko - 1))
-        * (1.0 - at(2 * ko) ** 2)
-        * (1.0 + at(2 * ko + 1))
-    )
+    # pad[i + 2] = alpha_i, with the boundary convention alpha_{-2} = alpha_{-1} = -1
+    pad = np.empty(2 * n + 1)
+    pad[:2] = -1.0
+    pad[2:] = alphas.alpha
+    a_prev = pad[1 : 2 * n : 2]  # alpha_{2k-1}, k = 0..n-1
+    diag = (1.0 - a_prev) * pad[2::2] - (1.0 + a_prev) * pad[0 : 2 * n - 1 : 2]
+    arg = (1.0 - a_prev[:-1]) * (1.0 - pad[2 : 2 * n - 1 : 2] ** 2) * (1.0 + pad[3::2])
     if np.any(arg < 0.0):
         raise InternalConsistencyError("negative square-root argument in off-diagonal")
     return SymTridiag(diag, np.sqrt(arg))

@@ -54,21 +54,17 @@ def ecdf_eval(e: Ecdf, xi):
 
 
 def ks_distance(e: Ecdf, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a CDF callable.
+    """One-sample Kolmogorov-Smirnov statistic against a continuous CDF callable.
 
     ``cdf`` must accept an array of points and return CDF values, assumed
-    nondecreasing from 0 to 1. The lower comparison uses the left limit of
-    the CDF, which coincides with the classical two-sided sample formula for
-    continuous references and handles point masses at sample points exactly.
+    continuous and nondecreasing from 0 to 1. The statistic is the classical
+    max_i max(i/N - F(x_i), F(x_i) - (i-1)/N) over the sorted sample, so the
+    CDF is evaluated at the N sample points only. A CDF with an atom at a
+    sample point is outside this contract: its left limit is not evaluated.
     """
-    pts = e.points
-    left = np.nextafter(pts, -np.inf)
-    f_all = np.asarray(cdf(np.concatenate([pts, left])), dtype=np.float64)
-    f_hi, f_lo = f_all[: e.n], f_all[e.n :]
+    f = np.asarray(cdf(e.points), dtype=np.float64)
     i = np.arange(1, e.n + 1)
-    return float(
-        np.max(np.maximum(np.abs(f_hi - i / e.n), np.abs(f_lo - (i - 1) / e.n)))
-    )
+    return float(np.max(np.maximum(i / e.n - f, f - (i - 1) / e.n)))
 
 
 def two_sample_sup_distance(e: Ecdf, f: Ecdf) -> float:

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dsterf
 
 from .ensemble import SymTridiag
 from .errors import (
@@ -77,10 +78,13 @@ def eig_tridiag(t: SymTridiag) -> Spectrum:
     Raises NumericalFailureError when the QR iteration does not converge or
     an eigenvalue is not finite, e.g. on a NaN or infinite entry.
     """
-    try:
-        vals = eigvalsh_tridiagonal(t.diag, t.off, lapack_driver="sterf", check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"tridiagonal QR did not converge: {exc}") from exc
+    if t.n == 1:
+        # dsterf rejects the empty off-diagonal of a 1x1 matrix
+        vals = t.diag.copy()
+    else:
+        vals, info = dsterf(t.diag, t.off)
+        if info != 0:
+            raise NumericalFailureError(f"tridiagonal QR did not converge (dsterf info={info})")
     if not np.all(np.isfinite(vals)):
         raise NumericalFailureError("tridiagonal matrix has a NaN or infinite entry")
     return Spectrum(vals)

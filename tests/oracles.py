@@ -5,8 +5,9 @@ from inverse-CDF sampling (bisection on the regularized incomplete beta),
 the Levy distance from a brute-force grid search, entry ranges from
 exhaustive maximization over a grid on the cube, eigenvalue counts from
 Sturm sequences (bisection's inertia count, not the production QR solver),
-and limit-law CDFs from scalar adaptive Simpson (not the production
-Gauss-Legendre panels).
+limit-law CDFs from scalar adaptive Simpson (not the production
+Gauss-Legendre panels), and random-matrix entries from per-index gathers
+(not the production strided views).
 """
 
 import math
@@ -27,6 +28,24 @@ def inverse_cdf_beta(p: float, q: float, u: np.ndarray) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def random_matrix_gathered(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of the Killip-Nenciu matrix of one alpha draw.
+
+    Gathers alpha_j for every index j the entry formulas name, with the
+    boundary convention alpha_{-1} = alpha_{-2} = -1.
+    """
+    n = (alpha.size + 1) // 2
+
+    def at(j: np.ndarray) -> np.ndarray:
+        return np.where(j >= 0, alpha[np.maximum(j, 0)], -1.0)
+
+    k = np.arange(n)
+    diag = (1.0 - at(2 * k - 1)) * at(2 * k) - (1.0 + at(2 * k - 1)) * at(2 * k - 2)
+    ko = np.arange(n - 1)
+    arg = (1.0 - at(2 * ko - 1)) * (1.0 - at(2 * ko) ** 2) * (1.0 + at(2 * ko + 1))
+    return diag, np.sqrt(arg)
 
 
 def sturm_count(t, x):

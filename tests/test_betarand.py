@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from jacobi_spectra import verify
 from jacobi_spectra.betarand import (
+    _BLOCK,
     BetaParams,
     RngStream,
+    _beta01_keyed,
+    _gamma_keyed,
     beta_concentration_bound,
     beta_mean_pm1,
     sample_beta01,
@@ -35,6 +40,55 @@ def test_substreams_are_independent_of_consumption_order():
     first = base.substream(5).uniforms(10)
     base.uniforms(1000)  # consuming the parent must not move the children
     assert np.array_equal(base.substream(5).uniforms(10), first)
+
+
+def test_substream_nesting_order_matters():
+    base = RngStream(7, 0)
+    a = base.substream(1).substream(2).uniforms(8)
+    b = base.substream(2).substream(1).uniforms(8)
+    assert not np.array_equal(a, b)
+
+
+def _key(s: RngStream) -> int:
+    return s.base_seed ^ ((s.stream_id * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
+
+
+def test_verify_stream_tree_keys_are_distinct():
+    # every stream the acceptance criteria derive from the root, inner nodes
+    # included, mirroring verify's substream indices and trial counts
+    root = RngStream(verify.DEFAULT_SEED, 0)
+    keys = [_key(root)]
+
+    def node(parent: RngStream, k: int) -> RngStream:
+        child = parent.substream(k)
+        keys.append(_key(child))
+        return child
+
+    node(root, 2)
+    c03 = node(root, 3)
+    for t in range(1000):
+        node(c03, t)
+    c04 = node(root, 4)
+    for i in range(4):
+        level = node(c04, i)
+        for t in range(200):
+            node(level, t)
+    for sub_id in (5, 6, 7, 10):
+        node(node(root, sub_id), 0)  # monte_carlo_esd / f_esd_pooled trial 0
+    c09 = node(root, 9)
+    for s in range(50):
+        node(c09, s)
+    c11 = node(root, 11)
+    for i, (_, trials, _) in enumerate(verify.TRANSFORM_DIMS.values()):
+        kind = node(c11, i)
+        for t in range(trials):
+            node(kind, t)
+    c12 = node(root, 12)
+    for idx in range(3):
+        node(c12, idx)
+    node(root, 13)
+    node(root, 131)
+    assert len(set(keys)) == len(keys)
 
 
 def test_uniforms_open_interval():
@@ -75,6 +129,47 @@ def test_gamma_tiny_shape():
     g = sample_gamma(1e-3, RngStream(21, 0), size=10**5)
     assert np.all(g > 0.0)
     assert abs(g.mean() - 1e-3) < 5e-4
+
+
+@pytest.mark.parametrize("shape", [0.3, 0.99, 1.0, 2.5, 150.0, 1e6])
+def test_gamma_matches_scipy_cdf(shape):
+    # shape 1e-3 is left out: half its mass lies below the smallest normal
+    # double, where draws are clamped
+    g = sample_gamma(shape, RngStream(22, 0), size=2 * 10**5)
+    assert stats.kstest(g, stats.gamma(shape).cdf).pvalue > 1e-3
+
+
+def test_keyed_gamma_variate_depends_only_on_key_and_index():
+    # shapes below and above 1, and more variates than one block holds
+    shapes = np.resize([0.4, 1.0, 3.0, 150.0, 2e6], 2 * _BLOCK + 7)
+    key = 0x1234_5678_9ABC_DEF0
+    full = _gamma_keyed(key, shapes, np.arange(shapes.size))
+    prefix = _gamma_keyed(key, shapes[:600], np.arange(600))
+    assert prefix.tobytes() == full[:600].tobytes()
+    for j in (0, 3, 599, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 6):
+        alone = _gamma_keyed(key, shapes[j : j + 1], np.array([j]))
+        assert alone.tobytes() == full[j : j + 1].tobytes()
+
+
+def test_keyed_beta_variate_depends_only_on_key_and_index():
+    p = np.resize([0.5, 2.0, 150.0], 300)
+    q = np.resize([1.0, 0.7, 3.0, 80.0], 300)
+    key = 0x0FED_CBA9_8765_4321
+    full = _beta01_keyed(key, p, q, np.arange(300))
+    for j in (0, 1, 150, 299):
+        alone = _beta01_keyed(key, p[j : j + 1], q[j : j + 1], np.array([j]))
+        assert alone.tobytes() == full[j : j + 1].tobytes()
+    # through the public call: a prefix of the shapes gives a prefix of the draws
+    head = sample_beta01(BetaParams(p[:40], q[:40]), RngStream(23, 0))
+    whole = sample_beta01(BetaParams(p, q), RngStream(23, 0))
+    assert head.tobytes() == whole[:40].tobytes()
+
+
+def test_consecutive_keyed_calls_differ():
+    rng = RngStream(24, 0)
+    assert not np.array_equal(sample_gamma(2.5, rng, size=50), sample_gamma(2.5, rng, size=50))
+    params = BetaParams(np.full(50, 3.0), np.full(50, 4.0))
+    assert not np.array_equal(sample_beta01(params, rng), sample_beta01(params, rng))
 
 
 def test_gamma_rejects_nonpositive_shape():

@@ -74,6 +74,7 @@ def test_roots_overflow_exits_4_without_traceback(a, code):
         ("plain:inf:0", 2, "a finite delta_n > 0"),
         ("plain:nan:0", 2, "a finite delta_n > 0"),
         ("doubled:1e-320:0", 4, "overflowed float64"),
+        ("plain:abc:0", 2, "--scaling must be"),
     ],
 )
 def test_compare_nonfinite_scaling_exits_without_traceback(scaling, code, message):

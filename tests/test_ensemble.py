@@ -14,7 +14,7 @@ from jacobi_spectra.errors import ParameterDomainError
 from jacobi_spectra.spectra import Ecdf, two_sample_sup_distance
 from jacobi_spectra.trieig import eig_tridiag
 
-from oracles import max_over_cube
+from oracles import max_over_cube, random_matrix_gathered
 
 SEED = 0x4A41434F424921
 
@@ -73,6 +73,20 @@ def test_boundary_convention_first_diagonal():
     alpha = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
     t = random_matrix(AlphaVector(alpha))
     assert t.diag[0] == pytest.approx(2.0 * 0.3, abs=1e-15)
+
+
+def test_random_matrix_matches_gathered_oracle():
+    rng = RngStream(SEED, 7)
+    cases = [AlphaVector(np.array([0.3, -0.2, 0.5, 0.1, -0.4]))]
+    for n in (1, 2, 3, 50):
+        for a, b, beta in ((150.0, 150.0, 2.0), (-0.99, 0.5, 0.05)):
+            p = JacobiParams(n, a, b, beta)
+            cases += [sample_alphas(p, rng.substream(len(cases) + t)) for t in range(5)]
+    for al in cases:
+        m = random_matrix(al)
+        diag, off = random_matrix_gathered(al.alpha)
+        assert m.diag.tobytes() == diag.tobytes()
+        assert m.off.tobytes() == off.tobytes()
 
 
 def test_alpha_vector_validation_and_builder_guard():

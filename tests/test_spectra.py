@@ -66,12 +66,6 @@ def test_ks_uniform_sample():
     assert ks_distance(Ecdf(u), lambda x: np.clip(x, 0, 1)) < 0.01
 
 
-def test_ks_single_atom_against_point_mass():
-    e = Ecdf(np.array([1.0]))
-    # right-continuous point-mass CDF at the same atom
-    assert ks_distance(e, lambda x: (np.asarray(x) >= 1.0).astype(float)) == 0.0
-
-
 def test_levy_examples_and_oracle():
     e = Ecdf(np.array([0.0]))
     assert levy_distance(e, e) == 0.0

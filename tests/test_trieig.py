@@ -38,7 +38,14 @@ def test_eig_tridiag_diagonal_and_closed_forms():
 
 
 def test_eig_tridiag_single_entry():
-    assert eig_tridiag(_tridiag([4.2], [])).values == pytest.approx([4.2])
+    t = _tridiag([4.2], [])
+    s = eig_tridiag(t)
+    assert s.values.tolist() == [4.2]
+    s.values[0] = 0.0  # the spectrum does not alias the matrix storage
+    assert t.diag[0] == 4.2
+    # a sampled 1x1 realization is 2 * alpha_0
+    al = sample_alphas(JacobiParams(1, 1.0, 2.0, 2.0), RngStream(7, 9))
+    assert eig_tridiag(random_matrix(al)).values.tolist() == [2.0 * al.alpha[0]]
 
 
 def test_eig_tridiag_nonfinite_entry_raises():
