@@ -13,7 +13,10 @@ Marsaglia-Tsang attempt reads a fixed set of slots (two Box-Muller uniforms
 for its normal and one acceptance uniform), and a shape below 1 reads one
 boost uniform of its own. Variate j therefore does not depend on how many
 attempts other variates needed, or on which other variates share the call.
-Normals, keyed or sequential, come from the Box-Muller transform.
+Everything a call needs besides its key (the Marsaglia-Tsang constants and
+the per-variate counter parts) is built once per shape set, as a
+:class:`GammaPlan` or :class:`BetaPlan`, and a plan can serve any number of
+calls. Normals, keyed or sequential, come from the Box-Muller transform.
 
 Beta variates are produced as gamma ratios. The beta distribution on [-1, 1]
 used by the ensemble has weight (1-x)^(p-1) (1+x)^(q-1), which forces the
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import MagnitudeOverflowError, ParameterDomainError
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -48,6 +51,8 @@ _BLOCK = 1024
 # smallest positive normal double; used to keep gamma/beta draws off 0 and 1
 _TINY = float(np.finfo(np.float64).tiny)
 _ONE_MINUS = float(np.nextafter(1.0, 0.0))
+# largest gamma shape: 9 d (Marsaglia-Tsang) and X + Y (a beta pair) stay finite
+_MAX_SHAPE = float(np.finfo(np.float64).max) / 16.0
 
 
 def _mix64(z: int) -> int:
@@ -160,73 +165,154 @@ class BetaParams:
             raise ParameterDomainError("beta shapes must satisfy p > 0 and q > 0")
 
 
-def _gamma_keyed(key: int, shape: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Gamma(shape[i], 1) variates, the i-th drawn as variate j[i] of call ``key``.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Marsaglia-Tsang squeeze/rejection at shape >= 1; a shape below 1 is drawn
-    at shape + 1 and scaled by U^(1/shape). Every uniform is the keyed word
-    of (key, j[i], attempt, slot), so entry i depends on nothing else, and
-    the variates are drawn in blocks of at most ``_BLOCK`` to bound the
-    scratch memory of a large call.
+
+class GammaPlan:
+    """Everything of a keyed gamma call except its key, built once per shape set.
+
+    Holds, per variate i, the Marsaglia-Tsang constants d (the shape minus
+    1/3, plus 1 below shape 1) and c = 1/sqrt(9 d), and
+    (j[i] + 1) * golden, the per-variate part of every keyed counter; and the
+    index and reciprocal shape of every shape below 1. Every array is
+    read-only, so one plan can serve any number of calls. Shapes above
+    ``_MAX_SHAPE`` raise :class:`MagnitudeOverflowError`; up to it 9 d is
+    finite, and so is every draw d * v, because v = (1 + c x)^3 exceeds 1 by
+    less than 30 c when d is large (|x| < 8.7 for Box-Muller normals).
     """
-    out = np.empty(shape.size)
-    for lo in range(0, shape.size, _BLOCK):
-        out[lo : lo + _BLOCK] = _gamma_block(key, shape[lo : lo + _BLOCK], j[lo : lo + _BLOCK])
-    return out
 
+    __slots__ = ("d", "c", "jg", "small", "inv_small", "_cuts")
 
-def _gamma_block(key: int, shape: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """One block of :func:`_gamma_keyed`."""
-    m = shape.size
-    small = shape < 1.0
-    d = shape + small - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    # (j + 1) * golden, the per-variate part of every keyed counter
-    jg = (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_U
-    # one attempt's three slots, in buffers reused by every attempt
-    z, tmp, w = np.empty(3 * m, np.uint64), np.empty(3 * m, np.uint64), np.empty(3 * m)
+    def __init__(self, shape: np.ndarray, j: np.ndarray):
+        shape = np.asarray(shape, dtype=np.float64)
+        if not np.all(shape > 0.0):
+            raise ParameterDomainError("gamma shape must satisfy shape > 0")
+        if not np.all(shape <= _MAX_SHAPE):
+            raise MagnitudeOverflowError("gamma shape overflowed float64 arithmetic")
+        below = shape < 1.0
+        d = shape + below - 1.0 / 3.0
+        small = np.flatnonzero(below)
+        self.d = _frozen(d)
+        self.c = _frozen(1.0 / np.sqrt(9.0 * d))
+        self.jg = _frozen((np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_U)
+        self.small = _frozen(small)
+        self.inv_small = _frozen(1.0 / shape[small])
+        # the shapes below 1 of block b are small[_cuts[b] : _cuts[b + 1]]
+        self._cuts = np.searchsorted(small, np.arange(0, shape.size + _BLOCK, _BLOCK)).tolist()
 
-    def uniforms(rows: np.ndarray, lane: int, slots: int) -> np.ndarray:
-        k = rows.size
-        offsets = np.array(
-            [((key + (lane + i) * _LANE * _GOLDEN) & _MASK64) for i in range(slots)],
-            dtype=np.uint64,
-        )
-        zk = z[: slots * k].reshape(slots, k)
-        np.add(rows, offsets[:, None], out=zk)
-        return _unit(_splitmix(zk, tmp[: slots * k].reshape(slots, k)),
-                     w[: slots * k].reshape(slots, k))
+    def draw(self, key: int) -> np.ndarray:
+        """Gamma(shape[i], 1) variates, the i-th drawn as variate j[i] of call ``key``.
 
-    out = np.empty(m)
-    pending = np.arange(m)
-    rows, dp, cp = jg, d, c
-    lane = 1
-    while True:
-        u = uniforms(rows, lane, 3)
-        x = _box_muller(u[0], u[1])
-        v = (1.0 + cp * x) ** 3
-        x2 = x * x
-        # the squeeze bound is negative wherever v <= 0, since d >= 2/3
-        accept = u[2] < 1.0 - 0.0331 * x2 * x2
-        rest = ~accept & (v > 0.0)
-        if rest.any():
-            vr = v[rest]
-            accept[rest] = np.log(u[2][rest]) < 0.5 * x2[rest] + dp[rest] * (
-                1.0 - vr + np.log(vr)
+        Marsaglia-Tsang squeeze/rejection at shape >= 1; a shape below 1 is
+        drawn at shape + 1 and scaled by U^(1/shape). Every uniform is the
+        keyed word of (key, j[i], attempt, slot), so entry i depends on
+        nothing else, and the variates are drawn in blocks of at most
+        ``_BLOCK`` to bound the scratch memory of a large call.
+        """
+        m = self.d.size
+        b = min(m, _BLOCK)
+        # one attempt's three slots, in buffers reused by every attempt and block
+        z, tmp, w = np.empty(3 * b, np.uint64), np.empty(3 * b, np.uint64), np.empty(3 * b)
+
+        def uniforms(rows: np.ndarray, lane: int, slots: int) -> np.ndarray:
+            k = rows.size
+            offsets = np.array(
+                [((key + (lane + i) * _LANE * _GOLDEN) & _MASK64) for i in range(slots)],
+                dtype=np.uint64,
             )
-        out[pending[accept]] = dp[accept] * v[accept]
-        pending = pending[~accept]
-        if not pending.size:
-            break
-        rows, dp, cp = jg[pending], d[pending], c[pending]
-        lane += 3
-    if small.any():
-        idx = np.flatnonzero(small)
-        # lane 0: one boost uniform per variate, whatever its attempt count
-        boost = uniforms(jg[idx], 0, 1)[0] ** (1.0 / shape[idx])
-        # keep draws strictly positive even when the boost underflows
-        out[idx] = np.maximum(out[idx] * boost, _TINY)
-    return out
+            zk = z[: slots * k].reshape(slots, k)
+            np.add(rows, offsets[:, None], out=zk)
+            return _unit(_splitmix(zk, tmp[: slots * k].reshape(slots, k)),
+                         w[: slots * k].reshape(slots, k))
+
+        out = np.empty(m)
+        for blk, lo in enumerate(range(0, m, _BLOCK)):
+            hi = lo + _BLOCK
+            self._accept(uniforms, self.d[lo:hi], self.c[lo:hi], self.jg[lo:hi], out[lo:hi])
+            s0, s1 = self._cuts[blk], self._cuts[blk + 1]
+            if s0 < s1:
+                idx = self.small[s0:s1]
+                # lane 0: one boost uniform per variate, whatever its attempt count
+                boost = uniforms(self.jg[idx], 0, 1)[0] ** self.inv_small[s0:s1]
+                # keep draws strictly positive even when the boost underflows
+                out[idx] = np.maximum(out[idx] * boost, _TINY)
+        return out
+
+    @staticmethod
+    def _accept(uniforms, d: np.ndarray, c: np.ndarray, jg: np.ndarray, out: np.ndarray):
+        """Marsaglia-Tsang rounds over one block until every variate is accepted."""
+        pending = None
+        rows, dp, cp = jg, d, c
+        lane = 1
+        while True:
+            u = uniforms(rows, lane, 3)
+            x = _box_muller(u[0], u[1])
+            v = (1.0 + cp * x) ** 3
+            x2 = x * x
+            # the squeeze bound is negative wherever v <= 0, since d >= 2/3
+            accept = u[2] < 1.0 - 0.0331 * x2 * x2
+            rest = np.flatnonzero(~accept)
+            rest = rest[v[rest] > 0.0]
+            if rest.size:
+                vr = v[rest]
+                accept[rest] = np.log(u[2][rest]) < 0.5 * x2[rest] + dp[rest] * (
+                    1.0 - vr + np.log(vr)
+                )
+            if pending is None:
+                if accept.all():
+                    np.multiply(dp, v, out=out)
+                    return
+                pending = np.arange(rows.size)
+            out[pending[accept]] = dp[accept] * v[accept]
+            pending = pending[~accept]
+            if not pending.size:
+                return
+            rows, dp, cp = jg[pending], d[pending], c[pending]
+            lane += 3
+
+
+class BetaPlan:
+    """Everything of a keyed beta call except its key, built once per shape pair set.
+
+    Holds the shape pairs p and q of ``params`` (validated by
+    :class:`BetaParams`), the gamma plan of one pass over the concatenated
+    shapes (X of beta variate j is keyed gamma variate j, Y is keyed gamma
+    variate j + 2^31), and the means (q - p)/(p + q) of the [-1, 1] law.
+    Arrays are read-only.
+    """
+
+    __slots__ = ("p", "q", "gamma", "means")
+
+    def __init__(self, params: BetaParams):
+        p = np.array(params.p, dtype=np.float64)
+        q = np.array(params.q, dtype=np.float64)
+        if p.shape != q.shape:
+            p, q = (np.array(a) for a in np.broadcast_arrays(p, q))
+        j = np.arange(p.size, dtype=np.uint64)
+        self.gamma = GammaPlan(np.concatenate((p.ravel(), q.ravel())),
+                               np.concatenate((j, j + _Y_OFFSET)))
+        self.p, self.q = _frozen(p), _frozen(q)
+        self.means = _frozen(np.asarray(beta_mean_pm1(params)))
+
+    def beta01(self, key: int) -> np.ndarray:
+        """Beta(p, q) variates on (0, 1) of call ``key``, as gamma ratios X/(X+Y)."""
+        g = self.gamma.draw(key)
+        m = g.size // 2
+        x, y = g[:m], g[m:]
+        z = x / (x + y)
+        # rounding at extreme shapes can land exactly on the closed endpoints
+        np.maximum(z, _TINY, out=z)
+        np.minimum(z, _ONE_MINUS, out=z)
+        return z.reshape(self.p.shape)
+
+    def beta_pm1(self, key: int) -> np.ndarray:
+        """Variates on (-1, 1) of call ``key``, as :func:`sample_beta_pm1` draws them."""
+        a = 1.0 - 2.0 * self.beta01(key)
+        np.maximum(a, -1.0 + 2.0**-52, out=a)
+        np.minimum(a, 1.0 - 2.0**-52, out=a)
+        return a
 
 
 def sample_gamma(shape, rng: RngStream, size: int | None = None):
@@ -238,30 +324,26 @@ def sample_gamma(shape, rng: RngStream, size: int | None = None):
     variate i of that call.
     """
     shape_arr = np.asarray(shape, dtype=np.float64)
-    if not np.all(shape_arr > 0.0):
-        raise ParameterDomainError("gamma shape must satisfy shape > 0")
     scalar = shape_arr.ndim == 0 and size is None
     if shape_arr.ndim == 0:
         shape_arr = np.full(1 if size is None else int(size), float(shape_arr))
     elif size is not None:
         raise ParameterDomainError("size is only valid with a scalar shape")
-    flat = shape_arr.ravel()
-    g = _gamma_keyed(rng._call_key(), flat, np.arange(flat.size)).reshape(shape_arr.shape)
+    plan = GammaPlan(shape_arr.ravel(), np.arange(shape_arr.size))
+    g = plan.draw(rng._call_key()).reshape(shape_arr.shape)
     return float(g[0]) if scalar else g
 
 
-def _beta01_keyed(key: int, p: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Beta(p[i], q[i]) on (0, 1) as keyed variate j[i] of call ``key``.
-
-    One gamma pass over the concatenated shapes: X is keyed gamma variate j
-    and Y keyed gamma variate j + 2^31.
-    """
-    j = np.asarray(j, dtype=np.uint64)
-    g = _gamma_keyed(key, np.concatenate((p, q)), np.concatenate((j, j + _Y_OFFSET)))
-    x, y = g[: p.size], g[p.size :]
-    z = x / (x + y)
-    # rounding at extreme shapes can land exactly on the closed endpoints
-    return np.clip(z, _TINY, _ONE_MINUS, out=z)
+def _beta_call(params: BetaParams, size: int | None) -> tuple[BetaPlan, bool]:
+    """The plan of one :func:`sample_beta01`/:func:`sample_beta_pm1` call, and
+    whether the call returns a float."""
+    if np.ndim(params.p) == 0 and np.ndim(params.q) == 0:
+        n = 1 if size is None else int(size)
+        full = BetaParams(np.full(n, float(params.p)), np.full(n, float(params.q)))
+        return BetaPlan(full), size is None
+    if size is not None:
+        raise ParameterDomainError("size is only valid with scalar shapes")
+    return BetaPlan(params), False
 
 
 def sample_beta01(params: BetaParams, rng: RngStream, size: int | None = None):
@@ -270,18 +352,9 @@ def sample_beta01(params: BetaParams, rng: RngStream, size: int | None = None):
     One call takes one key word of ``rng``; draw i is keyed variate i of
     that call, so a prefix of the shapes gives a prefix of the draws.
     """
-    p = np.asarray(params.p, dtype=np.float64)
-    q = np.asarray(params.q, dtype=np.float64)
-    p, q = np.broadcast_arrays(p, q)
-    scalar = p.ndim == 0 and size is None
-    if p.ndim == 0:
-        n = 1 if size is None else int(size)
-        p = np.full(n, float(p))
-        q = np.full(n, float(q))
-    elif size is not None:
-        raise ParameterDomainError("size is only valid with scalar shapes")
-    z = _beta01_keyed(rng._call_key(), p.ravel(), q.ravel(), np.arange(p.size))
-    return float(z[0]) if scalar else z.reshape(p.shape)
+    plan, scalar = _beta_call(params, size)
+    z = plan.beta01(rng._call_key())
+    return float(z[0]) if scalar else z
 
 
 def sample_beta_pm1(params: BetaParams, rng: RngStream, size: int | None = None):
@@ -289,10 +362,9 @@ def sample_beta_pm1(params: BetaParams, rng: RngStream, size: int | None = None)
 
     Orientation is 1 - 2*Beta01(p, q): the (1-x) exponent pairs with p.
     """
-    z = sample_beta01(params, rng, size=size)
-    a = 1.0 - 2.0 * np.asarray(z)
-    a = np.clip(a, -1.0 + 2.0**-52, 1.0 - 2.0**-52)
-    return float(a) if np.ndim(a) == 0 else a
+    plan, scalar = _beta_call(params, size)
+    a = plan.beta_pm1(rng._call_key())
+    return float(a[0]) if scalar else a
 
 
 def beta_mean_pm1(params: BetaParams):

@@ -15,17 +15,19 @@ materialized, which keeps sampling O(n) in memory.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .betarand import BetaParams, RngStream, sample_beta_pm1
+from .betarand import BetaParams, BetaPlan, RngStream
 from .errors import InternalConsistencyError, ParameterDomainError
 
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Ensemble parameters (n, a, b, beta) with a > -1, b > -1, beta > 0."""
+    """Ensemble parameters (n, a, b, beta) with finite a > -1, b > -1, beta > 0."""
 
     n: int
     a: float
@@ -35,12 +37,12 @@ class JacobiParams:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise ParameterDomainError("matrix size must satisfy n >= 1")
-        if not self.a > -1.0:
-            raise ParameterDomainError("weight exponent must satisfy a > -1")
-        if not self.b > -1.0:
-            raise ParameterDomainError("weight exponent must satisfy b > -1")
-        if not self.beta > 0.0:
-            raise ParameterDomainError("repulsion exponent must satisfy beta > 0")
+        if not (self.a > -1.0 and math.isfinite(self.a)):
+            raise ParameterDomainError("weight exponent must be finite and satisfy a > -1")
+        if not (self.b > -1.0 and math.isfinite(self.b)):
+            raise ParameterDomainError("weight exponent must be finite and satisfy b > -1")
+        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+            raise ParameterDomainError("repulsion exponent must be finite and satisfy beta > 0")
 
     @property
     def a_tilde(self) -> float:
@@ -96,7 +98,7 @@ class AlphaVector:
         object.__setattr__(self, "alpha", arr)
         if arr.ndim != 1 or arr.size % 2 != 1:
             raise ParameterDomainError("alpha vector must have odd length 2n - 1")
-        if not np.all((arr > -1.0) & (arr < 1.0)):
+        if not np.abs(arr).max() < 1.0:  # NaN fails too
             raise ParameterDomainError("alpha entries must lie strictly inside (-1, 1)")
 
     @property
@@ -105,23 +107,37 @@ class AlphaVector:
 
 
 def alpha_shapes(p: JacobiParams) -> tuple[np.ndarray, np.ndarray]:
-    """Beta shape pairs (p_k, q_k) for k = 0..2n-2, vectorized."""
+    """Beta shape pairs (p_k, q_k) for k = 0..2n-2, vectorized.
+
+    Shapes beyond float64 come out infinite; the sampling plan rejects them.
+    """
     k = np.arange(2 * p.n - 1, dtype=np.float64)
     ke, ko = k[0::2], k[1::2]
     ps = np.empty(k.size)
     qs = np.empty(k.size)
-    even = (2.0 * p.n - ke - 2.0) / 4.0 * p.beta
-    ps[0::2] = even + p.a + 1.0
-    qs[0::2] = even + p.b + 1.0
-    ps[1::2] = (2.0 * p.n - ko - 3.0) / 4.0 * p.beta + p.a + p.b + 2.0
-    qs[1::2] = (2.0 * p.n - ko - 1.0) / 4.0 * p.beta
+    with np.errstate(over="ignore"):
+        even = (2.0 * p.n - ke - 2.0) / 4.0 * p.beta
+        ps[0::2] = even + p.a + 1.0
+        qs[0::2] = even + p.b + 1.0
+        ps[1::2] = (2.0 * p.n - ko - 3.0) / 4.0 * p.beta + p.a + p.b + 2.0
+        qs[1::2] = (2.0 * p.n - ko - 1.0) / 4.0 * p.beta
     return ps, qs
+
+
+@functools.lru_cache(maxsize=1)
+def alpha_plan(p: JacobiParams) -> BetaPlan:
+    """Sampling plan of the 2n-1 driving variates (shapes, gamma constants, means).
+
+    The plan depends on p only, so the plan of the most recent parameters is
+    kept: every realization of a run draws from one plan, and the memo holds
+    one plan's O(n) arrays.
+    """
+    return BetaPlan(BetaParams(*alpha_shapes(p)))
 
 
 def sample_alphas(p: JacobiParams, rng: RngStream) -> AlphaVector:
     """Draw the 2n-1 independent variates for one matrix realization."""
-    ps, qs = alpha_shapes(p)
-    return AlphaVector(sample_beta_pm1(BetaParams(ps, qs), rng))
+    return AlphaVector(alpha_plan(p).beta_pm1(rng._call_key()))
 
 
 def random_matrix(alphas: AlphaVector) -> SymTridiag:

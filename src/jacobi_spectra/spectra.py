@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betarand import BetaParams, RngStream, beta_mean_pm1
-from .ensemble import JacobiParams, alpha_shapes, random_matrix, sample_alphas
+from .betarand import RngStream
+from .ensemble import JacobiParams, alpha_plan, random_matrix, sample_alphas
 from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
 from .polyroots import JacobiPolyParams, jacobi_roots_scaled
 from .trieig import eig_tridiag
@@ -65,43 +65,6 @@ def ks_distance(e: Ecdf, cdf) -> float:
     f = np.asarray(cdf(e.points), dtype=np.float64)
     i = np.arange(1, e.n + 1)
     return float(np.max(np.maximum(i / e.n - f, f - (i - 1) / e.n)))
-
-
-def two_sample_sup_distance(e: Ecdf, f: Ecdf) -> float:
-    """sup_x |F_e(x) - F_f(x)| for two ECDFs (Kolmogorov distance)."""
-    grid = np.concatenate([e.points, f.points])
-    return float(np.max(np.abs(ecdf_eval(e, grid) - ecdf_eval(f, grid))))
-
-
-def _levy_feasible(e: Ecdf, f: Ecdf, eps: float) -> bool:
-    # F(x - eps) - eps <= G(x) <= F(x + eps) + eps for all x, checked at the
-    # jump points of each step function (the binding points)
-    ge = ecdf_eval(e, e.points)          # values just after each jump of e
-    gf = ecdf_eval(f, f.points)
-    if np.any(ge > np.asarray(ecdf_eval(f, e.points + eps)) + eps):
-        return False
-    if np.any(gf > np.asarray(ecdf_eval(e, f.points + eps)) + eps):
-        return False
-    return True
-
-
-def levy_distance(e: Ecdf, f: Ecdf) -> float:
-    """Levy distance between two ECDFs, by bisection on the band half-width.
-
-    Exact to ~1e-14: feasibility of a given half-width is checked exactly at
-    the merged jump points, and the infimum is bracketed by bisection.
-    """
-    hi = max(two_sample_sup_distance(e, f), 1e-15)
-    if _levy_feasible(e, f, 0.0):
-        return 0.0
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _levy_feasible(e, f, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +422,7 @@ def deviation_report(
             JacobiPolyParams(p.n, p.a_tilde - 1.0, p.b_tilde - 1.0)
         ).values
     max_dev = float(np.max(np.abs(lam - roots)))
-    ps, qs = alpha_shapes(p)
-    means = beta_mean_pm1(BetaParams(ps, qs))
-    x_n = float(np.max(np.abs(alphas.alpha - means)))
+    x_n = float(np.max(np.abs(alphas.alpha - alpha_plan(p).means)))
     chain = 4.0 * math.sqrt(3.0 * x_n) + 6.0 * x_n
     logn = math.log(p.n)
     scaled = max_dev * ((p.a + p.b) / logn) ** 0.25 if logn > 0.0 else math.inf
@@ -565,34 +526,6 @@ REGIMES = {
     "edge": _edge_regime,
     "shifted-semicircle": _shifted_semicircle_regime,
 }
-
-
-def general_density_params_at_n(
-    p: JacobiParams, s: ScalingSequence
-) -> tuple[float, float, float, float]:
-    """Finite-n values of the four limit-density parameters (a1, a2, b1, b2).
-
-    Evaluates the four normalized-recurrence expressions whose limits define
-    :class:`GeneralDensity`, multiplied by (2, 2, 4, 4) so the outputs estimate
-    the parameters directly. No convergence is asserted; these are plug-ins.
-    """
-    n, at, bt = p.n, p.a_tilde, p.b_tilde
-    t = 2.0 * n + at + bt - 2.0
-    if t == 0.0 or s.delta_n == 0.0:
-        raise ParameterDomainError("zero denominator in limit-parameter expressions")
-    a1 = 2.0 / s.delta_n * ((n + bt - 1.0) / t - s.epsilon_n)
-    a2 = (
-        2.0
-        / s.delta_n
-        * ((n * (n + at - 1.0) + (n + bt - 1.0) * (n + at + bt - 2.0)) / t**2 - s.epsilon_n)
-    )
-    b1 = 4.0 / s.delta_n**2 * ((n + bt - 1.0) * (n + at - 1.0) * n / t**3)
-    b2 = (
-        4.0
-        / s.delta_n**2
-        * ((n + bt - 1.0) * (n + at - 1.0) * (n + at + bt - 2.0) * n / t**4)
-    )
-    return a1, a2, b1, b2
 
 
 def run_trials(fn, trials: int) -> list:

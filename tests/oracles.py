@@ -7,7 +7,10 @@ exhaustive maximization over a grid on the cube, eigenvalue counts from
 Sturm sequences (bisection's inertia count, not the production QR solver),
 limit-law CDFs from scalar adaptive Simpson (not the production
 Gauss-Legendre panels), and random-matrix entries from per-index gathers
-(not the production strided views).
+(not the production strided views). Keyed gamma and beta variates come from
+a per-call path that rebuilds every Marsaglia-Tsang constant inside each
+block of every call (not the production sampling plans); it shares only the
+keyed-word helpers with the library, so it pins the sampled bytes.
 """
 
 import math
@@ -15,6 +18,19 @@ import math
 import numpy as np
 from scipy.special import betainc
 
+from jacobi_spectra.betarand import (
+    _BLOCK,
+    _GOLDEN,
+    _GOLDEN_U,
+    _LANE,
+    _MASK64,
+    _ONE_MINUS,
+    _TINY,
+    _Y_OFFSET,
+    _box_muller,
+    _splitmix,
+    _unit,
+)
 from jacobi_spectra.errors import NumericalFailureError
 
 
@@ -28,6 +44,79 @@ def inverse_cdf_beta(p: float, q: float, u: np.ndarray) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def gamma_keyed(key: int, shape: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Gamma(shape[i], 1) as keyed variate j[i] of call ``key``, block by block."""
+    out = np.empty(shape.size)
+    for lo in range(0, shape.size, _BLOCK):
+        out[lo : lo + _BLOCK] = _gamma_block(key, shape[lo : lo + _BLOCK], j[lo : lo + _BLOCK])
+    return out
+
+
+def _gamma_block(key: int, shape: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """One block of :func:`gamma_keyed`, with its constants built in the block."""
+    m = shape.size
+    small = shape < 1.0
+    d = shape + small - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    jg = (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_U
+    z, tmp, w = np.empty(3 * m, np.uint64), np.empty(3 * m, np.uint64), np.empty(3 * m)
+
+    def uniforms(rows: np.ndarray, lane: int, slots: int) -> np.ndarray:
+        k = rows.size
+        offsets = np.array(
+            [((key + (lane + i) * _LANE * _GOLDEN) & _MASK64) for i in range(slots)],
+            dtype=np.uint64,
+        )
+        zk = z[: slots * k].reshape(slots, k)
+        np.add(rows, offsets[:, None], out=zk)
+        return _unit(_splitmix(zk, tmp[: slots * k].reshape(slots, k)),
+                     w[: slots * k].reshape(slots, k))
+
+    out = np.empty(m)
+    pending = np.arange(m)
+    rows, dp, cp = jg, d, c
+    lane = 1
+    while True:
+        u = uniforms(rows, lane, 3)
+        x = _box_muller(u[0], u[1])
+        v = (1.0 + cp * x) ** 3
+        x2 = x * x
+        accept = u[2] < 1.0 - 0.0331 * x2 * x2
+        rest = ~accept & (v > 0.0)
+        if rest.any():
+            vr = v[rest]
+            accept[rest] = np.log(u[2][rest]) < 0.5 * x2[rest] + dp[rest] * (
+                1.0 - vr + np.log(vr)
+            )
+        out[pending[accept]] = dp[accept] * v[accept]
+        pending = pending[~accept]
+        if not pending.size:
+            break
+        rows, dp, cp = jg[pending], d[pending], c[pending]
+        lane += 3
+    if small.any():
+        idx = np.flatnonzero(small)
+        boost = uniforms(jg[idx], 0, 1)[0] ** (1.0 / shape[idx])
+        out[idx] = np.maximum(out[idx] * boost, _TINY)
+    return out
+
+
+def beta01_keyed(key: int, p: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Beta(p[i], q[i]) on (0, 1) as keyed variate j[i] of call ``key``: X is
+    keyed gamma variate j and Y keyed gamma variate j + 2^31."""
+    j = np.asarray(j, dtype=np.uint64)
+    g = gamma_keyed(key, np.concatenate((p, q)), np.concatenate((j, j + _Y_OFFSET)))
+    x, y = g[: p.size], g[p.size :]
+    z = x / (x + y)
+    return np.clip(z, _TINY, _ONE_MINUS, out=z)
+
+
+def beta_pm1_keyed(key: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Variates 1 - 2 Beta01(p, q) on (-1, 1) of call ``key``, draw i keyed variate i."""
+    a = 1.0 - 2.0 * beta01_keyed(key, p, q, np.arange(p.size))
+    return np.clip(a, -1.0 + 2.0**-52, 1.0 - 2.0**-52)
 
 
 def random_matrix_gathered(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,6 +158,72 @@ def sturm_count(t, x):
 def ecdf_value(sample: np.ndarray, x: np.ndarray) -> np.ndarray:
     s = np.sort(sample)
     return np.searchsorted(s, x, side="right") / s.size
+
+
+def _ecdf_at(points: np.ndarray, x) -> np.ndarray:
+    return np.searchsorted(points, x, side="right") / points.size
+
+
+def two_sample_sup_distance(e, f) -> float:
+    """sup_x |F_e(x) - F_f(x)| for two ECDFs (Kolmogorov distance)."""
+    grid = np.concatenate([e.points, f.points])
+    return float(np.max(np.abs(_ecdf_at(e.points, grid) - _ecdf_at(f.points, grid))))
+
+
+def _levy_feasible(e, f, eps: float) -> bool:
+    # F(x - eps) - eps <= G(x) <= F(x + eps) + eps for all x, checked at the
+    # jump points of each step function (the binding points)
+    ge = _ecdf_at(e.points, e.points)  # values just after each jump of e
+    gf = _ecdf_at(f.points, f.points)
+    if np.any(ge > _ecdf_at(f.points, e.points + eps) + eps):
+        return False
+    if np.any(gf > _ecdf_at(e.points, f.points + eps) + eps):
+        return False
+    return True
+
+
+def levy_distance(e, f) -> float:
+    """Levy distance between two ECDFs, by bisection on the band half-width.
+
+    Exact to ~1e-14: feasibility of a given half-width is checked exactly at
+    the merged jump points, and the infimum is bracketed by bisection.
+    """
+    hi = max(two_sample_sup_distance(e, f), 1e-15)
+    if _levy_feasible(e, f, 0.0):
+        return 0.0
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _levy_feasible(e, f, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def general_density_params_at_n(p, s) -> tuple[float, float, float, float]:
+    """Finite-n values of the four limit-density parameters (a1, a2, b1, b2).
+
+    Evaluates, for JacobiParams p and ScalingSequence s, the four
+    normalized-recurrence expressions whose limits define ``GeneralDensity``,
+    multiplied by (2, 2, 4, 4) so the outputs estimate the parameters
+    directly. No convergence is asserted; these are plug-ins.
+    """
+    n, at, bt = p.n, p.a_tilde, p.b_tilde
+    t = 2.0 * n + at + bt - 2.0
+    a1 = 2.0 / s.delta_n * ((n + bt - 1.0) / t - s.epsilon_n)
+    a2 = (
+        2.0
+        / s.delta_n
+        * ((n * (n + at - 1.0) + (n + bt - 1.0) * (n + at + bt - 2.0)) / t**2 - s.epsilon_n)
+    )
+    b1 = 4.0 / s.delta_n**2 * ((n + bt - 1.0) * (n + at - 1.0) * n / t**3)
+    b2 = (
+        4.0
+        / s.delta_n**2
+        * ((n + bt - 1.0) * (n + at - 1.0) * (n + at + bt - 2.0) * n / t**4)
+    )
+    return a1, a2, b1, b2
 
 
 def levy_grid_search(a: np.ndarray, b: np.ndarray, grid: int = 4000) -> float:

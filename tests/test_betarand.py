@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from jacobi_spectra import verify
+from jacobi_spectra import betarand, verify
 from jacobi_spectra.betarand import (
     _BLOCK,
+    _MAX_SHAPE,
     BetaParams,
+    BetaPlan,
+    GammaPlan,
     RngStream,
-    _beta01_keyed,
-    _gamma_keyed,
     beta_concentration_bound,
     beta_mean_pm1,
     sample_beta01,
     sample_beta_pm1,
     sample_gamma,
 )
-from jacobi_spectra.errors import ParameterDomainError
+from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 
-from oracles import inverse_cdf_beta
+from oracles import beta01_keyed, gamma_keyed, inverse_cdf_beta
 
 
 def test_same_seed_same_stream_reproduces():
@@ -143,11 +144,11 @@ def test_keyed_gamma_variate_depends_only_on_key_and_index():
     # shapes below and above 1, and more variates than one block holds
     shapes = np.resize([0.4, 1.0, 3.0, 150.0, 2e6], 2 * _BLOCK + 7)
     key = 0x1234_5678_9ABC_DEF0
-    full = _gamma_keyed(key, shapes, np.arange(shapes.size))
-    prefix = _gamma_keyed(key, shapes[:600], np.arange(600))
+    full = GammaPlan(shapes, np.arange(shapes.size)).draw(key)
+    prefix = GammaPlan(shapes[:600], np.arange(600)).draw(key)
     assert prefix.tobytes() == full[:600].tobytes()
     for j in (0, 3, 599, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 6):
-        alone = _gamma_keyed(key, shapes[j : j + 1], np.array([j]))
+        alone = GammaPlan(shapes[j : j + 1], np.array([j])).draw(key)
         assert alone.tobytes() == full[j : j + 1].tobytes()
 
 
@@ -155,9 +156,10 @@ def test_keyed_beta_variate_depends_only_on_key_and_index():
     p = np.resize([0.5, 2.0, 150.0], 300)
     q = np.resize([1.0, 0.7, 3.0, 80.0], 300)
     key = 0x0FED_CBA9_8765_4321
-    full = _beta01_keyed(key, p, q, np.arange(300))
+    full = BetaPlan(BetaParams(p, q)).beta01(key)
     for j in (0, 1, 150, 299):
-        alone = _beta01_keyed(key, p[j : j + 1], q[j : j + 1], np.array([j]))
+        # the reference draws variate j alone
+        alone = beta01_keyed(key, p[j : j + 1], q[j : j + 1], np.array([j]))
         assert alone.tobytes() == full[j : j + 1].tobytes()
     # through the public call: a prefix of the shapes gives a prefix of the draws
     head = sample_beta01(BetaParams(p[:40], q[:40]), RngStream(23, 0))
@@ -170,6 +172,71 @@ def test_consecutive_keyed_calls_differ():
     assert not np.array_equal(sample_gamma(2.5, rng, size=50), sample_gamma(2.5, rng, size=50))
     params = BetaParams(np.full(50, 3.0), np.full(50, 4.0))
     assert not np.array_equal(sample_beta01(params, rng), sample_beta01(params, rng))
+
+
+def test_gamma_plan_equals_per_call_reference():
+    # shapes below 1 (the boost lane) and above, over three blocks, at
+    # variate indices that do not start at 0
+    shapes = np.resize([0.4, 1.0, 1e-3, 3.0, 150.0, 0.999, 2e6], 2 * _BLOCK + 7)
+    j = np.arange(shapes.size) + 5000
+    plan = GammaPlan(shapes, j)
+    for key in (0, 1, 0x1234_5678_9ABC_DEF0, (1 << 64) - 1):
+        assert plan.draw(key).tobytes() == gamma_keyed(key, shapes, j).tobytes()
+
+
+def test_gamma_plan_equals_reference_after_one_round_and_after_several(monkeypatch):
+    # shape 1 has the smallest d, where the squeeze rejects most often; each
+    # rejection round draws one Box-Muller batch
+    batches = []
+    box_muller = betarand._box_muller
+
+    def counted(u1, u2):
+        batches[-1] += 1
+        return box_muller(u1, u2)
+
+    monkeypatch.setattr(betarand, "_box_muller", counted)
+    shapes = np.full(8, 1.0)
+    plan = GammaPlan(shapes, np.arange(8))
+    for key in range(300):
+        batches.append(0)
+        draw = plan.draw(key)
+        assert draw.tobytes() == gamma_keyed(key, shapes, np.arange(8)).tobytes()
+    assert {1, 2, 3} <= set(batches)
+
+
+def test_beta_plan_equals_per_call_reference_and_is_read_only():
+    p = np.resize([0.5, 2.0, 150.0, 1e6], 1100)
+    q = np.resize([1.0, 0.7, 3.0, 80.0, 1e-3], 1100)
+    plan = BetaPlan(BetaParams(p, q))
+    for key in (3, 0xFEDC_BA98_7654_3210):
+        ref = beta01_keyed(key, p, q, np.arange(p.size))
+        assert plan.beta01(key).tobytes() == ref.tobytes()
+    assert plan.means.tobytes() == beta_mean_pm1(BetaParams(p, q)).tobytes()
+    arrays = (plan.p, plan.q, plan.means, plan.gamma.d, plan.gamma.c, plan.gamma.jg,
+              plan.gamma.small, plan.gamma.inv_small)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        plan.means[0] = 0.0
+    # the plan copies the caller's shapes and leaves them writable
+    p[0] = 7.0
+    assert plan.p[0] == 0.5
+
+
+def test_gamma_shape_beyond_float64_range_is_an_overflow():
+    for shape in (np.inf, 2.0 * _MAX_SHAPE, 1e308):
+        with pytest.raises(MagnitudeOverflowError):
+            sample_gamma(shape, RngStream(0, 0))
+    with pytest.raises(MagnitudeOverflowError):
+        sample_beta01(BetaParams(1.0, np.inf), RngStream(0, 0))
+    with pytest.raises(ParameterDomainError):
+        sample_gamma(np.nan, RngStream(0, 0))
+
+
+def test_largest_admissible_shapes_draw_finite_values():
+    g = sample_gamma(_MAX_SHAPE, RngStream(25, 0), size=1000)
+    assert np.all(np.isfinite(g)) and np.all(g > 0.0)
+    z = sample_beta01(BetaParams(_MAX_SHAPE, _MAX_SHAPE), RngStream(26, 0), size=1000)
+    assert np.all((z > 0.0) & (z < 1.0))
 
 
 def test_gamma_rejects_nonpositive_shape():

@@ -44,6 +44,23 @@ def test_sample_parameter_error_names_constraint():
     assert "a > -1" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "params, code, message",
+    [
+        (("--a", "inf", "--b", "0", "--beta", "2"), 2, "finite and satisfy a > -1"),
+        (("--a", "0", "--b", "0", "--beta", "inf"), 2, "finite and satisfy beta > 0"),
+        (("--a", "1e308", "--b", "1e308", "--beta", "2"), 4, "overflowed float64"),
+    ],
+)
+def test_sample_nonfinite_or_overflowing_params_exit_cleanly(params, code, message):
+    r = run_cli("sample", "--n", "5", *params)
+    assert r.returncode == code
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert message in r.stderr
+    assert "Warning" not in r.stderr
+
+
 def test_roots_closed_form_and_symmetry():
     r = run_cli("roots", "--n", "2", "--a-tilde", "1", "--b-tilde", "1", "--beta", "2")
     assert r.returncode == 0

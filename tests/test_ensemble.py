@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
 
+from jacobi_spectra import ensemble
 from jacobi_spectra.betarand import BetaParams, RngStream, sample_beta_pm1
 from jacobi_spectra.ensemble import (
     AlphaVector,
     JacobiParams,
+    alpha_plan,
     alpha_shapes,
     expected_matrix,
     random_matrix,
     sample_alphas,
 )
-from jacobi_spectra.errors import ParameterDomainError
-from jacobi_spectra.spectra import Ecdf, two_sample_sup_distance
+from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
+from jacobi_spectra.fmatrix import FDims
+from jacobi_spectra.spectra import Ecdf, deviation_report
 from jacobi_spectra.trieig import eig_tridiag
 
-from oracles import max_over_cube, random_matrix_gathered
+from oracles import (
+    beta_pm1_keyed,
+    max_over_cube,
+    random_matrix_gathered,
+    two_sample_sup_distance,
+)
 
 SEED = 0x4A41434F424921
 
@@ -28,6 +36,10 @@ def test_params_validation():
         JacobiParams(2, 0.0, -1.5, 2.0)
     with pytest.raises(ParameterDomainError):
         JacobiParams(2, 0.0, 0.0, 0.0)
+    for a, b, beta in ((np.inf, 0.0, 2.0), (0.0, np.inf, 2.0), (0.0, 0.0, np.inf),
+                       (np.nan, 0.0, 2.0)):
+        with pytest.raises(ParameterDomainError):
+            JacobiParams(2, a, b, beta)
     p = JacobiParams(4, 1.0, 2.0, 2.0)
     assert p.a_tilde == 2.0 and p.b_tilde == 3.0
 
@@ -54,6 +66,64 @@ def test_sample_alphas_shape_and_support():
     assert np.all((al.alpha > -1.0) & (al.alpha < 1.0))
     al1 = sample_alphas(JacobiParams(1, 1.0, 2.0, 2.0), RngStream(SEED, 0))
     assert al1.alpha.size == 1
+
+
+def _reference_alphas(p: JacobiParams, rng: RngStream) -> np.ndarray:
+    """The per-call reference draw of the next sample_alphas call on rng."""
+    return beta_pm1_keyed(rng._call_key(), *alpha_shapes(p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 1100, 3000])
+def test_sample_alphas_equals_per_call_reference(n):
+    # 2n - 1 = 2199 variates and 4398 gamma shapes cross the 1024-variate block
+    for a in (-0.99, 0.0, 3.0 * n):
+        for b in (-0.99, 0.0, 3.0 * n):
+            for beta in (1e-3, 1.0, 2.0, 1e4):
+                p = JacobiParams(n, a, b, beta)
+                rng, ref = RngStream(SEED, n), RngStream(SEED, n)
+                for _ in range(2):
+                    got = sample_alphas(p, rng).alpha
+                    assert got.tobytes() == _reference_alphas(p, ref).tobytes()
+
+
+def test_fmatrix_alphas_equal_per_call_reference():
+    for d in (FDims(500, 20_000, 20_000), FDims(100, 10_000, 200),
+              FDims(1_000, 2_000_000, 100_000)):
+        p = d.jacobi_params()
+        rng, ref = RngStream(SEED, 7), RngStream(SEED, 7)
+        for _ in range(2):
+            assert sample_alphas(p, rng).alpha.tobytes() == _reference_alphas(p, ref).tobytes()
+
+
+def test_realizations_of_one_parameter_set_share_one_plan(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return alpha_shapes(p)
+
+    monkeypatch.setattr(ensemble, "alpha_shapes", counted)
+    alpha_plan.cache_clear()
+    p = JacobiParams(20, 10.0, 10.0, 2.0)
+    rng = RngStream(SEED, 8)
+    for t in range(100):
+        sample_alphas(p, rng.substream(t))
+    assert len(calls) == 1
+    # deviation_report reads its alpha means from the same plan
+    for t in range(5):
+        deviation_report(p, rng.substream(100 + t))
+    assert len(calls) == 1
+    plan = alpha_plan(p)
+    assert not plan.means.flags.writeable and not plan.gamma.d.flags.writeable
+    # other parameters build their own plan
+    sample_alphas(JacobiParams(21, 10.0, 10.0, 2.0), rng)
+    assert len(calls) == 2
+
+
+def test_shapes_beyond_float64_range_raise_overflow():
+    for a, b, beta in ((1e308, 1e308, 2.0), (1e308, 0.0, 2.0), (0.0, 0.0, 1e308)):
+        with pytest.raises(MagnitudeOverflowError):
+            sample_alphas(JacobiParams(5, a, b, beta), RngStream(SEED, 9))
 
 
 def test_even_entries_symmetric_for_equal_weights():

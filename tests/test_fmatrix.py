@@ -19,8 +19,10 @@ from jacobi_spectra.fmatrix import (
     shifted_semicircle_transform,
     transform_limit_cdf,
 )
-from jacobi_spectra.spectra import Ecdf, ecdf_eval, ks_distance, two_sample_sup_distance
+from jacobi_spectra.spectra import Ecdf, ecdf_eval, ks_distance
 from jacobi_spectra.trieig import eig_tridiag
+
+from oracles import two_sample_sup_distance
 
 SEED = 0x4A41434F424921
 

@@ -28,17 +28,21 @@ from jacobi_spectra.spectra import (
     deviation_probability_bound,
     deviation_report,
     ecdf_eval,
-    general_density_params_at_n,
     ks_distance,
-    levy_distance,
     model_cdf,
     monte_carlo_esd,
     ratio_density_support,
     scale_eigenvalues,
-    two_sample_sup_distance,
 )
 
-from oracles import cdf_eval, density_norm, levy_grid_search
+from oracles import (
+    cdf_eval,
+    density_norm,
+    general_density_params_at_n,
+    levy_distance,
+    levy_grid_search,
+    two_sample_sup_distance,
+)
 
 SEED = 0x4A41434F424921
 
