@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -172,7 +173,14 @@ def cmd_compare(args) -> int:
     model, mode, scaling = _compare_model(args, p)
     if (args.bins or args.grid) and args.out is None:
         raise ParameterDomainError("--bins/--grid emit CSV companions and need --out")
-    ecdf = monte_carlo_esd(p, scaling, args.trials, RngStream(args.seed, 0), mode=mode)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        ecdf = monte_carlo_esd(p, scaling, args.trials, RngStream(args.seed, 0), mode=mode)
+    for w in caught:
+        if issubclass(w.category, UserWarning):
+            print(f"notice: {w.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     ks = ks_distance(ecdf, model_cdf(model))
     lo, hi = model.support
     payload = {

@@ -35,7 +35,7 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if not (math.isfinite(self.n) and int(self.n) == self.n and self.n >= 1):
             raise ParameterDomainError("matrix size must satisfy n >= 1")
         if not (self.a > -1.0 and math.isfinite(self.a)):
             raise ParameterDomainError("weight exponent must be finite and satisfy a > -1")

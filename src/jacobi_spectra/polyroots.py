@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MagnitudeOverflowError, ParameterDomainError
-from .trieig import Spectrum, eig_tridiag
+from .trieig import Spectrum, _eig_zero_diagonal, eig_tridiag
 from .ensemble import SymTridiag
 
 
@@ -29,7 +29,7 @@ class JacobiPolyParams:
     delta: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
+        if not (math.isfinite(self.n) and int(self.n) == self.n and self.n >= 0):
             raise ParameterDomainError("degree must satisfy n >= 0")
         if not (self.gamma > -1.0 and self.delta > -1.0):
             raise ParameterDomainError(
@@ -43,7 +43,7 @@ def pochhammer(a: float, n: int) -> float:
     Product form; fine for the moderate n used here, overflows like Gamma
     for large arguments.
     """
-    if int(n) != n or n < 0:
+    if not (math.isfinite(n) and int(n) == n and n >= 0):
         raise ParameterDomainError("pochhammer order must be a nonnegative integer")
     out = 1.0
     for k in range(int(n)):
@@ -107,10 +107,12 @@ def recurrence_coefficients(p: JacobiPolyParams) -> tuple[np.ndarray, np.ndarray
     """Monic three-term recurrence data (A_0..A_{n-1}, B_1..B_{n-1}) on [-1, 1].
 
     x Phat_k = Phat_{k+1} + A_k Phat_k + B_k Phat_{k-1}; the B_k are the
-    squared off-diagonal entries of the symmetrized recurrence matrix. All
-    factors are kept in product form to avoid subtractive cancellation at
-    large parameters; MagnitudeOverflowError is raised when a product leaves
-    float64 range (weight exponents near 1e150 and above).
+    squared off-diagonal entries of the symmetrized recurrence matrix. Each
+    coefficient is a product of bounded ratios, which avoids subtractive
+    cancellation and keeps every factor in float64 range up to the largest
+    finite exponents (gamma = delta -> infinity tends to the Hermite limit
+    B_k ~ k / (2 gamma)); MagnitudeOverflowError is raised when a ratio is
+    not finite, e.g. at an infinite gamma + delta.
     """
     g, d = np.float64(p.gamma), np.float64(p.delta)
     n = p.n
@@ -119,11 +121,13 @@ def recurrence_coefficients(p: JacobiPolyParams) -> tuple[np.ndarray, np.ndarray
     s = 2.0 * k + g + d
     with np.errstate(all="ignore"):
         diag[0] = (d - g) / (g + d + 2.0)
-        diag[1:] = (d - g) * (d + g) / (s * (s + 2.0))
-        off_sq = 4.0 * k * (k + g) * (k + d) * (k + g + d) / (s * s * (s * s - 1.0))
+        diag[1:] = ((d - g) / s) * ((d + g) / (s + 2.0))
+        off_sq = 4.0 * (k / s) * ((k + g) / s) * ((k + d) / (s - 1.0)) * ((k + g + d) / (s + 1.0))
         if n > 1:
             # k = 1 has a removable 0/0 at g + d = -1: cancel (1 + g + d)/(s - 1)
-            off_sq[0] = 4.0 * (1.0 + g) * (1.0 + d) / ((g + d + 2.0) ** 2 * (g + d + 3.0))
+            off_sq[0] = 4.0 * ((1.0 + g) / (g + d + 2.0)) * ((1.0 + d) / (g + d + 2.0)) / (
+                g + d + 3.0
+            )
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off_sq))):
         raise MagnitudeOverflowError(
             f"recurrence coefficients overflowed float64 at gamma = {p.gamma:g}, "
@@ -137,12 +141,17 @@ def jacobi_roots_scaled(p: JacobiPolyParams) -> Spectrum:
 
     Computed as eigenvalues of the symmetric tridiagonal matrix obtained by
     symmetrizing the monic recurrence (Golub-Welsch shape), then doubling.
+    For gamma = delta the diagonal is exactly zero and the roots are the
+    +-square roots of an order-n//2 positive definite tridiagonal, mirror
+    symmetric bit for bit, with an exact 0.0 in the middle for odd n.
     """
     if p.n < 1:
         raise ParameterDomainError("need degree n >= 1 for roots")
     diag, off_sq = recurrence_coefficients(p)
     # B_k > 0 in exact arithmetic for an integrable weight; guard rounding
     off = np.sqrt(np.maximum(off_sq, 0.0))
+    if p.gamma == p.delta:
+        return Spectrum(2.0 * _eig_zero_diagonal(off))
     return Spectrum(2.0 * eig_tridiag(SymTridiag(diag, off)).values)
 
 

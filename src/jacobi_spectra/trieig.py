@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dsterf
+from scipy.linalg.lapack import dpteqr, dsterf
 
 from .ensemble import SymTridiag
 from .errors import (
@@ -88,6 +88,42 @@ def eig_tridiag(t: SymTridiag) -> Spectrum:
     if not np.all(np.isfinite(vals)):
         raise NumericalFailureError("tridiagonal matrix has a NaN or infinite entry")
     return Spectrum(vals)
+
+
+def _eig_zero_diagonal(off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the zero-diagonal tridiagonal with off-diagonal ``off > 0``.
+
+    Permuting odd and even indices turns T into [[0, C], [C^T, 0]] with C
+    bidiagonal (Golub-Kahan), so the eigenvalues are +-sigma(C), plus 0 when
+    n is odd. sigma(C)^2 are the eigenvalues of C^T C, the odd-index block of
+    T^2: an order-n//2 positive definite tridiagonal whose entries are sums
+    and products of positives. LAPACK ``dpteqr`` (Cholesky, then bidiagonal
+    QR/dqds) solves it to high relative accuracy, which the eigenvalues near
+    0 need. The Cholesky of the formed C^T C can fail on strongly graded
+    off-diagonals, so only smooth recurrences (the symmetric Jacobi ones)
+    take this route; ``eig_tridiag`` never does. Raises
+    NumericalFailureError when ``dpteqr`` reports info != 0.
+    """
+    n = off.size + 1
+    m = n // 2
+    if m == 0:
+        return np.zeros(1)
+    scale = np.max(off)
+    # c_j, j < 2m, scaled so no square underflows; c_{n-1} = 0 when n is even
+    c = np.zeros(2 * m)
+    c[: n - 1] = off / scale
+    d = c[0::2] ** 2 + c[1::2] ** 2
+    if m == 1:
+        mu = d  # dpteqr rejects the empty off-diagonal of a 1x1 matrix
+    else:
+        mu, _, _, info = dpteqr(d, c[1:-1:2] * c[2::2], np.zeros((1, 1)), compute_z=0)
+        if info != 0:
+            raise NumericalFailureError(
+                f"positive definite tridiagonal solve failed (dpteqr info={info})"
+            )
+    sigma = np.sqrt(mu)  # descending, as dpteqr returns mu
+    middle = np.zeros(n % 2)
+    return scale * np.concatenate((-sigma, middle, sigma[::-1]))
 
 
 def charpoly_eval(t: SymTridiag, x):

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 import jacobi_spectra.cli as cli
 from jacobi_spectra.fmatrix import TRANSFORMS, FDims, semicircle_transform
@@ -72,16 +73,35 @@ def test_roots_closed_form_and_symmetry():
     assert vals == pytest.approx([-v for v in vals[::-1]], abs=1e-12)
 
 
-@pytest.mark.parametrize("a, code", [("1e100", 0), ("1e150", 4), ("1e200", 4)])
+@pytest.mark.parametrize(
+    "a, code", [("1e100", 0), ("1e150", 0), ("1e200", 0), ("1e308", 4)]
+)
 def test_roots_overflow_exits_4_without_traceback(a, code):
     r = run_cli("roots", "--n", "5", "--a", a, "--b", a, "--beta", "2")
     assert r.returncode == code
     assert "Traceback" not in r.stderr
     assert "RuntimeWarning" not in r.stderr
     if code:
+        # a_tilde = (2a + 2)/beta is infinite at a = 1e308
         assert "overflowed float64" in r.stderr
     else:
-        assert len(r.stdout.strip().splitlines()) == 6
+        # gamma = delta = a -> infinity: the doubled roots tend to
+        # 2 h_k / sqrt(gamma), h_k the Hermite roots
+        vals = np.array([float(line.split(",")[1])
+                         for line in r.stdout.strip().splitlines()[1:]])
+        expected = 2.0 * np.sort(roots_hermite(5)[0]) / np.sqrt(float(a))
+        assert np.max(np.abs(vals - expected)) < 1e-8 * np.max(np.abs(expected))
+
+
+def test_compare_weak_transfer_prints_one_notice_line():
+    r = run_cli("compare", "--n", "100", "--a", "3", "--b", "5", "--beta", "1",
+                "--model", "arcsine", "--trials", "20")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["n_pooled"] == 2000
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("notice: scaled-comparison transfer proxy")
+    assert "Warning" not in r.stderr and "cli.py" not in r.stderr
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,13 @@ def test_params_validation():
     assert p.a_tilde == 2.0 and p.b_tilde == 3.0
 
 
+@pytest.mark.parametrize("n", [float("inf"), float("nan"), 2.5])
+def test_params_reject_nonfinite_or_fractional_size(n):
+    # inf and NaN sizes ended in OverflowError / ValueError from int(n)
+    with pytest.raises(ParameterDomainError):
+        JacobiParams(n, 0.0, 0.0, 2.0)
+
+
 def test_alpha_shapes_examples():
     ps, qs = alpha_shapes(JacobiParams(2, 0.0, 0.0, 2.0))
     assert ps.size == qs.size == 3  # k = 0..2n-2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi, roots_jacobi
 
-from jacobi_spectra.ensemble import JacobiParams, expected_matrix
+from jacobi_spectra.ensemble import JacobiParams, SymTridiag, expected_matrix
 from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 from jacobi_spectra.polyroots import (
     JacobiPolyParams,
@@ -11,9 +11,11 @@ from jacobi_spectra.polyroots import (
     jacobi_roots_scaled,
     monic_factor,
     pochhammer,
+    recurrence_coefficients,
     second_param_lowering_residual,
 )
 from jacobi_spectra.trieig import charpoly_eval, eig_tridiag
+from oracles import sturm_count
 
 
 def test_pochhammer():
@@ -88,6 +90,34 @@ def test_roots_symmetric_for_equal_params():
     for n in (3, 8, 15):
         r = jacobi_roots_scaled(JacobiPolyParams(n, 1.7, 1.7)).values
         assert np.max(np.abs(r + r[::-1])) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 50, 51, 1000, 1001])
+def test_equal_exponent_roots_take_the_half_size_route(n):
+    # gamma = delta: +-square roots of an order-n//2 positive definite tridiagonal
+    for g in (-0.99, 0.0, 1.0, 3.0 * n, 1e6):
+        p = JacobiPolyParams(n, g, g)
+        r = jacobi_roots_scaled(p).values
+        diag, off_sq = recurrence_coefficients(p)
+        t = SymTridiag(diag, np.sqrt(off_sq))
+        v = r / 2.0
+        tol = 1e-13 * t.norm_inf()
+        assert np.array_equal(r, -r[::-1])
+        if n % 2:
+            assert r[n // 2] == 0.0
+        assert np.max(np.abs(v - eig_tridiag(t).values)) <= tol
+        if n > 1:  # the 1x1 matrix is [0]: a zero tolerance has no bracket
+            k = np.arange(n)
+            assert np.all(sturm_count(t, v - tol) <= k)
+            assert np.all(k < sturm_count(t, v + tol))
+
+
+def test_params_reject_nonfinite_or_fractional_degree():
+    for n in (float("inf"), float("nan"), 2.5, -1):
+        with pytest.raises(ParameterDomainError):
+            JacobiPolyParams(n, 0.0, 0.0)
+    with pytest.raises(ParameterDomainError):
+        pochhammer(1.0, float("inf"))
 
 
 def test_roots_inside_open_interval_and_sorted():

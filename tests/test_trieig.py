@@ -13,6 +13,7 @@ from jacobi_spectra.fmatrix import FDims
 from jacobi_spectra.polyroots import JacobiPolyParams, recurrence_coefficients
 from jacobi_spectra.trieig import (
     DenseSym,
+    _eig_zero_diagonal,
     charpoly_eval,
     cholesky,
     eig_dense_sym,
@@ -93,6 +94,22 @@ def test_eig_tridiag_within_sturm_bracket(make):
     k = np.arange(t.n)
     assert np.all(sturm_count(t, vals - tol) <= k)
     assert np.all(k < sturm_count(t, vals + tol))
+
+
+@pytest.mark.parametrize("n, seed", [(8, 4), (400, 0)])
+def test_eig_tridiag_graded_zero_diagonal_within_sturm_bracket(n, seed):
+    # off-diagonals spread over e^-20..1: the half-size route that symmetric
+    # Jacobi roots take fails here (its formed C^T C loses definiteness), so
+    # eig_tridiag must not switch to it on a zero diagonal
+    rng = np.random.default_rng(seed)
+    t = _tridiag(np.zeros(n), np.exp(-20.0 * rng.random(n - 1)))
+    vals = eig_tridiag(t).values
+    tol = 1e-13 * t.norm_inf()
+    k = np.arange(n)
+    assert np.all(sturm_count(t, vals - tol) <= k)
+    assert np.all(k < sturm_count(t, vals + tol))
+    with pytest.raises(NumericalFailureError):
+        _eig_zero_diagonal(t.off)
 
 
 def test_eig_matches_charpoly_bisection_oracle():
