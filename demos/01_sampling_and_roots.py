@@ -11,11 +11,10 @@ import numpy as np
 
 from jacobi_spectra import (
     JacobiParams,
-    JacobiPolyParams,
     RngStream,
     deviation_report,
     eig_tridiag,
-    jacobi_roots_scaled,
+    ensemble_roots,
     random_matrix,
     sample_alphas,
 )
@@ -25,9 +24,7 @@ params = JacobiParams(n, a, b, beta)
 rng = RngStream(2024, 0)
 
 lam = eig_tridiag(random_matrix(sample_alphas(params, rng))).values
-roots = jacobi_roots_scaled(
-    JacobiPolyParams(n, params.a_tilde - 1.0, params.b_tilde - 1.0)
-).values
+roots = ensemble_roots(params)
 
 print(f"beta-Jacobi ensemble  n={n}  a={a}  b={b}  beta={beta}")
 print(f"rescaled parameters   a_tilde={params.a_tilde:.3f}  b_tilde={params.b_tilde:.3f}")

@@ -12,18 +12,17 @@ import numpy as np
 
 from jacobi_spectra import (
     JacobiParams,
-    JacobiPolyParams,
     RngStream,
     deviation_probability_bound,
     deviation_report,
-    jacobi_roots_scaled,
+    ensemble_roots,
 )
 
 rng = RngStream(42, 0)
 
 print("per-realization bound, n=20, a=b=10, beta=2, 500 draws:")
 p = JacobiParams(20, 10.0, 10.0, 2.0)
-roots = jacobi_roots_scaled(JacobiPolyParams(20, p.a_tilde - 1, p.b_tilde - 1)).values
+roots = ensemble_roots(p)
 worst_slack = np.inf
 for t in range(500):
     r = deviation_report(p, rng.substream(t), roots=roots)
@@ -34,7 +33,7 @@ print("\nrate-scaled gap medians, a = b = 3n, beta = 2, 100 draws each:")
 base = rng.substream(10_000)
 for i, n in enumerate((50, 100, 200, 400)):
     p = JacobiParams(n, 3.0 * n, 3.0 * n, 2.0)
-    roots = jacobi_roots_scaled(JacobiPolyParams(n, p.a_tilde - 1, p.b_tilde - 1)).values
+    roots = ensemble_roots(p)
     sub = base.substream(i)
     scaled = [deviation_report(p, sub.substream(t), roots=roots).scaled_dev
               for t in range(100)]

@@ -32,6 +32,7 @@ from .fmatrix import (
 )
 from .polyroots import (
     JacobiPolyParams,
+    ensemble_roots,
     first_param_lowering_residual,
     jacobi_eval,
     jacobi_roots_scaled,

@@ -29,7 +29,7 @@ from .fmatrix import (
     sample_gaussian_pair,
     transform_limit_cdf,
 )
-from .polyroots import JacobiPolyParams, jacobi_roots_scaled
+from .polyroots import ensemble_roots
 from .spectra import (
     REGIMES,
     SCALING_MODES,
@@ -98,21 +98,17 @@ def _trial_rows(spectra) -> list[tuple[int, int, float]]:
 
 def cmd_sample(args) -> int:
     p = _jacobi_params(args)
-    rng = RngStream(args.seed, 0)
-
-    def one(t: int) -> np.ndarray:
-        return eig_tridiag(random_matrix(sample_alphas(p, rng.substream(t)))).values
-
-    rows = _trial_rows(run_trials(one, args.trials))
+    spectra = run_trials(
+        lambda sub: eig_tridiag(random_matrix(sample_alphas(p, sub))).values,
+        args.trials, RngStream(args.seed, 0),
+    )
+    rows = _trial_rows(spectra)
     _write(_rows_payload(("trial", "index", "value"), rows, args.format), args.out)
     return 0
 
 
 def cmd_roots(args) -> int:
-    p = _jacobi_params(args)
-    roots = jacobi_roots_scaled(
-        JacobiPolyParams(p.n, p.a_tilde - 1.0, p.b_tilde - 1.0)
-    ).values
+    roots = ensemble_roots(_jacobi_params(args))
     rows = [(i, float(v)) for i, v in enumerate(roots)]
     _write(_rows_payload(("index", "value"), rows, args.format), args.out)
     return 0
@@ -125,13 +121,9 @@ def _quantiles(vals) -> dict:
 
 def cmd_deviation(args) -> int:
     p = _jacobi_params(args)
-    rng = RngStream(args.seed, 0)
-    roots = jacobi_roots_scaled(
-        JacobiPolyParams(p.n, p.a_tilde - 1.0, p.b_tilde - 1.0)
-    ).values
-
+    roots = ensemble_roots(p)
     reports = run_trials(
-        lambda t: deviation_report(p, rng.substream(t), roots=roots), args.trials
+        lambda sub: deviation_report(p, sub, roots=roots), args.trials, RngStream(args.seed, 0)
     )
     violations = sum(1 for r in reports if r.max_dev > r.chain_bound)
     payload = {
@@ -213,19 +205,17 @@ def cmd_compare(args) -> int:
 
 def cmd_fmatrix(args) -> int:
     d = FDims(args.n, args.n1, args.n2)
-    rng = RngStream(args.seed, 0)
     transform = args.transform
     tf = TRANSFORMS[transform][0]
 
-    def one(t: int) -> np.ndarray:
-        sub = rng.substream(t)
+    def spectrum(sub: RngStream) -> np.ndarray:
         if args.route == "direct":
             vals = f_eigs_direct(sample_gaussian_pair(d, sub), d).values
         else:
             vals = f_eigs_tridiag(d, sub).values
         return np.sort(np.asarray(tf(vals, d)))
 
-    spectra = run_trials(one, args.trials)
+    spectra = run_trials(spectrum, args.trials, RngStream(args.seed, 0))
 
     if args.format == "json":
         pool = Ecdf(np.concatenate(spectra))

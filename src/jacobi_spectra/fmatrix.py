@@ -41,6 +41,8 @@ class FDims:
     n2: int
 
     def __post_init__(self):
+        if not all(math.isfinite(v) and int(v) == v for v in (self.n, self.n1, self.n2)):
+            raise ParameterDomainError("dimensions n, n1, n2 must be finite integers")
         if self.n < 1:
             raise ParameterDomainError("size must satisfy n >= 1")
         if self.n1 < self.n or self.n2 < self.n:
@@ -256,13 +258,9 @@ def transform_limit_cdf(kind: str, d: FDims):
 def f_esd_pooled(d: FDims, trials: int, rng: RngStream, transform: str = "none") -> np.ndarray:
     """Pooled sorted (optionally transformed) F eigenvalues over trials.
 
-    Tridiagonal route; trial t consumes rng.substream(t), so the pool is
+    Tridiagonal route; trials run through ``run_trials``, so the pool is
     deterministic for a given base stream.
     """
     fn = _transform(transform)[0]
-
-    def one(t: int) -> np.ndarray:
-        vals = f_eigs_tridiag(d, rng.substream(t)).values
-        return np.asarray(fn(vals, d), dtype=np.float64)
-
-    return np.sort(np.concatenate(run_trials(one, trials)))
+    spectra = run_trials(lambda sub: fn(f_eigs_tridiag(d, sub).values, d), trials, rng)
+    return np.sort(np.concatenate(spectra))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MagnitudeOverflowError, ParameterDomainError
 from .trieig import Spectrum, _eig_zero_diagonal, eig_tridiag
-from .ensemble import SymTridiag
+from .ensemble import JacobiParams, SymTridiag
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,15 @@ def jacobi_roots_scaled(p: JacobiPolyParams) -> Spectrum:
     if p.gamma == p.delta:
         return Spectrum(2.0 * _eig_zero_diagonal(off))
     return Spectrum(2.0 * eig_tridiag(SymTridiag(diag, off)).values)
+
+
+def ensemble_roots(p: JacobiParams) -> np.ndarray:
+    """The paper's root approximation to the ensemble's ascending eigenvalues.
+
+    Roots of P_n^{(a_tilde - 1, b_tilde - 1)}(x/2), the spectrum of
+    :func:`~jacobi_spectra.ensemble.expected_matrix`.
+    """
+    return jacobi_roots_scaled(JacobiPolyParams(p.n, p.a_tilde - 1.0, p.b_tilde - 1.0)).values
 
 
 def _term_relative(t1, t2, t3) -> float:

@@ -7,8 +7,9 @@ caller, because mixing them is the most likely implementation bug:
 * ``plain``:    xi = (lambda - eps_n) / delta_n
 * ``doubled``:  xi = (lambda - 2*(2*eps_n - 1)) / (2*delta_n)
 
-Monte Carlo trials run one RNG substream per trial (substream index = trial
-index), so a pooled result depends only on the base stream and the trial count.
+Monte Carlo trials run through :func:`run_trials`, which gives trial t the
+substream t of the base stream, so a pooled result depends only on the base
+stream and the trial count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .betarand import RngStream
 from .ensemble import JacobiParams, alpha_plan, random_matrix, sample_alphas
 from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
-from .polyroots import JacobiPolyParams, jacobi_roots_scaled
+from .polyroots import ensemble_roots
 from .trieig import eig_tridiag
 
 # ---------------------------------------------------------------------------
@@ -90,9 +91,6 @@ class DensityModel:
         """Density values on interior points of the support (no masking)."""
         lo, hi = self.support
         return self.edge_density(np.asarray(x) - lo, hi - np.asarray(x))
-
-    def label(self) -> str:
-        return type(self).__name__
 
 
 @dataclass(frozen=True)
@@ -172,10 +170,6 @@ class ArcsineDensity(DensityModel):
 
     def edge_density(self, dlo, dhi):
         return 1.0 / (np.pi * np.sqrt(dlo * dhi))
-
-    @staticmethod
-    def cdf_closed_form(xi):
-        return 0.5 + np.arcsin(np.clip(np.asarray(xi) / 2.0, -1.0, 1.0)) / np.pi
 
 
 @dataclass(frozen=True)
@@ -418,9 +412,7 @@ def deviation_report(
     alphas = sample_alphas(p, rng)
     lam = eig_tridiag(random_matrix(alphas)).values
     if roots is None:
-        roots = jacobi_roots_scaled(
-            JacobiPolyParams(p.n, p.a_tilde - 1.0, p.b_tilde - 1.0)
-        ).values
+        roots = ensemble_roots(p)
     max_dev = float(np.max(np.abs(lam - roots)))
     x_n = float(np.max(np.abs(alphas.alpha - alpha_plan(p).means)))
     chain = 4.0 * math.sqrt(3.0 * x_n) + 6.0 * x_n
@@ -528,14 +520,16 @@ REGIMES = {
 }
 
 
-def run_trials(fn, trials: int) -> list:
-    """Evaluate fn(trial_index) for each trial, in trial order.
+def run_trials(fn, trials: int, rng: RngStream) -> list:
+    """Evaluate fn(rng.substream(t)) for each trial t, in trial order.
 
-    fn must derive all randomness from its trial index.
+    The one place where a trial gets its stream: fn must draw only from the
+    stream it is given, so trials are independent and a trial's draws do not
+    depend on how many draws other trials made.
     """
     if trials < 1:
         raise ParameterDomainError("need trials >= 1")
-    return [fn(t) for t in range(trials)]
+    return [fn(rng.substream(t)) for t in range(trials)]
 
 
 def monte_carlo_esd(
@@ -543,7 +537,7 @@ def monte_carlo_esd(
 ) -> Ecdf:
     """Pooled ECDF of affinely scaled eigenvalues over independent trials.
 
-    Trial t consumes ``rng.substream(t)``, so the pool is deterministic for a
+    Trials run through :func:`run_trials`, so the pool is deterministic for a
     given base stream.
     """
     if mode not in SCALING_MODES:
@@ -558,10 +552,8 @@ def monte_carlo_esd(
                 stacklevel=2,
             )
 
-    def one(t: int) -> np.ndarray:
-        sub = rng.substream(t)
+    def scaled_spectrum(sub: RngStream) -> np.ndarray:
         lam = eig_tridiag(random_matrix(sample_alphas(p, sub))).values
         return scale_eigenvalues(lam, s, mode)
 
-    pooled = np.concatenate(run_trials(one, trials))
-    return Ecdf(np.sort(pooled))
+    return Ecdf(np.sort(np.concatenate(run_trials(scaled_spectrum, trials, rng))))

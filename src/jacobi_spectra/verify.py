@@ -31,6 +31,7 @@ from .fmatrix import (
 )
 from .polyroots import (
     JacobiPolyParams,
+    ensemble_roots,
     first_param_lowering_residual,
     jacobi_roots_scaled,
     second_param_lowering_residual,
@@ -46,6 +47,7 @@ from .spectra import (
     ks_distance,
     model_cdf,
     monte_carlo_esd,
+    run_trials,
 )
 from .trieig import eig_tridiag
 
@@ -118,13 +120,11 @@ def criterion_03(rng: RngStream) -> dict:
     """Per-realization deviation chain bound is never violated."""
     t0 = time.perf_counter()
     p = JacobiParams(20, 10.0, 10.0, 2.0)
-    roots = jacobi_roots_scaled(JacobiPolyParams(20, p.a_tilde - 1.0, p.b_tilde - 1.0)).values
-    base = rng.substream(3)
-    violations = 0
-    for t in range(1000):
-        r = deviation_report(p, base.substream(t), roots=roots)
-        if r.max_dev > r.chain_bound:
-            violations += 1
+    roots = ensemble_roots(p)
+    reports = run_trials(
+        lambda sub: deviation_report(p, sub, roots=roots), 1000, rng.substream(3)
+    )
+    violations = sum(r.max_dev > r.chain_bound for r in reports)
     return _record(
         "C03", "per-realization bound max_dev <= 4 sqrt(3X) + 6X (1000 trials)",
         violations, 1, time.perf_counter() - t0, 10.0,
@@ -138,10 +138,11 @@ def criterion_04(rng: RngStream) -> dict:
     base = rng.substream(4)
     for i, n in enumerate((50, 100, 200, 400)):
         p = JacobiParams(n, 3.0 * n, 3.0 * n, 2.0)
-        roots = jacobi_roots_scaled(JacobiPolyParams(n, p.a_tilde - 1.0, p.b_tilde - 1.0)).values
-        sub = base.substream(i)
-        vals = [deviation_report(p, sub.substream(t), roots=roots).scaled_dev for t in range(200)]
-        medians[n] = float(np.median(vals))
+        roots = ensemble_roots(p)
+        reports = run_trials(
+            lambda sub: deviation_report(p, sub, roots=roots), 200, base.substream(i)
+        )
+        medians[n] = float(np.median([r.scaled_dev for r in reports]))
     ratio = max(medians.values()) / min(medians.values())
     return _record(
         "C04", "deviation scaling proxy: median scaled_dev ratio across n",
@@ -212,13 +213,13 @@ def criterion_09(rng: RngStream) -> dict:
     """Same-realization F <-> Jacobi eigenvalue correspondence, 50 seeds."""
     t0 = time.perf_counter()
     d = FDims(6, 40, 60)
-    base = rng.substream(9)
-    worst = 0.0
-    for s in range(50):
-        g = sample_gaussian_pair(d, base.substream(s))
+
+    def gap(sub: RngStream) -> float:
+        g = sample_gaussian_pair(d, sub)
         mapped = np.sort(f_to_jacobi(f_eigs_direct(g, d).values, d))
-        direct = manova_eigs(g, d).values
-        worst = max(worst, float(np.max(np.abs(mapped - direct))))
+        return float(np.max(np.abs(mapped - manova_eigs(g, d).values)))
+
+    worst = max(run_trials(gap, 50, rng.substream(9)))
     return _record(
         "C09", "exact same-realization F/Jacobi correspondence (n=6, 50 seeds)",
         worst, 1e-8, time.perf_counter() - t0, 5.0,

@@ -5,8 +5,8 @@ from inverse-CDF sampling (bisection on the regularized incomplete beta),
 the Levy distance from a brute-force grid search, entry ranges from
 exhaustive maximization over a grid on the cube, eigenvalue counts from
 Sturm sequences (bisection's inertia count, not the production QR solver),
-limit-law CDFs from scalar adaptive Simpson (not the production
-Gauss-Legendre panels), and random-matrix entries from per-index gathers
+limit-law CDFs from scalar adaptive Simpson or, for the arcsine law, in
+closed form (not the production Gauss-Legendre panels), and random-matrix entries from per-index gathers
 (not the production strided views). Keyed gamma and beta variates come from
 a per-call path that rebuilds every Marsaglia-Tsang constant inside each
 block of every call (not the production sampling plans); it shares only the
@@ -332,3 +332,8 @@ def cdf_eval(m, xi: float, tol: float) -> float:
     if xi >= hi:
         return 1.0
     return min(max(integrate_density(m, lo, xi, tol), 0.0), 1.0)
+
+
+def arcsine_cdf(xi):
+    """Closed-form CDF of the arcsine law on (-2, 2): 1/2 + arcsin(x/2)/pi."""
+    return 0.5 + np.arcsin(np.clip(np.asarray(xi) / 2.0, -1.0, 1.0)) / np.pi

@@ -7,8 +7,11 @@ import pytest
 from scipy.special import roots_hermite
 
 import jacobi_spectra.cli as cli
-from jacobi_spectra.fmatrix import TRANSFORMS, FDims, semicircle_transform
+from jacobi_spectra.betarand import RngStream
+from jacobi_spectra.ensemble import JacobiParams, random_matrix, sample_alphas
+from jacobi_spectra.fmatrix import TRANSFORMS, FDims, f_eigs_tridiag, semicircle_transform
 from jacobi_spectra.spectra import REGIMES
+from jacobi_spectra.trieig import eig_tridiag
 
 
 def run_cli(*args, **kw):
@@ -37,6 +40,50 @@ def test_sample_shape_and_determinism():
     # 17 significant digits requested
     assert any(len(line.split(",")[2].replace("-", "").replace(".", "")) >= 15
                for line in lines[1:])
+
+
+def _values_by_trial(stdout: str) -> dict[int, np.ndarray]:
+    """CSV (trial, index, value) rows parsed back into one array per trial."""
+    vals = {}
+    for line in stdout.strip().splitlines()[1:]:
+        t, _, v = line.split(",")
+        vals.setdefault(int(t), []).append(float(v))
+    return {t: np.array(v) for t, v in vals.items()}
+
+
+def test_cli_trial_t_is_library_trial_t():
+    # 17 significant digits round-trip, so the rows equal the library bytes
+    seed, base = 11, RngStream(11, 0)
+    r = run_cli("sample", "--n", "6", "--a", "2", "--b", "5", "--beta", "2",
+                "--trials", "3", "--seed", str(seed))
+    assert r.returncode == 0
+    got = _values_by_trial(r.stdout)
+    p = JacobiParams(6, 2.0, 5.0, 2.0)
+    for t in range(3):
+        ref = eig_tridiag(random_matrix(sample_alphas(p, base.substream(t)))).values
+        assert got[t].tobytes() == ref.tobytes()
+    r = run_cli("fmatrix", "--n", "6", "--n1", "20", "--n2", "30", "--trials", "3",
+                "--seed", str(seed))
+    assert r.returncode == 0
+    got = _values_by_trial(r.stdout)
+    d = FDims(6, 20, 30)
+    for t in range(3):
+        ref = np.sort(f_eigs_tridiag(d, base.substream(t)).values)
+        assert got[t].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ("sample", "--n", "5"),
+    ("deviation", "--n", "5"),
+    ("compare", "--n", "10", "--a", "30", "--b", "30", "--model", "ratio"),
+    ("fmatrix", "--n", "5", "--n1", "10", "--n2", "10"),
+], ids=lambda c: c[0])
+def test_nonpositive_trials_exit_2(command, trials):
+    r = run_cli(*command, "--trials", trials)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "parameter error: need trials >= 1\n"
 
 
 def test_sample_parameter_error_names_constraint():

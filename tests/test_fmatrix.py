@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ from jacobi_spectra.trieig import eig_tridiag
 from oracles import two_sample_sup_distance
 
 SEED = 0x4A41434F424921
+
+
+@pytest.mark.parametrize("dims", [(2.5, 10, 10), (math.nan, 10, 10), (5, math.inf, 10)])
+def test_dims_reject_nonfinite_or_fractional_dimensions(dims):
+    # rejected when the dimensions are built, before either sampling route
+    with pytest.raises(ParameterDomainError, match="finite integers"):
+        FDims(*dims)
 
 
 def test_dims_validation_and_induced_params():

@@ -6,6 +6,7 @@ from jacobi_spectra.ensemble import JacobiParams, SymTridiag, expected_matrix
 from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 from jacobi_spectra.polyroots import (
     JacobiPolyParams,
+    ensemble_roots,
     first_param_lowering_residual,
     jacobi_eval,
     jacobi_roots_scaled,
@@ -189,6 +190,17 @@ def test_determinant_identity_two_routes():
                 roots = jacobi_roots_scaled(JacobiPolyParams(n, at - 1.0, bt - 1.0)).values
                 worst = max(worst, float(np.max(np.abs(ev - roots))))
     assert worst < 1e-10
+
+
+def test_ensemble_roots_are_the_mean_matrix_spectrum():
+    # roots of P_n^(a~ - 1, b~ - 1)(x/2) with a~ = (2a + 2)/beta, for any beta
+    for n, a, b, beta in ((1, 0.0, 0.0, 2.0), (7, 2.0, 5.0, 2.0), (12, 0.5, 1.5, 1.0),
+                          (30, 90.0, 90.0, 0.5)):
+        p = JacobiParams(n, a, b, beta)
+        roots = ensemble_roots(p)
+        pp = JacobiPolyParams(n, (2.0 * a + 2.0) / beta - 1.0, (2.0 * b + 2.0) / beta - 1.0)
+        assert roots.tobytes() == jacobi_roots_scaled(pp).values.tobytes()
+        assert np.max(np.abs(eig_tridiag(expected_matrix(p)).values - roots)) < 1e-10
 
 
 def test_charpoly_matches_scaled_polynomial():

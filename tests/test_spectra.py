@@ -32,10 +32,12 @@ from jacobi_spectra.spectra import (
     model_cdf,
     monte_carlo_esd,
     ratio_density_support,
+    run_trials,
     scale_eigenvalues,
 )
 
 from oracles import (
+    arcsine_cdf,
     cdf_eval,
     density_norm,
     general_density_params_at_n,
@@ -156,7 +158,7 @@ def test_cdf_endpoints_and_closed_form():
     assert cdf_eval(m, -2.0, 1e-8) == 0.0
     assert cdf_eval(m, 2.0, 1e-8) == pytest.approx(1.0, abs=1e-6)
     xs = np.linspace(-1.99, 1.99, 31)
-    assert np.max(np.abs(cdf_grid(m, xs) - ArcsineDensity.cdf_closed_form(xs))) < 1e-7
+    assert np.max(np.abs(cdf_grid(m, xs) - arcsine_cdf(xs))) < 1e-7
 
 
 def test_cdf_grid_handles_unsorted_input():
@@ -184,7 +186,7 @@ def test_cdf_grid_matches_scalar_oracle(model):
 
 def test_cdf_grid_closed_forms():
     xs = np.linspace(-2.5, 2.5, 1001)
-    arcsine = ArcsineDensity.cdf_closed_form(xs)
+    arcsine = arcsine_cdf(xs)
     assert np.max(np.abs(cdf_grid(ArcsineDensity(), xs) - arcsine)) < 1e-12
     r = 1.3
     xs = np.linspace(-r, r, 1001)
@@ -214,7 +216,7 @@ def test_cdf_grid_edge_cases():
     xs = np.linspace(-1.999, 1.999, 5001)
     out = cdf_grid(ArcsineDensity(), xs[::-1])[::-1]
     assert np.all(np.diff(out) >= 0.0)
-    assert np.max(np.abs(out - ArcsineDensity.cdf_closed_form(xs))) < 1e-12
+    assert np.max(np.abs(out - arcsine_cdf(xs))) < 1e-12
     with pytest.raises(ParameterDomainError):
         cdf_grid(m, np.array([0.1, np.nan]))
 
@@ -426,6 +428,16 @@ def test_monte_carlo_same_stream_same_pool():
     b = monte_carlo_esd(p, s, 8, RngStream(3, 0))
     assert np.array_equal(a.points, b.points)
     assert a.n == 8 * 30
+
+
+def test_run_trials_hands_trial_t_substream_t():
+    base = RngStream(SEED, 0)
+    out = run_trials(lambda sub: sub.uniforms(4), 3, base)
+    ref = [base.substream(t).uniforms(4) for t in range(3)]
+    assert [u.tobytes() for u in out] == [u.tobytes() for u in ref]
+    for trials in (0, -1):
+        with pytest.raises(ParameterDomainError, match="need trials >= 1"):
+            run_trials(lambda sub: sub.uniforms(4), trials, base)
 
 
 def test_regime_domain_checks():
