@@ -161,6 +161,8 @@ class BetaParams:
     q: float | np.ndarray
 
     def __post_init__(self):
+        if np.shape(self.p) != np.shape(self.q):
+            raise ParameterDomainError("beta shapes p and q must have the same shape")
         if not (np.all(np.asarray(self.p) > 0.0) and np.all(np.asarray(self.q) > 0.0)):
             raise ParameterDomainError("beta shapes must satisfy p > 0 and q > 0")
 
@@ -288,8 +290,6 @@ class BetaPlan:
     def __init__(self, params: BetaParams):
         p = np.array(params.p, dtype=np.float64)
         q = np.array(params.q, dtype=np.float64)
-        if p.shape != q.shape:
-            p, q = (np.array(a) for a in np.broadcast_arrays(p, q))
         j = np.arange(p.size, dtype=np.uint64)
         self.gamma = GammaPlan(np.concatenate((p.ravel(), q.ravel())),
                                np.concatenate((j, j + _Y_OFFSET)))
@@ -308,63 +308,21 @@ class BetaPlan:
         return z.reshape(self.p.shape)
 
     def beta_pm1(self, key: int) -> np.ndarray:
-        """Variates on (-1, 1) of call ``key``, as :func:`sample_beta_pm1` draws them."""
+        """Variates 1 - 2 Beta01(p, q) on (-1, 1) of call ``key``, with density
+        proportional to (1-x)^(p-1) (1+x)^(q-1): the (1-x) exponent pairs with p."""
         a = 1.0 - 2.0 * self.beta01(key)
         np.maximum(a, -1.0 + 2.0**-52, out=a)
         np.minimum(a, 1.0 - 2.0**-52, out=a)
         return a
 
 
-def sample_gamma(shape, rng: RngStream, size: int | None = None):
-    """Gamma(shape, 1) variates.
-
-    ``shape`` may be a scalar or an array (one shape per draw); valid from
-    ~1e-3 up to beyond 1e7. Shapes below 1 are sampled at shape+1 and scaled
-    by U^(1/shape). One call takes one key word of ``rng``; draw i is keyed
-    variate i of that call.
-    """
-    shape_arr = np.asarray(shape, dtype=np.float64)
-    scalar = shape_arr.ndim == 0 and size is None
-    if shape_arr.ndim == 0:
-        shape_arr = np.full(1 if size is None else int(size), float(shape_arr))
-    elif size is not None:
-        raise ParameterDomainError("size is only valid with a scalar shape")
-    plan = GammaPlan(shape_arr.ravel(), np.arange(shape_arr.size))
-    g = plan.draw(rng._call_key()).reshape(shape_arr.shape)
-    return float(g[0]) if scalar else g
-
-
-def _beta_call(params: BetaParams, size: int | None) -> tuple[BetaPlan, bool]:
-    """The plan of one :func:`sample_beta01`/:func:`sample_beta_pm1` call, and
-    whether the call returns a float."""
-    if np.ndim(params.p) == 0 and np.ndim(params.q) == 0:
-        n = 1 if size is None else int(size)
-        full = BetaParams(np.full(n, float(params.p)), np.full(n, float(params.q)))
-        return BetaPlan(full), size is None
-    if size is not None:
-        raise ParameterDomainError("size is only valid with scalar shapes")
-    return BetaPlan(params), False
-
-
-def sample_beta01(params: BetaParams, rng: RngStream, size: int | None = None):
-    """Beta(p, q) variates on (0, 1), computed as a gamma ratio X/(X+Y).
+def sample_beta01(params: BetaParams, rng: RngStream) -> np.ndarray:
+    """Beta(p, q) variates on (0, 1) shaped like ``params.p``, as gamma ratios X/(X+Y).
 
     One call takes one key word of ``rng``; draw i is keyed variate i of
     that call, so a prefix of the shapes gives a prefix of the draws.
     """
-    plan, scalar = _beta_call(params, size)
-    z = plan.beta01(rng._call_key())
-    return float(z[0]) if scalar else z
-
-
-def sample_beta_pm1(params: BetaParams, rng: RngStream, size: int | None = None):
-    """Variates on (-1, 1) with density proportional to (1-x)^(p-1) (1+x)^(q-1).
-
-    Orientation is 1 - 2*Beta01(p, q): the (1-x) exponent pairs with p.
-    """
-    plan, scalar = _beta_call(params, size)
-    a = plan.beta_pm1(rng._call_key())
-    return float(a[0]) if scalar else a
+    return BetaPlan(params).beta01(rng._call_key())
 
 
 def beta_mean_pm1(params: BetaParams):

@@ -163,6 +163,8 @@ def _compare_model(args, p: JacobiParams):
 def cmd_compare(args) -> int:
     p = _jacobi_params(args)
     model, mode, scaling = _compare_model(args, p)
+    if any(v is not None and v < 1 for v in (args.bins, args.grid)):
+        raise ParameterDomainError("--bins/--grid must be >= 1")
     if (args.bins or args.grid) and args.out is None:
         raise ParameterDomainError("--bins/--grid emit CSV companions and need --out")
     with warnings.catch_warnings(record=True) as caught:

@@ -17,12 +17,25 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .betarand import BetaParams, BetaPlan, RngStream
 from .errors import InternalConsistencyError, ParameterDomainError
+
+# largest matrix size: the 2n - 1 beta variates of a realization keep their
+# keyed gamma indices below 2^31, where the Y draws start
+_MAX_N = 1 << 30
+
+
+def _is_whole(v) -> bool:
+    """Whether v is a whole number of float64 magnitude; an int is compared,
+    never converted, so any int gets an answer."""
+    if isinstance(v, (int, np.integer)):
+        return abs(v) <= sys.float_info.max
+    return math.isfinite(v) and int(v) == v
 
 
 @dataclass(frozen=True)
@@ -35,8 +48,8 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.n) and int(self.n) == self.n and self.n >= 1):
-            raise ParameterDomainError("matrix size must satisfy n >= 1")
+        if not (_is_whole(self.n) and 1 <= self.n <= _MAX_N):
+            raise ParameterDomainError("matrix size must be a whole number with 1 <= n <= 2^30")
         if not (self.a > -1.0 and math.isfinite(self.a)):
             raise ParameterDomainError("weight exponent must be finite and satisfy a > -1")
         if not (self.b > -1.0 and math.isfinite(self.b)):
@@ -75,11 +88,6 @@ class SymTridiag:
     @property
     def n(self) -> int:
         return self.diag.size
-
-    def norm_inf(self) -> float:
-        """Maximum absolute row sum."""
-        pad = np.concatenate(([0.0], np.abs(self.off), [0.0]))
-        return float(np.max(np.abs(self.diag) + pad[:-1] + pad[1:]))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betarand import RngStream
-from .ensemble import JacobiParams, random_matrix, sample_alphas
+from .ensemble import JacobiParams, _is_whole, random_matrix, sample_alphas
 from .errors import DegenerateSampleError, NotPositiveDefiniteError, ParameterDomainError
 from .spectra import (
     EdgeDensity, FMatrixDensity, SemicircleDensity, cdf_grid, model_cdf, run_trials,
@@ -41,7 +41,7 @@ class FDims:
     n2: int
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and int(v) == v for v in (self.n, self.n1, self.n2)):
+        if not all(_is_whole(v) for v in (self.n, self.n1, self.n2)):
             raise ParameterDomainError("dimensions n, n1, n2 must be finite integers")
         if self.n < 1:
             raise ParameterDomainError("size must satisfy n >= 1")

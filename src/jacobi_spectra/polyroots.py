@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MagnitudeOverflowError, ParameterDomainError
 from .trieig import Spectrum, _eig_zero_diagonal, eig_tridiag
-from .ensemble import JacobiParams, SymTridiag
+from .ensemble import JacobiParams, SymTridiag, _is_whole
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class JacobiPolyParams:
     delta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.n) and int(self.n) == self.n and self.n >= 0):
+        if not (_is_whole(self.n) and self.n >= 0):
             raise ParameterDomainError("degree must satisfy n >= 0")
         if not (self.gamma > -1.0 and self.delta > -1.0):
             raise ParameterDomainError(
@@ -43,7 +43,7 @@ def pochhammer(a: float, n: int) -> float:
     Product form; fine for the moderate n used here, overflows like Gamma
     for large arguments.
     """
-    if not (math.isfinite(n) and int(n) == n and n >= 0):
+    if not (_is_whole(n) and n >= 0):
         raise ParameterDomainError("pochhammer order must be a nonnegative integer")
     out = 1.0
     for k in range(int(n)):

@@ -47,13 +47,6 @@ class Ecdf:
         return self.points.size
 
 
-def ecdf_eval(e: Ecdf, xi):
-    """Fraction of the sample <= xi; 0 below the minimum, 1 at/above the maximum."""
-    idx = np.searchsorted(e.points, np.asarray(xi, dtype=np.float64), side="right")
-    out = idx / e.n
-    return float(out) if np.ndim(xi) == 0 else out
-
-
 def ks_distance(e: Ecdf, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a continuous CDF callable.
 

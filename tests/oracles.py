@@ -10,7 +10,9 @@ closed form (not the production Gauss-Legendre panels), and random-matrix entrie
 (not the production strided views). Keyed gamma and beta variates come from
 a per-call path that rebuilds every Marsaglia-Tsang constant inside each
 block of every call (not the production sampling plans); it shares only the
-keyed-word helpers with the library, so it pins the sampled bytes.
+keyed-word helpers with the library, so it pins the sampled bytes. ECDF
+values at given points and the infinity norm of a tridiagonal matrix, which
+only the tests need, live here too.
 """
 
 import math
@@ -153,6 +155,19 @@ def sturm_count(t, x):
             d = np.where(d == 0.0, -1e-300, d)
             count += d < 0.0
     return int(count) if np.ndim(x) == 0 else count
+
+
+def ecdf_eval(e, xi):
+    """Fraction of the Ecdf sample <= xi; 0 below the minimum, 1 at/above the maximum."""
+    idx = np.searchsorted(e.points, np.asarray(xi, dtype=np.float64), side="right")
+    out = idx / e.n
+    return float(out) if np.ndim(xi) == 0 else out
+
+
+def norm_inf(t) -> float:
+    """Maximum absolute row sum of the tridiagonal t."""
+    pad = np.concatenate(([0.0], np.abs(t.off), [0.0]))
+    return float(np.max(np.abs(t.diag) + pad[:-1] + pad[1:]))
 
 
 def ecdf_value(sample: np.ndarray, x: np.ndarray) -> np.ndarray:

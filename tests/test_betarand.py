@@ -15,12 +15,20 @@ from jacobi_spectra.betarand import (
     beta_concentration_bound,
     beta_mean_pm1,
     sample_beta01,
-    sample_beta_pm1,
-    sample_gamma,
 )
 from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 
 from oracles import beta01_keyed, gamma_keyed, inverse_cdf_beta
+
+
+def gammas(shape: float, rng: RngStream, n: int) -> np.ndarray:
+    """n Gamma(shape, 1) draws as keyed variates 0..n-1 of one call of rng."""
+    return GammaPlan(np.full(n, shape), np.arange(n)).draw(rng._call_key())
+
+
+def shapes(p: float, q: float, n: int) -> BetaParams:
+    """n copies of the shape pair (p, q)."""
+    return BetaParams(np.full(n, p), np.full(n, q))
 
 
 def test_same_seed_same_stream_reproduces():
@@ -105,21 +113,21 @@ def test_normal_moments():
 
 def test_gamma_moments():
     rng = RngStream(12, 0)
-    g1 = sample_gamma(1.0, rng, size=10**6)
+    g1 = gammas(1.0, rng, 10**6)
     assert abs(g1.mean() - 1.0) < 0.01
-    g50 = sample_gamma(50.0, rng, size=10**6)
+    g50 = gammas(50.0, rng, 10**6)
     assert abs(g50.mean() - 50.0) < 0.5
     assert abs(g50.var() - 50.0) < 2.0
 
 
 def test_gamma_small_shape_positive():
-    g = sample_gamma(0.3, RngStream(13, 0), size=10**6)
+    g = gammas(0.3, RngStream(13, 0), 10**6)
     assert np.all(g > 0.0)
     assert abs(g.mean() - 0.3) < 0.01
 
 
 def test_gamma_huge_shape():
-    g = sample_gamma(1e7, RngStream(14, 0), size=10**4)
+    g = gammas(1e7, RngStream(14, 0), 10**4)
     # relative std is 1/sqrt(shape) ~ 3e-4
     assert abs(g.mean() / 1e7 - 1.0) < 1e-4
 
@@ -127,7 +135,7 @@ def test_gamma_huge_shape():
 def test_gamma_tiny_shape():
     # near the bottom of the supported shape range most draws underflow the
     # float64 normal range; they must stay strictly positive regardless
-    g = sample_gamma(1e-3, RngStream(21, 0), size=10**5)
+    g = gammas(1e-3, RngStream(21, 0), 10**5)
     assert np.all(g > 0.0)
     assert abs(g.mean() - 1e-3) < 5e-4
 
@@ -136,7 +144,7 @@ def test_gamma_tiny_shape():
 def test_gamma_matches_scipy_cdf(shape):
     # shape 1e-3 is left out: half its mass lies below the smallest normal
     # double, where draws are clamped
-    g = sample_gamma(shape, RngStream(22, 0), size=2 * 10**5)
+    g = gammas(shape, RngStream(22, 0), 2 * 10**5)
     assert stats.kstest(g, stats.gamma(shape).cdf).pvalue > 1e-3
 
 
@@ -169,7 +177,7 @@ def test_keyed_beta_variate_depends_only_on_key_and_index():
 
 def test_consecutive_keyed_calls_differ():
     rng = RngStream(24, 0)
-    assert not np.array_equal(sample_gamma(2.5, rng, size=50), sample_gamma(2.5, rng, size=50))
+    assert not np.array_equal(gammas(2.5, rng, 50), gammas(2.5, rng, 50))
     params = BetaParams(np.full(50, 3.0), np.full(50, 4.0))
     assert not np.array_equal(sample_beta01(params, rng), sample_beta01(params, rng))
 
@@ -225,32 +233,45 @@ def test_beta_plan_equals_per_call_reference_and_is_read_only():
 def test_gamma_shape_beyond_float64_range_is_an_overflow():
     for shape in (np.inf, 2.0 * _MAX_SHAPE, 1e308):
         with pytest.raises(MagnitudeOverflowError):
-            sample_gamma(shape, RngStream(0, 0))
+            gammas(shape, RngStream(0, 0), 1)
     with pytest.raises(MagnitudeOverflowError):
-        sample_beta01(BetaParams(1.0, np.inf), RngStream(0, 0))
+        sample_beta01(shapes(1.0, np.inf, 1), RngStream(0, 0))
     with pytest.raises(ParameterDomainError):
-        sample_gamma(np.nan, RngStream(0, 0))
+        gammas(np.nan, RngStream(0, 0), 1)
 
 
 def test_largest_admissible_shapes_draw_finite_values():
-    g = sample_gamma(_MAX_SHAPE, RngStream(25, 0), size=1000)
+    g = gammas(_MAX_SHAPE, RngStream(25, 0), 1000)
     assert np.all(np.isfinite(g)) and np.all(g > 0.0)
-    z = sample_beta01(BetaParams(_MAX_SHAPE, _MAX_SHAPE), RngStream(26, 0), size=1000)
+    z = sample_beta01(shapes(_MAX_SHAPE, _MAX_SHAPE, 1000), RngStream(26, 0))
     assert np.all((z > 0.0) & (z < 1.0))
 
 
 def test_gamma_rejects_nonpositive_shape():
     with pytest.raises(ParameterDomainError):
-        sample_gamma(0.0, RngStream(0, 0))
+        gammas(0.0, RngStream(0, 0), 1)
 
 
 def test_beta_params_validation():
     with pytest.raises(ParameterDomainError):
         BetaParams(0.0, 1.0)
+    # shape pairs must match: nothing is broadcast
+    for p, q in ((np.ones(3), np.ones(4)), (np.ones(3), 1.0), (np.ones((2, 3)), np.ones(6))):
+        with pytest.raises(ParameterDomainError):
+            BetaParams(p, q)
+
+
+def test_beta01_draws_have_the_shape_of_p():
+    p = np.resize([0.5, 2.0, 150.0], (3, 4))
+    z = sample_beta01(BetaParams(p, p + 1.0), RngStream(27, 0))
+    assert z.shape == (3, 4)
+    flat = sample_beta01(BetaParams(p.ravel(), p.ravel() + 1.0), RngStream(27, 0))
+    assert z.tobytes() == flat.tobytes()
+    assert sample_beta01(BetaParams(2.0, 3.0), RngStream(27, 0)).shape == ()
 
 
 def test_beta01_uniform_case():
-    z = sample_beta01(BetaParams(1.0, 1.0), RngStream(15, 0), size=10**5)
+    z = sample_beta01(shapes(1.0, 1.0, 10**5), RngStream(15, 0))
     # KS against the uniform CDF
     s = np.sort(z)
     i = np.arange(1, s.size + 1)
@@ -259,16 +280,16 @@ def test_beta01_uniform_case():
 
 
 def test_beta01_moments():
-    z = sample_beta01(BetaParams(50.0, 80.0), RngStream(16, 0), size=10**6)
+    z = sample_beta01(shapes(50.0, 80.0, 10**6), RngStream(16, 0))
     assert abs(z.mean() - 50.0 / 130.0) < 0.005
-    z = sample_beta01(BetaParams(2.0, 2.0), RngStream(17, 0), size=10**6)
+    z = sample_beta01(shapes(2.0, 2.0, 10**6), RngStream(17, 0))
     assert abs(z.var() - 1.0 / 20.0) < 0.005  # p q / ((p+q)^2 (p+q+1))
 
 
 @pytest.mark.parametrize("p,q", [(0.5, 0.5), (2.0, 5.0), (50.0, 80.0)])
 def test_beta01_matches_inverse_cdf_oracle(p, q):
     n = 10**5
-    mine = np.sort(sample_beta01(BetaParams(p, q), RngStream(18, int(p * 7 + q)), size=n))
+    mine = np.sort(sample_beta01(shapes(p, q, n), RngStream(18, int(p * 7 + q))))
     ref = np.sort(inverse_cdf_beta(p, q, np.random.default_rng(2024).uniform(size=n)))
     grid = np.concatenate([mine, ref])
     ks = np.max(np.abs(
@@ -280,11 +301,11 @@ def test_beta01_matches_inverse_cdf_oracle(p, q):
 
 def test_beta_pm1_orientation_and_support():
     rng = RngStream(19, 0)
-    a = sample_beta_pm1(BetaParams(5.0, 5.0), rng, size=10**5)
+    a = BetaPlan(shapes(5.0, 5.0, 10**5)).beta_pm1(rng._call_key())
     assert np.all((a > -1.0) & (a < 1.0))
     assert abs(a.mean()) < 0.01
     # mean is (q - p)/(p + q): the (1 - x) weight exponent pairs with p
-    a = sample_beta_pm1(BetaParams(1.0, 3.0), rng, size=10**5)
+    a = BetaPlan(shapes(1.0, 3.0, 10**5)).beta_pm1(rng._call_key())
     assert abs(a.mean() - 0.5) < 0.01
 
 
@@ -316,7 +337,7 @@ def test_concentration_exponent_strictly_negative():
 @pytest.mark.parametrize("p,q", [(5.0, 5.0), (50.0, 80.0), (500.0, 500.0)])
 def test_concentration_bound_holds_empirically(p, q):
     n = 10**5
-    z = sample_beta01(BetaParams(p, q), RngStream(20, int(p + q)), size=n)
+    z = sample_beta01(shapes(p, q, n), RngStream(20, int(p + q)))
     dev = np.abs(z - p / (p + q))
     for delta in (0.1, 0.2, 0.3):
         freq = float(np.mean(dev > delta))

@@ -86,6 +86,21 @@ def test_nonpositive_trials_exit_2(command, trials):
     assert r.stderr == "parameter error: need trials >= 1\n"
 
 
+HUGE = "1" + "0" * 400  # a size no float64 holds
+
+
+@pytest.mark.parametrize("command", [
+    ("sample", "--n", HUGE),
+    ("roots", "--n", HUGE),
+    ("fmatrix", "--n", HUGE, "--n1", HUGE, "--n2", HUGE),
+], ids=lambda c: c[0])
+def test_size_beyond_float_range_exits_2(command):
+    r = run_cli(*command)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("parameter error: ")
+
+
 def test_sample_parameter_error_names_constraint():
     r = run_cli("sample", "--n", "3", "--a", "-1", "--b", "0", "--beta", "2")
     assert r.returncode == 2
@@ -214,6 +229,17 @@ def test_compare_rejects_csv_without_out():
     r = run_cli("compare", "--model", "arcsine", "--n", "50", "--a", "7", "--b", "7",
                 "--beta", "100", "--trials", "1", "--grid", "64")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("flag", ["--bins", "--grid"])
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_compare_nonpositive_bins_or_grid_exit_2(tmp_path, flag, value):
+    out = tmp_path / "cmp.json"
+    r = run_cli("compare", "--model", "ratio", "--n", "10", "--a", "30", "--b", "30",
+                flag, value, "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr == "parameter error: --bins/--grid must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_arcsine_defaults():

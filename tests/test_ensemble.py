@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jacobi_spectra import ensemble
-from jacobi_spectra.betarand import BetaParams, RngStream, sample_beta_pm1
+from jacobi_spectra.betarand import _Y_OFFSET, BetaParams, BetaPlan, RngStream
 from jacobi_spectra.ensemble import (
     AlphaVector,
     JacobiParams,
@@ -44,11 +44,21 @@ def test_params_validation():
     assert p.a_tilde == 2.0 and p.b_tilde == 3.0
 
 
-@pytest.mark.parametrize("n", [float("inf"), float("nan"), 2.5])
+@pytest.mark.parametrize(
+    "n", [float("inf"), float("nan"), 2.5, pytest.param(10**400, id="10**400"), 2**30 + 1]
+)
 def test_params_reject_nonfinite_or_fractional_size(n):
-    # inf and NaN sizes ended in OverflowError / ValueError from int(n)
+    # inf and NaN sizes ended in OverflowError / ValueError from int(n), and
+    # 10**400 in OverflowError from the float conversion of math.isfinite
     with pytest.raises(ParameterDomainError):
         JacobiParams(n, 0.0, 0.0, 2.0)
+
+
+def test_largest_size_keeps_x_and_y_variates_apart():
+    # X of beta variate j is keyed gamma variate j, Y is j + 2^31: the 2n - 1
+    # X indices of a realization stay below 2^31 exactly up to n = 2^30
+    assert 2 * ensemble._MAX_N - 2 < int(_Y_OFFSET) <= 2 * (ensemble._MAX_N + 1) - 2
+    assert JacobiParams(2**30, 0.0, 0.0, 2.0).n == 2**30  # built, never sampled
 
 
 def test_alpha_shapes_examples():
@@ -203,9 +213,9 @@ def test_off_entries_never_exactly_zero():
     ps, qs = alpha_shapes(p)
     trials = 10**5
     rng = RngStream(SEED, 3)
-    alphas = sample_beta_pm1(
-        BetaParams(np.tile(ps, trials), np.tile(qs, trials)), rng
-    ).reshape(trials, 3)
+    alphas = BetaPlan(
+        BetaParams(np.tile(ps, trials), np.tile(qs, trials))
+    ).beta_pm1(rng._call_key()).reshape(trials, 3)
     off = (1.0 - alphas[:, 0] ** 2) * 2.0 * (1.0 + alphas[:, 1])
     assert np.all(off > 0.0)
 
@@ -240,9 +250,9 @@ def test_expectation_consistency_with_reversal():
     trials = 10**5
     ps, qs = alpha_shapes(p)
     rng = RngStream(SEED, 4)
-    alphas = sample_beta_pm1(
-        BetaParams(np.tile(ps, trials), np.tile(qs, trials)), rng
-    ).reshape(trials, 2 * n - 1)
+    alphas = BetaPlan(
+        BetaParams(np.tile(ps, trials), np.tile(qs, trials))
+    ).beta_pm1(rng._call_key()).reshape(trials, 2 * n - 1)
     diag = np.empty((trials, n))
     off = np.empty((trials, n - 1))
     pad = np.concatenate(

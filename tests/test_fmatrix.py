@@ -21,15 +21,16 @@ from jacobi_spectra.fmatrix import (
     shifted_semicircle_transform,
     transform_limit_cdf,
 )
-from jacobi_spectra.spectra import Ecdf, ecdf_eval, ks_distance
+from jacobi_spectra.spectra import Ecdf, ks_distance
 from jacobi_spectra.trieig import eig_tridiag
 
-from oracles import two_sample_sup_distance
+from oracles import ecdf_eval, two_sample_sup_distance
 
 SEED = 0x4A41434F424921
 
 
-@pytest.mark.parametrize("dims", [(2.5, 10, 10), (math.nan, 10, 10), (5, math.inf, 10)])
+@pytest.mark.parametrize("dims", [(2.5, 10, 10), (math.nan, 10, 10), (5, math.inf, 10),
+                                  (10**400, 10, 10), (5, 10**400, 10)])
 def test_dims_reject_nonfinite_or_fractional_dimensions(dims):
     # rejected when the dimensions are built, before either sampling route
     with pytest.raises(ParameterDomainError, match="finite integers"):

@@ -27,7 +27,6 @@ from jacobi_spectra.spectra import (
     density_eval,
     deviation_probability_bound,
     deviation_report,
-    ecdf_eval,
     ks_distance,
     model_cdf,
     monte_carlo_esd,
@@ -40,6 +39,7 @@ from oracles import (
     arcsine_cdf,
     cdf_eval,
     density_norm,
+    ecdf_eval,
     general_density_params_at_n,
     levy_distance,
     levy_grid_search,
