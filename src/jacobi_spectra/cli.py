@@ -126,6 +126,7 @@ def cmd_deviation(args) -> int:
         lambda sub: deviation_report(p, sub, roots=roots), args.trials, RngStream(args.seed, 0)
     )
     violations = sum(1 for r in reports if r.max_dev > r.chain_bound)
+    median = float(np.median([r.scaled_dev for r in reports]))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "params": {"n": p.n, "a": p.a, "b": p.b, "beta": p.beta},
@@ -137,7 +138,8 @@ def cmd_deviation(args) -> int:
             "eps": args.eps,
             "value": deviation_probability_bound(p.n, p.a, p.b, args.eps),
         },
-        "scaled_dev_median": float(np.median([r.scaled_dev for r in reports])),
+        # null where the rate is undefined (n = 1 or a + b < 0): JSON has no Infinity
+        "scaled_dev_median": median if np.isfinite(median) else None,
     }
     _write(json.dumps(payload), args.out)
     return 0

@@ -159,9 +159,18 @@ def ensemble_roots(p: JacobiParams) -> np.ndarray:
     """The paper's root approximation to the ensemble's ascending eigenvalues.
 
     Roots of P_n^{(a_tilde - 1, b_tilde - 1)}(x/2), the spectrum of
-    :func:`~jacobi_spectra.ensemble.expected_matrix`.
+    :func:`~jacobi_spectra.ensemble.expected_matrix`. Raises
+    ParameterDomainError when a_tilde or b_tilde is so small that
+    a_tilde - 1 or b_tilde - 1 rounds to -1 (e.g. beta = 1e300).
     """
-    return jacobi_roots_scaled(JacobiPolyParams(p.n, p.a_tilde - 1.0, p.b_tilde - 1.0)).values
+    gamma, delta = p.a_tilde - 1.0, p.b_tilde - 1.0
+    if not (gamma > -1.0 and delta > -1.0):
+        raise ParameterDomainError(
+            f"roots need a_tilde - 1 > -1 and b_tilde - 1 > -1 in float64, but "
+            f"a_tilde = (2a+2)/beta = {p.a_tilde:.3g} and b_tilde = (2b+2)/beta = "
+            f"{p.b_tilde:.3g} at a = {p.a:g}, b = {p.b:g}, beta = {p.beta:g}"
+        )
+    return jacobi_roots_scaled(JacobiPolyParams(p.n, gamma, delta)).values
 
 
 def _term_relative(t1, t2, t3) -> float:

@@ -382,6 +382,8 @@ class DeviationReport:
     ``chain_bound`` = 4 sqrt(3 X) + 6 X with X = ``alpha_max_dev`` bounds
     ``max_dev`` for every realization; ``scaled_dev`` multiplies ``max_dev``
     by ((a + b)/log n)^(1/4), the rate at which the approximation error decays.
+    Where that rate is undefined (n = 1, so log n = 0, or a + b < 0),
+    ``scaled_dev`` is inf.
     """
 
     max_dev: float
@@ -410,7 +412,8 @@ def deviation_report(
     x_n = float(np.max(np.abs(alphas.alpha - alpha_plan(p).means)))
     chain = 4.0 * math.sqrt(3.0 * x_n) + 6.0 * x_n
     logn = math.log(p.n)
-    scaled = max_dev * ((p.a + p.b) / logn) ** 0.25 if logn > 0.0 else math.inf
+    rate_defined = logn > 0.0 and p.a + p.b >= 0.0
+    scaled = max_dev * ((p.a + p.b) / logn) ** 0.25 if rate_defined else math.inf
     return DeviationReport(max_dev, x_n, chain, scaled)
 
 

@@ -4,19 +4,29 @@ symmetric-definite generalized problem.
 
 The tridiagonal path is the production solver (LAPACK root-free QR,
 eigenvalues only). The dense routines are a desk-scale oracle for the
-Gaussian-matrix cross-checks and are capped at n = 500 by policy; they
-deliberately avoid LAPACK so the cross-checks do not share a solver with the
-tridiagonal path.
+Gaussian-matrix cross-checks and are capped at n = 500 by policy. Their
+Cholesky factorization and plane-rotation eigensolver avoid LAPACK, so the
+cross-checks do not share an eigensolver with the tridiagonal path; only the
+two triangular solves of the pencil reduction call LAPACK ``dtrtrs``.
+
+The LAPACK routines (``dsterf``, ``dpteqr``, ``dtrtrs``) come from scipy's
+f2py extension ``scipy/linalg/_flapack``, loaded once at import without
+running ``scipy.linalg``'s package ``__init__``, which would cost more start-up
+time and memory than everything else this package imports. They are the
+wrapper objects ``scipy.linalg.lapack`` re-exports, so results are the same
+bytes either way.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpteqr, dsterf
 
 from .ensemble import SymTridiag
 from .errors import (
@@ -27,6 +37,31 @@ from .errors import (
 )
 
 DENSE_SIZE_CAP = 500  # dense routines are an oracle, not a production path
+
+
+def _load_flapack():
+    """scipy's ``linalg/_flapack`` extension module, without importing ``scipy.linalg``.
+
+    ``find_spec`` on the top-level package locates scipy without running it.
+    The extension is registered under scipy's own module name, so when
+    ``scipy.linalg`` is imported later (or was imported earlier) both hold the
+    same wrapper objects; ``sys.modules`` is left as it was, so that import
+    still binds ``scipy.linalg._flapack`` itself. A missing file raises the
+    loader's ImportError, which names the path.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+    path = os.path.join(root, "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = loader.create_module(importlib.util.spec_from_loader(name, loader))
+    sys.modules.pop(name, None)  # CPython registers a single-phase extension on load
+    return module
+
+
+_flapack = _load_flapack()
+dsterf, dpteqr, dtrtrs = _flapack.dsterf, _flapack.dpteqr, _flapack.dtrtrs
 
 
 @dataclass(frozen=True)
@@ -229,6 +264,19 @@ def cholesky(a: DenseSym) -> np.ndarray:
     return low
 
 
+def _solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs for a C-ordered lower-triangular L, by LAPACK ``dtrtrs``.
+
+    This is the call ``scipy.linalg.solve_triangular(low, rhs, lower=True)``
+    makes: the transposed upper-triangular system on the Fortran view L^T.
+    Raises NumericalFailureError when ``dtrtrs`` reports info != 0.
+    """
+    x, info = dtrtrs(low.T, rhs, lower=0, trans=1, unitdiag=0)
+    if info != 0:
+        raise NumericalFailureError(f"triangular solve failed (dtrtrs info={info})")
+    return x
+
+
 def eig_generalized_sym(a: DenseSym, b: DenseSym) -> Spectrum:
     """Eigenvalues of A v = lambda B v with B positive definite.
 
@@ -238,7 +286,7 @@ def eig_generalized_sym(a: DenseSym, b: DenseSym) -> Spectrum:
     if a.n != b.n:
         raise ParameterDomainError("pencil matrices must have matching size")
     low = cholesky(b)
-    half = solve_triangular(low, a.a, lower=True, check_finite=False)
-    reduced = solve_triangular(low, half.T, lower=True, check_finite=False)
+    half = _solve_lower(low, a.a)
+    reduced = _solve_lower(low, half.T)
     reduced = (reduced + reduced.T) / 2.0
     return eig_dense_sym(DenseSym(reduced))

@@ -201,6 +201,20 @@ def test_deviation_summary():
     assert np.isfinite(payload["scaled_dev_median"])
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not a JSON value")
+
+
+@pytest.mark.parametrize("params", [("--n", "1"), ("--n", "5", "--a", "-0.5", "--b", "-0.5")])
+def test_deviation_undefined_rate_writes_null(params):
+    # ((a + b)/log n)^(1/4) is undefined at n = 1 and for a + b < 0
+    r = run_cli("deviation", *params, "--trials", "3")
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout, parse_constant=_reject)
+    assert payload["scaled_dev_median"] is None
+    assert np.isfinite(payload["max_dev"]["median"])
+
+
 def test_compare_emits_summary_and_csv(tmp_path):
     out = tmp_path / "cmp.json"
     r = run_cli("compare", "--model", "ratio", "--n", "300", "--a", "900", "--b", "900",

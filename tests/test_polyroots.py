@@ -205,6 +205,15 @@ def test_ensemble_roots_are_the_mean_matrix_spectrum():
         assert np.max(np.abs(eig_tridiag(expected_matrix(p)).values - roots)) < 1e-10
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1e290, 0.0), (0.0, 1e290)])
+def test_ensemble_roots_name_vanishing_rescaled_parameters(a, b):
+    # a_tilde = (2a + 2)/beta below float64 rounding of 1 makes a_tilde - 1 == -1
+    p = JacobiParams(3, a, b, 1e300)
+    with pytest.raises(ParameterDomainError, match=r"a_tilde = \(2a\+2\)/beta") as exc:
+        ensemble_roots(p)
+    assert "beta = 1e+300" in str(exc.value)
+
+
 def test_charpoly_matches_scaled_polynomial():
     # det(xI - M) equals 2^n * monic_factor * P_n at x/2 for the mean matrix
     rng = np.random.default_rng(9)

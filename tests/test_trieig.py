@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import JacobiParams, SymTridiag, random_matrix, sample_alphas
@@ -14,6 +18,7 @@ from jacobi_spectra.polyroots import JacobiPolyParams, recurrence_coefficients
 from jacobi_spectra.trieig import (
     DenseSym,
     _eig_zero_diagonal,
+    _solve_lower,
     charpoly_eval,
     cholesky,
     eig_dense_sym,
@@ -220,3 +225,74 @@ def test_generalized_eig():
     assert eig_generalized_sym(a, b).values == pytest.approx(
         eig_dense_sym(a).values, abs=1e-10
     )
+
+
+def _pencils(n):
+    """The direct F route's pencil and the MANOVA pencil of one Gaussian pair."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n + 3))
+    y = rng.standard_normal((n, n + 7))
+    xxt, yyt = x @ x.T, y @ y.T
+    return [(DenseSym(xxt / (n + 3)), DenseSym(yyt / (n + 7))),
+            (DenseSym(2.0 * (yyt - xxt)), DenseSym(yyt + xxt))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 60])
+def test_generalized_reduction_matches_solve_triangular(n):
+    # the dtrtrs call is the one solve_triangular makes, so the bytes agree
+    for a, b in _pencils(n):
+        low = cholesky(b)
+        half = solve_triangular(low, a.a, lower=True, check_finite=False)
+        reduced = solve_triangular(low, half.T, lower=True, check_finite=False)
+        assert _solve_lower(low, a.a).tobytes() == half.tobytes()
+        assert _solve_lower(low, half.T).tobytes() == reduced.tobytes()
+        expected = eig_dense_sym(DenseSym((reduced + reduced.T) / 2.0)).values
+        assert eig_generalized_sym(a, b).values.tobytes() == expected.tobytes()
+
+
+def test_singular_triangular_factor_raises():
+    with pytest.raises(NumericalFailureError, match="dtrtrs info=2"):
+        _solve_lower(np.diag([1.0, 0.0]), np.eye(2))
+
+
+def _python(code: str) -> str:
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_import_runs_no_scipy_package():
+    # the LAPACK wrappers come from scipy's extension file, not scipy.linalg
+    out = _python("import sys, jacobi_spectra\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out == "[]\n"
+
+
+def test_missing_lapack_extension_names_its_path():
+    r = subprocess.run(
+        [sys.executable, "-c", "import importlib.machinery as m\n"
+         "m.EXTENSION_SUFFIXES[:] = ['.missing.so']\nimport jacobi_spectra"],
+        capture_output=True, text=True)
+    assert r.returncode == 1
+    assert "ImportError" in r.stderr and "linalg/_flapack.missing.so" in r.stderr
+
+
+_INTEROP = """
+import numpy as np
+from jacobi_spectra.betarand import RngStream
+from jacobi_spectra.ensemble import JacobiParams, random_matrix, sample_alphas
+t = random_matrix(sample_alphas(JacobiParams(3000, 9000.0, 9000.0, 2.0), RngStream(3, 0)))
+ref, info = scipy.linalg.lapack.dsterf(t.diag, t.off)
+assert info == 0
+assert ref.tobytes() == trieig.eig_tridiag(t).values.tobytes()
+assert scipy.linalg._flapack.dsterf is trieig.dsterf
+print(scipy.linalg.eigh(np.array([[2.0, 1.0], [1.0, 2.0]]), eigvals_only=True))
+"""
+
+
+@pytest.mark.parametrize("imports", [
+    "import jacobi_spectra.trieig as trieig\nimport scipy.linalg\n",
+    "import scipy.linalg\nimport jacobi_spectra.trieig as trieig\n",
+], ids=["package-first", "scipy-linalg-first"])
+def test_scipy_linalg_interop_in_either_import_order(imports):
+    assert _python(imports + _INTEROP) == "[1. 3.]\n"
