@@ -217,9 +217,12 @@ def _reciprocal_edge_limit_cdf(d: FDims):
 
     def cdf(xs):
         xs = np.asarray(xs, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            inv = np.where(xs > 0.0, 1.0 / np.where(xs > 0.0, xs, 1.0), np.inf)
-        return 1.0 - cdf_grid(edge, inv)
+        inv = np.full(xs.shape, np.inf)
+        np.divide(1.0, xs, out=inv, where=xs > 0.0)
+        # 1/x maps ascending points to descending ones: evaluate the reversed,
+        # ascending view, so cdf_grid needs no sort
+        upper = cdf_grid(edge, inv[::-1])[::-1]
+        return np.subtract(1.0, upper, out=upper)
 
     return cdf
 

@@ -30,6 +30,11 @@ from .trieig import eig_tridiag
 # empirical distribution functions and distances
 
 
+def _ascending(xs: np.ndarray) -> bool:
+    """True if the 1-D array xs (no NaN) is nondecreasing."""
+    return not (xs[1:] < xs[:-1]).any()
+
+
 @dataclass(frozen=True)
 class Ecdf:
     """Right-continuous empirical CDF carried by its sorted sample."""
@@ -37,10 +42,12 @@ class Ecdf:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=np.float64))
-        object.__setattr__(self, "points", pts)
+        pts = np.array(self.points, dtype=np.float64)  # own copy, sorted in place
         if pts.ndim != 1 or pts.size == 0 or not np.all(np.isfinite(pts)):
             raise ParameterDomainError("ECDF needs a nonempty sample of finite points")
+        if not _ascending(pts):
+            pts.sort()
+        object.__setattr__(self, "points", pts)
 
     @property
     def n(self) -> int:
@@ -55,10 +62,25 @@ def ks_distance(e: Ecdf, cdf) -> float:
     max_i max(i/N - F(x_i), F(x_i) - (i-1)/N) over the sorted sample, so the
     CDF is evaluated at the N sample points only. A CDF with an atom at a
     sample point is outside this contract: its left limit is not evaluated.
+
+    The CDF values are the only array of the sample's size that this holds:
+    the statistic is taken block by block. A CDF that returns a non-finite
+    value raises :class:`NumericalFailureError`, one that does not return one
+    value per point :class:`ParameterDomainError`.
     """
     f = np.asarray(cdf(e.points), dtype=np.float64)
-    i = np.arange(1, e.n + 1)
-    return float(np.max(np.maximum(i / e.n - f, f - (i - 1) / e.n)))
+    if f.shape != e.points.shape:
+        raise ParameterDomainError(
+            f"CDF returned shape {f.shape} for {e.n} points; need one value per point"
+        )
+    n, stat = e.n, 0.0
+    for lo in range(0, n, _BLOCK):
+        fb = f[lo : lo + _BLOCK]
+        if not np.isfinite(fb).all():
+            raise NumericalFailureError("CDF values are not finite")
+        i = np.arange(lo + 1, lo + 1 + fb.size)
+        stat = max(stat, float(np.max(np.maximum(i / n - fb, fb - (i - 1) / n))))
+    return stat
 
 
 # ---------------------------------------------------------------------------
@@ -341,29 +363,38 @@ def _panel_integrals(m: DensityModel, edges: np.ndarray) -> np.ndarray:
 def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
     """CDF at many (arbitrary-order) points, by incremental panel integration.
 
-    Sorted points are walked in blocks with a running total (tol 1e-10 per panel).
+    Ascending points are walked in blocks with a running total (tol 1e-10 per
+    panel) that is written straight into the output; points in any other
+    order are sorted first and their values scattered back.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if np.isnan(xs).any():
         raise ParameterDomainError("CDF points must not be NaN")
+    if _ascending(xs):
+        return _ascending_cdf(m, xs)
     order = np.argsort(xs, kind="stable")
     sorted_xs = xs[order]
+    vals = _ascending_cdf(m, sorted_xs)
+    out = sorted_xs  # reuse its buffer: the points are no longer needed
+    out[order] = vals
+    return out
+
+
+def _ascending_cdf(m: DensityModel, xs: np.ndarray) -> np.ndarray:
+    """:func:`cdf_grid` on nondecreasing points."""
     lo, hi = m.support
-    first = np.searchsorted(sorted_xs, lo, side="right")
-    stop = np.searchsorted(sorted_xs, hi, side="left")
-    vals = np.zeros_like(sorted_xs)
+    first = np.searchsorted(xs, lo, side="right")
+    stop = np.searchsorted(xs, hi, side="left")
+    vals = np.zeros_like(xs)
     vals[stop:] = 1.0
     acc, prev = 0.0, lo
     for i in range(first, stop, _BLOCK):
-        block = sorted_xs[i : min(i + _BLOCK, stop)]
+        block = xs[i : min(i + _BLOCK, stop)]
         panels = _panel_integrals(m, np.concatenate([[prev], block]))
         cum = np.cumsum(np.concatenate([[acc], panels]))[1:]
         vals[i : i + block.size] = cum
         acc, prev = cum[-1], block[-1]
-    np.clip(vals, 0.0, 1.0, out=vals)
-    out = sorted_xs  # reuse its buffer: the points are no longer needed
-    out[order] = vals
-    return out
+    return np.clip(vals, 0.0, 1.0, out=vals)
 
 
 def model_cdf(m: DensityModel):
@@ -552,4 +583,4 @@ def monte_carlo_esd(
         lam = eig_tridiag(random_matrix(sample_alphas(p, sub))).values
         return scale_eigenvalues(lam, s, mode)
 
-    return Ecdf(np.sort(np.concatenate(run_trials(scaled_spectrum, trials, rng))))
+    return Ecdf(np.concatenate(run_trials(scaled_spectrum, trials, rng)))

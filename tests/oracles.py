@@ -12,7 +12,8 @@ a per-call path that rebuilds every Marsaglia-Tsang constant inside each
 block of every call (not the production sampling plans); it shares only the
 keyed-word helpers with the library, so it pins the sampled bytes. ECDF
 values at given points and the infinity norm of a tridiagonal matrix, which
-only the tests need, live here too.
+only the tests need, live here too, as does the one-sample KS statistic in
+its whole-array form (not the production block-by-block maximum).
 """
 
 import math
@@ -162,6 +163,13 @@ def ecdf_eval(e, xi):
     idx = np.searchsorted(e.points, np.asarray(xi, dtype=np.float64), side="right")
     out = idx / e.n
     return float(out) if np.ndim(xi) == 0 else out
+
+
+def ks_whole_array(f: np.ndarray) -> float:
+    """max_i max(i/N - F_i, F_i - (i-1)/N) over CDF values F at an ascending
+    sample, with every term formed at once over the whole sample."""
+    i = np.arange(1, f.size + 1)
+    return float(np.max(np.maximum(i / f.size - f, f - (i - 1) / f.size)))
 
 
 def norm_inf(t) -> float:

@@ -24,7 +24,7 @@ from jacobi_spectra.fmatrix import (
 from jacobi_spectra.spectra import Ecdf, ks_distance
 from jacobi_spectra.trieig import eig_tridiag
 
-from oracles import ecdf_eval, two_sample_sup_distance
+from oracles import ecdf_eval, ks_whole_array, two_sample_sup_distance
 
 SEED = 0x4A41434F424921
 
@@ -225,3 +225,15 @@ def test_pooled_transformed_esd_close_to_limit():
     d = FDims(100, 10000, 200)
     pool = f_esd_pooled(d, 5, RngStream(SEED, 7), transform="thm43")
     assert ks_distance(Ecdf(pool), transform_limit_cdf("thm43", d)) < 0.1
+
+
+def test_thm43_cdf_on_ascending_points_equals_shuffled_bit_for_bit():
+    # ascending points take cdf_grid's sort-free path through the reversed
+    # view of 1/x; shuffled ones its sorting path. Ties and points <= 0 included.
+    cdf = transform_limit_cdf("thm43", FDims(40, 400, 80))
+    u = RngStream(SEED, 3).uniforms(5150)
+    xs = np.sort(np.round(3000.0 * u) / 1000.0 - 0.2)
+    assert np.unique(xs).size < xs.size and xs[0] < 0.0 and 0.0 in xs
+    perm = np.random.default_rng(SEED).permutation(xs.size)
+    assert cdf(xs)[perm].tobytes() == cdf(xs[perm]).tobytes()
+    assert ks_distance(Ecdf(xs), cdf) == ks_whole_array(cdf(xs))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,6 +42,7 @@ from oracles import (
     density_norm,
     ecdf_eval,
     general_density_params_at_n,
+    ks_whole_array,
     levy_distance,
     levy_grid_search,
     two_sample_sup_distance,
@@ -70,6 +72,66 @@ def test_ks_quantile_plugin():
 def test_ks_uniform_sample():
     u = RngStream(SEED, 0).uniforms(10**5)
     assert ks_distance(Ecdf(u), lambda x: np.clip(x, 0, 1)) < 0.01
+
+
+def _tied_sample(lo, hi, size, seed):
+    """Points over [lo, hi] widened by a tenth on each side, rounded to a grid
+    of 400 steps so that a large sample has ties."""
+    w = hi - lo
+    u = RngStream(seed, 0).uniforms(size)
+    return lo - 0.1 * w + np.round(400.0 * u) * (1.2 * w / 400.0)
+
+
+KS_MODELS = [RatioDensity(3.0, 3.0), ArcsineDensity(), FMatrixDensity(0.5, 1.0 / 3.0)]
+
+
+@pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 5150])
+@pytest.mark.parametrize("model", KS_MODELS, ids=lambda m: type(m).__name__)
+def test_ks_distance_is_the_whole_array_formula(size, model):
+    e = Ecdf(_tied_sample(*model.support, size, SEED + size))
+    if size > 1000:
+        assert np.unique(e.points).size < size  # ties
+    cdf = model_cdf(model)
+    assert ks_distance(e, cdf) == ks_whole_array(cdf(e.points))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_distance_rejects_nonfinite_cdf_values(bad):
+    e = Ecdf(np.linspace(0.0, 1.0, 3000))
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        ks_distance(e, lambda x: np.where(x > 0.5, bad, x))
+
+
+@pytest.mark.parametrize("cdf", [lambda x: 0.5, lambda x: x[:-1], lambda x: x[:, None]])
+def test_ks_distance_rejects_cdf_of_wrong_shape(cdf):
+    with pytest.raises(ParameterDomainError, match="one value per point"):
+        ks_distance(Ecdf(np.linspace(0.0, 1.0, 5)), cdf)
+
+
+def test_ks_distance_holds_one_array_of_the_sample_size():
+    size = 200_000
+    m = RatioDensity(3.0, 3.0)
+    e = Ecdf(np.sort(_tied_sample(*m.support, size, SEED)))
+    cdf = model_cdf(m)
+    tracemalloc.start()
+    try:
+        ks_distance(e, cdf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * size
+
+
+def test_ecdf_owns_a_sorted_copy():
+    x = np.array([0.3, -1.0, 0.3, 2.0])
+    e = Ecdf(x)
+    assert list(e.points) == [-1.0, 0.3, 0.3, 2.0]
+    assert list(x) == [0.3, -1.0, 0.3, 2.0]
+    ascending = np.array([-1.0, 0.3, 0.3, 2.0])
+    e = Ecdf(ascending)
+    assert e.points is not ascending and np.array_equal(e.points, ascending)
+    ascending[0] = 5.0
+    assert e.points[0] == -1.0
 
 
 def test_levy_examples_and_oracle():
@@ -192,6 +254,13 @@ def test_cdf_grid_closed_forms():
     xs = np.linspace(-r, r, 1001)
     semicircle = 0.5 + xs * np.sqrt(r * r - xs * xs) / (np.pi * r * r) + np.arcsin(xs / r) / np.pi
     assert np.max(np.abs(cdf_grid(SemicircleDensity(r), xs) - semicircle)) < 1e-12
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_cdf_grid_ascending_equals_shuffled_bit_for_bit(model):
+    xs = np.sort(_tied_sample(*model.support, 5150, SEED))
+    perm = np.random.default_rng(SEED).permutation(xs.size)
+    assert cdf_grid(model, xs)[perm].tobytes() == cdf_grid(model, xs[perm]).tobytes()
 
 
 def test_cdf_grid_edge_cases():
@@ -428,6 +497,7 @@ def test_monte_carlo_same_stream_same_pool():
     b = monte_carlo_esd(p, s, 8, RngStream(3, 0))
     assert np.array_equal(a.points, b.points)
     assert a.n == 8 * 30
+    assert np.all(np.diff(a.points) >= 0.0)
 
 
 def test_run_trials_hands_trial_t_substream_t():
