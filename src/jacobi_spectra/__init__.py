@@ -16,7 +16,6 @@ from .errors import (
     InternalConsistencyError,
     JacobiSpectraError,
     MagnitudeOverflowError,
-    NotPositiveDefiniteError,
     NumericalFailureError,
     ParameterDomainError,
 )

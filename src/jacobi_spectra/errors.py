@@ -25,9 +25,5 @@ class MagnitudeOverflowError(NumericalFailureError):
     """A recurrence overflowed float64 range; a scaled evaluation would be needed."""
 
 
-class NotPositiveDefiniteError(NumericalFailureError):
-    """A Cholesky pivot was not strictly positive."""
-
-
 class DegenerateSampleError(NumericalFailureError):
     """A random sample was numerically rank-deficient where full rank was required."""

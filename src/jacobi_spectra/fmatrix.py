@@ -7,7 +7,8 @@ normal X (n x n1) and Y (n x n2) shares a realization-exact Moebius
 correspondence with the matrix 2 (Y Y^T - X X^T)(Y Y^T + X X^T)^{-1}, whose
 eigenvalues follow the beta = 1 Jacobi ensemble with a = (n1 - n - 1)/2,
 b = (n2 - n - 1)/2. The tridiagonal sampler therefore gives F-spectra in
-O(n) memory; the dense Gaussian route is kept as a desk-scale oracle.
+O(n) memory; the dense Gaussian route solves the symmetric-definite pencil
+with LAPACK and is capped at n = 500 by policy.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import numpy as np
 
 from .betarand import RngStream
 from .ensemble import JacobiParams, _is_whole, random_matrix, sample_alphas
-from .errors import DegenerateSampleError, NotPositiveDefiniteError, ParameterDomainError
+from .errors import ParameterDomainError
 from .spectra import (
     EdgeDensity, FMatrixDensity, SemicircleDensity, cdf_grid, model_cdf, run_trials,
 )
-from .trieig import DENSE_SIZE_CAP, DenseSym, Spectrum, eig_generalized_sym, eig_tridiag
+from .trieig import Spectrum, eig_generalized_sym, eig_tridiag
+
+DENSE_SIZE_CAP = 500  # policy cap of the dense Gaussian route (CLI --route direct)
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ class FDims:
 
 @dataclass(frozen=True)
 class GaussianPair:
-    """Independent standard normal matrices X (n x n1) and Y (n x n2)."""
+    """Independent standard normal matrices X (n x n1) and Y (n x n2), finite."""
 
     x: np.ndarray
     y: np.ndarray
@@ -75,6 +78,8 @@ class GaussianPair:
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.ndim != 2 or self.x.shape[0] != self.y.shape[0]:
             raise ParameterDomainError("matrices must share their row count n")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ParameterDomainError("matrices must have finite entries")
 
 
 def sample_gaussian_pair(d: FDims, rng: RngStream) -> GaussianPair:
@@ -87,7 +92,8 @@ def sample_gaussian_pair(d: FDims, rng: RngStream) -> GaussianPair:
 def _check_dense_cap(d: FDims):
     if d.n > DENSE_SIZE_CAP:
         raise ParameterDomainError(
-            f"dense F-matrix route is a desk-scale oracle capped at n = {DENSE_SIZE_CAP}"
+            f"dense F-matrix route is capped at n = {DENSE_SIZE_CAP}; "
+            "the tridiagonal route is not"
         )
 
 
@@ -95,15 +101,11 @@ def f_eigs_direct(g: GaussianPair, d: FDims) -> Spectrum:
     """Eigenvalues of (X X^T / n1)(Y Y^T / n2)^{-1} from an explicit Gaussian pair.
 
     Solved as the symmetric-definite pencil (X X^T / n1) v = lambda (Y Y^T / n2) v;
-    all eigenvalues are nonnegative. Desk-scale oracle (n <= 500).
+    all eigenvalues are nonnegative. Capped at n <= 500 by policy; raises
+    DegenerateSampleError when Y Y^T is numerically singular.
     """
     _check_dense_cap(d)
-    a = DenseSym(g.x @ g.x.T / d.n1)
-    b = DenseSym(g.y @ g.y.T / d.n2)
-    try:
-        spec = eig_generalized_sym(a, b)
-    except NotPositiveDefiniteError as exc:
-        raise DegenerateSampleError(f"rank-deficient Gaussian sample: {exc}") from exc
+    spec = eig_generalized_sym(g.x @ g.x.T / d.n1, g.y @ g.y.T / d.n2)
     # pencil of PSD vs PD matrices; clip the rounding fuzz below zero
     return Spectrum(np.maximum(spec.values, 0.0))
 
@@ -113,15 +115,13 @@ def manova_eigs(g: GaussianPair, d: FDims) -> Spectrum:
 
     These follow the beta = 1 Jacobi ensemble with the dimension-induced
     (a, b). The matrix is never formed nonsymmetrically; the spectrum comes
-    from the pencil 2 (Y Y^T - X X^T) v = lambda (Y Y^T + X X^T) v.
+    from the pencil 2 (Y Y^T - X X^T) v = lambda (Y Y^T + X X^T) v. Raises
+    DegenerateSampleError when Y Y^T + X X^T is numerically singular.
     """
     _check_dense_cap(d)
     xxt = g.x @ g.x.T
     yyt = g.y @ g.y.T
-    try:
-        return eig_generalized_sym(DenseSym(2.0 * (yyt - xxt)), DenseSym(yyt + xxt))
-    except NotPositiveDefiniteError as exc:
-        raise DegenerateSampleError(f"rank-deficient Gaussian sample: {exc}") from exc
+    return eig_generalized_sym(2.0 * (yyt - xxt), yyt + xxt)
 
 
 def jacobi_to_f(lam_j, d: FDims):
@@ -220,8 +220,9 @@ def _reciprocal_edge_limit_cdf(d: FDims):
         inv = np.full(xs.shape, np.inf)
         np.divide(1.0, xs, out=inv, where=xs > 0.0)
         # 1/x maps ascending points to descending ones: evaluate the reversed,
-        # ascending view, so cdf_grid needs no sort
-        upper = cdf_grid(edge, inv[::-1])[::-1]
+        # ascending view, so cdf_grid needs no sort (and sees a scalar or 2-D
+        # input as it is, to reject it)
+        upper = cdf_grid(edge, np.flip(inv))[::-1]
         return np.subtract(1.0, upper, out=upper)
 
     return cdf

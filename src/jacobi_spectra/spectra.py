@@ -368,6 +368,8 @@ def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
     order are sorted first and their values scattered back.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 1:
+        raise ParameterDomainError("CDF points must be a 1-D array")
     if np.isnan(xs).any():
         raise ParameterDomainError("CDF points must not be NaN")
     if _ascending(xs):

@@ -1,15 +1,13 @@
 """Eigenvalue machinery: tridiagonal solver, characteristic polynomial
-recurrence, desk-scale dense symmetric solver, Cholesky, and the
-symmetric-definite generalized problem.
+recurrence, and the symmetric-definite generalized problem.
 
 The tridiagonal path is the production solver (LAPACK root-free QR,
-eigenvalues only). The dense routines are a desk-scale oracle for the
-Gaussian-matrix cross-checks and are capped at n = 500 by policy. Their
-Cholesky factorization and plane-rotation eigensolver avoid LAPACK, so the
-cross-checks do not share an eigensolver with the tridiagonal path; only the
-two triangular solves of the pencil reduction call LAPACK ``dtrtrs``.
+eigenvalues only). The dense pencil A v = lambda B v of the Gaussian F-matrix
+route is LAPACK ``dsygvd`` (Cholesky of B, then a divide-and-conquer solve of
+L^-1 A L^-T). The tests hold it to a Cholesky and plane-rotation oracle that
+shares no code with LAPACK.
 
-The LAPACK routines (``dsterf``, ``dpteqr``, ``dtrtrs``) come from scipy's
+The LAPACK routines (``dsterf``, ``dpteqr``, ``dsygvd``) come from scipy's
 f2py extension ``scipy/linalg/_flapack``, loaded once at import without
 running ``scipy.linalg``'s package ``__init__``, which would cost more start-up
 time and memory than everything else this package imports. They are the
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,13 +27,11 @@ import numpy as np
 
 from .ensemble import SymTridiag
 from .errors import (
+    DegenerateSampleError,
     MagnitudeOverflowError,
-    NotPositiveDefiniteError,
     NumericalFailureError,
     ParameterDomainError,
 )
-
-DENSE_SIZE_CAP = 500  # dense routines are an oracle, not a production path
 
 
 def _load_flapack():
@@ -61,7 +56,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dsterf, dpteqr, dtrtrs = _flapack.dsterf, _flapack.dpteqr, _flapack.dtrtrs
+dsterf, dpteqr, dsygvd = _flapack.dsterf, _flapack.dpteqr, _flapack.dsygvd
 
 
 @dataclass(frozen=True)
@@ -81,27 +76,6 @@ class Spectrum:
     @property
     def n(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class DenseSym:
-    """Dense real symmetric matrix; lower triangle authoritative."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.a, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterDomainError("dense matrix must be square")
-        scale = np.max(np.abs(m)) or 1.0
-        if np.max(np.abs(m - m.T)) > 1e-12 * scale:
-            raise ParameterDomainError("matrix is not symmetric to 1e-12 relative")
-        lower = np.tril(m)
-        object.__setattr__(self, "a", lower + np.tril(m, -1).T)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
 
 
 def eig_tridiag(t: SymTridiag) -> Spectrum:
@@ -183,110 +157,22 @@ def charpoly_eval(t: SymTridiag, x):
     return float(g) if np.ndim(x) == 0 else g
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Disjoint index pairings covering all (i, j), i < j (circle method)."""
-    players = list(range(n)) + ([n] if n % 2 else [])  # n = dummy when odd
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
+def eig_generalized_sym(a: np.ndarray, b: np.ndarray) -> Spectrum:
+    """Eigenvalues of A v = lambda B v for symmetric A and B, ascending.
 
-
-def eig_dense_sym(a: DenseSym) -> Spectrum:
-    """All eigenvalues of a dense symmetric matrix via cyclic plane rotations.
-
-    Disjoint pivot pairs are rotated simultaneously (round-robin schedule);
-    sweeps repeat until the off-diagonal Frobenius mass drops below
-    1e-12 * ||A||_F, with a hard cap of 50 sweeps.
+    LAPACK ``dsygvd`` on the lower triangles, eigenvalues only; the call
+    ``scipy.linalg.eigh(a, b, eigvals_only=True)`` makes. Raises
+    DegenerateSampleError when B is not positive definite, and
+    NumericalFailureError when the solve does not converge or an eigenvalue
+    is not finite, e.g. on a NaN entry.
     """
-    if a.n > DENSE_SIZE_CAP:
-        raise ParameterDomainError(f"dense solver is capped at n = {DENSE_SIZE_CAP}")
-    m = a.a.copy()
-    n = a.n
-    if n == 1:
-        return Spectrum(m[0, :1].copy())
-    norm_f = float(np.linalg.norm(m))
-    if norm_f == 0.0:
-        return Spectrum(np.zeros(n))
-    rounds = _round_robin(n)
-    for _ in range(50):
-        # off-diagonal Frobenius mass, summed directly (a difference of
-        # near-equal squares would stall at the rounding floor)
-        msq = m * m
-        np.fill_diagonal(msq, 0.0)
-        if math.sqrt(float(np.sum(msq))) <= 1e-12 * norm_f:
-            return Spectrum(np.sort(np.diag(m)))
-        for p, q in rounds:
-            apq = m[p, q]
-            live = apq != 0.0
-            if not live.any():
-                continue
-            tau = np.zeros_like(apq)
-            tau[live] = (m[q, q][live] - m[p, p][live]) / (2.0 * apq[live])
-            with np.errstate(over="ignore"):
-                tval = np.where(
-                    live, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0
-                )
-            tval = np.where(live & (tau == 0.0), 1.0, tval)
-            c = 1.0 / np.sqrt(1.0 + tval * tval)
-            s = tval * c
-            cols_p = m[:, p] * c - m[:, q] * s
-            cols_q = m[:, p] * s + m[:, q] * c
-            m[:, p] = cols_p
-            m[:, q] = cols_q
-            rows_p = m[p, :] * c[:, None] - m[q, :] * s[:, None]
-            rows_q = m[p, :] * s[:, None] + m[q, :] * c[:, None]
-            m[p, :] = rows_p
-            m[q, :] = rows_q
-    raise NumericalFailureError("plane-rotation sweeps did not converge in 50 sweeps")
-
-
-def cholesky(a: DenseSym) -> np.ndarray:
-    """Lower-triangular L with L L^T = A for symmetric positive definite A."""
-    m = a.a
-    n = a.n
-    low = np.zeros_like(m)
-    for j in range(n):
-        pivot = m[j, j] - np.dot(low[j, :j], low[j, :j])
-        if not pivot > 0.0:
-            raise NotPositiveDefiniteError(f"nonpositive pivot at column {j}")
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1 :, j] = (m[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
-def _solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L^-1 rhs for a C-ordered lower-triangular L, by LAPACK ``dtrtrs``.
-
-    This is the call ``scipy.linalg.solve_triangular(low, rhs, lower=True)``
-    makes: the transposed upper-triangular system on the Fortran view L^T.
-    Raises NumericalFailureError when ``dtrtrs`` reports info != 0.
-    """
-    x, info = dtrtrs(low.T, rhs, lower=0, trans=1, unitdiag=0)
+    vals, _, info = dsygvd(a, b, itype=1, jobz="N", uplo="L")
+    if info > vals.size:
+        raise DegenerateSampleError(
+            f"pencil matrix B is not positive definite (dsygvd info={info})"
+        )
     if info != 0:
-        raise NumericalFailureError(f"triangular solve failed (dtrtrs info={info})")
-    return x
-
-
-def eig_generalized_sym(a: DenseSym, b: DenseSym) -> Spectrum:
-    """Eigenvalues of A v = lambda B v with B positive definite.
-
-    Reduces to the standard symmetric problem L^-1 A L^-T via the Cholesky
-    factor of B, then applies the plane-rotation solver.
-    """
-    if a.n != b.n:
-        raise ParameterDomainError("pencil matrices must have matching size")
-    low = cholesky(b)
-    half = _solve_lower(low, a.a)
-    reduced = _solve_lower(low, half.T)
-    reduced = (reduced + reduced.T) / 2.0
-    return eig_dense_sym(DenseSym(reduced))
+        raise NumericalFailureError(f"generalized eigensolve failed (dsygvd info={info})")
+    if not np.all(np.isfinite(vals)):
+        raise NumericalFailureError("pencil matrix has a NaN or infinite entry")
+    return Spectrum(vals)

@@ -49,7 +49,7 @@ from .spectra import (
     monte_carlo_esd,
     run_trials,
 )
-from .trieig import eig_tridiag
+from .trieig import eig_generalized_sym, eig_tridiag
 
 DEFAULT_SEED = 0x4A41434F424921
 
@@ -287,25 +287,24 @@ def criterion_12(rng: RngStream) -> dict:
 
 
 def criterion_13(rng: RngStream) -> dict:
-    """Tridiagonal F route is far faster than the cubically extrapolated dense one."""
+    """Tridiagonal F route is far faster than the dense route, both at n = 2000."""
     t0 = time.perf_counter()
-    d_tri = FDims(2000, 4000, 6000)
+    d = FDims(2000, 4000, 6000)
     t1 = time.perf_counter()
-    f_eigs_tridiag(d_tri, rng.substream(13))
+    f_eigs_tridiag(d, rng.substream(13))
     t_tri = time.perf_counter() - t1
-    d_dir = FDims(400, 800, 1200)
-    g = sample_gaussian_pair(d_dir, rng.substream(131))
+    g = sample_gaussian_pair(d, rng.substream(131))  # drawn outside the timed region
     t2 = time.perf_counter()
-    f_eigs_direct(g, d_dir)
+    # f_eigs_direct's work, without its n <= 500 policy cap
+    eig_generalized_sym(g.x @ g.x.T / d.n1, g.y @ g.y.T / d.n2)
     t_dir = time.perf_counter() - t2
-    # documented model: dense route ~ n^3, tridiagonal route ~ n^2
-    ratio = (t_dir * (2000.0 / 400.0) ** 3) / t_tri
+    ratio = t_dir / t_tri
     return _record(
-        "C13", "performance: tridiagonal vs cubically extrapolated dense route",
+        "C13", "performance: tridiagonal vs dense route (n=2000, n1=4000, n2=6000)",
         ratio, 5.0, time.perf_counter() - t0, 120.0,
         detail={
             "tridiag_n2000_seconds": round(t_tri, 3),
-            "direct_n400_seconds": round(t_dir, 3),
+            "dense_n2000_seconds": round(t_dir, 3),
             "target_ratio": 20.0,
             "meets_target": bool(ratio >= 20.0),
         },

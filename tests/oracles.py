@@ -14,11 +14,15 @@ keyed-word helpers with the library, so it pins the sampled bytes. ECDF
 values at given points and the infinity norm of a tridiagonal matrix, which
 only the tests need, live here too, as does the one-sample KS statistic in
 its whole-array form (not the production block-by-block maximum).
+Dense symmetric eigenvalues come from round-robin cyclic plane rotations after
+an unblocked Cholesky (not the production LAPACK ``dsygvd`` pencil solve).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import betainc
 
 from jacobi_spectra.betarand import (
@@ -34,7 +38,8 @@ from jacobi_spectra.betarand import (
     _splitmix,
     _unit,
 )
-from jacobi_spectra.errors import NumericalFailureError
+from jacobi_spectra.errors import NumericalFailureError, ParameterDomainError
+from jacobi_spectra.trieig import Spectrum
 
 
 def inverse_cdf_beta(p: float, q: float, u: np.ndarray) -> np.ndarray:
@@ -360,3 +365,123 @@ def cdf_eval(m, xi: float, tol: float) -> float:
 def arcsine_cdf(xi):
     """Closed-form CDF of the arcsine law on (-2, 2): 1/2 + arcsin(x/2)/pi."""
     return 0.5 + np.arcsin(np.clip(np.asarray(xi) / 2.0, -1.0, 1.0)) / np.pi
+
+
+class NotPositiveDefiniteError(NumericalFailureError):
+    """A Cholesky pivot was not strictly positive."""
+
+
+@dataclass(frozen=True)
+class DenseSym:
+    """Dense real symmetric matrix; lower triangle authoritative."""
+
+    a: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.a, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ParameterDomainError("dense matrix must be square")
+        scale = np.max(np.abs(m)) or 1.0
+        if np.max(np.abs(m - m.T)) > 1e-12 * scale:
+            raise ParameterDomainError("matrix is not symmetric to 1e-12 relative")
+        lower = np.tril(m)
+        object.__setattr__(self, "a", lower + np.tril(m, -1).T)
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0]
+
+
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Disjoint index pairings covering all (i, j), i < j (circle method)."""
+    players = list(range(n)) + ([n] if n % 2 else [])  # n = dummy when odd
+    m = len(players)
+    rounds = []
+    for _ in range(m - 1):
+        ps, qs = [], []
+        for i in range(m // 2):
+            a, b = players[i], players[m - 1 - i]
+            if a < n and b < n:
+                ps.append(min(a, b))
+                qs.append(max(a, b))
+        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
+        players = [players[0], players[-1]] + players[1:-1]
+    return rounds
+
+
+def eig_dense_sym(a: DenseSym) -> Spectrum:
+    """All eigenvalues of a dense symmetric matrix via cyclic plane rotations.
+
+    Disjoint pivot pairs are rotated simultaneously (round-robin schedule);
+    sweeps repeat until the off-diagonal Frobenius mass drops below
+    1e-12 * ||A||_F, with a hard cap of 50 sweeps. Capped at n = 500: the
+    rotations cost O(n^3) in Python-driven numpy calls.
+    """
+    if a.n > 500:
+        raise ParameterDomainError("dense solver is capped at n = 500")
+    m = a.a.copy()
+    n = a.n
+    if n == 1:
+        return Spectrum(m[0, :1].copy())
+    norm_f = float(np.linalg.norm(m))
+    if norm_f == 0.0:
+        return Spectrum(np.zeros(n))
+    rounds = _round_robin(n)
+    for _ in range(50):
+        # off-diagonal Frobenius mass, summed directly (a difference of
+        # near-equal squares would stall at the rounding floor)
+        msq = m * m
+        np.fill_diagonal(msq, 0.0)
+        if math.sqrt(float(np.sum(msq))) <= 1e-12 * norm_f:
+            return Spectrum(np.sort(np.diag(m)))
+        for p, q in rounds:
+            apq = m[p, q]
+            live = apq != 0.0
+            if not live.any():
+                continue
+            tau = np.zeros_like(apq)
+            tau[live] = (m[q, q][live] - m[p, p][live]) / (2.0 * apq[live])
+            with np.errstate(over="ignore"):
+                tval = np.where(
+                    live, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0
+                )
+            tval = np.where(live & (tau == 0.0), 1.0, tval)
+            c = 1.0 / np.sqrt(1.0 + tval * tval)
+            s = tval * c
+            cols_p = m[:, p] * c - m[:, q] * s
+            cols_q = m[:, p] * s + m[:, q] * c
+            m[:, p] = cols_p
+            m[:, q] = cols_q
+            rows_p = m[p, :] * c[:, None] - m[q, :] * s[:, None]
+            rows_q = m[p, :] * s[:, None] + m[q, :] * c[:, None]
+            m[p, :] = rows_p
+            m[q, :] = rows_q
+    raise NumericalFailureError("plane-rotation sweeps did not converge in 50 sweeps")
+
+
+def cholesky(a: DenseSym) -> np.ndarray:
+    """Lower-triangular L with L L^T = A for symmetric positive definite A."""
+    m = a.a
+    n = a.n
+    low = np.zeros_like(m)
+    for j in range(n):
+        pivot = m[j, j] - np.dot(low[j, :j], low[j, :j])
+        if not pivot > 0.0:
+            raise NotPositiveDefiniteError(f"nonpositive pivot at column {j}")
+        low[j, j] = np.sqrt(pivot)
+        if j + 1 < n:
+            low[j + 1 :, j] = (m[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
+def eig_pencil(a: DenseSym, b: DenseSym) -> Spectrum:
+    """Eigenvalues of A v = lambda B v with B positive definite.
+
+    Reduces to the standard symmetric problem L^-1 A L^-T via the Cholesky
+    factor of B and two triangular solves, then applies the plane-rotation
+    solver.
+    """
+    low = cholesky(b)
+    half = solve_triangular(low, a.a, lower=True)
+    reduced = solve_triangular(low, half.T, lower=True)
+    return eig_dense_sym(DenseSym((reduced + reduced.T) / 2.0))

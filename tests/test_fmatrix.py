@@ -5,7 +5,7 @@ import pytest
 
 from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import random_matrix, sample_alphas
-from jacobi_spectra.errors import ParameterDomainError
+from jacobi_spectra.errors import DegenerateSampleError, ParameterDomainError
 from jacobi_spectra.fmatrix import (
     FDims,
     GaussianPair,
@@ -24,7 +24,7 @@ from jacobi_spectra.fmatrix import (
 from jacobi_spectra.spectra import Ecdf, ks_distance
 from jacobi_spectra.trieig import eig_tridiag
 
-from oracles import ecdf_eval, ks_whole_array, two_sample_sup_distance
+from oracles import DenseSym, ecdf_eval, eig_pencil, ks_whole_array, two_sample_sup_distance
 
 SEED = 0x4A41434F424921
 
@@ -68,6 +68,44 @@ def test_f_eigs_direct_identity_case_and_cap():
     assert vals == pytest.approx(np.ones(5), abs=1e-9)
     with pytest.raises(ParameterDomainError):
         f_eigs_direct(sample_gaussian_pair(FDims(501, 501, 501), rng), FDims(501, 501, 501))
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 60])
+def test_dense_routes_match_plane_rotation_oracle(n):
+    # LAPACK dsygvd against a Cholesky and plane-rotation solver sharing no code with it
+    rng = np.random.default_rng(n)
+    d = FDims(n, n + 3, n + 7)
+    g = GaussianPair(rng.standard_normal((n, d.n1)), rng.standard_normal((n, d.n2)))
+    xxt, yyt = g.x @ g.x.T, g.y @ g.y.T
+    for route, a, b, clip in [
+        (f_eigs_direct, xxt / d.n1, yyt / d.n2, 0.0),
+        (manova_eigs, 2.0 * (yyt - xxt), yyt + xxt, -np.inf),
+    ]:
+        expected = np.maximum(eig_pencil(DenseSym(a), DenseSym(b)).values, clip)
+        got = route(g, d).values
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("route", [f_eigs_direct, manova_eigs])
+def test_dense_routes_reject_nonfinite_entries(route, side, bad):
+    d = FDims(4, 6, 7)
+    g = sample_gaussian_pair(d, RngStream(SEED, 8))
+    x, y = g.x.copy(), g.y.copy()
+    (x if side == "x" else y)[1, 2] = bad
+    with pytest.raises(ParameterDomainError, match="finite"):
+        route(GaussianPair(x, y), d)
+
+
+def test_dense_routes_raise_on_singular_pencil():
+    # B = Y Y^T / n2 = 0, and B = Y Y^T + X X^T = 4 * ones of rank 1 (exact pivot 0)
+    d = FDims(3, 4, 4)
+    x = sample_gaussian_pair(d, RngStream(SEED, 9)).x
+    with pytest.raises(DegenerateSampleError):
+        f_eigs_direct(GaussianPair(x, np.zeros((3, 4))), d)
+    with pytest.raises(DegenerateSampleError):
+        manova_eigs(GaussianPair(np.ones((3, 4)), np.zeros((3, 4))), d)
 
 
 def test_f_eigs_nonnegative():
@@ -208,6 +246,14 @@ def test_shifted_semicircle_transform_monotone():
     d = FDims(100, 50000, 5000)
     grid = np.linspace(0.0, 100.0, 300)
     assert np.all(np.diff(shifted_semicircle_transform(grid, d)) > 0.0)
+
+
+@pytest.mark.parametrize("kind", ["none", "thm42", "thm43", "thm44"])
+def test_transform_limit_cdfs_reject_non_vector_points(kind):
+    cdf = transform_limit_cdf(kind, FDims(100, 10000, 200))
+    for xs in (0.5, np.full((2, 3), 0.5)):
+        with pytest.raises(ParameterDomainError, match="1-D"):
+            cdf(xs)
 
 
 def test_transform_limit_cdfs_are_cdfs():

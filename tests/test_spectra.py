@@ -290,6 +290,16 @@ def test_cdf_grid_edge_cases():
         cdf_grid(m, np.array([0.1, np.nan]))
 
 
+@pytest.mark.parametrize("xs", [0.3, np.array(0.3), np.full((2, 3), 0.3), np.zeros((1, 0))],
+                         ids=["scalar", "0-d", "2-d", "empty-2-d"])
+def test_cdf_grid_rejects_non_vector_points(xs):
+    m = RatioDensity(3.0, 3.0)
+    with pytest.raises(ParameterDomainError, match="1-D"):
+        cdf_grid(m, xs)
+    with pytest.raises(ParameterDomainError, match="1-D"):
+        model_cdf(m)(xs)
+
+
 def test_gauss_legendre_literals_match_numpy():
     from jacobi_spectra.spectra import _GL_NODES, _GL_WEIGHTS
 

@@ -3,29 +3,32 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import JacobiParams, SymTridiag, random_matrix, sample_alphas
 from jacobi_spectra.errors import (
+    DegenerateSampleError,
     MagnitudeOverflowError,
-    NotPositiveDefiniteError,
     NumericalFailureError,
     ParameterDomainError,
 )
 from jacobi_spectra.fmatrix import FDims
 from jacobi_spectra.polyroots import JacobiPolyParams, recurrence_coefficients
 from jacobi_spectra.trieig import (
-    DenseSym,
     _eig_zero_diagonal,
-    _solve_lower,
     charpoly_eval,
-    cholesky,
-    eig_dense_sym,
     eig_generalized_sym,
     eig_tridiag,
 )
-from oracles import norm_inf, sturm_count
+from oracles import (
+    DenseSym,
+    NotPositiveDefiniteError,
+    cholesky,
+    eig_dense_sym,
+    eig_pencil,
+    norm_inf,
+    sturm_count,
+)
 
 
 def _tridiag(diag, off):
@@ -214,45 +217,29 @@ def test_generalized_eig():
     # A = B and A = 2B
     w = rng.normal(size=(6, 9))
     spd = DenseSym(w @ w.T)
-    assert eig_generalized_sym(spd, spd).values == pytest.approx(np.ones(6))
+    assert eig_pencil(spd, spd).values == pytest.approx(np.ones(6))
     two = DenseSym(2.0 * spd.a)
-    assert eig_generalized_sym(two, spd).values == pytest.approx(2.0 * np.ones(6))
+    assert eig_pencil(two, spd).values == pytest.approx(2.0 * np.ones(6))
     # diagonal case
     da = DenseSym(np.diag([1.0, 2.0]))
     db = DenseSym(np.diag([4.0, 1.0]))
-    assert eig_generalized_sym(da, db).values == pytest.approx([0.25, 2.0])
+    assert eig_pencil(da, db).values == pytest.approx([0.25, 2.0])
     # identity B reduces to the standard problem
-    assert eig_generalized_sym(a, b).values == pytest.approx(
+    assert eig_pencil(a, b).values == pytest.approx(
         eig_dense_sym(a).values, abs=1e-10
     )
 
 
-def _pencils(n):
-    """The direct F route's pencil and the MANOVA pencil of one Gaussian pair."""
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((n, n + 3))
-    y = rng.standard_normal((n, n + 7))
-    xxt, yyt = x @ x.T, y @ y.T
-    return [(DenseSym(xxt / (n + 3)), DenseSym(yyt / (n + 7))),
-            (DenseSym(2.0 * (yyt - xxt)), DenseSym(yyt + xxt))]
-
-
-@pytest.mark.parametrize("n", [1, 2, 17, 60])
-def test_generalized_reduction_matches_solve_triangular(n):
-    # the dtrtrs call is the one solve_triangular makes, so the bytes agree
-    for a, b in _pencils(n):
-        low = cholesky(b)
-        half = solve_triangular(low, a.a, lower=True, check_finite=False)
-        reduced = solve_triangular(low, half.T, lower=True, check_finite=False)
-        assert _solve_lower(low, a.a).tobytes() == half.tobytes()
-        assert _solve_lower(low, half.T).tobytes() == reduced.tobytes()
-        expected = eig_dense_sym(DenseSym((reduced + reduced.T) / 2.0)).values
-        assert eig_generalized_sym(a, b).values.tobytes() == expected.tobytes()
-
-
-def test_singular_triangular_factor_raises():
-    with pytest.raises(NumericalFailureError, match="dtrtrs info=2"):
-        _solve_lower(np.diag([1.0, 0.0]), np.eye(2))
+def test_lapack_pencil_error_mapping():
+    a = np.array([[1.0, 0.5], [0.5, 2.0]])
+    # B not positive definite: dsygvd's Cholesky stops at column 2, info = n + 2
+    with pytest.raises(DegenerateSampleError, match="info=4"):
+        eig_generalized_sym(a, np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(DegenerateSampleError):
+        eig_generalized_sym(a, np.zeros((2, 2)))
+    # a NaN in A passes the Cholesky of B and gives NaN eigenvalues with info = 0
+    with pytest.raises(NumericalFailureError, match="NaN or infinite"):
+        eig_generalized_sym(np.array([[1.0, np.nan], [np.nan, 2.0]]), np.eye(2))
 
 
 def _python(code: str) -> str:
