@@ -47,6 +47,8 @@ _LANE = 1 << 32
 # gamma variate index of the Y draw of beta variate j (X takes index j)
 _Y_OFFSET = np.uint64(1 << 31)
 _BLOCK = 1024
+# normals per block of RngStream.normals
+_NORMAL_BLOCK = 1 << 16
 
 # smallest positive normal double; used to keep gamma/beta draws off 0 and 1
 _TINY = float(np.finfo(np.float64).tiny)
@@ -136,18 +138,33 @@ class RngStream:
         self._pos += 1
         return _mix64((self._key + self._pos * _GOLDEN) & _MASK64)
 
-    def uniforms(self, size: int) -> np.ndarray:
-        """Uniform variates in the open interval (0, 1)."""
-        z = np.arange(self._pos + 1, self._pos + size + 1, dtype=np.uint64)
+    def _fill_uniforms(self, first: int, out: np.ndarray) -> np.ndarray:
+        """Uniforms of the counter words first + 1 .. first + out.size, written into out."""
+        z = np.arange(first + 1, first + out.size + 1, dtype=np.uint64)
         np.multiply(z, _GOLDEN_U, out=z)
         np.add(z, np.uint64(self._key), out=z)
+        return _unit(_splitmix(z, np.empty_like(z)), out)
+
+    def uniforms(self, size: int) -> np.ndarray:
+        """Uniform variates in the open interval (0, 1)."""
+        out = self._fill_uniforms(self._pos, np.empty(size))
         self._pos += size
-        return _unit(_splitmix(z, np.empty_like(z)), np.empty(size))
+        return out
 
     def normals(self, size: int) -> np.ndarray:
-        """Standard normal variates via the Box-Muller transform (two uniforms each)."""
-        u = self.uniforms(2 * size)
-        return _box_muller(u[:size], u[size:]).copy()
+        """Standard normal variates via the Box-Muller transform (two uniforms each).
+
+        Normal i pairs the uniforms of counter words pos + i + 1 and
+        pos + size + i + 1. The output is filled in blocks of ``_NORMAL_BLOCK``,
+        so the working memory beyond the result stays a few blocks.
+        """
+        out = np.empty(size)
+        u2 = np.empty(min(size, _NORMAL_BLOCK))
+        for lo in range(0, size, _NORMAL_BLOCK):
+            u1 = self._fill_uniforms(self._pos + lo, out[lo:lo + _NORMAL_BLOCK])
+            _box_muller(u1, self._fill_uniforms(self._pos + size + lo, u2[:u1.size]))
+        self._pos += 2 * size
+        return out
 
 
 @dataclass(frozen=True)

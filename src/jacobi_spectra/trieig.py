@@ -7,23 +7,22 @@ route is LAPACK ``dsygvd`` (Cholesky of B, then a divide-and-conquer solve of
 L^-1 A L^-T). The tests hold it to a Cholesky and plane-rotation oracle that
 shares no code with LAPACK.
 
-The LAPACK routines (``dsterf``, ``dpteqr``, ``dsygvd``) come from scipy's
-f2py extension ``scipy/linalg/_flapack``, loaded once at import without
-running ``scipy.linalg``'s package ``__init__``, which would cost more start-up
-time and memory than everything else this package imports. They are the
-wrapper objects ``scipy.linalg.lapack`` re-exports, so results are the same
-bytes either way.
+The LAPACK routines (``dsterf``, ``dpteqr``, ``dsygvd``) are the Fortran
+entry points of the LAPACK numpy itself links, scipy-openblas (symbols
+``scipy_<routine>_64_``), called through ``ctypes`` on numpy's already loaded
+``_umath_linalg`` extension. The process so maps one OpenBLAS and imports no
+scipy module. A numpy built against another LAPACK (conda's, or Accelerate
+on arm64 macOS) does not export these symbols, and importing this module
+raises ImportError.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .ensemble import SymTridiag
 from .errors import (
@@ -34,29 +33,99 @@ from .errors import (
 )
 
 
-def _load_flapack():
-    """scipy's ``linalg/_flapack`` extension module, without importing ``scipy.linalg``.
+_LIB = ctypes.CDLL(_umath_linalg.__file__)
 
-    ``find_spec`` on the top-level package locates scipy without running it.
-    The extension is registered under scipy's own module name, so when
-    ``scipy.linalg`` is imported later (or was imported earlier) both hold the
-    same wrapper objects; ``sys.modules`` is left as it was, so that import
-    still binds ``scipy.linalg._flapack`` itself. A missing file raises the
-    loader's ImportError, which names the path.
+
+def _lapack_routine(name: str, pointers: int, chars: int):
+    """The ILP64 Fortran routine ``scipy_<name>_64_`` of numpy's LAPACK.
+
+    It takes ``pointers`` arguments by reference (integers as int64), then
+    one ``size_t`` length for each of its ``chars`` character arguments.
+    A missing symbol raises ImportError naming it and numpy's LAPACK.
     """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    (root,) = importlib.util.find_spec("scipy").submodule_search_locations
-    path = os.path.join(root, "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = loader.create_module(importlib.util.spec_from_loader(name, loader))
-    sys.modules.pop(name, None)  # CPython registers a single-phase extension on load
-    return module
+    symbol = f"scipy_{name}_64_"
+    try:
+        fn = getattr(_LIB, symbol)
+    except AttributeError:
+        from numpy import __config__
+
+        lapack = __config__.CONFIG["Build Dependencies"]["lapack"]["name"]
+        raise ImportError(
+            f"numpy's LAPACK ({lapack}) does not export {symbol}; "
+            "jacobi_spectra needs a numpy wheel linked to scipy-openblas"
+        ) from None
+    fn.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * chars
+    fn.restype = None
+    return fn
 
 
-_flapack = _load_flapack()
-dsterf, dpteqr, dsygvd = _flapack.dsterf, _flapack.dpteqr, _flapack.dsygvd
+_DSTERF = _lapack_routine("dsterf", 4, 0)
+_DPTEQR = _lapack_routine("dpteqr", 8, 1)
+_DSYGVD = _lapack_routine("dsygvd", 14, 2)
+
+
+def _int(value: int):
+    """An int64 passed by reference."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _mem(a: np.ndarray):
+    """The memory of the C-contiguous array a, passed by reference."""
+    return (ctypes.c_char * a.nbytes).from_buffer(a)
+
+
+_ONE = _int(1)
+_QUERY = _int(-1)
+
+
+def _tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 copies of the diagonal d and off-diagonal e, their sizes checked."""
+    d = np.array(d, dtype=np.float64)
+    e = np.array(e, dtype=np.float64)
+    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+        raise ParameterDomainError("tridiagonal storage needs len(off) == len(diag) - 1")
+    return d, e
+
+
+def _dsterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """(ascending eigenvalues, info) of the symmetric tridiagonal (d, e)."""
+    d, e = _tridiagonal(d, e)
+    info = ctypes.c_int64()
+    _DSTERF(_int(d.size), _mem(d), _mem(e), ctypes.byref(info))
+    return d, info.value
+
+
+def _dpteqr(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """(descending eigenvalues, info) of the positive definite tridiagonal (d, e)."""
+    d, e = _tridiagonal(d, e)
+    z = np.zeros(1)  # not referenced for compz = 'N'
+    work = np.empty(4 * d.size)
+    info = ctypes.c_int64()
+    _DPTEQR(b"N", _int(d.size), _mem(d), _mem(e), _mem(z), _ONE, _mem(work),
+            ctypes.byref(info), 1)
+    return d, info.value
+
+
+def _dsygvd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(ascending eigenvalues, info) of A v = lambda B v from the lower triangles."""
+    a = np.array(a, dtype=np.float64, order="F")
+    b = np.array(b, dtype=np.float64, order="F")
+    if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ParameterDomainError("pencil matrices A and B must be square and of one size")
+    n = a.shape[0]
+    w = np.empty(n)
+    info = ctypes.c_int64()
+    ld = _int(max(n, 1))
+    # a.T and b.T view the Fortran-order memory as C-contiguous arrays
+    head = (_ONE, b"N", b"L", _int(n), _mem(a.T), ld, _mem(b.T), ld, _mem(w))
+    tail = (ctypes.byref(info), 1, 1)
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    # workspace query: lwork = liwork = -1 writes the optimal sizes to work[0], iwork[0]
+    _DSYGVD(*head, _mem(work), _QUERY, _mem(iwork), _QUERY, *tail)
+    if info.value == 0:
+        work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+        _DSYGVD(*head, _mem(work), _int(work.size), _mem(iwork), _int(iwork.size), *tail)
+    return w, info.value
 
 
 @dataclass(frozen=True)
@@ -87,13 +156,9 @@ def eig_tridiag(t: SymTridiag) -> Spectrum:
     Raises NumericalFailureError when the QR iteration does not converge or
     an eigenvalue is not finite, e.g. on a NaN or infinite entry.
     """
-    if t.n == 1:
-        # dsterf rejects the empty off-diagonal of a 1x1 matrix
-        vals = t.diag.copy()
-    else:
-        vals, info = dsterf(t.diag, t.off)
-        if info != 0:
-            raise NumericalFailureError(f"tridiagonal QR did not converge (dsterf info={info})")
+    vals, info = _dsterf(t.diag, t.off)
+    if info != 0:
+        raise NumericalFailureError(f"tridiagonal QR did not converge (dsterf info={info})")
     if not np.all(np.isfinite(vals)):
         raise NumericalFailureError("tridiagonal matrix has a NaN or infinite entry")
     return Spectrum(vals)
@@ -122,14 +187,11 @@ def _eig_zero_diagonal(off: np.ndarray) -> np.ndarray:
     c = np.zeros(2 * m)
     c[: n - 1] = off / scale
     d = c[0::2] ** 2 + c[1::2] ** 2
-    if m == 1:
-        mu = d  # dpteqr rejects the empty off-diagonal of a 1x1 matrix
-    else:
-        mu, _, _, info = dpteqr(d, c[1:-1:2] * c[2::2], np.zeros((1, 1)), compute_z=0)
-        if info != 0:
-            raise NumericalFailureError(
-                f"positive definite tridiagonal solve failed (dpteqr info={info})"
-            )
+    mu, info = _dpteqr(d, c[1:-1:2] * c[2::2])
+    if info != 0:
+        raise NumericalFailureError(
+            f"positive definite tridiagonal solve failed (dpteqr info={info})"
+        )
     sigma = np.sqrt(mu)  # descending, as dpteqr returns mu
     middle = np.zeros(n % 2)
     return scale * np.concatenate((-sigma, middle, sigma[::-1]))
@@ -160,13 +222,13 @@ def charpoly_eval(t: SymTridiag, x):
 def eig_generalized_sym(a: np.ndarray, b: np.ndarray) -> Spectrum:
     """Eigenvalues of A v = lambda B v for symmetric A and B, ascending.
 
-    LAPACK ``dsygvd`` on the lower triangles, eigenvalues only; the call
-    ``scipy.linalg.eigh(a, b, eigvals_only=True)`` makes. Raises
+    LAPACK ``dsygvd`` on the lower triangles, eigenvalues only; the routine
+    ``scipy.linalg.eigh(a, b, eigvals_only=True)`` calls. Raises
     DegenerateSampleError when B is not positive definite, and
     NumericalFailureError when the solve does not converge or an eigenvalue
     is not finite, e.g. on a NaN entry.
     """
-    vals, _, info = dsygvd(a, b, itype=1, jobz="N", uplo="L")
+    vals, info = _dsygvd(a, b)
     if info > vals.size:
         raise DegenerateSampleError(
             f"pencil matrix B is not positive definite (dsygvd info={info})"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from jacobi_spectra import betarand, verify
 from jacobi_spectra.betarand import (
     _BLOCK,
     _MAX_SHAPE,
+    _NORMAL_BLOCK,
     BetaParams,
     BetaPlan,
     GammaPlan,
@@ -109,6 +111,29 @@ def test_normal_moments():
     z = RngStream(11, 0).normals(10**6)
     assert abs(z.mean()) < 0.005
     assert abs(z.var() - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("size", [0, 1, _NORMAL_BLOCK - 1, _NORMAL_BLOCK, _NORMAL_BLOCK + 1,
+                                  2 * _NORMAL_BLOCK + 3])
+def test_blocked_normals_equal_the_one_shot_box_muller(size):
+    # normal i pairs the uniforms of words pos + i + 1 and pos + size + i + 1
+    a, b = RngStream(21, 4), RngStream(21, 4)
+    a.uniforms(5), b.uniforms(5)
+    u = a.uniforms(2 * size)
+    ref = np.sqrt(-2.0 * np.log(u[:size])) * np.cos(2.0 * np.pi * u[size:])
+    assert b.normals(size).tobytes() == ref.tobytes()
+    assert a.uniforms(3).tobytes() == b.uniforms(3).tobytes()
+
+
+def test_normals_working_memory_is_near_the_result():
+    size = 2_000_000
+    tracemalloc.start()
+    try:
+        RngStream(11, 0).normals(size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * size
 
 
 def test_gamma_moments():

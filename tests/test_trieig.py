@@ -1,9 +1,13 @@
+import importlib.util
+import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from jacobi_spectra import trieig
 from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import JacobiParams, SymTridiag, random_matrix, sample_alphas
 from jacobi_spectra.errors import (
@@ -242,6 +246,14 @@ def test_lapack_pencil_error_mapping():
         eig_generalized_sym(np.array([[1.0, np.nan], [np.nan, 2.0]]), np.eye(2))
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))), (np.ones(4), np.ones(4)),
+])
+def test_pencil_of_mismatched_shapes_is_rejected(a, b):
+    with pytest.raises(ParameterDomainError, match="square and of one size"):
+        eig_generalized_sym(a, b)
+
+
 def _python(code: str) -> str:
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
@@ -255,24 +267,34 @@ def test_import_runs_no_scipy_package():
     assert out == "[]\n"
 
 
-def test_missing_lapack_extension_names_its_path():
-    r = subprocess.run(
-        [sys.executable, "-c", "import importlib.machinery as m\n"
-         "m.EXTENSION_SUFFIXES[:] = ['.missing.so']\nimport jacobi_spectra"],
-        capture_output=True, text=True)
-    assert r.returncode == 1
-    assert "ImportError" in r.stderr and "linalg/_flapack.missing.so" in r.stderr
+def test_missing_lapack_symbol_raises_import_error_naming_it():
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"]
+    message = rf"\({re.escape(lapack)}\) does not export scipy_dnosuch_64_"
+    with pytest.raises(ImportError, match=message):
+        trieig._lapack_routine("dnosuch", 0, 0)
 
 
-_INTEROP = """
+_SCIPY_BYTES = """
 import numpy as np
+from scipy.linalg import lapack
 from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import JacobiParams, random_matrix, sample_alphas
-t = random_matrix(sample_alphas(JacobiParams(3000, 9000.0, 9000.0, 2.0), RngStream(3, 0)))
-ref, info = scipy.linalg.lapack.dsterf(t.diag, t.off)
-assert info == 0
-assert ref.tobytes() == trieig.eig_tridiag(t).values.tobytes()
-assert scipy.linalg._flapack.dsterf is trieig.dsterf
+from jacobi_spectra.polyroots import JacobiPolyParams, jacobi_roots_scaled
+
+def scipy_dpteqr(d, e):
+    mu, _, _, info = lapack.dpteqr(d, e, np.zeros((1, 1)), compute_z=0)
+    return mu, info
+
+for n in (50, 3000):
+    t = random_matrix(sample_alphas(JacobiParams(n, 3.0 * n, 3.0 * n, 2.0), RngStream(3, n)))
+    ref, info = lapack.dsterf(t.diag, t.off)
+    assert info == 0
+    assert ref.tobytes() == trieig.eig_tridiag(t).values.tobytes()
+    p = JacobiPolyParams(n, 3.0 * n, 3.0 * n)  # a = b: the dpteqr route
+    ours, solve = jacobi_roots_scaled(p).values, trieig._dpteqr
+    trieig._dpteqr = scipy_dpteqr
+    assert jacobi_roots_scaled(p).values.tobytes() == ours.tobytes()
+    trieig._dpteqr = solve
 print(scipy.linalg.eigh(np.array([[2.0, 1.0], [1.0, 2.0]]), eigvals_only=True))
 """
 
@@ -281,5 +303,25 @@ print(scipy.linalg.eigh(np.array([[2.0, 1.0], [1.0, 2.0]]), eigvals_only=True))
     "import jacobi_spectra.trieig as trieig\nimport scipy.linalg\n",
     "import scipy.linalg\nimport jacobi_spectra.trieig as trieig\n",
 ], ids=["package-first", "scipy-linalg-first"])
-def test_scipy_linalg_interop_in_either_import_order(imports):
-    assert _python(imports + _INTEROP) == "[1. 3.]\n"
+def test_lapack_bytes_equal_scipy_in_either_import_order(imports):
+    assert _python(imports + _SCIPY_BYTES) == "[1. 3.]\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_lapack_calls_map_no_scipy_library():
+    (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+    prefixes = (os.path.join(root, ""), os.path.join(root + ".libs", ""))
+    out = _python(f"""
+import sys
+import numpy as np
+from jacobi_spectra.ensemble import SymTridiag
+from jacobi_spectra.trieig import _eig_zero_diagonal, eig_generalized_sym, eig_tridiag
+eig_tridiag(SymTridiag(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5])))
+_eig_zero_diagonal(np.array([1.0, 0.5, 0.25]))
+eig_generalized_sym(np.array([[1.0, 0.5], [0.5, 2.0]]), np.eye(2))
+with open("/proc/self/maps") as f:
+    paths = {{p.strip() for line in f for p in line.split(maxsplit=5)[5:]}}
+print(sorted(p for p in paths if p.startswith({prefixes!r})))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+    assert out == "[]\n[]\n"
