@@ -142,8 +142,9 @@ def jacobi_roots_scaled(p: JacobiPolyParams) -> Spectrum:
     Computed as eigenvalues of the symmetric tridiagonal matrix obtained by
     symmetrizing the monic recurrence (Golub-Welsch shape), then doubling.
     For gamma = delta the diagonal is exactly zero and the roots are the
-    +-square roots of an order-n//2 positive definite tridiagonal, mirror
-    symmetric bit for bit, with an exact 0.0 in the middle for odd n.
+    +-singular values of an order-ceil(n/2) bidiagonal (LAPACK dqds), each
+    to high relative accuracy, mirror symmetric bit for bit, with an exact
+    0.0 in the middle for odd n.
     """
     if p.n < 1:
         raise ParameterDomainError("need degree n >= 1 for roots")

@@ -2,12 +2,14 @@
 recurrence, and the symmetric-definite generalized problem.
 
 The tridiagonal path is the production solver (LAPACK root-free QR,
-eigenvalues only). The dense pencil A v = lambda B v of the Gaussian F-matrix
-route is LAPACK ``dsygvd`` (Cholesky of B, then a divide-and-conquer solve of
-L^-1 A L^-T). The tests hold it to a Cholesky and plane-rotation oracle that
-shares no code with LAPACK.
+eigenvalues only). A zero-diagonal tridiagonal, the recurrence matrix of
+equal-exponent Jacobi roots, is solved as the singular values of its
+Golub-Kahan bidiagonal (LAPACK dqds). The dense pencil A v = lambda B v of
+the Gaussian F-matrix route is LAPACK ``dsygvd`` (Cholesky of B, then a
+divide-and-conquer solve of L^-1 A L^-T). The tests hold it to a Cholesky
+and plane-rotation oracle that shares no code with LAPACK.
 
-The LAPACK routines (``dsterf``, ``dpteqr``, ``dsygvd``) are the Fortran
+The LAPACK routines (``dsterf``, ``dlasq1``, ``dsygvd``) are the Fortran
 entry points of the LAPACK numpy itself links, scipy-openblas (symbols
 ``scipy_<routine>_64_``), called through ``ctypes`` on numpy's already loaded
 ``_umath_linalg`` extension. The process so maps one OpenBLAS and imports no
@@ -60,7 +62,7 @@ def _lapack_routine(name: str, pointers: int, chars: int):
 
 
 _DSTERF = _lapack_routine("dsterf", 4, 0)
-_DPTEQR = _lapack_routine("dpteqr", 8, 1)
+_DLASQ1 = _lapack_routine("dlasq1", 5, 0)
 _DSYGVD = _lapack_routine("dsygvd", 14, 2)
 
 
@@ -95,14 +97,13 @@ def _dsterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
     return d, info.value
 
 
-def _dpteqr(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
-    """(descending eigenvalues, info) of the positive definite tridiagonal (d, e)."""
+def _dlasq1(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
+    """(descending singular values, info) of the bidiagonal with diagonal d and off-diagonal e."""
     d, e = _tridiagonal(d, e)
-    z = np.zeros(1)  # not referenced for compz = 'N'
+    e = np.append(e, 0.0)  # dlasq1 writes e[n-1] too when it reports info = 2
     work = np.empty(4 * d.size)
     info = ctypes.c_int64()
-    _DPTEQR(b"N", _int(d.size), _mem(d), _mem(e), _mem(z), _ONE, _mem(work),
-            ctypes.byref(info), 1)
+    _DLASQ1(_int(d.size), _mem(d), _mem(e), _mem(work), ctypes.byref(info))
     return d, info.value
 
 
@@ -165,36 +166,28 @@ def eig_tridiag(t: SymTridiag) -> Spectrum:
 
 
 def _eig_zero_diagonal(off: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the zero-diagonal tridiagonal with off-diagonal ``off > 0``.
+    """Ascending eigenvalues of the zero-diagonal tridiagonal with off-diagonal ``off``.
 
     Permuting odd and even indices turns T into [[0, C], [C^T, 0]] with C
-    bidiagonal (Golub-Kahan), so the eigenvalues are +-sigma(C), plus 0 when
-    n is odd. sigma(C)^2 are the eigenvalues of C^T C, the odd-index block of
-    T^2: an order-n//2 positive definite tridiagonal whose entries are sums
-    and products of positives. LAPACK ``dpteqr`` (Cholesky, then bidiagonal
-    QR/dqds) solves it to high relative accuracy, which the eigenvalues near
-    0 need. The Cholesky of the formed C^T C can fail on strongly graded
-    off-diagonals, so only smooth recurrences (the symmetric Jacobi ones)
-    take this route; ``eig_tridiag`` never does. Raises
-    NumericalFailureError when ``dpteqr`` reports info != 0.
+    bidiagonal (Golub-Kahan): diagonal off[0::2], superdiagonal off[1::2],
+    of order ceil(n/2) once odd n pads it with a zero diagonal entry. The
+    eigenvalues are +-sigma(C), with the padding's singular value 0 as the
+    middle eigenvalue for odd n; the result is mirror symmetric bit for bit.
+    LAPACK ``dlasq1`` (dqds) computes every sigma(C) to high relative
+    accuracy, which the eigenvalues near 0 need, and scales internally.
+    Raises NumericalFailureError when ``dlasq1`` reports info != 0 or a
+    singular value is not finite, e.g. on a NaN or infinite entry.
     """
     n = off.size + 1
-    m = n // 2
-    if m == 0:
-        return np.zeros(1)
-    scale = np.max(off)
-    # c_j, j < 2m, scaled so no square underflows; c_{n-1} = 0 when n is even
-    c = np.zeros(2 * m)
-    c[: n - 1] = off / scale
-    d = c[0::2] ** 2 + c[1::2] ** 2
-    mu, info = _dpteqr(d, c[1:-1:2] * c[2::2])
+    d = np.zeros((n + 1) // 2)
+    d[: n // 2] = off[0::2]
+    sigma, info = _dlasq1(d, off[1::2])
     if info != 0:
-        raise NumericalFailureError(
-            f"positive definite tridiagonal solve failed (dpteqr info={info})"
-        )
-    sigma = np.sqrt(mu)  # descending, as dpteqr returns mu
-    middle = np.zeros(n % 2)
-    return scale * np.concatenate((-sigma, middle, sigma[::-1]))
+        raise NumericalFailureError(f"bidiagonal singular values failed (dlasq1 info={info})")
+    if not np.all(np.isfinite(sigma)):
+        raise NumericalFailureError("zero-diagonal tridiagonal has a NaN or infinite entry")
+    sigma = sigma[: n // 2]  # descending: odd n drops the padding's 0
+    return np.concatenate((-sigma, np.zeros(n % 2), sigma[::-1]))
 
 
 def charpoly_eval(t: SymTridiag, x):

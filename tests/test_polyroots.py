@@ -93,9 +93,9 @@ def test_roots_symmetric_for_equal_params():
         assert np.max(np.abs(r + r[::-1])) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 50, 51, 1000, 1001])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 41, 50, 51, 1000, 1001, 3001])
 def test_equal_exponent_roots_take_the_half_size_route(n):
-    # gamma = delta: +-square roots of an order-n//2 positive definite tridiagonal
+    # gamma = delta: +-singular values of an order-ceil(n/2) bidiagonal
     for g in (-0.99, 0.0, 1.0, 3.0 * n, 1e6):
         p = JacobiPolyParams(n, g, g)
         r = jacobi_roots_scaled(p).values
@@ -111,6 +111,19 @@ def test_equal_exponent_roots_take_the_half_size_route(n):
             k = np.arange(n)
             assert np.all(sturm_count(t, v - tol) <= k)
             assert np.all(k < sturm_count(t, v + tol))
+
+
+@pytest.mark.parametrize("n, g", [(60, -0.9), (400, 1199.0), (1001, 0.5), (3000, 8999.0)])
+def test_equal_exponent_roots_to_high_relative_accuracy(n, g):
+    # each positive root v_k (0-based k) is bracketed to 1e-13 of its own size:
+    # count(v_k (1 - 1e-13)) <= k < count(v_k (1 + 1e-13)) on the zero-diagonal T
+    p = JacobiPolyParams(n, g, g)
+    v = jacobi_roots_scaled(p).values / 2.0
+    _, off_sq = recurrence_coefficients(p)
+    t = SymTridiag(np.zeros(n), np.sqrt(off_sq))
+    k = np.arange(n)[v > 0.0]
+    assert np.all(sturm_count(t, v[k] * (1.0 - 1e-13)) <= k)
+    assert np.all(k < sturm_count(t, v[k] * (1.0 + 1e-13)))
 
 
 def test_params_reject_nonfinite_or_fractional_degree():

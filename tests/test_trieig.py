@@ -108,20 +108,24 @@ def test_eig_tridiag_within_sturm_bracket(make):
     assert np.all(k < sturm_count(t, vals + tol))
 
 
-@pytest.mark.parametrize("n, seed", [(8, 4), (400, 0)])
+@pytest.mark.parametrize("n, seed", [(8, 4), (400, 0), (401, 0)])
 def test_eig_tridiag_graded_zero_diagonal_within_sturm_bracket(n, seed):
-    # off-diagonals spread over e^-20..1: the half-size route that symmetric
-    # Jacobi roots take fails here (its formed C^T C loses definiteness), so
-    # eig_tridiag must not switch to it on a zero diagonal
+    # off-diagonals spread over e^-20..1: both the general solver and the
+    # half-size route of symmetric Jacobi roots hold the Sturm bracket
     rng = np.random.default_rng(seed)
     t = _tridiag(np.zeros(n), np.exp(-20.0 * rng.random(n - 1)))
-    vals = eig_tridiag(t).values
     tol = 1e-13 * norm_inf(t)
     k = np.arange(n)
-    assert np.all(sturm_count(t, vals - tol) <= k)
-    assert np.all(k < sturm_count(t, vals + tol))
+    for vals in (eig_tridiag(t).values, _eig_zero_diagonal(t.off)):
+        assert np.all(sturm_count(t, vals - tol) <= k)
+        assert np.all(k < sturm_count(t, vals + tol))
+
+
+@pytest.mark.parametrize("off", [[1.0, np.nan, 0.5], [1.0, np.inf, 0.5], [np.inf], [0.5, np.nan]])
+def test_eig_zero_diagonal_nonfinite_entry_raises(off):
+    # dlasq1 itself reports info = 0 here, returning NaN or [inf, 0]
     with pytest.raises(NumericalFailureError):
-        _eig_zero_diagonal(t.off)
+        _eig_zero_diagonal(np.array(off))
 
 
 def test_eig_matches_charpoly_bisection_oracle():
@@ -279,22 +283,12 @@ import numpy as np
 from scipy.linalg import lapack
 from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import JacobiParams, random_matrix, sample_alphas
-from jacobi_spectra.polyroots import JacobiPolyParams, jacobi_roots_scaled
-
-def scipy_dpteqr(d, e):
-    mu, _, _, info = lapack.dpteqr(d, e, np.zeros((1, 1)), compute_z=0)
-    return mu, info
 
 for n in (50, 3000):
     t = random_matrix(sample_alphas(JacobiParams(n, 3.0 * n, 3.0 * n, 2.0), RngStream(3, n)))
     ref, info = lapack.dsterf(t.diag, t.off)
     assert info == 0
     assert ref.tobytes() == trieig.eig_tridiag(t).values.tobytes()
-    p = JacobiPolyParams(n, 3.0 * n, 3.0 * n)  # a = b: the dpteqr route
-    ours, solve = jacobi_roots_scaled(p).values, trieig._dpteqr
-    trieig._dpteqr = scipy_dpteqr
-    assert jacobi_roots_scaled(p).values.tobytes() == ours.tobytes()
-    trieig._dpteqr = solve
 print(scipy.linalg.eigh(np.array([[2.0, 1.0], [1.0, 2.0]]), eigvals_only=True))
 """
 
