@@ -6,7 +6,9 @@ locale-independent decimal point; JSON payloads carry ``"schema_version": 1``.
 The default seed is the documented constant 0x4A41434F424921, so every
 subcommand is reproducible without flags.
 
-Exit codes: 0 success, 2 parameter error, 3 I/O failure, 4 numerical failure.
+Exit codes: 0 success, 2 parameter error, 3 I/O failure, 4 numerical failure
+(a failed allocation included). ``fmatrix --route direct`` is capped at
+n = 500, checked before the Gaussian draw; the library's dense route is not.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .trieig import eig_tridiag
 from .verify import DEFAULT_SEED, run_all
 
 SCHEMA_VERSION = 1
+DENSE_SIZE_CAP = 500  # policy cap of fmatrix --route direct
 
 
 def _fmt(v: float) -> str:
@@ -214,6 +217,12 @@ def cmd_fmatrix(args) -> int:
 
     def spectrum(sub: RngStream) -> np.ndarray:
         if args.route == "direct":
+            # checked in the trial, before its draw, so a bad --trials is reported first
+            if d.n > DENSE_SIZE_CAP:
+                raise ParameterDomainError(
+                    f"dense F-matrix route is capped at n = {DENSE_SIZE_CAP}; "
+                    "the tridiagonal route is not"
+                )
             vals = f_eigs_direct(sample_gaussian_pair(d, sub), d).values
         else:
             vals = f_eigs_tridiag(d, sub).values
@@ -330,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except NumericalFailureError as exc:
+    except (NumericalFailureError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

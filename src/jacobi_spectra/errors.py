@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: parameter-domain problems exit with 2,
-numerical failures with 4.
+numerical failures with 4. Outside this taxonomy, an OSError (I/O) exits
+with 3 and a MemoryError (a failed allocation) with 4.
 """
 
 

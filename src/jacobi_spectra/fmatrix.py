@@ -8,7 +8,7 @@ correspondence with the matrix 2 (Y Y^T - X X^T)(Y Y^T + X X^T)^{-1}, whose
 eigenvalues follow the beta = 1 Jacobi ensemble with a = (n1 - n - 1)/2,
 b = (n2 - n - 1)/2. The tridiagonal sampler therefore gives F-spectra in
 O(n) memory; the dense Gaussian route solves the symmetric-definite pencil
-with LAPACK and is capped at n = 500 by policy.
+with LAPACK at any size (the CLI caps its ``--route direct`` at n = 500).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .spectra import (
     EdgeDensity, FMatrixDensity, SemicircleDensity, cdf_grid, model_cdf, run_trials,
 )
 from .trieig import Spectrum, eig_generalized_sym, eig_tridiag
-
-DENSE_SIZE_CAP = 500  # policy cap of the dense Gaussian route (CLI --route direct)
 
 
 @dataclass(frozen=True)
@@ -89,22 +87,14 @@ def sample_gaussian_pair(d: FDims, rng: RngStream) -> GaussianPair:
     return GaussianPair(x, y)
 
 
-def _check_dense_cap(d: FDims):
-    if d.n > DENSE_SIZE_CAP:
-        raise ParameterDomainError(
-            f"dense F-matrix route is capped at n = {DENSE_SIZE_CAP}; "
-            "the tridiagonal route is not"
-        )
-
-
 def f_eigs_direct(g: GaussianPair, d: FDims) -> Spectrum:
     """Eigenvalues of (X X^T / n1)(Y Y^T / n2)^{-1} from an explicit Gaussian pair.
 
     Solved as the symmetric-definite pencil (X X^T / n1) v = lambda (Y Y^T / n2) v;
-    all eigenvalues are nonnegative. Capped at n <= 500 by policy; raises
+    all eigenvalues are nonnegative. Uncapped here; the CLI's n <= 500 policy
+    for ``--route direct`` is checked before the draw. Raises
     DegenerateSampleError when Y Y^T is numerically singular.
     """
-    _check_dense_cap(d)
     spec = eig_generalized_sym(g.x @ g.x.T / d.n1, g.y @ g.y.T / d.n2)
     # pencil of PSD vs PD matrices; clip the rounding fuzz below zero
     return Spectrum(np.maximum(spec.values, 0.0))
@@ -118,7 +108,6 @@ def manova_eigs(g: GaussianPair, d: FDims) -> Spectrum:
     from the pencil 2 (Y Y^T - X X^T) v = lambda (Y Y^T + X X^T) v. Raises
     DegenerateSampleError when Y Y^T + X X^T is numerically singular.
     """
-    _check_dense_cap(d)
     xxt = g.x @ g.x.T
     yyt = g.y @ g.y.T
     return eig_generalized_sym(2.0 * (yyt - xxt), yyt + xxt)

@@ -24,15 +24,10 @@ from .betarand import RngStream
 from .ensemble import JacobiParams, alpha_plan, random_matrix, sample_alphas
 from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
 from .polyroots import ensemble_roots
-from .trieig import eig_tridiag
+from .trieig import _ascending, eig_tridiag
 
 # ---------------------------------------------------------------------------
 # empirical distribution functions and distances
-
-
-def _ascending(xs: np.ndarray) -> bool:
-    """True if the 1-D array xs (no NaN) is nondecreasing."""
-    return not (xs[1:] < xs[:-1]).any()
 
 
 @dataclass(frozen=True)
@@ -101,11 +96,6 @@ class DensityModel:
     def edge_density(self, dlo, dhi):
         """Density at x = lo + dlo = hi - dhi for interior distances dlo, dhi > 0."""
         raise NotImplementedError
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        """Density values on interior points of the support (no masking)."""
-        lo, hi = self.support
-        return self.edge_density(np.asarray(x) - lo, hi - np.asarray(x))
 
 
 @dataclass(frozen=True)
@@ -269,13 +259,8 @@ def density_eval(m: DensityModel, x):
     xa = np.asarray(x, dtype=np.float64)
     lo, hi = m.support
     inside = (xa > lo) & (xa < hi)
-    out = np.zeros_like(xa, dtype=np.float64)
-    if np.any(inside):
-        vals = m.density(np.atleast_1d(xa)[np.atleast_1d(inside)])
-        if out.ndim == 0:
-            out = np.float64(vals[0])
-        else:
-            out[inside] = vals
+    out = np.zeros(xa.shape)
+    out[inside] = m.edge_density(xa[inside] - lo, hi - xa[inside])
     return float(out) if np.ndim(x) == 0 else out
 
 

@@ -129,6 +129,11 @@ def _dsygvd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return w, info.value
 
 
+def _ascending(xs: np.ndarray) -> bool:
+    """True if the 1-D array xs (no NaN) is nondecreasing."""
+    return not (xs[1:] < xs[:-1]).any()
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending real eigenvalues (or roots)."""
@@ -140,7 +145,7 @@ class Spectrum:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ParameterDomainError("spectrum must be a nonempty vector")
-        if np.any(np.diff(v) < 0.0):
+        if not _ascending(v):
             raise ParameterDomainError("spectrum must be sorted ascending")
 
     @property

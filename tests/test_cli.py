@@ -295,6 +295,34 @@ def test_fmatrix_direct_refuses_large_n():
     assert r.returncode == 2
 
 
+def test_fmatrix_direct_cap_is_checked_before_the_draw(monkeypatch, capsys):
+    def no_draw(d, rng):
+        raise AssertionError("the Gaussian pair was drawn before the cap check")
+
+    monkeypatch.setattr(cli, "sample_gaussian_pair", no_draw)
+    code = cli.main(["fmatrix", "--n", "501", "--n1", "600", "--n2", "700",
+                     "--route", "direct"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "parameter error: dense F-matrix route is capped at n = 500; "
+        "the tridiagonal route is not\n"
+    )
+
+
+def test_allocation_failure_exits_4_with_one_line(monkeypatch, capsys):
+    # the draw is stubbed: a real oversized allocation would fill a large host
+    def oversized(d, rng):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+    monkeypatch.setattr(cli, "sample_gaussian_pair", oversized)
+    code = cli.main(["fmatrix", "--n", "500", "--n1", "4000000", "--n2", "4000000",
+                     "--route", "direct"])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: Unable to allocate 14.9 GiB for an array\n"
+    )
+
+
 def test_fmatrix_json_summary():
     r = run_cli("fmatrix", "--n", "40", "--n1", "120", "--n2", "160",
                 "--trials", "3", "--format", "json")

@@ -60,14 +60,15 @@ def test_gaussian_pair_moments_and_determinism():
     assert np.array_equal(g.x, g2.x) and np.array_equal(g.y, g2.y)
 
 
-def test_f_eigs_direct_identity_case_and_cap():
+def test_f_eigs_direct_identity_case_and_no_library_cap():
     rng = RngStream(1, 0)
     x = rng.normals(5 * 8).reshape(5, 8)
     d = FDims(5, 8, 8)
     vals = f_eigs_direct(GaussianPair(x, x.copy()), d).values
     assert vals == pytest.approx(np.ones(5), abs=1e-9)
-    with pytest.raises(ParameterDomainError):
-        f_eigs_direct(sample_gaussian_pair(FDims(501, 501, 501), rng), FDims(501, 501, 501))
+    # the n <= 500 cap is the CLI's policy (test_cli); the library call is uncapped
+    big = FDims(501, 501, 501)
+    assert f_eigs_direct(sample_gaussian_pair(big, rng), big).n == 501
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 60])

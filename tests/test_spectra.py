@@ -175,6 +175,33 @@ def test_density_spot_values():
     assert density_eval(m, lo) == 0.0 and density_eval(m, hi + 1.0) == 0.0
 
 
+def test_density_eval_scalar_and_shape_contract():
+    m = FMatrixDensity(0.5, 0.5)
+    lo, hi = m.support
+    for x in (1.0, np.array(1.0)):
+        assert type(density_eval(m, x)) is float
+    xs = np.array([[lo - 1.0, lo, 1.0], [hi, hi + 1.0, 0.5 * (lo + hi)]])
+    out = density_eval(m, xs)
+    assert out.shape == (2, 3)
+    # exact zeros at and outside the support endpoints
+    assert np.array_equal(out[[0, 0, 1, 1], [0, 1, 0, 1]], np.zeros(4))
+    assert np.all(out[[0, 1], [2, 2]] > 0.0)
+
+
+@pytest.mark.parametrize("model", [
+    GeneralDensity(2.0, 2.0, 4.0, 4.0),
+    RatioDensity(3.0, 3.0),
+    ArcsineDensity(),
+    SemicircleDensity(4.0, -2.0),
+    EdgeDensity(1.0),
+    FMatrixDensity(0.5, 1.0 / 3.0),
+])
+def test_density_eval_is_edge_density_inside_the_support(model):
+    lo, hi = model.support
+    xs = np.linspace(lo, hi, 203)[1:-1]
+    assert np.array_equal(density_eval(model, xs), model.edge_density(xs - lo, hi - xs))
+
+
 def test_ratio_support_values():
     lo, hi = ratio_density_support(3.0, 3.0)
     assert (lo, hi) == pytest.approx((-math.sqrt(7.0) / 2.0, math.sqrt(7.0) / 2.0))

@@ -19,6 +19,7 @@ from jacobi_spectra.errors import (
 from jacobi_spectra.fmatrix import FDims
 from jacobi_spectra.polyroots import JacobiPolyParams, recurrence_coefficients
 from jacobi_spectra.trieig import (
+    Spectrum,
     _eig_zero_diagonal,
     charpoly_eval,
     eig_generalized_sym,
@@ -149,6 +150,13 @@ def test_eig_matches_charpoly_bisection_oracle():
             roots.append(0.5 * (lo + hi))
         assert len(roots) == n
         assert np.max(np.abs(np.array(roots) - vals)) < 1e-9
+
+
+@pytest.mark.parametrize("values", [[1.0, 3.0, 2.0], [], [[1.0, 2.0], [3.0, 4.0]]],
+                         ids=["unsorted", "empty", "2-D"])
+def test_spectrum_rejects_unsorted_empty_or_matrix_values(values):
+    with pytest.raises(ParameterDomainError):
+        Spectrum(np.array(values))
 
 
 def test_charpoly_values():
