@@ -36,14 +36,25 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_GOLDEN_U = np.uint64(_GOLDEN)
-_SHIFTS_MULS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
-_SHIFT31 = np.uint64(31)
-_SHIFT11 = np.uint64(11)
+# Scalar operands of the array passes are 0-d arrays: numpy converts a Python
+# or numpy scalar operand on every call, which costs about as much as a pass
+# over a few hundred entries.
+_GOLDEN_U = np.array(_GOLDEN, dtype=np.uint64)
+_SHIFTS_MULS = tuple(
+    (np.array(shift, dtype=np.uint64), np.array(mul, dtype=np.uint64))
+    for shift, mul in ((30, _MIX1), (27, _MIX2))
+)
+_SHIFT31 = np.array(31, dtype=np.uint64)
+_SHIFT11 = np.array(11, dtype=np.uint64)
+_HALF, _ONE, _TWO, _THREE = (np.array(x) for x in (0.5, 1.0, 2.0, 3.0))
+_MINUS_TWO, _TWO_PI, _ULP53 = np.array(-2.0), np.array(2.0 * np.pi), np.array(2.0**-53)
+_SQUEEZE = np.array(0.0331)  # Marsaglia-Tsang squeeze constant
 
 # A keyed word's counter is lane * 2^32 + j + 1 for variate j: lane 0 holds the
 # boost uniform of a shape below 1, and attempt r reads lanes 3r + 1 .. 3r + 3.
 _LANE = 1 << 32
+# the golden-ratio part of the counter of lane L is L * _LANE_GOLDEN mod 2^64
+_LANE_GOLDEN = (_LANE * _GOLDEN) & _MASK64
 # gamma variate index of the Y draw of beta variate j (X takes index j)
 _Y_OFFSET = np.uint64(1 << 31)
 _BLOCK = 1024
@@ -53,6 +64,9 @@ _NORMAL_BLOCK = 1 << 16
 # smallest positive normal double; used to keep gamma/beta draws off 0 and 1
 _TINY = float(np.finfo(np.float64).tiny)
 _ONE_MINUS = float(np.nextafter(1.0, 0.0))
+_TINY_0D = np.array(_TINY)
+# the clamp of beta_pm1 draws, 2^-52 inside each endpoint
+_PM1_LOW, _PM1_HIGH = np.array(-1.0 + 2.0**-52), np.array(1.0 - 2.0**-52)
 # largest gamma shape: 9 d (Marsaglia-Tsang) and X + Y (a beta pair) stay finite
 _MAX_SHAPE = float(np.finfo(np.float64).max) / 16.0
 
@@ -78,20 +92,26 @@ def _splitmix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def _unit(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Uniforms in the open interval (0, 1) from the top 53 bits of words z."""
+def _unit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniforms in the open interval (0, 1) from the top 53 bits of words z,
+    written into ``out`` (a new array when None)."""
     np.right_shift(z, _SHIFT11, out=z)
-    np.add(z, 0.5, out=out)
-    np.multiply(out, 2.0**-53, out=out)
+    # exact: z < 2^53
+    if out is None:
+        out = z.astype(np.float64)
+    else:
+        out[...] = z
+    out += _HALF
+    out *= _ULP53
     return out
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Standard normals sqrt(-2 log u1) cos(2 pi u2), written over u1."""
     np.log(u1, out=u1)
-    np.multiply(u1, -2.0, out=u1)
+    np.multiply(u1, _MINUS_TWO, out=u1)
     np.sqrt(u1, out=u1)
-    np.multiply(u2, 2.0 * np.pi, out=u2)
+    np.multiply(u2, _TWO_PI, out=u2)
     np.cos(u2, out=u2)
     np.multiply(u1, u2, out=u1)
     return u1
@@ -193,13 +213,15 @@ class GammaPlan:
     """Everything of a keyed gamma call except its key, built once per shape set.
 
     Holds, per variate i, the Marsaglia-Tsang constants d (the shape minus
-    1/3, plus 1 below shape 1) and c = 1/sqrt(9 d), and
-    (j[i] + 1) * golden, the per-variate part of every keyed counter; and the
-    index and reciprocal shape of every shape below 1. Every array is
-    read-only, so one plan can serve any number of calls. Shapes above
-    ``_MAX_SHAPE`` raise :class:`MagnitudeOverflowError`; up to it 9 d is
-    finite, and so is every draw d * v, because v = (1 + c x)^3 exceeds 1 by
-    less than 30 c when d is large (|x| < 8.7 for Box-Muller normals).
+    1/3, plus 1 below shape 1) and c = 1/sqrt(9 d); in ``jg[s, i]`` the
+    words (j[i] + 1 + s * 2^32) * golden mod 2^64, s = 0, 1, 2, so that slot s
+    of an attempt whose first lane is L reads word jg[s, i] + key +
+    L * 2^32 * golden; and the index and reciprocal shape of every shape
+    below 1. Every array is read-only, so one plan can serve any number of
+    calls. Shapes above ``_MAX_SHAPE`` raise :class:`MagnitudeOverflowError`;
+    up to it 9 d is finite, and so is every draw d * v, because
+    v = (1 + c x)^3 exceeds 1 by less than 30 c when d is large (|x| < 8.7
+    for Box-Muller normals).
     """
 
     __slots__ = ("d", "c", "jg", "small", "inv_small", "_cuts")
@@ -215,7 +237,8 @@ class GammaPlan:
         small = np.flatnonzero(below)
         self.d = _frozen(d)
         self.c = _frozen(1.0 / np.sqrt(9.0 * d))
-        self.jg = _frozen((np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_U)
+        jg = (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_U
+        self.jg = _frozen(jg + np.arange(3, dtype=np.uint64)[:, None] * np.uint64(_LANE_GOLDEN))
         self.small = _frozen(small)
         self.inv_small = _frozen(1.0 / shape[small])
         # the shapes below 1 of block b are small[_cuts[b] : _cuts[b + 1]]
@@ -231,64 +254,68 @@ class GammaPlan:
         ``_BLOCK`` to bound the scratch memory of a large call.
         """
         m = self.d.size
-        b = min(m, _BLOCK)
-        # one attempt's three slots, in buffers reused by every attempt and block
-        z, tmp, w = np.empty(3 * b, np.uint64), np.empty(3 * b, np.uint64), np.empty(3 * b)
 
-        def uniforms(rows: np.ndarray, lane: int, slots: int) -> np.ndarray:
-            k = rows.size
-            offsets = np.array(
-                [((key + (lane + i) * _LANE * _GOLDEN) & _MASK64) for i in range(slots)],
-                dtype=np.uint64,
-            )
-            zk = z[: slots * k].reshape(slots, k)
-            np.add(rows, offsets[:, None], out=zk)
-            return _unit(_splitmix(zk, tmp[: slots * k].reshape(slots, k)),
-                         w[: slots * k].reshape(slots, k))
+        def uniforms(rows: np.ndarray, lane: int) -> np.ndarray:
+            """Uniforms of the words ``rows`` (rows of ``jg``) of the attempt at lane ``lane``."""
+            z = rows + np.array((key + lane * _LANE_GOLDEN) & _MASK64, dtype=np.uint64)
+            return _unit(_splitmix(z, np.empty_like(z)))
 
         out = np.empty(m)
         for blk, lo in enumerate(range(0, m, _BLOCK)):
             hi = lo + _BLOCK
-            self._accept(uniforms, self.d[lo:hi], self.c[lo:hi], self.jg[lo:hi], out[lo:hi])
+            self._accept(uniforms, self.d[lo:hi], self.c[lo:hi], self.jg[:, lo:hi], out[lo:hi])
             s0, s1 = self._cuts[blk], self._cuts[blk + 1]
             if s0 < s1:
                 idx = self.small[s0:s1]
                 # lane 0: one boost uniform per variate, whatever its attempt count
-                boost = uniforms(self.jg[idx], 0, 1)[0] ** self.inv_small[s0:s1]
+                boost = uniforms(self.jg[:1, idx], 0)[0] ** self.inv_small[s0:s1]
                 # keep draws strictly positive even when the boost underflows
                 out[idx] = np.maximum(out[idx] * boost, _TINY)
         return out
 
     @staticmethod
     def _accept(uniforms, d: np.ndarray, c: np.ndarray, jg: np.ndarray, out: np.ndarray):
-        """Marsaglia-Tsang rounds over one block until every variate is accepted."""
-        pending = None
+        """Marsaglia-Tsang rounds over one block until every variate is accepted.
+
+        Each round writes d * v for every variate it draws; a rejected
+        variate is drawn again, so a later round rewrites its entry.
+        """
+        pending = None  # the block's variates still drawing, None for all of them
         rows, dp, cp = jg, d, c
         lane = 1
         while True:
-            u = uniforms(rows, lane, 3)
-            x = _box_muller(u[0], u[1])
-            v = (1.0 + cp * x) ** 3
-            x2 = x * x
-            # the squeeze bound is negative wherever v <= 0, since d >= 2/3
-            accept = u[2] < 1.0 - 0.0331 * x2 * x2
-            rest = np.flatnonzero(~accept)
-            rest = rest[v[rest] > 0.0]
-            if rest.size:
-                vr = v[rest]
-                accept[rest] = np.log(u[2][rest]) < 0.5 * x2[rest] + dp[rest] * (
-                    1.0 - vr + np.log(vr)
-                )
+            u = uniforms(rows, lane)
+            # rows of u: the normal x (then x^2), v = (1 + c x)^3, the acceptance uniform
+            x, v, ua = u
+            _box_muller(x, v)
+            np.multiply(cp, x, out=v)
+            v += _ONE
+            v **= _THREE
             if pending is None:
-                if accept.all():
-                    np.multiply(dp, v, out=out)
-                    return
-                pending = np.arange(rows.size)
-            out[pending[accept]] = dp[accept] * v[accept]
-            pending = pending[~accept]
-            if not pending.size:
+                np.multiply(dp, v, out=out)
+            else:
+                out[pending] = dp * v
+            x2 = np.multiply(x, x, out=x)
+            # no entry is NaN, so >= rejects exactly what < accepts
+            rest = (ua >= _ONE - _SQUEEZE * x2 * x2).nonzero()[0]
+            if not rest.size:
                 return
-            rows, dp, cp = jg[pending], d[pending], c[pending]
+            w = u[:, rest]  # x^2, v and u of the variates the squeeze rejects
+            # The squeeze bound is negative wherever v <= 0 (d >= 2/3), and the
+            # log test rejects v = _TINY: its right side is below -434, as
+            # x^2 <= -2 log(2^-54), while log u >= log(2^-54) > -38. A
+            # positive v is at least (2^-53)^3, so the clamp moves no other v.
+            np.maximum(w[1], _TINY_0D, out=w[1])
+            rhs = _ONE - w[1]
+            log_v, log_u = np.log(w[1:], out=w[1:])
+            rhs += log_v
+            rhs *= dp[rest]
+            rhs += _HALF * w[0]
+            left = rest[log_u >= rhs]
+            if not left.size:
+                return
+            pending = left if pending is None else pending[left]
+            rows, dp, cp = jg[:, pending], d[pending], c[pending]
             lane += 3
 
 
@@ -326,11 +353,21 @@ class BetaPlan:
 
     def beta_pm1(self, key: int) -> np.ndarray:
         """Variates 1 - 2 Beta01(p, q) on (-1, 1) of call ``key``, with density
-        proportional to (1-x)^(p-1) (1+x)^(q-1): the (1-x) exponent pairs with p."""
-        a = 1.0 - 2.0 * self.beta01(key)
-        np.maximum(a, -1.0 + 2.0**-52, out=a)
-        np.minimum(a, 1.0 - 2.0**-52, out=a)
-        return a
+        proportional to (1-x)^(p-1) (1+x)^(q-1): the (1-x) exponent pairs with p.
+
+        Equals ``1 - 2 * beta01(key)`` clamped to +-(1 - 2^-52): that clamp
+        maps beta01's own endpoint clamps to the values it gives them anyway.
+        """
+        g = self.gamma.draw(key)
+        m = g.size // 2
+        x = g[:m]
+        a = x + g[m:]
+        np.divide(x, a, out=a)
+        np.multiply(a, _TWO, out=a)
+        np.subtract(_ONE, a, out=a)
+        np.maximum(a, _PM1_LOW, out=a)
+        np.minimum(a, _PM1_HIGH, out=a)
+        return a.reshape(self.p.shape)
 
 
 def sample_beta01(params: BetaParams, rng: RngStream) -> np.ndarray:

@@ -25,6 +25,10 @@ import numpy as np
 from .betarand import BetaParams, BetaPlan, RngStream
 from .errors import InternalConsistencyError, ParameterDomainError
 
+# 0-d operands of the per-realization array passes (numpy converts a scalar
+# operand on every call)
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+
 # largest matrix size: the 2n - 1 beta variates of a realization keep their
 # keyed gamma indices below 2^31, where the Y draws start
 _MAX_N = 1 << 30
@@ -106,7 +110,7 @@ class AlphaVector:
         object.__setattr__(self, "alpha", arr)
         if arr.ndim != 1 or arr.size % 2 != 1:
             raise ParameterDomainError("alpha vector must have odd length 2n - 1")
-        if not np.abs(arr).max() < 1.0:  # NaN fails too
+        if np.count_nonzero(np.abs(arr) < _ONE) < arr.size:  # NaN fails too
             raise ParameterDomainError("alpha entries must lie strictly inside (-1, 1)")
 
     @property
@@ -159,12 +163,14 @@ def random_matrix(alphas: AlphaVector) -> SymTridiag:
     pad = np.empty(2 * n + 1)
     pad[:2] = -1.0
     pad[2:] = alphas.alpha
-    a_prev = pad[1 : 2 * n : 2]  # alpha_{2k-1}, k = 0..n-1
-    diag = (1.0 - a_prev) * pad[2::2] - (1.0 + a_prev) * pad[0 : 2 * n - 1 : 2]
-    arg = (1.0 - a_prev[:-1]) * (1.0 - pad[2 : 2 * n - 1 : 2] ** 2) * (1.0 + pad[3::2])
-    if np.any(arg < 0.0):
+    a_odd = pad[1 : 2 * n : 2]  # alpha_{2k-1}, k = 0..n-1
+    one_minus, one_plus = _ONE - a_odd, _ONE + a_odd
+    diag = one_minus * pad[2::2] - one_plus * pad[0 : 2 * n - 1 : 2]
+    # one_plus[1:] holds 1 + alpha_{2k+1}, k = 0..n-2
+    arg = one_minus[:-1] * (_ONE - pad[2 : 2 * n - 1 : 2] ** 2) * one_plus[1:]
+    if np.count_nonzero(arg < _ZERO):
         raise InternalConsistencyError("negative square-root argument in off-diagonal")
-    return SymTridiag(diag, np.sqrt(arg))
+    return SymTridiag(diag, np.sqrt(arg, out=arg))
 
 
 def expected_matrix(p: JacobiParams) -> SymTridiag:

@@ -471,14 +471,16 @@ SCALING_MODES = ("plain", "doubled")
 
 def scale_eigenvalues(lam: np.ndarray, s: ScalingSequence, mode: str) -> np.ndarray:
     """Apply one of the two affine scaled-eigenvalue conventions."""
+    if mode == "plain":
+        shift, scale = s.epsilon_n, s.delta_n
+    elif mode == "doubled":
+        shift, scale = 2.0 * (2.0 * s.epsilon_n - 1.0), 2.0 * s.delta_n
+    else:
+        raise ParameterDomainError(f"unknown scaling mode {mode!r}; use plain or doubled")
     with np.errstate(all="ignore"):
-        if mode == "plain":
-            out = (lam - s.epsilon_n) / s.delta_n
-        elif mode == "doubled":
-            out = (lam - 2.0 * (2.0 * s.epsilon_n - 1.0)) / (2.0 * s.delta_n)
-        else:
-            raise ParameterDomainError(f"unknown scaling mode {mode!r}; use plain or doubled")
-    if not np.all(np.isfinite(out)):
+        out = lam - shift
+        out /= scale
+    if np.count_nonzero(np.isfinite(out)) < np.size(out):
         raise MagnitudeOverflowError("scaled eigenvalues overflowed float64")
     return out
 

@@ -80,31 +80,37 @@ _ONE = _int(1)
 _QUERY = _int(-1)
 
 
-def _tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 copies of the diagonal d and off-diagonal e, their sizes checked."""
-    d = np.array(d, dtype=np.float64)
-    e = np.array(e, dtype=np.float64)
-    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+def _tridiagonal(d: np.ndarray, e: np.ndarray, width: int):
+    """A zeroed float64 buffer of ``width * n`` entries holding the diagonal d
+    at [0, n) and the off-diagonal e at [n, 2n - 1), the sizes of d and e
+    checked: (ctypes buffer, its numpy view, n). Every call copies into a
+    buffer of its own, which LAPACK may overwrite."""
+    d, e = np.asarray(d), np.asarray(e)
+    n = d.size
+    if d.ndim != 1 or e.shape != (max(n - 1, 0),):
         raise ParameterDomainError("tridiagonal storage needs len(off) == len(diag) - 1")
-    return d, e
+    mem = (ctypes.c_double * (width * n))()
+    buf = np.frombuffer(mem)
+    buf[:n] = d
+    buf[n : 2 * n - 1] = e
+    return mem, buf, n
 
 
 def _dsterf(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
     """(ascending eigenvalues, info) of the symmetric tridiagonal (d, e)."""
-    d, e = _tridiagonal(d, e)
+    mem, buf, n = _tridiagonal(d, e, 2)
     info = ctypes.c_int64()
-    _DSTERF(_int(d.size), _mem(d), _mem(e), ctypes.byref(info))
-    return d, info.value
+    _DSTERF(_int(n), mem, ctypes.byref(mem, 8 * n), ctypes.byref(info))
+    return buf[:n], info.value
 
 
 def _dlasq1(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
     """(descending singular values, info) of the bidiagonal with diagonal d and off-diagonal e."""
-    d, e = _tridiagonal(d, e)
-    e = np.append(e, 0.0)  # dlasq1 writes e[n-1] too when it reports info = 2
-    work = np.empty(4 * d.size)
+    # dlasq1 writes e[n-1] too when it reports info = 2, and needs 4n of work
+    mem, buf, n = _tridiagonal(d, e, 6)
     info = ctypes.c_int64()
-    _DLASQ1(_int(d.size), _mem(d), _mem(e), _mem(work), ctypes.byref(info))
-    return d, info.value
+    _DLASQ1(_int(n), mem, ctypes.byref(mem, 8 * n), ctypes.byref(mem, 16 * n), ctypes.byref(info))
+    return buf[:n], info.value
 
 
 def _dsygvd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -131,7 +137,7 @@ def _dsygvd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _ascending(xs: np.ndarray) -> bool:
     """True if the 1-D array xs (no NaN) is nondecreasing."""
-    return not (xs[1:] < xs[:-1]).any()
+    return not np.count_nonzero(xs[1:] < xs[:-1])
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,7 @@ def eig_tridiag(t: SymTridiag) -> Spectrum:
     vals, info = _dsterf(t.diag, t.off)
     if info != 0:
         raise NumericalFailureError(f"tridiagonal QR did not converge (dsterf info={info})")
-    if not np.all(np.isfinite(vals)):
+    if np.count_nonzero(np.isfinite(vals)) < vals.size:
         raise NumericalFailureError("tridiagonal matrix has a NaN or infinite entry")
     return Spectrum(vals)
 

@@ -488,6 +488,23 @@ def test_concentration_monotone_in_weights():
     assert medians[0] > medians[1] > medians[2]
 
 
+def test_median_deviation_falls_faster_than_root_n():
+    # a = b = 3n: the median max_dev decays like n^(-2/3) (the edge scale),
+    # faster than the paper's bound {log n/(a+b)}^(1/4) ~ n^(-1/4) and than
+    # n^(-1/2); fixed seed, 40 trials per size, about 1 s
+    ns = (50, 100, 200, 400, 800)
+    base = RngStream(SEED, 11)
+    medians = []
+    for i, n in enumerate(ns):
+        p = JacobiParams(n, 3.0 * n, 3.0 * n, 2.0)
+        roots = jacobi_roots_scaled(JacobiPolyParams(n, p.a_tilde - 1, p.b_tilde - 1)).values
+        reports = run_trials(lambda sub: deviation_report(p, sub, roots=roots), 40,
+                             base.substream(i))
+        medians.append(float(np.median([r.max_dev for r in reports])))
+    slope = np.polyfit(np.log(ns), np.log(medians), 1)[0]
+    assert slope < -0.5
+
+
 # ----------------------------------------------------------- Monte Carlo
 
 

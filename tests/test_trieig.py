@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -60,6 +61,56 @@ def test_eig_tridiag_single_entry():
     # a sampled 1x1 realization is 2 * alpha_0
     al = sample_alphas(JacobiParams(1, 1.0, 2.0, 2.0), RngStream(7, 9))
     assert eig_tridiag(random_matrix(al)).values.tolist() == [2.0 * al.alpha[0]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_eig_tridiag_of_strided_or_read_only_storage_equals_a_contiguous_copy(n):
+    x = np.random.default_rng(n).standard_normal(2 * n)
+    before = x.copy()
+    strided = SymTridiag(x[::2], x[1 : 2 * n - 1 : 2])
+    contiguous = SymTridiag(strided.diag.copy(), strided.off.copy())
+    read_only = SymTridiag(strided.diag.copy(), strided.off.copy())
+    read_only.diag.flags.writeable = read_only.off.flags.writeable = False
+    assert n == 1 or not strided.diag.flags.c_contiguous  # one entry is contiguous anyway
+    expected = eig_tridiag(contiguous).values.tobytes()
+    for t in (strided, read_only):
+        vals = eig_tridiag(t).values
+        assert vals.tobytes() == expected
+        assert not np.shares_memory(vals, t.diag) and not np.shares_memory(vals, t.off)
+    assert x.tobytes() == before.tobytes()
+    assert not read_only.diag.flags.writeable
+
+
+def test_two_threads_reproduce_the_serial_realizations():
+    # dsterf runs without the GIL, so the two solves overlap; each call must
+    # own every buffer it writes
+    p = JacobiParams(50, 150.0, 150.0, 2.0)
+    bases = (RngStream(31, 0), RngStream(31, 1))
+
+    def realize(base: RngStream) -> list[bytes]:
+        return [eig_tridiag(random_matrix(sample_alphas(p, base.substream(t)))).values.tobytes()
+                for t in range(200)]
+
+    serial = [realize(base) for base in bases]
+    threaded = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def work(i: int) -> None:
+        start.wait()
+        threaded[i] = realize(bases[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == serial
 
 
 def test_eig_tridiag_nonfinite_entry_raises():
