@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MagnitudeOverflowError, ParameterDomainError
+from .errors import MagnitudeOverflowError, ParameterDomainError, real_array
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -191,16 +191,19 @@ class RngStream:
 class BetaParams:
     """Shape pair (p, q) of a beta distribution; both strictly positive.
 
-    Fields may be scalars or equal-shaped arrays (one shape pair per draw).
+    Fields may be scalars or equal-shaped arrays (one shape pair per draw), held as float64.
     """
 
     p: float | np.ndarray
     q: float | np.ndarray
 
     def __post_init__(self):
-        if np.shape(self.p) != np.shape(self.q):
+        p, q = real_array(self.p), real_array(self.q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        if p.shape != q.shape:
             raise ParameterDomainError("beta shapes p and q must have the same shape")
-        if not (np.all(np.asarray(self.p) > 0.0) and np.all(np.asarray(self.q) > 0.0)):
+        if not (np.all(p > 0.0) and np.all(q > 0.0)):
             raise ParameterDomainError("beta shapes must satisfy p > 0 and q > 0")
 
 
@@ -227,7 +230,7 @@ class GammaPlan:
     __slots__ = ("d", "c", "jg", "small", "inv_small", "_cuts")
 
     def __init__(self, shape: np.ndarray, j: np.ndarray):
-        shape = np.asarray(shape, dtype=np.float64)
+        shape = real_array(shape)
         if not np.all(shape > 0.0):
             raise ParameterDomainError("gamma shape must satisfy shape > 0")
         if not np.all(shape <= _MAX_SHAPE):
@@ -332,13 +335,12 @@ class BetaPlan:
     __slots__ = ("p", "q", "gamma", "means")
 
     def __init__(self, params: BetaParams):
-        p = np.array(params.p, dtype=np.float64)
-        q = np.array(params.q, dtype=np.float64)
+        p, q = params.p.copy(), params.q.copy()  # own copies, frozen below
         j = np.arange(p.size, dtype=np.uint64)
         self.gamma = GammaPlan(np.concatenate((p.ravel(), q.ravel())),
                                np.concatenate((j, j + _Y_OFFSET)))
         self.p, self.q = _frozen(p), _frozen(q)
-        self.means = _frozen(np.asarray(beta_mean_pm1(params)))
+        self.means = _frozen(real_array(beta_mean_pm1(params)))
 
     def beta01(self, key: int) -> np.ndarray:
         """Beta(p, q) variates on (0, 1) of call ``key``, as gamma ratios X/(X+Y)."""
@@ -381,9 +383,7 @@ def sample_beta01(params: BetaParams, rng: RngStream) -> np.ndarray:
 
 def beta_mean_pm1(params: BetaParams):
     """Mean (q - p)/(p + q) of the [-1, 1] beta law above."""
-    p = np.asarray(params.p, dtype=np.float64)
-    q = np.asarray(params.q, dtype=np.float64)
-    m = (q - p) / (p + q)
+    m = (params.q - params.p) / (params.p + params.q)
     return float(m) if m.ndim == 0 else m
 
 
@@ -394,11 +394,10 @@ def beta_concentration_bound(params: BetaParams, delta: float) -> float:
     so the bound decays exponentially in p + q. Often vacuous (> 1) for small
     shape sums.
     """
+    delta = real_array(delta)
     if not delta > 0.0:
         raise ParameterDomainError("delta must satisfy delta > 0")
     dp = delta / (3.0 + 2.0 * delta)
     c = np.log1p(dp) - dp
-    p = np.asarray(params.p, dtype=np.float64)
-    q = np.asarray(params.q, dtype=np.float64)
-    out = 4.0 * np.exp(c * (p + q))
+    out = 4.0 * np.exp(c * (params.p + params.q))
     return float(out) if out.ndim == 0 else out

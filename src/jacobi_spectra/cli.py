@@ -118,7 +118,7 @@ def cmd_roots(args) -> int:
 
 
 def _quantiles(vals) -> dict:
-    qs = np.quantile(np.asarray(vals), [0.0, 0.25, 0.5, 0.75, 1.0])
+    qs = np.quantile(vals, [0.0, 0.25, 0.5, 0.75, 1.0])
     return {k: float(v) for k, v in zip(("min", "q25", "median", "q75", "max"), qs)}
 
 
@@ -226,7 +226,7 @@ def cmd_fmatrix(args) -> int:
             vals = f_eigs_direct(sample_gaussian_pair(d, sub), d).values
         else:
             vals = f_eigs_tridiag(d, sub).values
-        return np.sort(np.asarray(tf(vals, d)))
+        return np.sort(tf(vals, d))
 
     spectra = run_trials(spectrum, args.trials, RngStream(args.seed, 0))
 

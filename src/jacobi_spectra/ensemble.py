@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betarand import BetaParams, BetaPlan, RngStream
-from .errors import InternalConsistencyError, ParameterDomainError
+from .errors import InternalConsistencyError, ParameterDomainError, real_array
 
 # 0-d operands of the per-realization array passes (numpy converts a scalar
 # operand on every call)
@@ -80,8 +80,7 @@ class SymTridiag:
     off: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.diag, dtype=np.float64)
-        e = np.asarray(self.off, dtype=np.float64)
+        d, e = real_array(self.diag), real_array(self.off)
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "off", e)
         if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
@@ -106,7 +105,7 @@ class AlphaVector:
     alpha: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.alpha, dtype=np.float64)
+        arr = real_array(self.alpha)
         object.__setattr__(self, "alpha", arr)
         if arr.ndim != 1 or arr.size % 2 != 1:
             raise ParameterDomainError("alpha vector must have odd length 2n - 1")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .betarand import RngStream
 from .ensemble import JacobiParams, _is_whole, random_matrix, sample_alphas
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, real_array
 from .spectra import (
     EdgeDensity, FMatrixDensity, SemicircleDensity, cdf_grid, model_cdf, run_trials,
 )
@@ -118,7 +118,7 @@ def jacobi_to_f(lam_j, d: FDims):
 
     Monotone decreasing bijection onto [0, inf); the pole sits at t = -2.
     """
-    t = np.asarray(lam_j, dtype=np.float64)
+    t = real_array(lam_j)
     if np.any(t == -2.0):
         raise ParameterDomainError("jacobi_to_f has a pole at lambda = -2")
     out = d.ratio * (2.0 - t) / (2.0 + t)
@@ -127,7 +127,7 @@ def jacobi_to_f(lam_j, d: FDims):
 
 def f_to_jacobi(lam_f, d: FDims):
     """Inverse map: F-side eigenvalue >= 0 to the Jacobi side 2 (r - s)/(r + s)."""
-    s = np.asarray(lam_f, dtype=np.float64)
+    s = real_array(lam_f)
     if np.any(s < 0.0):
         raise ParameterDomainError("F-matrix eigenvalues must be >= 0")
     out = 2.0 * (d.ratio - s) / (d.ratio + s)
@@ -160,7 +160,7 @@ def semicircle_transform(lam_f, d: FDims):
     n, n1, n2 = d.n, d.n1, d.n2
     if n1 <= n:
         raise ParameterDomainError("transform needs n1 > n")
-    s = np.asarray(lam_f, dtype=np.float64)
+    s = real_array(lam_f)
     out = 2.0 * math.sqrt(n1 / n - 1.0) * (
         (n2 - n) / (n1 + n2 - 2.0 * n) - n2 / (n1 * s + n2)
     )
@@ -177,7 +177,7 @@ def reciprocal_edge_transform(lam_f, d: FDims):
     n, n1, n2 = d.n, d.n1, d.n2
     if n1 <= n:
         raise ParameterDomainError("transform needs n1 > n")
-    s = np.asarray(lam_f, dtype=np.float64)
+    s = real_array(lam_f)
     out = n / (2.0 * (n1 - n)) * (s * n1 / n2 + 1.0)
     return float(out) if np.ndim(lam_f) == 0 else out
 
@@ -194,7 +194,7 @@ def shifted_semicircle_transform(lam_f, d: FDims):
     if n2 <= n:
         raise ParameterDomainError("transform needs n2 > n")
     w = math.sqrt(n * (n2 - n))
-    s = np.asarray(lam_f, dtype=np.float64)
+    s = real_array(lam_f)
     num = (n1 / n2) * (n2 - w) * s - (n1 + w)
     den = w * (1.0 + (n1 / n2) * s)
     out = 2.0 * (n1 - n) / (n1 + n2) * num / den
@@ -205,7 +205,7 @@ def _reciprocal_edge_limit_cdf(d: FDims):
     edge = EdgeDensity(d.n2 / d.n - 1.0)
 
     def cdf(xs):
-        xs = np.asarray(xs, dtype=np.float64)
+        xs = real_array(xs)
         inv = np.full(xs.shape, np.inf)
         np.divide(1.0, xs, out=inv, where=xs > 0.0)
         # 1/x maps ascending points to descending ones: evaluate the reversed,
@@ -220,7 +220,7 @@ def _reciprocal_edge_limit_cdf(d: FDims):
 # kind -> (F-eigenvalue map (lam, d) -> mu, dims d -> CDF of the limit law of mu)
 TRANSFORMS = {
     "none": (
-        lambda lam, d: np.asarray(lam, dtype=np.float64),
+        lambda lam, d: real_array(lam),
         lambda d: model_cdf(FMatrixDensity(d.n / d.n1, d.n / d.n2)),
     ),
     "thm42": (

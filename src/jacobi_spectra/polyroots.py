@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MagnitudeOverflowError, ParameterDomainError
+from .errors import MagnitudeOverflowError, ParameterDomainError, real_array
 from .trieig import Spectrum, _eig_zero_diagonal, eig_tridiag
 from .ensemble import JacobiParams, SymTridiag, _is_whole
 
@@ -78,7 +78,7 @@ def jacobi_eval(p: JacobiPolyParams, x):
     (large degree with large weight exponents).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _eval_recurrence(p.n, p.gamma, p.delta, np.asarray(x, dtype=np.float64))
+        out = _eval_recurrence(p.n, p.gamma, p.delta, real_array(x))
     if not np.all(np.isfinite(out)):
         raise MagnitudeOverflowError(
             f"Jacobi polynomial of degree {p.n} overflowed float64"

@@ -23,8 +23,9 @@ import numpy as np
 from .betarand import RngStream
 from .ensemble import JacobiParams, alpha_plan, random_matrix, sample_alphas
 from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
+from .errors import finite_ascending, real_array
 from .polyroots import ensemble_roots
-from .trieig import _ascending, eig_tridiag
+from .trieig import eig_tridiag
 
 # ---------------------------------------------------------------------------
 # empirical distribution functions and distances
@@ -37,11 +38,15 @@ class Ecdf:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)  # own copy, sorted in place
-        if pts.ndim != 1 or pts.size == 0 or not np.all(np.isfinite(pts)):
+        pts = real_array(self.points)
+        ok = pts.ndim == 1 and pts.size > 0
+        if ok and finite_ascending(pts):
+            pts = pts.copy()  # own copy
+        elif ok:
+            pts = np.sort(pts)  # own copy; sorted, only a NaN or an infinity fails
+            ok = finite_ascending(pts)
+        if not ok:
             raise ParameterDomainError("ECDF needs a nonempty sample of finite points")
-        if not _ascending(pts):
-            pts.sort()
         object.__setattr__(self, "points", pts)
 
     @property
@@ -63,7 +68,7 @@ def ks_distance(e: Ecdf, cdf) -> float:
     value raises :class:`NumericalFailureError`, one that does not return one
     value per point :class:`ParameterDomainError`.
     """
-    f = np.asarray(cdf(e.points), dtype=np.float64)
+    f = real_array(cdf(e.points))
     if f.shape != e.points.shape:
         raise ParameterDomainError(
             f"CDF returned shape {f.shape} for {e.n} points; need one value per point"
@@ -256,7 +261,7 @@ class FMatrixDensity(DensityModel):
 
 def density_eval(m: DensityModel, x):
     """Density of the model at x (scalar or array); 0 outside the open support."""
-    xa = np.asarray(x, dtype=np.float64)
+    xa = real_array(x)
     lo, hi = m.support
     inside = (xa > lo) & (xa < hi)
     out = np.zeros(xa.shape)
@@ -348,17 +353,17 @@ def _panel_integrals(m: DensityModel, edges: np.ndarray) -> np.ndarray:
 def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
     """CDF at many (arbitrary-order) points, by incremental panel integration.
 
-    Ascending points are walked in blocks with a running total (tol 1e-10 per
-    panel) that is written straight into the output; points in any other
-    order are sorted first and their values scattered back.
+    Ascending finite points are walked in blocks with a running total (tol
+    1e-10 per panel) that is written straight into the output; other points
+    (another order, or an infinity) are sorted first and their values scattered back.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = real_array(xs)
     if xs.ndim != 1:
         raise ParameterDomainError("CDF points must be a 1-D array")
+    if finite_ascending(xs):
+        return _ascending_cdf(m, xs)
     if np.isnan(xs).any():
         raise ParameterDomainError("CDF points must not be NaN")
-    if _ascending(xs):
-        return _ascending_cdf(m, xs)
     order = np.argsort(xs, kind="stable")
     sorted_xs = xs[order]
     vals = _ascending_cdf(m, sorted_xs)
@@ -478,7 +483,7 @@ def scale_eigenvalues(lam: np.ndarray, s: ScalingSequence, mode: str) -> np.ndar
     else:
         raise ParameterDomainError(f"unknown scaling mode {mode!r}; use plain or doubled")
     with np.errstate(all="ignore"):
-        out = lam - shift
+        out = real_array(lam) - shift
         out /= scale
     if np.count_nonzero(np.isfinite(out)) < np.size(out):
         raise MagnitudeOverflowError("scaled eigenvalues overflowed float64")

@@ -32,6 +32,8 @@ from .errors import (
     MagnitudeOverflowError,
     NumericalFailureError,
     ParameterDomainError,
+    finite_ascending,
+    real_array,
 )
 
 
@@ -85,7 +87,7 @@ def _tridiagonal(d: np.ndarray, e: np.ndarray, width: int):
     at [0, n) and the off-diagonal e at [n, 2n - 1), the sizes of d and e
     checked: (ctypes buffer, its numpy view, n). Every call copies into a
     buffer of its own, which LAPACK may overwrite."""
-    d, e = np.asarray(d), np.asarray(e)
+    d, e = real_array(d), real_array(e)
     n = d.size
     if d.ndim != 1 or e.shape != (max(n - 1, 0),):
         raise ParameterDomainError("tridiagonal storage needs len(off) == len(diag) - 1")
@@ -115,8 +117,7 @@ def _dlasq1(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _dsygvd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """(ascending eigenvalues, info) of A v = lambda B v from the lower triangles."""
-    a = np.array(a, dtype=np.float64, order="F")
-    b = np.array(b, dtype=np.float64, order="F")
+    a, b = real_array(a).copy(order="F"), real_array(b).copy(order="F")
     if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ParameterDomainError("pencil matrices A and B must be square and of one size")
     n = a.shape[0]
@@ -135,24 +136,20 @@ def _dsygvd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return w, info.value
 
 
-def _ascending(xs: np.ndarray) -> bool:
-    """True if the 1-D array xs (no NaN) is nondecreasing."""
-    return not np.count_nonzero(xs[1:] < xs[:-1])
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending real eigenvalues (or roots)."""
+    """Ascending finite real eigenvalues (or roots)."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = real_array(self.values)
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ParameterDomainError("spectrum must be a nonempty vector")
-        if not _ascending(v):
-            raise ParameterDomainError("spectrum must be sorted ascending")
+        if not finite_ascending(v):
+            fault = "sorted ascending" if finite_ascending(np.sort(v)) else "finite"
+            raise ParameterDomainError(f"spectrum must be {fault}")
 
     @property
     def n(self) -> int:
@@ -171,7 +168,7 @@ def eig_tridiag(t: SymTridiag) -> Spectrum:
     vals, info = _dsterf(t.diag, t.off)
     if info != 0:
         raise NumericalFailureError(f"tridiagonal QR did not converge (dsterf info={info})")
-    if np.count_nonzero(np.isfinite(vals)) < vals.size:
+    if not finite_ascending(vals):
         raise NumericalFailureError("tridiagonal matrix has a NaN or infinite entry")
     return Spectrum(vals)
 
@@ -195,7 +192,7 @@ def _eig_zero_diagonal(off: np.ndarray) -> np.ndarray:
     sigma, info = _dlasq1(d, off[1::2])
     if info != 0:
         raise NumericalFailureError(f"bidiagonal singular values failed (dlasq1 info={info})")
-    if not np.all(np.isfinite(sigma)):
+    if not finite_ascending(sigma[::-1]):
         raise NumericalFailureError("zero-diagonal tridiagonal has a NaN or infinite entry")
     sigma = sigma[: n // 2]  # descending: odd n drops the padding's 0
     return np.concatenate((-sigma, np.zeros(n % 2), sigma[::-1]))
@@ -209,7 +206,7 @@ def charpoly_eval(t: SymTridiag, x):
     float64 for n of a few hundred once |x| is well outside the spectrum; no
     internal rescaling is attempted.
     """
-    xa = np.asarray(x, dtype=np.float64)
+    xa = real_array(x)
     gm1 = np.zeros_like(xa)
     g = np.ones_like(xa)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -239,6 +236,6 @@ def eig_generalized_sym(a: np.ndarray, b: np.ndarray) -> Spectrum:
         )
     if info != 0:
         raise NumericalFailureError(f"generalized eigensolve failed (dsygvd info={info})")
-    if not np.all(np.isfinite(vals)):
+    if not finite_ascending(vals):
         raise NumericalFailureError("pencil matrix has a NaN or infinite entry")
     return Spectrum(vals)
