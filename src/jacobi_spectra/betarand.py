@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MagnitudeOverflowError, ParameterDomainError, real_array
+from .errors import MagnitudeOverflowError, ParameterDomainError, real_array, whole_number
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -123,9 +123,9 @@ class RngStream:
     Parameters
     ----------
     base_seed : int
-        64-bit seed shared by a family of streams.
+        64-bit seed shared by a family of streams (a whole number, taken mod 2^64).
     stream_id : int, optional
-        Index of this stream within the family. The stream key is
+        Index of this stream within the family, a whole number. The stream key is
         ``base_seed XOR (stream_id * 0x9E3779B97F4A7C15)``, fed into a
         splitmix64 counter generator.
 
@@ -135,8 +135,8 @@ class RngStream:
     """
 
     def __init__(self, base_seed: int, stream_id: int = 0):
-        self.base_seed = int(base_seed) & _MASK64
-        self.stream_id = int(stream_id)
+        self.base_seed = whole_number(base_seed, "seed must be a whole number") & _MASK64
+        self.stream_id = whole_number(stream_id, "stream id must be a whole number")
         self._key = self.base_seed ^ ((self.stream_id * _GOLDEN) & _MASK64)
         self._pos = 0
 
@@ -149,8 +149,7 @@ class RngStream:
         The child is ``RngStream(key, 0)`` with key = mix(parent key XOR
         mix((k + 1) * golden)); nesting in another order gives another key.
         """
-        if k < 0:
-            raise ParameterDomainError("substream index must satisfy k >= 0")
+        k = whole_number(k, "substream index must be a whole number k >= 0", 0)
         return RngStream(_mix64(self._key ^ _mix64(((k + 1) * _GOLDEN) & _MASK64)), 0)
 
     def _call_key(self) -> int:
@@ -235,12 +234,15 @@ class GammaPlan:
             raise ParameterDomainError("gamma shape must satisfy shape > 0")
         if not np.all(shape <= _MAX_SHAPE):
             raise MagnitudeOverflowError("gamma shape overflowed float64 arithmetic")
+        j = np.asarray(j)
+        if j.dtype.kind not in "iu" or np.any(j < 0):
+            raise ParameterDomainError("variate indices must be nonnegative integers")
         below = shape < 1.0
         d = shape + below - 1.0 / 3.0
         small = np.flatnonzero(below)
         self.d = _frozen(d)
         self.c = _frozen(1.0 / np.sqrt(9.0 * d))
-        jg = (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_U
+        jg = (j.astype(np.uint64) + np.uint64(1)) * _GOLDEN_U
         self.jg = _frozen(jg + np.arange(3, dtype=np.uint64)[:, None] * np.uint64(_LANE_GOLDEN))
         self.small = _frozen(small)
         self.inv_small = _frozen(1.0 / shape[small])

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .betarand import BetaParams, BetaPlan, RngStream
 from .errors import InternalConsistencyError, ParameterDomainError, real_array
+from .errors import real_number, whole_number
 
 # 0-d operands of the per-realization array passes (numpy converts a scalar
 # operand on every call)
@@ -32,14 +32,6 @@ _ZERO, _ONE = np.array(0.0), np.array(1.0)
 # largest matrix size: the 2n - 1 beta variates of a realization keep their
 # keyed gamma indices below 2^31, where the Y draws start
 _MAX_N = 1 << 30
-
-
-def _is_whole(v) -> bool:
-    """Whether v is a whole number of float64 magnitude; an int is compared,
-    never converted, so any int gets an answer."""
-    if isinstance(v, (int, np.integer)):
-        return abs(v) <= sys.float_info.max
-    return math.isfinite(v) and int(v) == v
 
 
 @dataclass(frozen=True)
@@ -52,14 +44,17 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if not (_is_whole(self.n) and 1 <= self.n <= _MAX_N):
-            raise ParameterDomainError("matrix size must be a whole number with 1 <= n <= 2^30")
-        if not (self.a > -1.0 and math.isfinite(self.a)):
+        n = whole_number(
+            self.n, "matrix size must be a whole number with 1 <= n <= 2^30", 1, _MAX_N
+        )
+        a, b, beta = real_number(self.a), real_number(self.b), real_number(self.beta)
+        if not -1.0 < a < math.inf:
             raise ParameterDomainError("weight exponent must be finite and satisfy a > -1")
-        if not (self.b > -1.0 and math.isfinite(self.b)):
+        if not -1.0 < b < math.inf:
             raise ParameterDomainError("weight exponent must be finite and satisfy b > -1")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+        if not 0.0 < beta < math.inf:
             raise ParameterDomainError("repulsion exponent must be finite and satisfy beta > 0")
+        self.__dict__.update(n=n, a=a, b=b, beta=beta)
 
     @property
     def a_tilde(self) -> float:

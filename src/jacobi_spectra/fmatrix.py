@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betarand import RngStream
-from .ensemble import JacobiParams, _is_whole, random_matrix, sample_alphas
-from .errors import ParameterDomainError, real_array
+from .ensemble import JacobiParams, random_matrix, sample_alphas
+from .errors import ParameterDomainError, real_array, whole_number
 from .spectra import (
     EdgeDensity, FMatrixDensity, SemicircleDensity, cdf_grid, model_cdf, run_trials,
 )
@@ -42,12 +42,13 @@ class FDims:
     n2: int
 
     def __post_init__(self):
-        if not all(_is_whole(v) for v in (self.n, self.n1, self.n2)):
-            raise ParameterDomainError("dimensions n, n1, n2 must be finite integers")
-        if self.n < 1:
+        message = "dimensions n, n1, n2 must be finite integers"
+        n, n1, n2 = (whole_number(v, message) for v in (self.n, self.n1, self.n2))
+        if n < 1:
             raise ParameterDomainError("size must satisfy n >= 1")
-        if self.n1 < self.n or self.n2 < self.n:
+        if n1 < n or n2 < n:
             raise ParameterDomainError("dimensions must satisfy n1 >= n and n2 >= n")
+        self.__dict__.update(n=n, n1=n1, n2=n2)
 
     @property
     def a(self) -> float:

@@ -16,25 +16,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MagnitudeOverflowError, ParameterDomainError, real_array
+from .errors import real_number, whole_number
 from .trieig import Spectrum, _eig_zero_diagonal, eig_tridiag
-from .ensemble import JacobiParams, SymTridiag, _is_whole
+from .ensemble import JacobiParams, SymTridiag
 
 
 @dataclass(frozen=True)
 class JacobiPolyParams:
-    """Degree n >= 0 and weight exponents gamma, delta > -1."""
+    """Degree n >= 0 and weight exponents gamma, delta > -1 (+inf overflows later)."""
 
     n: int
     gamma: float
     delta: float
 
     def __post_init__(self):
-        if not (_is_whole(self.n) and self.n >= 0):
-            raise ParameterDomainError("degree must satisfy n >= 0")
-        if not (self.gamma > -1.0 and self.delta > -1.0):
+        n = whole_number(self.n, "degree must be a whole number n >= 0", 0)
+        gamma, delta = real_number(self.gamma), real_number(self.delta)
+        if not (gamma > -1.0 and delta > -1.0):
             raise ParameterDomainError(
                 "weight exponents must satisfy gamma > -1 and delta > -1"
             )
+        self.__dict__.update(n=n, gamma=gamma, delta=delta)
 
 
 def pochhammer(a: float, n: int) -> float:
@@ -43,19 +45,19 @@ def pochhammer(a: float, n: int) -> float:
     Product form; fine for the moderate n used here, overflows like Gamma
     for large arguments.
     """
-    if not (_is_whole(n) and n >= 0):
-        raise ParameterDomainError("pochhammer order must be a nonnegative integer")
+    a = real_number(a)
     out = 1.0
-    for k in range(int(n)):
+    for k in range(whole_number(n, "pochhammer order must be a nonnegative integer", 0)):
         out *= a + k
     return out
 
 
-def _eval_recurrence(n: int, g: float, d: float, xa: np.ndarray) -> np.ndarray:
+def _eval_recurrence(n: int, g: float, d: float, xa: float | np.ndarray) -> np.ndarray:
     """Ascending-degree recurrence for P_n^{(g, d)}; no domain guard.
 
     The contiguous identities below shift parameters by -1, which can leave
     the orthogonality domain while the polynomial itself stays well defined.
+    A float xa still gives an array p0, so each division obeys np.errstate.
     """
     p0 = np.ones_like(xa)
     if n == 0:
@@ -114,8 +116,7 @@ def recurrence_coefficients(p: JacobiPolyParams) -> tuple[np.ndarray, np.ndarray
     B_k ~ k / (2 gamma)); MagnitudeOverflowError is raised when a ratio is
     not finite, e.g. at an infinite gamma + delta.
     """
-    g, d = np.float64(p.gamma), np.float64(p.delta)
-    n = p.n
+    g, d, n = p.gamma, p.delta, p.n
     diag = np.empty(n)
     k = np.arange(1, n, dtype=np.float64)
     s = 2.0 * k + g + d
@@ -194,11 +195,11 @@ def first_param_lowering_residual(p: JacobiPolyParams, x: float) -> float:
     """
     if p.n < 2:
         raise ParameterDomainError("identity needs degree n >= 2")
-    n, g, d = p.n, p.gamma, p.delta
+    n, g, d, x = p.n, p.gamma, p.delta, real_number(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        t1 = (n + d - 1.0) * _eval_recurrence(n - 2, g, d, np.float64(x))
-        t2 = (n + g + d - 1.0) * _eval_recurrence(n - 1, g, d, np.float64(x))
-        t3 = (2.0 * n + g + d - 2.0) * _eval_recurrence(n - 1, g - 1.0, d, np.float64(x))
+        t1 = (n + d - 1.0) * _eval_recurrence(n - 2, g, d, x)
+        t2 = (n + g + d - 1.0) * _eval_recurrence(n - 1, g, d, x)
+        t3 = (2.0 * n + g + d - 2.0) * _eval_recurrence(n - 1, g - 1.0, d, x)
     return _term_relative(t1, t2, t3)
 
 
@@ -211,9 +212,9 @@ def second_param_lowering_residual(p: JacobiPolyParams, x: float) -> float:
     """
     if p.n < 1:
         raise ParameterDomainError("identity needs degree n >= 1")
-    n, g, d = p.n, p.gamma, p.delta
+    n, g, d, x = p.n, p.gamma, p.delta, real_number(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        t1 = (n + g - 1.0) * _eval_recurrence(n - 1, g - 1.0, d, np.float64(x))
-        t2 = (2.0 * n + g + d - 1.0) * _eval_recurrence(n, g - 1.0, d - 1.0, np.float64(x))
-        t3 = (n + g + d - 1.0) * _eval_recurrence(n, g - 1.0, d, np.float64(x))
+        t1 = (n + g - 1.0) * _eval_recurrence(n - 1, g - 1.0, d, x)
+        t2 = (2.0 * n + g + d - 1.0) * _eval_recurrence(n, g - 1.0, d - 1.0, x)
+        t3 = (n + g + d - 1.0) * _eval_recurrence(n, g - 1.0, d, x)
     return _term_relative(t1, t2, t3)

@@ -23,7 +23,7 @@ import numpy as np
 from .betarand import RngStream
 from .ensemble import JacobiParams, alpha_plan, random_matrix, sample_alphas
 from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
-from .errors import finite_ascending, real_array
+from .errors import finite_ascending, real_array, real_number, whole_number
 from .polyroots import ensemble_roots
 from .trieig import eig_tridiag
 
@@ -117,11 +117,13 @@ class GeneralDensity(DensityModel):
     b2: float
 
     def __post_init__(self):
-        if not (self.b1 > 0.0 and self.b2 > 0.0):
-            raise ParameterDomainError("scale parameters must satisfy b1, b2 > 0")
-        lo = self.a2 - 2.0 * math.sqrt(self.b2)
-        hi = self.a2 + 2.0 * math.sqrt(self.b2)
-        object.__setattr__(self, "support", (lo, hi))
+        a1, a2, b1, b2 = (real_number(v) for v in (self.a1, self.a2, self.b1, self.b2))
+        if not (math.isfinite(a1) and math.isfinite(a2)):
+            raise ParameterDomainError("location parameters a1, a2 must be finite")
+        if not (0.0 < b1 < math.inf and 0.0 < b2 < math.inf):
+            raise ParameterDomainError("scale parameters must be finite and satisfy b1, b2 > 0")
+        w = 2.0 * math.sqrt(b2)
+        self.__dict__.update(a1=a1, a2=a2, b1=b1, b2=b2, support=(a2 - w, a2 + w))
 
     def edge_density(self, dlo, dhi):
         a1, a2, b1, b2 = self.a1, self.a2, self.b1, self.b2
@@ -139,8 +141,9 @@ class GeneralDensity(DensityModel):
 
 def ratio_density_support(alpha0: float, beta0: float) -> tuple[float, float]:
     """Support endpoints (2 r1, 2 r2) of :class:`RatioDensity` on the [-2, 2] scale."""
-    if alpha0 < 0.0 or beta0 < 0.0:
-        raise ParameterDomainError("growth ratios must satisfy alpha0, beta0 >= 0")
+    alpha0, beta0 = real_number(alpha0), real_number(beta0)
+    if not (0.0 <= alpha0 < math.inf and 0.0 <= beta0 < math.inf):
+        raise ParameterDomainError("growth ratios must be finite and satisfy alpha0, beta0 >= 0")
     root = 4.0 * math.sqrt((alpha0 + 1.0) * (beta0 + 1.0) * (alpha0 + beta0 + 1.0))
     den = (2.0 + alpha0 + beta0) ** 2
     r1 = (beta0**2 - alpha0**2 - root) / den
@@ -161,7 +164,8 @@ class RatioDensity(DensityModel):
     beta0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "support", ratio_density_support(self.alpha0, self.beta0))
+        a0, b0 = real_number(self.alpha0), real_number(self.beta0)
+        self.__dict__.update(alpha0=a0, beta0=b0, support=ratio_density_support(a0, b0))
 
     def edge_density(self, dlo, dhi):
         lo, hi = self.support
@@ -197,11 +201,10 @@ class SemicircleDensity(DensityModel):
     center: float = 0.0
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ParameterDomainError("semicircle radius must be positive")
-        object.__setattr__(
-            self, "support", (self.center - self.radius, self.center + self.radius)
-        )
+        r, c = real_number(self.radius), real_number(self.center)
+        if not (0.0 < r < math.inf and math.isfinite(c)):
+            raise ParameterDomainError("semicircle needs a finite radius > 0 and a finite center")
+        self.__dict__.update(radius=r, center=c, support=(c - r, c + r))
 
     def edge_density(self, dlo, dhi):
         r = self.radius
@@ -220,11 +223,12 @@ class EdgeDensity(DensityModel):
     beta0: float
 
     def __post_init__(self):
-        if self.beta0 < 0.0:
-            raise ParameterDomainError("growth ratio must satisfy beta0 >= 0")
-        s = 2.0 * (2.0 + self.beta0)
-        w = 4.0 * math.sqrt(1.0 + self.beta0)
-        object.__setattr__(self, "support", (s - w, s + w))
+        beta0 = real_number(self.beta0)
+        if not 0.0 <= beta0 < math.inf:
+            raise ParameterDomainError("growth ratio must be finite and satisfy beta0 >= 0")
+        s = 2.0 * (2.0 + beta0)
+        w = 4.0 * math.sqrt(1.0 + beta0)
+        self.__dict__.update(beta0=beta0, support=(s - w, s + w))
 
     def edge_density(self, dlo, dhi):
         # x = lo + dlo is exact even when the support starts at 0 (beta0 = 0)
@@ -244,14 +248,15 @@ class FMatrixDensity(DensityModel):
     yprime: float
 
     def __post_init__(self):
-        if not (0.0 < self.y <= 1.0):
+        y, yprime = real_number(self.y), real_number(self.yprime)
+        if not (0.0 < y <= 1.0):
             raise ParameterDomainError("aspect ratio must satisfy y in (0, 1]")
-        if not (0.0 < self.yprime < 1.0):
+        if not (0.0 < yprime < 1.0):
             raise ParameterDomainError("aspect ratio must satisfy yprime in (0, 1)")
-        root = math.sqrt(1.0 - (1.0 - self.y) * (1.0 - self.yprime))
-        s1 = ((1.0 - root) / (1.0 - self.yprime)) ** 2
-        s2 = ((1.0 + root) / (1.0 - self.yprime)) ** 2
-        object.__setattr__(self, "support", (s1, s2))
+        root = math.sqrt(1.0 - (1.0 - y) * (1.0 - yprime))
+        s1 = ((1.0 - root) / (1.0 - yprime)) ** 2
+        s2 = ((1.0 + root) / (1.0 - yprime)) ** 2
+        self.__dict__.update(y=y, yprime=yprime, support=(s1, s2))
 
     def edge_density(self, dlo, dhi):
         x = self.support[0] + dlo
@@ -447,8 +452,10 @@ def deviation_probability_bound(n: int, a: float, b: float, eps: float) -> float
     negative, so the bound decays in a + b; it is typically vacuous (> 1) at
     desk scale.
     """
-    if not (0.0 < eps <= 1.0):
-        raise ParameterDomainError("eps must lie in (0, 1]")
+    n = whole_number(n, "bound needs a whole number n >= 1", 1)
+    a, b, eps = real_number(a), real_number(b), real_number(eps)
+    if not (-1.0 < a < math.inf and -1.0 < b < math.inf and 0.0 < eps <= 1.0):
+        raise ParameterDomainError("bound needs finite a, b > -1 and eps in (0, 1]")
     u = eps * eps / (648.0 + 2.0 * eps * eps)
     c = math.log1p(u) - u
     return 4.0 * (2.0 * n - 1.0) * math.exp(c * (a + b + 2.0))
@@ -467,8 +474,11 @@ class ScalingSequence:
     n: int
 
     def __post_init__(self):
-        if not (0.0 < self.delta_n < math.inf and math.isfinite(self.epsilon_n)):
+        delta_n, epsilon_n = real_number(self.delta_n), real_number(self.epsilon_n)
+        if not (0.0 < delta_n < math.inf and math.isfinite(epsilon_n)):
             raise ParameterDomainError("scaling needs a finite delta_n > 0 and a finite epsilon_n")
+        n = whole_number(self.n, "scaling needs a whole number n >= 1", 1)
+        self.__dict__.update(delta_n=delta_n, epsilon_n=epsilon_n, n=n)
 
 
 SCALING_MODES = ("plain", "doubled")
@@ -548,8 +558,7 @@ def run_trials(fn, trials: int, rng: RngStream) -> list:
     stream it is given, so trials are independent and a trial's draws do not
     depend on how many draws other trials made.
     """
-    if trials < 1:
-        raise ParameterDomainError("need trials >= 1")
+    trials = whole_number(trials, "need trials >= 1", 1)
     return [fn(rng.substream(t)) for t in range(trials)]
 
 
