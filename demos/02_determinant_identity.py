@@ -22,7 +22,7 @@ from jacobi_spectra import (
     second_param_lowering_residual,
 )
 
-print("route A: eigenvalues of the mean-entry tridiagonal matrix")
+print("route A: eigenvalues of the mean-entry tridiagonal matrix (the sampler's build at the means)")
 print("route B: roots of P_n^(a_tilde-1, b_tilde-1)(x/2) via its recurrence")
 print()
 worst = 0.0

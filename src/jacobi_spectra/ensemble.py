@@ -5,10 +5,10 @@ entries are simple products of independent beta variates on (-1, 1), and its
 spectrum has the beta-Jacobi joint eigenvalue density on (-2, 2) with weight
 (2 - x)^a (2 + x)^b and repulsion exponent beta.
 
-``expected_matrix`` builds the deterministic comparison matrix obtained by
-replacing every beta variate of the row/column-REVERSED random matrix by its
-mean. Both matrices have reversal-invariant spectra, so spectral comparisons
-are orientation-free, but entrywise comparisons must mirror indices.
+``expected_matrix`` is the deterministic comparison matrix: the same entry
+formula with every variate replaced by its mean, row/column-REVERSED. Both
+matrices have reversal-invariant spectra, so spectral comparisons are
+orientation-free, but entrywise comparisons must mirror indices.
 Storage is two vectors (diagonal, off-diagonal); no dense matrix is ever
 materialized, which keeps sampling O(n) in memory.
 """
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betarand import BetaParams, BetaPlan, RngStream
-from .errors import InternalConsistencyError, ParameterDomainError, real_array
-from .errors import real_number, whole_number
+from .betarand import BetaParams, BetaPlan, RngStream, beta_mean_pm1
+from .errors import InternalConsistencyError, MagnitudeOverflowError, ParameterDomainError
+from .errors import real_array, real_number, whole_number
 
 # 0-d operands of the per-realization array passes (numpy converts a scalar
 # operand on every call)
@@ -115,7 +115,8 @@ class AlphaVector:
 def alpha_shapes(p: JacobiParams) -> tuple[np.ndarray, np.ndarray]:
     """Beta shape pairs (p_k, q_k) for k = 0..2n-2, vectorized.
 
-    Shapes beyond float64 come out infinite; the sampling plan rejects them.
+    Shapes beyond float64 come out infinite; the sampling plan and
+    :func:`expected_matrix` reject them with MagnitudeOverflowError.
     """
     k = np.arange(2 * p.n - 1, dtype=np.float64)
     ke, ko = k[0::2], k[1::2]
@@ -146,6 +147,23 @@ def sample_alphas(p: JacobiParams, rng: RngStream) -> AlphaVector:
     return AlphaVector(alpha_plan(p).beta_pm1(rng._call_key()))
 
 
+def _killip_nenciu(alpha, one_minus, one_plus, one_minus_sq) -> SymTridiag:
+    """The Killip-Nenciu tridiagonal, the one owner of its entry formula.
+
+    alpha[i + 2] = alpha_i, with alpha_{-2} = alpha_{-1} = -1; one_minus[k] and
+    one_plus[k] are 1 -+ alpha_{2k-1} (k < n), and one_minus_sq[k] is
+    1 - alpha_{2k}^2 (k < n - 1). The entries are
+      diag_k = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2},
+      off_k = sqrt((1 - alpha_{2k-1}) (1 - alpha_{2k}^2) (1 + alpha_{2k+1})).
+    """
+    n = one_minus.size
+    diag = one_minus * alpha[2::2] - one_plus * alpha[0 : 2 * n - 1 : 2]
+    arg = one_minus[:-1] * one_minus_sq * one_plus[1:]
+    if np.count_nonzero(arg < _ZERO):
+        raise InternalConsistencyError("negative square-root argument in off-diagonal")
+    return SymTridiag(diag, np.sqrt(arg, out=arg))
+
+
 def random_matrix(alphas: AlphaVector) -> SymTridiag:
     """Random tridiagonal matrix built from one alpha draw.
 
@@ -153,54 +171,31 @@ def random_matrix(alphas: AlphaVector) -> SymTridiag:
     products of factors in (0, 2), hence strictly positive for interior alphas.
     """
     n = alphas.n
-    # pad[i + 2] = alpha_i, with the boundary convention alpha_{-2} = alpha_{-1} = -1
     pad = np.empty(2 * n + 1)
     pad[:2] = -1.0
     pad[2:] = alphas.alpha
     a_odd = pad[1 : 2 * n : 2]  # alpha_{2k-1}, k = 0..n-1
-    one_minus, one_plus = _ONE - a_odd, _ONE + a_odd
-    diag = one_minus * pad[2::2] - one_plus * pad[0 : 2 * n - 1 : 2]
-    # one_plus[1:] holds 1 + alpha_{2k+1}, k = 0..n-2
-    arg = one_minus[:-1] * (_ONE - pad[2 : 2 * n - 1 : 2] ** 2) * one_plus[1:]
-    if np.count_nonzero(arg < _ZERO):
-        raise InternalConsistencyError("negative square-root argument in off-diagonal")
-    return SymTridiag(diag, np.sqrt(arg, out=arg))
+    return _killip_nenciu(pad, _ONE - a_odd, _ONE + a_odd, _ONE - pad[2 : 2 * n - 1 : 2] ** 2)
 
 
 def expected_matrix(p: JacobiParams) -> SymTridiag:
-    """Deterministic tridiagonal matrix with the variates replaced by their means.
+    """The random matrix's build at the variate means (q - p)/(p + q), reversed.
 
-    Entries use the rescaled parameters (a_tilde, b_tilde) in cancellation-free
-    product form; its eigenvalues are exactly the roots of the degree-n Jacobi
-    polynomial with parameters (a_tilde - 1, b_tilde - 1) evaluated at x/2.
-    Note the reversed orientation relative to :func:`random_matrix`.
+    The complements 1 -+ mean are 2 p/(p + q) and 2 q/(p + q). The eigenvalues
+    are the roots of the degree-n Jacobi polynomial with parameters
+    (a_tilde - 1, b_tilde - 1) at x/2. A shape sum beyond float64 raises
+    MagnitudeOverflowError.
     """
-    n, at, bt = p.n, p.a_tilde, p.b_tilde
-    diag = np.empty(n)
-    if n > 1:
-        k = np.arange(n - 1, dtype=np.float64)
-        diag[: n - 1] = (
-            2.0 * (bt - at) * (bt + at) / ((2.0 * k + at + bt) * (2.0 * k + at + bt + 2.0))
-        )
-    diag[n - 1] = 2.0 * (bt - at) / (2.0 * n + at + bt - 2.0)
-    off = np.empty(max(n - 1, 0))
-    if n > 2:
-        k = np.arange(n - 2, dtype=np.float64)
-        off[: n - 2] = (
-            4.0
-            / (2.0 * k + at + bt + 2.0)
-            * np.sqrt(
-                (k + at + bt + 1.0)
-                * (k + at + 1.0)
-                * (k + bt + 1.0)
-                * (k + 1.0)
-                / ((2.0 * k + at + bt + 3.0) * (2.0 * k + at + bt + 1.0))
-            )
-        )
-    if n > 1:
-        off[n - 2] = (
-            4.0
-            / (2.0 * n + at + bt - 2.0)
-            * np.sqrt((n + at - 1.0) * (n + bt - 1.0) * (n - 1.0) / (2.0 * n + at + bt - 3.0))
-        )
-    return SymTridiag(diag, off)
+    ps, qs = alpha_shapes(p)
+    with np.errstate(over="ignore"):
+        s = ps + qs
+    if not np.all(s < math.inf):
+        raise MagnitudeOverflowError("beta shapes of the expected matrix overflowed float64")
+    pad = np.empty(2 * p.n + 1)
+    pad[:2] = -1.0
+    pad[2:] = beta_mean_pm1(BetaParams(ps, qs))
+    # 2 (p/s), not 2p/s: doubling is exact, and 2p could overflow
+    one_minus, one_plus = 2.0 * (ps / s), 2.0 * (qs / s)
+    m = _killip_nenciu(pad, np.concatenate(([2.0], one_minus[1::2])),
+                       np.concatenate(([0.0], one_plus[1::2])), (one_minus * one_plus)[:-1:2])
+    return SymTridiag(m.diag[::-1], m.off[::-1])

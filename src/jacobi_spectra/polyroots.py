@@ -52,25 +52,35 @@ def pochhammer(a: float, n: int) -> float:
     return out
 
 
+def _finite_sum(n: int, g: float, d: float, xa: float | np.ndarray):
+    """P_n^{(g, d)} as its finite sum (Szego 4.3.2), defined for every real g, d:
+    the sum over m of (n+g choose n-m) (n+d choose m) ((x-1)/2)^m ((x+1)/2)^(n-m)."""
+    u, v = 0.5 * (np.asarray(xa) - 1.0), 0.5 * (np.asarray(xa) + 1.0)
+    return sum(math.comb(n, m) * pochhammer(g + m + 1.0, n - m) * pochhammer(n + d - m + 1.0, m)
+               * u**m * v ** (n - m) for m in range(n + 1)) / math.factorial(n)
+
+
 def _eval_recurrence(n: int, g: float, d: float, xa: float | np.ndarray) -> np.ndarray:
-    """Ascending-degree recurrence for P_n^{(g, d)}; no domain guard.
+    """Ascending-degree recurrence for P_n^{(g, d)} with g, d > -2; no domain guard.
 
     The contiguous identities below shift parameters by -1, which can leave
     the orthogonality domain while the polynomial itself stays well defined.
-    A float xa still gives an array p0, so each division obeys np.errstate.
+    For g, d > -2 the divisor c1 can vanish only at k = 2 or 3, so P_2 and
+    P_3 come from the finite sum and the recurrence starts at k = 4, where c1
+    is positive. Every value past degree 1 is numpy's, so each division obeys
+    np.errstate.
     """
-    p0 = np.ones_like(xa)
-    if n == 0:
-        return p0
-    p1 = 0.5 * (g + d + 2.0) * xa + 0.5 * (g - d)
-    for k in range(2, n + 1):
+    if n < 2:
+        return np.ones_like(xa) if n == 0 else 0.5 * (g + d + 2.0) * xa + 0.5 * (g - d)
+    p0, p1 = _finite_sum(2, g, d, xa), _finite_sum(3, g, d, xa)
+    for k in range(4, n + 1):
         s = 2.0 * k + g + d
         c1 = 2.0 * k * (k + g + d) * (s - 2.0)
         c2 = (s - 1.0) * (g - d) * (g + d)
         c3 = (s - 2.0) * (s - 1.0) * s
         c4 = 2.0 * (k + g - 1.0) * (k + d - 1.0) * s
         p0, p1 = p1, ((c2 + c3 * xa) * p1 - c4 * p0) / c1
-    return p1
+    return p0 if n == 2 else p1
 
 
 def jacobi_eval(p: JacobiPolyParams, x):

@@ -16,10 +16,13 @@ only the tests need, live here too, as does the one-sample KS statistic in
 its whole-array form (not the production block-by-block maximum).
 Dense symmetric eigenvalues come from round-robin cyclic plane rotations after
 an unblocked Cholesky (not the production LAPACK ``dsygvd`` pencil solve).
+Jacobi polynomials at any real parameters come from their power sum in
+(x - 1)/2 in exact rationals (not the production recurrence or binomial sum).
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -485,3 +488,15 @@ def eig_pencil(a: DenseSym, b: DenseSym) -> Spectrum:
     half = solve_triangular(low, a.a, lower=True)
     reduced = solve_triangular(low, half.T, lower=True)
     return eig_dense_sym(DenseSym((reduced + reduced.T) / 2.0))
+
+
+def jacobi_exact(n: int, g: float, d: float, x: float) -> float:
+    """P_n^{(g, d)}(x) = sum_m C(n, m) (n + g + d + 1)_m (g + m + 1)_{n-m} ((x - 1)/2)^m / n!,
+    summed in exact rationals from the floats' exact values; valid for every real g, d."""
+    g, d, x = Fraction(g), Fraction(d), Fraction(x)
+
+    def poch(a, k):
+        return math.prod((a + i for i in range(k)), start=Fraction(1))
+
+    return float(sum(math.comb(n, m) * poch(n + g + d + 1, m) * poch(g + m + 1, n - m)
+                     * ((x - 1) / 2) ** m for m in range(n + 1)) / math.factorial(n))

@@ -12,14 +12,31 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+# the warning policy of pyproject.toml's filterwarnings: numpy's ComplexWarning
+# is a RuntimeWarning, so one filter covers both (a -W option naming a numpy
+# class is read before numpy can be imported, and is ignored with a notice)
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning")
+
+
 def run_python(*args) -> subprocess.CompletedProcess:
-    """The interpreter on args, with the package source first on PYTHONPATH."""
+    """The interpreter on args, with the package source first on PYTHONPATH and
+    the warnings that tier-1 turns into errors turned into errors."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, *args], capture_output=True, text=True,
                           env=env, cwd=ROOT)
+
+
+@pytest.mark.parametrize("code", [
+    "import warnings; warnings.warn('bare', RuntimeWarning)",
+    "import numpy as np; np.array([1 + 1j]).astype(float)",
+])
+def test_run_python_fails_on_a_bare_warning(code):
+    r = run_python("-c", code)
+    assert r.returncode != 0 and "Warning" in r.stderr
+    assert "Invalid -W option" not in r.stderr
 
 
 @pytest.mark.parametrize("name, marker", [

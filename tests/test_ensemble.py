@@ -14,6 +14,7 @@ from jacobi_spectra.ensemble import (
 )
 from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 from jacobi_spectra.fmatrix import FDims
+from jacobi_spectra.polyroots import ensemble_roots
 from jacobi_spectra.spectra import Ecdf, deviation_report
 from jacobi_spectra.trieig import eig_tridiag
 
@@ -238,6 +239,41 @@ def test_expected_matrix_off_strictly_positive():
     for n in (2, 3, 7, 30):
         t = expected_matrix(JacobiParams(n, -0.5, 4.0, 1.5))
         assert np.all(t.off > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 400])
+def test_expected_matrix_is_the_random_build_at_the_means(n):
+    # one entry formula: the mean matrix is random_matrix at the variate means, reversed
+    for a, b, beta in ((0.5, 1.5, 2.0), (3.0, 0.0, 1.0), (-0.5, 4.0, 0.3), (20.0, 20.0, 2.0)):
+        p = JacobiParams(n, a, b, beta)
+        ps, qs = alpha_shapes(p)
+        r = random_matrix(AlphaVector((qs - ps) / (ps + qs)))
+        m = expected_matrix(p)
+        assert np.max(np.abs(m.diag - r.diag[::-1]), initial=0.0) < 1e-14
+        assert np.max(np.abs(m.off - r.off[::-1]), initial=0.0) < 1e-14
+
+
+@pytest.mark.parametrize("a, b, beta", [
+    (1e155, 0.0, 2.0), (1e200, 3.0, 2.0), (0.0, 1e200, 2.0), (1e300, 1e300, 2.0),
+    (0.5, -0.5, 1e-300),
+])
+def test_expected_matrix_finite_at_huge_rescaled_exponents(a, b, beta):
+    # a_tilde ~ 1e155 and beyond: no entry squares a shape, so every entry is finite
+    p = JacobiParams(5, a, b, beta)
+    m = expected_matrix(p)
+    assert np.all(np.isfinite(m.diag)) and np.all(np.isfinite(m.off))
+    assert np.max(np.abs(eig_tridiag(m).values - ensemble_roots(p))) < 1e-10
+
+
+def test_expected_matrix_shape_overflow_is_typed():
+    for a in (1e308, 1.7e308):
+        with pytest.raises(MagnitudeOverflowError, match="overflowed float64"):
+            expected_matrix(JacobiParams(5, a, a, 2.0))
+    # at b = 0 every shape and shape sum stays finite, so the matrix is built
+    # (its spectrum sits at -2, although a_tilde = (2a + 2)/beta overflows)
+    m = expected_matrix(JacobiParams(5, 1.7e308, 0.0, 2.0))
+    assert np.all(np.isfinite(m.diag)) and np.all(np.isfinite(m.off))
+    assert np.max(np.abs(eig_tridiag(m).values + 2.0)) < 1e-10
 
 
 def test_expectation_consistency_with_reversal():

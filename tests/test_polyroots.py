@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi, roots_jacobi
 
+from jacobi_spectra import polyroots
 from jacobi_spectra.ensemble import JacobiParams, SymTridiag, expected_matrix
 from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 from jacobi_spectra.polyroots import (
@@ -16,7 +17,7 @@ from jacobi_spectra.polyroots import (
     second_param_lowering_residual,
 )
 from jacobi_spectra.trieig import charpoly_eval, eig_tridiag
-from oracles import norm_inf, sturm_count
+from oracles import jacobi_exact, norm_inf, sturm_count
 
 
 def test_pochhammer():
@@ -185,6 +186,30 @@ def test_identity_residual_sweep():
         worst = max(worst, first_param_lowering_residual(p, x))
         worst = max(worst, second_param_lowering_residual(p, x))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("g, d, n", [
+    (0.0, 0.0, 2), (0.3, -0.3, 3), (1.0, -1.0 + 1e-9, 2), (-0.5, -0.5, 5),
+])
+def test_identity_residuals_where_the_shifted_recurrence_divisor_vanishes(g, d, n):
+    # the identities evaluate P at g - 1, d - 1, where 2k (k + g + d)(2k + g + d - 2)
+    # can vanish at k = 2 or 3; P_2 and P_3 come from the finite sum instead
+    p = JacobiPolyParams(n, g, d)
+    assert first_param_lowering_residual(p, 0.3) < 1e-14
+    assert second_param_lowering_residual(p, 0.3) < 1e-14
+
+
+def test_shifted_parameter_values_match_exact_sum():
+    # parameters in (-2, -1], where the identities evaluate P; a NaN fails too
+    # (scipy's eval_jacobi reads NaN at most of these points, so it is no oracle)
+    errs = []
+    for n in range(9):
+        for g, d in ((-1.0, -1.0), (-0.7, -1.3), (-1.5, -1.5), (2.0, -1.9), (0.0, -2.0 + 1e-9)):
+            for x in (-0.8, 0.3, 0.95):
+                ref = jacobi_exact(n, g, d, x)
+                val = float(polyroots._eval_recurrence(n, g, d, x))
+                errs.append(abs(val - ref) / max(1.0, abs(ref)))
+    assert np.all(np.array(errs) < 1e-13)
 
 
 def test_identity_degree_preconditions():
