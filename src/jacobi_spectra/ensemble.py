@@ -58,13 +58,14 @@ class JacobiParams:
 
     @property
     def a_tilde(self) -> float:
-        """Rescaled first parameter (2a + 2)/beta; always > 0."""
-        return (2.0 * self.a + 2.0) / self.beta
+        """Rescaled first parameter (2a + 2)/beta; always > 0. Doubling last
+        keeps it finite wherever (a + 1)/beta is."""
+        return 2.0 * ((self.a + 1.0) / self.beta)
 
     @property
     def b_tilde(self) -> float:
         """Rescaled second parameter (2b + 2)/beta; always > 0."""
-        return (2.0 * self.b + 2.0) / self.beta
+        return 2.0 * ((self.b + 1.0) / self.beta)
 
 
 @dataclass(frozen=True)

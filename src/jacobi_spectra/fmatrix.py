@@ -22,7 +22,8 @@ from .betarand import RngStream
 from .ensemble import JacobiParams, random_matrix, sample_alphas
 from .errors import ParameterDomainError, real_array, whole_number
 from .spectra import (
-    EdgeDensity, FMatrixDensity, SemicircleDensity, cdf_grid, model_cdf, run_trials,
+    EdgeDensity, FMatrixDensity, SemicircleDensity, ascending_points, cdf_grid, model_cdf,
+    run_trials, semicircle_radius,
 )
 from .trieig import Spectrum, eig_generalized_sym, eig_tridiag
 
@@ -206,14 +207,14 @@ def _reciprocal_edge_limit_cdf(d: FDims):
     edge = EdgeDensity(d.n2 / d.n - 1.0)
 
     def cdf(xs):
-        xs = real_array(xs)
-        inv = np.full(xs.shape, np.inf)
-        np.divide(1.0, xs, out=inv, where=xs > 0.0)
-        # 1/x maps ascending points to descending ones: evaluate the reversed,
-        # ascending view, so cdf_grid needs no sort (and sees a scalar or 2-D
-        # input as it is, to reject it)
-        upper = cdf_grid(edge, np.flip(inv))[::-1]
-        return np.subtract(1.0, upper, out=upper)
+        xs = ascending_points(xs)
+        # 1 - G(1/x) is 0 on the prefix x < the smallest normal float (all
+        # x <= 0 among them), where 1/x is +inf or overflows; 1/x maps the rest
+        # to descending points, so cdf_grid integrates their reversed view
+        pos = np.searchsorted(xs, np.finfo(np.float64).tiny)
+        out = np.zeros_like(xs)
+        out[pos:] = 1.0 - cdf_grid(edge, 1.0 / xs[pos:][::-1])[::-1]
+        return out
 
     return cdf
 
@@ -226,7 +227,7 @@ TRANSFORMS = {
     ),
     "thm42": (
         semicircle_transform,
-        lambda d: model_cdf(SemicircleDensity(4.0 * (d.n1 / d.n2) / (1.0 + d.n1 / d.n2) ** 1.5)),
+        lambda d: model_cdf(SemicircleDensity(semicircle_radius(d.n1 / d.n2))),
     ),
     "thm43": (reciprocal_edge_transform, _reciprocal_edge_limit_cdf),
     "thm44": (shifted_semicircle_transform, lambda d: model_cdf(SemicircleDensity(4.0, -2.0))),
@@ -242,9 +243,9 @@ def _transform(kind: str):
 def transform_limit_cdf(kind: str, d: FDims):
     """CDF callable of the limiting law matching a transform at dimensions d.
 
-    Plug-in parameters are used (y = n/n1, y' = n/n2, g = n1/n2). For
-    ``thm43`` the limit is the distribution of 1/Z with Z ~ EdgeDensity, so
-    its CDF is evaluated by reflection rather than through a density model.
+    Plug-in parameters are used (y = n/n1, y' = n/n2, g = n1/n2); points as
+    ``cdf_grid`` takes them. For ``thm43`` the limit is the law of 1/Z with
+    Z ~ EdgeDensity, so its CDF is 1 - G(1/x) by reflection, 0 at x <= 0.
     """
     return _transform(kind)[1](d)
 

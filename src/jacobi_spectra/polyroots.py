@@ -129,8 +129,8 @@ def recurrence_coefficients(p: JacobiPolyParams) -> tuple[np.ndarray, np.ndarray
     g, d, n = p.gamma, p.delta, p.n
     diag = np.empty(n)
     k = np.arange(1, n, dtype=np.float64)
-    s = 2.0 * k + g + d
     with np.errstate(all="ignore"):
+        s = 2.0 * k + g + d
         diag[0] = (d - g) / (g + d + 2.0)
         diag[1:] = ((d - g) / s) * ((d + g) / (s + 2.0))
         off_sq = 4.0 * (k / s) * ((k + g) / s) * ((k + d) / (s - 1.0)) * ((k + g + d) / (s + 1.0))

@@ -145,9 +145,14 @@ def ratio_density_support(alpha0: float, beta0: float) -> tuple[float, float]:
     if not (0.0 <= alpha0 < math.inf and 0.0 <= beta0 < math.inf):
         raise ParameterDomainError("growth ratios must be finite and satisfy alpha0, beta0 >= 0")
     root = 4.0 * math.sqrt((alpha0 + 1.0) * (beta0 + 1.0) * (alpha0 + beta0 + 1.0))
-    den = (2.0 + alpha0 + beta0) ** 2
-    r1 = (beta0**2 - alpha0**2 - root) / den
-    r2 = (beta0**2 - alpha0**2 + root) / den
+    try:
+        den = (2.0 + alpha0 + beta0) ** 2
+        r1 = (beta0**2 - alpha0**2 - root) / den
+        r2 = (beta0**2 - alpha0**2 + root) / den
+    except OverflowError:  # a float ** raises where * gives inf
+        r1 = r2 = math.inf
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise MagnitudeOverflowError("ratio-law support overflowed float64")
     return 2.0 * r1, 2.0 * r2
 
 
@@ -355,30 +360,21 @@ def _panel_integrals(m: DensityModel, edges: np.ndarray) -> np.ndarray:
         tol *= 0.5
 
 
-def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
-    """CDF at many (arbitrary-order) points, by incremental panel integration.
-
-    Ascending finite points are walked in blocks with a running total (tol
-    1e-10 per panel) that is written straight into the output; other points
-    (another order, or an infinity) are sorted first and their values scattered back.
-    """
+def ascending_points(xs) -> np.ndarray:
+    """xs as a float64 array if it is 1-D, finite and nondecreasing, as an
+    :class:`Ecdf`'s sample is; else ParameterDomainError. :class:`Ecdf` is
+    where points get sorted."""
     xs = real_array(xs)
-    if xs.ndim != 1:
-        raise ParameterDomainError("CDF points must be a 1-D array")
-    if finite_ascending(xs):
-        return _ascending_cdf(m, xs)
-    if np.isnan(xs).any():
-        raise ParameterDomainError("CDF points must not be NaN")
-    order = np.argsort(xs, kind="stable")
-    sorted_xs = xs[order]
-    vals = _ascending_cdf(m, sorted_xs)
-    out = sorted_xs  # reuse its buffer: the points are no longer needed
-    out[order] = vals
-    return out
+    if xs.ndim != 1 or not finite_ascending(xs):
+        raise ParameterDomainError("CDF points must be a 1-D array, finite and ascending")
+    return xs
 
 
-def _ascending_cdf(m: DensityModel, xs: np.ndarray) -> np.ndarray:
-    """:func:`cdf_grid` on nondecreasing points."""
+def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
+    """CDF at ascending finite points (see :func:`ascending_points`), walked in
+    blocks with a running panel total (tol 1e-10 per panel) written straight
+    into the output."""
+    xs = ascending_points(xs)
     lo, hi = m.support
     first = np.searchsorted(xs, lo, side="right")
     stop = np.searchsorted(xs, hi, side="left")
@@ -395,7 +391,7 @@ def _ascending_cdf(m: DensityModel, xs: np.ndarray) -> np.ndarray:
 
 
 def model_cdf(m: DensityModel):
-    """CDF callable suitable for :func:`ks_distance`."""
+    """CDF callable for :func:`ks_distance`, on points as :func:`cdf_grid` takes them."""
     return lambda xs: cdf_grid(m, xs)
 
 
@@ -512,14 +508,22 @@ def _arcsine_regime(p: JacobiParams):
     return ArcsineDensity(), ScalingSequence(1.0, 0.0, p.n)
 
 
+def semicircle_radius(g: float) -> float:
+    """Radius 4 g / (1 + g)^(3/2) of the balanced-growth semicircle law, where
+    g is the growth ratio a_tilde/b_tilde (or n1/n2 on the F side)."""
+    try:
+        return 4.0 * g / (1.0 + g) ** 1.5
+    except OverflowError:  # a float ** raises where * gives inf
+        raise MagnitudeOverflowError("semicircle radius overflowed float64") from None
+
+
 def _semicircle_regime(p: JacobiParams):
     n, at, bt = p.n, p.a_tilde, p.b_tilde
     if at <= 1.0:
         raise ParameterDomainError("semicircle scaling needs a_tilde > 1")
     if at + bt == 2.0:
         raise ParameterDomainError("semicircle centring needs a_tilde + b_tilde != 2")
-    g = at / bt
-    return SemicircleDensity(4.0 * g / (1.0 + g) ** 1.5), ScalingSequence(
+    return SemicircleDensity(semicircle_radius(at / bt)), ScalingSequence(
         2.0 * math.sqrt(n / (at - 1.0)), -2.0 * (at - bt) / (at + bt - 2.0), n
     )
 
@@ -573,7 +577,11 @@ def monte_carlo_esd(
     if mode not in SCALING_MODES:
         raise ParameterDomainError(f"unknown scaling mode {mode!r}")
     if p.n >= 2:
-        transfer = s.delta_n**4 * (p.a + p.b) / math.log(p.n)
+        try:
+            d4 = s.delta_n**4
+        except OverflowError:  # the proxy only decides the notice below
+            d4 = math.inf
+        transfer = d4 * (p.a + p.b) / math.log(p.n)
         if transfer < 10.0:
             warnings.warn(
                 "scaled-comparison transfer proxy delta^4 (a+b)/log n = "

@@ -17,7 +17,10 @@ its whole-array form (not the production block-by-block maximum).
 Dense symmetric eigenvalues come from round-robin cyclic plane rotations after
 an unblocked Cholesky (not the production LAPACK ``dsygvd`` pencil solve).
 Jacobi polynomials at any real parameters come from their power sum in
-(x - 1)/2 in exact rationals (not the production recurrence or binomial sum).
+(x - 1)/2 in exact rationals (not the production recurrence or binomial sum),
+and the first two trace moments of the random build from its entry
+polynomials and closed-form beta moments, also in exact rationals (not a
+sample).
 """
 
 import math
@@ -500,3 +503,36 @@ def jacobi_exact(n: int, g: float, d: float, x: float) -> float:
 
     return float(sum(math.comb(n, m) * poch(n + g + d + 1, m) * poch(g + m + 1, n - m)
                      * ((x - 1) / 2) ** m for m in range(n + 1)) / math.factorial(n))
+
+
+def alpha_moments(p: float, q: float) -> tuple[Fraction, Fraction]:
+    """Exact E alpha and E alpha^2 of alpha = 1 - 2Z, Z ~ Beta(p, q), from the
+    floats' exact values: (q - p)/(p + q) and
+    1 - 4p/(p + q) + 4p(p + 1)/((p + q)(p + q + 1))."""
+    p, q = Fraction(p), Fraction(q)
+    s = p + q
+    return (q - p) / s, 1 - 4 * p / s + 4 * p * (p + 1) / (s * (s + 1))
+
+
+def trace_moments(shapes: tuple[np.ndarray, np.ndarray], c: float) -> tuple[Fraction, Fraction]:
+    """Exact E tr(T - cI) and E tr((T - cI)^2) of the Killip-Nenciu build whose
+    2n - 1 independent alphas have the beta shapes (ps, qs), in exact rationals.
+
+    diag_k = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2} and
+    off_k^2 = (1 - alpha_{2k-1})(1 - alpha_{2k}^2)(1 + alpha_{2k+1}) are
+    products of independent factors, with alpha_{-2} = alpha_{-1} = -1; each
+    expectation is a product of the factors' moments.
+    """
+    # mom[i + 2] = (E alpha_i, E alpha_i^2)
+    mom = [(Fraction(-1), Fraction(1))] * 2 + [alpha_moments(p, q) for p, q in zip(*shapes)]
+    n, c = (len(mom) - 1) // 2, Fraction(c)
+    first = second = Fraction(0)
+    for k in range(n):
+        (l1, l2), (o1, o2), (e1, e2) = mom[2 * k], mom[2 * k + 1], mom[2 * k + 2]
+        d1 = (1 - o1) * e1 - (1 + o1) * l1
+        d2 = (1 - 2 * o1 + o2) * e2 - 2 * (1 - o2) * e1 * l1 + (1 + 2 * o1 + o2) * l2
+        first += d1 - c
+        second += d2 - 2 * c * d1 + c * c
+        if k < n - 1:
+            second += 2 * (1 - o1) * (1 - e2) * (1 + mom[2 * k + 3][0])
+    return first, second

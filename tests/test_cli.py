@@ -144,7 +144,7 @@ def test_roots_overflow_exits_4_without_traceback(a, code):
     assert "Traceback" not in r.stderr
     assert "RuntimeWarning" not in r.stderr
     if code:
-        # a_tilde = (2a + 2)/beta is infinite at a = 1e308
+        # gamma + delta = a_tilde + b_tilde - 2 is infinite at a = b = 1e308
         assert "overflowed float64" in r.stderr
     else:
         # gamma = delta = a -> infinity: the doubled roots tend to
@@ -153,6 +153,30 @@ def test_roots_overflow_exits_4_without_traceback(a, code):
                          for line in r.stdout.strip().splitlines()[1:]])
         expected = 2.0 * np.sort(roots_hermite(5)[0]) / np.sqrt(float(a))
         assert np.max(np.abs(vals - expected)) < 1e-8 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        ("compare --model ratio --n 20 --a 1e306 --b 1e306 --beta 2", 4),
+        ("compare --model semicircle --n 20 --a 1e300 --b -0.9999999 --beta 2", 4),
+        ("compare --model ratio --n 20 --a 3 --b 3 --beta 2 --scaling plain:1e300:1e300", 0),
+        ("roots --n 5 --a 5e307 --b 5e307 --beta 1", 4),
+        ("roots --n 5 --a 1e308 --beta 2", 0),
+    ],
+)
+def test_huge_parameters_exit_without_traceback_or_warning(args, code):
+    # a float ** that overflows raises OverflowError where * gives inf; the
+    # ratio support and the semicircle radius report it as exit 4, and an
+    # overflowing transfer proxy gives no notice
+    r = run_cli(*args.split())
+    assert r.returncode == code
+    assert "Traceback" not in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    if code:
+        assert "overflowed float64" in r.stderr
+    else:
+        assert r.stderr == ""
 
 
 def test_compare_weak_transfer_prints_one_notice_line():

@@ -15,13 +15,15 @@ from jacobi_spectra.ensemble import (
 from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 from jacobi_spectra.fmatrix import FDims
 from jacobi_spectra.polyroots import ensemble_roots
-from jacobi_spectra.spectra import Ecdf, deviation_report
+from jacobi_spectra.spectra import REGIMES, Ecdf, deviation_report
 from jacobi_spectra.trieig import eig_tridiag
 
 from oracles import (
+    alpha_moments,
     beta_pm1_keyed,
     max_over_cube,
     random_matrix_gathered,
+    trace_moments,
     two_sample_sup_distance,
 )
 
@@ -43,6 +45,18 @@ def test_params_validation():
             JacobiParams(2, a, b, beta)
     p = JacobiParams(4, 1.0, 2.0, 2.0)
     assert p.a_tilde == 2.0 and p.b_tilde == 3.0
+
+
+def test_rescaled_parameters_equal_the_direct_quotient():
+    # 2 ((a + 1)/beta) is (2a + 2)/beta bit for bit while (a + 1)/beta is a
+    # normal float, and stays finite where 2a + 2 overflows
+    rng = np.random.default_rng(SEED)
+    for a, beta in zip(np.exp(rng.uniform(-30.0, 300.0, 2000)).tolist(),
+                       np.exp(rng.uniform(-300.0, 300.0, 2000)).tolist()):
+        a -= 1.0
+        p = JacobiParams(3, a, a, beta)
+        assert p.a_tilde == p.b_tilde == (2.0 * a + 2.0) / beta
+    assert JacobiParams(3, 1.7e308, 0.0, 2.0).a_tilde == 1.7e308
 
 
 @pytest.mark.parametrize(
@@ -320,3 +334,41 @@ def test_swap_weights_negates_spectrum():
         [eig_tridiag(random_matrix(sample_alphas(p2, r2.substream(t)))).values for t in range(1000)]
     )
     assert two_sample_sup_distance(Ecdf(s1), Ecdf(-s2)) < 0.02
+
+
+def test_alpha_moments_match_scipy_beta():
+    from scipy.stats import beta
+
+    for p, q in ((0.25, 0.5), (1.0, 1.0), (2.5, 61.0), (1e6, 3e5), (4.0, 1e-3)):
+        m1, m2 = beta(p, q).moment(1), beta(p, q).moment(2)
+        e1, e2 = alpha_moments(p, q)
+        assert float(e1) == pytest.approx(1.0 - 2.0 * m1, rel=1e-12, abs=1e-15)
+        assert float(e2) == pytest.approx(1.0 - 4.0 * m1 + 4.0 * m2, rel=1e-12, abs=1e-15)
+
+
+MOMENT_CASES = [
+    (n, a, b, beta)
+    for n in (1, 2, 20)
+    for a, b, beta in ((60.0, 30.0, 2.0), (3.0 * n, 3.0 * n, 2.0), (-0.5, 2.0, 0.5))
+] + [pytest.param(20, 1e18, 5e17, 2.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))]
+
+
+@pytest.mark.parametrize("n, a, b, beta", MOMENT_CASES)
+def test_trace_moments_match_exact_oracle(n, a, b, beta):
+    # sample means of tr(T - cI) and tr((T - cI)^2) = sum (d - c)^2 + 2 sum e^2,
+    # each summed per realization in float64, against their exact expectations
+    p = JacobiParams(n, a, b, beta)
+    try:  # centre at the semicircle regime's epsilon_n where that regime applies
+        c = REGIMES["semicircle"](p)[1].epsilon_n
+    except ParameterDomainError:
+        c = 0.0
+    trials = 3000
+    rng = RngStream(SEED, 11)
+    sums = np.empty((2, trials))
+    for t in range(trials):
+        m = random_matrix(sample_alphas(p, rng))
+        dc = m.diag - c
+        sums[:, t] = dc.sum(), dc @ dc + 2.0 * (m.off @ m.off)
+    for sample, exact in zip(sums, trace_moments(alpha_shapes(p), c)):
+        z = (sample.mean() - float(exact)) / (sample.std(ddof=1) / np.sqrt(trials))
+        assert abs(z) < 4.5

@@ -252,6 +252,22 @@ def test_ensemble_roots_name_vanishing_rescaled_parameters(a, b):
     assert "beta = 1e+300" in str(exc.value)
 
 
+def test_infinite_exponent_sum_raises_only_overflow():
+    # gamma + delta = 2e308 is infinite: a MagnitudeOverflowError, no RuntimeWarning
+    with pytest.raises(MagnitudeOverflowError):
+        jacobi_roots_scaled(JacobiPolyParams(5, 1e308, 1e308))
+
+
+@pytest.mark.parametrize("a", [1e308, 1.7e308])
+def test_ensemble_roots_near_float64_max(a):
+    # a_tilde = 2 ((a + 1)/beta) stays finite where 2a + 2 would overflow;
+    # the roots tend to -2 like the mean matrix's spectrum
+    p = JacobiParams(5, a, 0.0, 2.0)
+    roots = ensemble_roots(p)
+    assert list(roots) == [-2.0] * 5
+    assert roots.tobytes() == eig_tridiag(expected_matrix(p)).values.tobytes()
+
+
 def test_charpoly_matches_scaled_polynomial():
     # det(xI - M) equals 2^n * monic_factor * P_n at x/2 for the mean matrix
     rng = np.random.default_rng(9)

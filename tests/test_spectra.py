@@ -12,6 +12,7 @@ from jacobi_spectra.errors import (
     NumericalFailureError,
     ParameterDomainError,
 )
+from jacobi_spectra.fmatrix import TRANSFORMS, FDims, transform_limit_cdf
 from jacobi_spectra.polyroots import JacobiPolyParams, jacobi_roots_scaled
 from jacobi_spectra.spectra import (
     REGIMES,
@@ -210,6 +211,18 @@ def test_ratio_support_values():
     assert lo == pytest.approx(-hi)
 
 
+@pytest.mark.parametrize("a0", [1e103, 1e160])
+def test_ratio_support_overflow_raises(a0):
+    # 1e103: the root term is infinite; 1e160: (2 + a0 + b0) ** 2 raises OverflowError
+    with pytest.raises(MagnitudeOverflowError, match="overflowed float64"):
+        RatioDensity(a0, a0)
+
+
+def test_thm42_radius_overflow_raises():
+    with pytest.raises(MagnitudeOverflowError, match="overflowed float64"):
+        transform_limit_cdf("thm42", FDims(1, 10**250, 1))
+
+
 def test_fmatrix_support_properties():
     for y in (0.2, 0.7, 1.0):
         for yp in (0.1, 0.5, 0.9):
@@ -250,13 +263,6 @@ def test_cdf_endpoints_and_closed_form():
     assert np.max(np.abs(cdf_grid(m, xs) - arcsine_cdf(xs))) < 1e-7
 
 
-def test_cdf_grid_handles_unsorted_input():
-    m = SemicircleDensity(1.0)
-    xs = np.array([0.5, -0.5, 0.0, 0.9, -2.0])
-    out = cdf_grid(m, xs)
-    assert out == pytest.approx([cdf_eval(m, x, 1e-8) for x in xs], abs=1e-9)
-
-
 # near-degenerate shapes: supports touching +-2 or 0, and a wide F support
 @pytest.mark.parametrize(
     "model",
@@ -265,10 +271,10 @@ def test_cdf_grid_handles_unsorted_input():
 def test_cdf_grid_matches_scalar_oracle(model):
     lo, hi = model.support
     w = hi - lo
-    xs = np.concatenate([
+    xs = np.sort(np.concatenate([
         np.linspace(lo - 0.05 * w, hi + 0.05 * w, 23),
         [lo, hi, lo + 1e-9 * w, hi - 1e-9 * w, 0.5 * (lo + hi)],
-    ])
+    ]))
     ref = np.array([cdf_eval(model, x, 1e-12) for x in xs])
     assert np.max(np.abs(cdf_grid(model, xs) - ref)) < 1e-10
 
@@ -283,38 +289,44 @@ def test_cdf_grid_closed_forms():
     assert np.max(np.abs(cdf_grid(SemicircleDensity(r), xs) - semicircle)) < 1e-12
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
-def test_cdf_grid_ascending_equals_shuffled_bit_for_bit(model):
-    xs = np.sort(_tied_sample(*model.support, 5150, SEED))
-    perm = np.random.default_rng(SEED).permutation(xs.size)
-    assert cdf_grid(model, xs)[perm].tobytes() == cdf_grid(model, xs[perm]).tobytes()
-
-
 def test_cdf_grid_edge_cases():
     m = RatioDensity(3.0, 3.0)
     lo, hi = m.support
     mid = 0.5 * (lo + hi)
     assert cdf_grid(m, np.array([])).shape == (0,)
     assert cdf_grid(m, np.array([0.3]))[0] == pytest.approx(cdf_eval(m, 0.3, 1e-12), abs=1e-10)
-    # unsorted with duplicates: equal points get equal values, order is kept
-    xs = np.array([0.3, -0.2, 0.3, hi, -0.2, lo, 0.3])
+    # ties get equal values
+    xs = np.array([lo, -0.2, -0.2, 0.3, 0.3, 0.3, hi])
     out = cdf_grid(m, xs)
-    assert out[0] == out[2] == out[6] and out[1] == out[4]
+    assert out[1] == out[2] and out[3] == out[4] == out[5]
     assert out == pytest.approx([cdf_eval(m, x, 1e-12) for x in xs], abs=1e-10)
-    # below, at and above each endpoint; exactly at the midpoint; +-inf
-    xs = np.array([-np.inf, lo - 1.0, lo, np.nextafter(lo, np.inf), mid,
-                   np.nextafter(hi, -np.inf), hi, hi + 1.0, np.inf])
+    # below, at and above each endpoint; exactly at the midpoint
+    xs = np.array([lo - 1.0, lo, np.nextafter(lo, np.inf), mid,
+                   np.nextafter(hi, -np.inf), hi, hi + 1.0])
     out = cdf_grid(m, xs)
-    assert list(out[:3]) == [0.0, 0.0, 0.0] and list(out[-3:]) == [1.0, 1.0, 1.0]
-    assert out[4] == pytest.approx(0.5, abs=1e-12)  # symmetric density
-    assert out[1:-1] == pytest.approx([cdf_eval(m, x, 1e-12) for x in xs[1:-1]], abs=1e-10)
+    assert list(out[:2]) == [0.0, 0.0] and list(out[-2:]) == [1.0, 1.0]
+    assert out[3] == pytest.approx(0.5, abs=1e-12)  # symmetric density
+    assert out == pytest.approx([cdf_eval(m, x, 1e-12) for x in xs], abs=1e-10)
     # several blocks: nondecreasing across block boundaries and still accurate
     xs = np.linspace(-1.999, 1.999, 5001)
-    out = cdf_grid(ArcsineDensity(), xs[::-1])[::-1]
+    out = cdf_grid(ArcsineDensity(), xs)
     assert np.all(np.diff(out) >= 0.0)
     assert np.max(np.abs(out - arcsine_cdf(xs))) < 1e-12
-    with pytest.raises(ParameterDomainError):
-        cdf_grid(m, np.array([0.1, np.nan]))
+
+
+# the limit-law CDF takes ascending finite points only; Ecdf is the one sorter
+@pytest.mark.parametrize(
+    "xs",
+    [[0.3, -0.2], [0.1, np.nan], [np.nan, 0.1], [-0.2, np.inf], [-np.inf, 0.1], [1.0, 0.5, 0.0]],
+    ids=["unsorted", "nan-last", "nan-first", "inf", "-inf", "descending"],
+)
+def test_cdf_rejects_unsorted_or_nonfinite_points(xs):
+    xs = np.array(xs)
+    cdfs = [lambda v: cdf_grid(RatioDensity(3.0, 3.0), v), model_cdf(RatioDensity(3.0, 3.0))]
+    cdfs += [transform_limit_cdf(kind, FDims(100, 10000, 200)) for kind in TRANSFORMS]
+    for cdf in cdfs:
+        with pytest.raises(ParameterDomainError, match="finite and ascending"):
+            cdf(xs)
 
 
 @pytest.mark.parametrize("xs", [0.3, np.array(0.3), np.full((2, 3), 0.3), np.zeros((1, 0))],
@@ -584,6 +596,15 @@ def test_monte_carlo_warns_on_weak_transfer():
     s = ScalingSequence(0.1, 0.0, 50)
     with pytest.warns(UserWarning):
         monte_carlo_esd(p, s, 1, RngStream(4, 0))
+
+
+def test_monte_carlo_overflowing_transfer_proxy_gives_no_notice():
+    # delta^4 overflows float64: the proxy reads +inf, above the notice threshold
+    p = JacobiParams(20, 3.0, 3.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = monte_carlo_esd(p, ScalingSequence(1e300, 1e300, 20), 1, RngStream(4, 0))
+    assert e.n == 20
 
 
 def test_pooled_esd_close_to_ratio_limit():
