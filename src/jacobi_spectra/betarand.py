@@ -18,10 +18,11 @@ the per-variate counter parts) is built once per shape set, as a
 :class:`GammaPlan` or :class:`BetaPlan`, and a plan can serve any number of
 calls. Normals, keyed or sequential, come from the Box-Muller transform.
 
-Beta variates are produced as gamma ratios. The beta distribution on [-1, 1]
-used by the ensemble has weight (1-x)^(p-1) (1+x)^(q-1), which forces the
-orientation alpha = 1 - 2*Z for Z ~ Beta(p, q) on [0, 1]; flipping this sign
-silently mirrors every spectrum downstream, so do not "simplify" it.
+Beta variates Z ~ Beta(p, q) are gamma ratios X/(X+Y), drawn by
+:meth:`BetaPlan.draw` and clamped by its callers. The ensemble's variate on
+[-1, 1] has weight (1-x)^(p-1) (1+x)^(q-1), which forces the orientation
+alpha = 1 - 2*Z (``ensemble.sample_alphas``); flipping this sign silently
+mirrors every spectrum downstream, so do not "simplify" it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ _SHIFTS_MULS = tuple(
 )
 _SHIFT31 = np.array(31, dtype=np.uint64)
 _SHIFT11 = np.array(11, dtype=np.uint64)
-_HALF, _ONE, _TWO, _THREE = (np.array(x) for x in (0.5, 1.0, 2.0, 3.0))
+_HALF, _ONE, _THREE = (np.array(x) for x in (0.5, 1.0, 3.0))
 _MINUS_TWO, _TWO_PI, _ULP53 = np.array(-2.0), np.array(2.0 * np.pi), np.array(2.0**-53)
 _SQUEEZE = np.array(0.0331)  # Marsaglia-Tsang squeeze constant
 
@@ -65,8 +66,6 @@ _NORMAL_BLOCK = 1 << 16
 _TINY = float(np.finfo(np.float64).tiny)
 _ONE_MINUS = float(np.nextafter(1.0, 0.0))
 _TINY_0D = np.array(_TINY)
-# the clamp of beta_pm1 draws, 2^-52 inside each endpoint
-_PM1_LOW, _PM1_HIGH = np.array(-1.0 + 2.0**-52), np.array(1.0 - 2.0**-52)
 # largest gamma shape: 9 d (Marsaglia-Tsang) and X + Y (a beta pair) stay finite
 _MAX_SHAPE = float(np.finfo(np.float64).max) / 16.0
 
@@ -327,51 +326,33 @@ class GammaPlan:
 class BetaPlan:
     """Everything of a keyed beta call except its key, built once per shape pair set.
 
-    Holds the shape pairs p and q of ``params`` (validated by
-    :class:`BetaParams`), the gamma plan of one pass over the concatenated
-    shapes (X of beta variate j is keyed gamma variate j, Y is keyed gamma
-    variate j + 2^31), and the means (q - p)/(p + q) of the [-1, 1] law.
-    Arrays are read-only.
+    Holds the gamma plan of one pass over the concatenated shapes p and q of
+    ``params`` (X of beta variate j is keyed gamma variate j, Y is keyed gamma
+    variate j + 2^31), the array shape of p, and the means (q - p)/(p + q) of
+    the [-1, 1] law; no copy of p or q. Arrays are read-only.
     """
 
-    __slots__ = ("p", "q", "gamma", "means")
+    __slots__ = ("gamma", "shape", "means")
 
     def __init__(self, params: BetaParams):
-        p, q = params.p.copy(), params.q.copy()  # own copies, frozen below
+        p, q = params.p, params.q
         j = np.arange(p.size, dtype=np.uint64)
         self.gamma = GammaPlan(np.concatenate((p.ravel(), q.ravel())),
                                np.concatenate((j, j + _Y_OFFSET)))
-        self.p, self.q = _frozen(p), _frozen(q)
+        self.shape = p.shape
         self.means = _frozen(real_array(beta_mean_pm1(params)))
 
-    def beta01(self, key: int) -> np.ndarray:
-        """Beta(p, q) variates on (0, 1) of call ``key``, as gamma ratios X/(X+Y)."""
-        g = self.gamma.draw(key)
-        m = g.size // 2
-        x, y = g[:m], g[m:]
-        z = x / (x + y)
-        # rounding at extreme shapes can land exactly on the closed endpoints
-        np.maximum(z, _TINY, out=z)
-        np.minimum(z, _ONE_MINUS, out=z)
-        return z.reshape(self.p.shape)
+    def draw(self, key: int) -> np.ndarray:
+        """Beta(p, q) variates X/(X+Y) of call ``key``, shaped like p, in a new array.
 
-    def beta_pm1(self, key: int) -> np.ndarray:
-        """Variates 1 - 2 Beta01(p, q) on (-1, 1) of call ``key``, with density
-        proportional to (1-x)^(p-1) (1+x)^(q-1): the (1-x) exponent pairs with p.
-
-        Equals ``1 - 2 * beta01(key)`` clamped to +-(1 - 2^-52): that clamp
-        maps beta01's own endpoint clamps to the values it gives them anyway.
+        Unclamped: rounding at extreme shapes can land on either end of [0, 1].
         """
         g = self.gamma.draw(key)
         m = g.size // 2
         x = g[:m]
-        a = x + g[m:]
-        np.divide(x, a, out=a)
-        np.multiply(a, _TWO, out=a)
-        np.subtract(_ONE, a, out=a)
-        np.maximum(a, _PM1_LOW, out=a)
-        np.minimum(a, _PM1_HIGH, out=a)
-        return a.reshape(self.p.shape)
+        z = x + g[m:]
+        np.divide(x, z, out=z)
+        return z.reshape(self.shape)
 
 
 def sample_beta01(params: BetaParams, rng: RngStream) -> np.ndarray:
@@ -380,7 +361,10 @@ def sample_beta01(params: BetaParams, rng: RngStream) -> np.ndarray:
     One call takes one key word of ``rng``; draw i is keyed variate i of
     that call, so a prefix of the shapes gives a prefix of the draws.
     """
-    return BetaPlan(params).beta01(rng._call_key())
+    z = BetaPlan(params).draw(rng._call_key())
+    np.maximum(z, _TINY, out=z)
+    np.minimum(z, _ONE_MINUS, out=z)
+    return z
 
 
 def beta_mean_pm1(params: BetaParams):

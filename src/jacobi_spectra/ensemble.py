@@ -27,7 +27,8 @@ from .errors import real_array, real_number, whole_number
 
 # 0-d operands of the per-realization array passes (numpy converts a scalar
 # operand on every call)
-_ZERO, _ONE = np.array(0.0), np.array(1.0)
+_ZERO, _ONE, _TWO = np.array(0.0), np.array(1.0), np.array(2.0)
+_ALPHA_LOW, _ALPHA_HIGH = np.array(-1.0 + 2.0**-52), np.array(1.0 - 2.0**-52)
 
 # largest matrix size: the 2n - 1 beta variates of a realization keep their
 # keyed gamma indices below 2^31, where the Y draws start
@@ -144,8 +145,14 @@ def alpha_plan(p: JacobiParams) -> BetaPlan:
 
 
 def sample_alphas(p: JacobiParams, rng: RngStream) -> AlphaVector:
-    """Draw the 2n-1 independent variates for one matrix realization."""
-    return AlphaVector(alpha_plan(p).beta_pm1(rng._call_key()))
+    """Draw the 2n-1 independent variates alpha_k = 1 - 2 Z_k, Z_k ~ Beta(p_k, q_k),
+    of one matrix realization, clamped to +-(1 - 2^-52) as AlphaVector needs."""
+    a = alpha_plan(p).draw(rng._call_key())
+    np.multiply(a, _TWO, out=a)
+    np.subtract(_ONE, a, out=a)
+    np.maximum(a, _ALPHA_LOW, out=a)
+    np.minimum(a, _ALPHA_HIGH, out=a)
+    return AlphaVector(a)
 
 
 def _killip_nenciu(alpha, one_minus, one_plus, one_minus_sq) -> SymTridiag:

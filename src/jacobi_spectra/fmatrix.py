@@ -116,24 +116,33 @@ def manova_eigs(g: GaussianPair, d: FDims) -> Spectrum:
 
 
 def jacobi_to_f(lam_j, d: FDims):
-    """Map a Jacobi-side eigenvalue in (-2, 2] to the F side: r (2 - t)/(2 + t).
+    """Map a finite Jacobi-side eigenvalue in (-2, 2] to the F side: r (2 - t)/(2 + t).
 
     Monotone decreasing bijection onto [0, inf); the pole sits at t = -2.
     """
     t = real_array(lam_j)
     if np.any(t == -2.0):
         raise ParameterDomainError("jacobi_to_f has a pole at lambda = -2")
+    if not np.all(np.isfinite(t)):
+        raise ParameterDomainError("Jacobi-side eigenvalues must be finite")
     out = d.ratio * (2.0 - t) / (2.0 + t)
     return float(out) if np.ndim(lam_j) == 0 else out
 
 
+def _f_eigenvalues(lam_f):
+    """F-side eigenvalues as float64 (a float for scalar input), or
+    ParameterDomainError unless every one is finite and >= 0."""
+    s = real_array(lam_f)
+    # one pass each; a NaN propagates through both reductions and fails both
+    if not (0.0 <= s.min(initial=0.0) and s.max(initial=0.0) < math.inf):
+        raise ParameterDomainError("F-matrix eigenvalues must be finite and >= 0")
+    return float(s) if s.ndim == 0 else s
+
+
 def f_to_jacobi(lam_f, d: FDims):
     """Inverse map: F-side eigenvalue >= 0 to the Jacobi side 2 (r - s)/(r + s)."""
-    s = real_array(lam_f)
-    if np.any(s < 0.0):
-        raise ParameterDomainError("F-matrix eigenvalues must be >= 0")
-    out = 2.0 * (d.ratio - s) / (d.ratio + s)
-    return float(out) if np.ndim(lam_f) == 0 else out
+    s = _f_eigenvalues(lam_f)
+    return 2.0 * (d.ratio - s) / (d.ratio + s)
 
 
 def f_eigs_tridiag(d: FDims, rng: RngStream) -> Spectrum:
@@ -162,11 +171,10 @@ def semicircle_transform(lam_f, d: FDims):
     n, n1, n2 = d.n, d.n1, d.n2
     if n1 <= n:
         raise ParameterDomainError("transform needs n1 > n")
-    s = real_array(lam_f)
-    out = 2.0 * math.sqrt(n1 / n - 1.0) * (
+    s = _f_eigenvalues(lam_f)
+    return 2.0 * math.sqrt(n1 / n - 1.0) * (
         (n2 - n) / (n1 + n2 - 2.0 * n) - n2 / (n1 * s + n2)
     )
-    return float(out) if np.ndim(lam_f) == 0 else out
 
 
 def reciprocal_edge_transform(lam_f, d: FDims):
@@ -179,9 +187,7 @@ def reciprocal_edge_transform(lam_f, d: FDims):
     n, n1, n2 = d.n, d.n1, d.n2
     if n1 <= n:
         raise ParameterDomainError("transform needs n1 > n")
-    s = real_array(lam_f)
-    out = n / (2.0 * (n1 - n)) * (s * n1 / n2 + 1.0)
-    return float(out) if np.ndim(lam_f) == 0 else out
+    return n / (2.0 * (n1 - n)) * (_f_eigenvalues(lam_f) * n1 / n2 + 1.0)
 
 
 def shifted_semicircle_transform(lam_f, d: FDims):
@@ -196,11 +202,10 @@ def shifted_semicircle_transform(lam_f, d: FDims):
     if n2 <= n:
         raise ParameterDomainError("transform needs n2 > n")
     w = math.sqrt(n * (n2 - n))
-    s = real_array(lam_f)
+    s = _f_eigenvalues(lam_f)
     num = (n1 / n2) * (n2 - w) * s - (n1 + w)
     den = w * (1.0 + (n1 / n2) * s)
-    out = 2.0 * (n1 - n) / (n1 + n2) * num / den
-    return float(out) if np.ndim(lam_f) == 0 else out
+    return 2.0 * (n1 - n) / (n1 + n2) * num / den
 
 
 def _reciprocal_edge_limit_cdf(d: FDims):
@@ -222,7 +227,7 @@ def _reciprocal_edge_limit_cdf(d: FDims):
 # kind -> (F-eigenvalue map (lam, d) -> mu, dims d -> CDF of the limit law of mu)
 TRANSFORMS = {
     "none": (
-        lambda lam, d: real_array(lam),
+        lambda lam, d: _f_eigenvalues(lam),
         lambda d: model_cdf(FMatrixDensity(d.n / d.n1, d.n / d.n2)),
     ),
     "thm42": (

@@ -222,7 +222,8 @@ class EdgeDensity(DensityModel):
 
     beta0 is the limit of b_tilde/n while a_tilde/n diverges. Support is
     [s1, s2] with s1, s2 = 2 (2 + beta0) -/+ 4 sqrt(1 + beta0) and density
-    (1 / 4pi) sqrt((s2 - x)(x - s1)) / x.
+    (1 / 4pi) sqrt((s2 - x)(x - s1)) / x. A beta0 whose support collapses or
+    overflows in float64 raises MagnitudeOverflowError.
     """
 
     beta0: float
@@ -233,6 +234,11 @@ class EdgeDensity(DensityModel):
             raise ParameterDomainError("growth ratio must be finite and satisfy beta0 >= 0")
         s = 2.0 * (2.0 + beta0)
         w = 4.0 * math.sqrt(1.0 + beta0)
+        # the width 2 w rounds away from beta0 near 1e33 on, and s overflows near 9e307
+        if not s - w < s + w < math.inf:
+            raise MagnitudeOverflowError(
+                "edge-law support overflowed float64 or collapsed to a point"
+            )
         self.__dict__.update(beta0=beta0, support=(s - w, s + w))
 
     def edge_density(self, dlo, dhi):
@@ -270,8 +276,10 @@ class FMatrixDensity(DensityModel):
 
 
 def density_eval(m: DensityModel, x):
-    """Density of the model at x (scalar or array); 0 outside the open support."""
+    """Density of the model at x (scalar or array, no NaN); 0 outside the open support."""
     xa = real_array(x)
+    if np.isnan(xa).any():
+        raise ParameterDomainError("density points must not be NaN")
     lo, hi = m.support
     inside = (xa > lo) & (xa < hi)
     out = np.zeros(xa.shape)

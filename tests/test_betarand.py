@@ -10,6 +10,8 @@ from jacobi_spectra.betarand import (
     _BLOCK,
     _MAX_SHAPE,
     _NORMAL_BLOCK,
+    _ONE_MINUS,
+    _TINY,
     BetaParams,
     BetaPlan,
     GammaPlan,
@@ -189,7 +191,7 @@ def test_keyed_beta_variate_depends_only_on_key_and_index():
     p = np.resize([0.5, 2.0, 150.0], 300)
     q = np.resize([1.0, 0.7, 3.0, 80.0], 300)
     key = 0x0FED_CBA9_8765_4321
-    full = BetaPlan(BetaParams(p, q)).beta01(key)
+    full = BetaPlan(BetaParams(p, q)).draw(key)
     for j in (0, 1, 150, 299):
         # the reference draws variate j alone
         alone = beta01_keyed(key, p[j : j + 1], q[j : j + 1], np.array([j]))
@@ -242,18 +244,23 @@ def test_beta_plan_equals_per_call_reference_and_is_read_only():
     p = np.resize([0.5, 2.0, 150.0, 1e6], 1100)
     q = np.resize([1.0, 0.7, 3.0, 80.0, 1e-3], 1100)
     plan = BetaPlan(BetaParams(p, q))
+    draws = []
     for key in (3, 0xFEDC_BA98_7654_3210):
         ref = beta01_keyed(key, p, q, np.arange(p.size))
-        assert plan.beta01(key).tobytes() == ref.tobytes()
+        draws.append(plan.draw(key))
+        # the reference clamps into (0, 1); the plan's draw is the unclamped ratio
+        assert np.clip(draws[-1], _TINY, _ONE_MINUS).tobytes() == ref.tobytes()
+    # q = 1e-3 against p >= 0.5 puts ratios exactly on 1, which the draw keeps
+    assert np.max(draws) == 1.0
     assert plan.means.tobytes() == beta_mean_pm1(BetaParams(p, q)).tobytes()
-    arrays = (plan.p, plan.q, plan.means, plan.gamma.d, plan.gamma.c, plan.gamma.jg,
+    arrays = (plan.means, plan.gamma.d, plan.gamma.c, plan.gamma.jg,
               plan.gamma.small, plan.gamma.inv_small)
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         plan.means[0] = 0.0
-    # the plan copies the caller's shapes and leaves them writable
-    p[0] = 7.0
-    assert plan.p[0] == 0.5
+    # the plan keeps nothing of the caller's shapes: changing them changes no draw
+    p[0], q[1] = 7.0, 9.0
+    assert plan.draw(3).tobytes() == draws[0].tobytes()
 
 
 def test_gamma_shape_beyond_float64_range_is_an_overflow():
@@ -326,12 +333,13 @@ def test_beta01_matches_inverse_cdf_oracle(p, q):
 
 
 def test_beta_pm1_orientation_and_support():
+    # the ensemble's variate on (-1, 1) is alpha = 1 - 2 Z, Z the plan's draw
     rng = RngStream(19, 0)
-    a = BetaPlan(shapes(5.0, 5.0, 10**5)).beta_pm1(rng._call_key())
+    a = 1.0 - 2.0 * BetaPlan(shapes(5.0, 5.0, 10**5)).draw(rng._call_key())
     assert np.all((a > -1.0) & (a < 1.0))
     assert abs(a.mean()) < 0.01
     # mean is (q - p)/(p + q): the (1 - x) weight exponent pairs with p
-    a = BetaPlan(shapes(1.0, 3.0, 10**5)).beta_pm1(rng._call_key())
+    a = 1.0 - 2.0 * BetaPlan(shapes(1.0, 3.0, 10**5)).draw(rng._call_key())
     assert abs(a.mean() - 0.5) < 0.01
 
 

@@ -163,6 +163,8 @@ def test_roots_overflow_exits_4_without_traceback(a, code):
         ("compare --model ratio --n 20 --a 3 --b 3 --beta 2 --scaling plain:1e300:1e300", 0),
         ("roots --n 5 --a 5e307 --b 5e307 --beta 1", 4),
         ("roots --n 5 --a 1e308 --beta 2", 0),
+        # beta0 = 5e198: the edge-law support is one float wide
+        ("compare --model edge --n 20 --a 3 --b 1e200 --trials 2", 4),
     ],
 )
 def test_huge_parameters_exit_without_traceback_or_warning(args, code):

@@ -13,9 +13,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # the warning policy of pyproject.toml's filterwarnings: numpy's ComplexWarning
-# is a RuntimeWarning, so one filter covers both (a -W option naming a numpy
-# class is read before numpy can be imported, and is ignored with a notice)
-WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning")
+# is a RuntimeWarning, so the RuntimeWarning filter covers it (a -W option
+# naming a numpy class is read before numpy can be imported, and is ignored
+# with a notice)
+WARNINGS_AS_ERRORS = tuple(
+    arg
+    for category in ("RuntimeWarning", "DeprecationWarning", "PendingDeprecationWarning",
+                     "FutureWarning")
+    for arg in ("-W", f"error::{category}")
+)
 
 
 def run_python(*args) -> subprocess.CompletedProcess:
@@ -32,6 +38,9 @@ def run_python(*args) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("code", [
     "import warnings; warnings.warn('bare', RuntimeWarning)",
     "import numpy as np; np.array([1 + 1j]).astype(float)",
+    "import warnings; warnings.warn('old', DeprecationWarning)",
+    "import warnings; warnings.warn('soon', PendingDeprecationWarning)",
+    "import warnings; warnings.warn('later', FutureWarning)",
 ])
 def test_run_python_fails_on_a_bare_warning(code):
     r = run_python("-c", code)

@@ -107,9 +107,10 @@ def _reference_alphas(p: JacobiParams, rng: RngStream) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [1, 2, 50, 1100, 3000])
 def test_sample_alphas_equals_per_call_reference(n):
-    # 2n - 1 = 2199 variates and 4398 gamma shapes cross the 1024-variate block
-    for a in (-0.99, 0.0, 3.0 * n):
-        for b in (-0.99, 0.0, 3.0 * n):
+    # 2n - 1 = 2199 variates and 4398 gamma shapes cross the 1024-variate block;
+    # at a or b = 1e18 ratios round onto 0 or 1, where the +-(1 - 2^-52) clamp acts
+    for a in (-0.99, 0.0, 3.0 * n, 1e18):
+        for b in (-0.99, 0.0, 3.0 * n, 1e18):
             for beta in (1e-3, 1.0, 2.0, 1e4):
                 p = JacobiParams(n, a, b, beta)
                 rng, ref = RngStream(SEED, n), RngStream(SEED, n)
@@ -222,15 +223,19 @@ def test_entry_ranges():
         assert np.all(m.off >= 0.0) and np.all(m.off <= 2.0 * np.sqrt(2.0))
 
 
+def _tiled_alphas(ps, qs, trials: int, rng: RngStream) -> np.ndarray:
+    """sample_alphas' variates of ``trials`` realizations, drawn as one call."""
+    z = BetaPlan(BetaParams(np.tile(ps, trials), np.tile(qs, trials))).draw(rng._call_key())
+    return np.clip(1.0 - 2.0 * z, -1.0 + 2.0**-52, 1.0 - 2.0**-52)
+
+
 def test_off_entries_never_exactly_zero():
     # continuous variates: no off entry hits 0 across 1e5 sampled matrices
     p = JacobiParams(2, 0.0, 0.0, 2.0)
     ps, qs = alpha_shapes(p)
     trials = 10**5
     rng = RngStream(SEED, 3)
-    alphas = BetaPlan(
-        BetaParams(np.tile(ps, trials), np.tile(qs, trials))
-    ).beta_pm1(rng._call_key()).reshape(trials, 3)
+    alphas = _tiled_alphas(ps, qs, trials, rng).reshape(trials, 3)
     off = (1.0 - alphas[:, 0] ** 2) * 2.0 * (1.0 + alphas[:, 1])
     assert np.all(off > 0.0)
 
@@ -300,9 +305,7 @@ def test_expectation_consistency_with_reversal():
     trials = 10**5
     ps, qs = alpha_shapes(p)
     rng = RngStream(SEED, 4)
-    alphas = BetaPlan(
-        BetaParams(np.tile(ps, trials), np.tile(qs, trials))
-    ).beta_pm1(rng._call_key()).reshape(trials, 2 * n - 1)
+    alphas = _tiled_alphas(ps, qs, trials, rng).reshape(trials, 2 * n - 1)
     diag = np.empty((trials, n))
     off = np.empty((trials, n - 1))
     pad = np.concatenate(
@@ -346,22 +349,31 @@ def test_alpha_moments_match_scipy_beta():
         assert float(e2) == pytest.approx(1.0 - 4.0 * m1 + 4.0 * m2, rel=1e-12, abs=1e-15)
 
 
+# one parameter row per regime, each accepted by its regime
+REGIME_ROWS = {
+    "ratio": lambda n: (3.0 * n, 3.0 * n, 2.0),
+    "arcsine": lambda n: (n**0.5, n**0.5, 2.0 * n),
+    "semicircle": lambda n: (4.0 * n, 6.0 * n, 2.0),
+    "edge": lambda n: (8.0 * n, 2.0 * n, 2.0),
+    "shifted-semicircle": lambda n: (8.0 * n, 6.0 * n, 2.0),
+}
 MOMENT_CASES = [
-    (n, a, b, beta)
+    (n, a, b, beta, "semicircle")
     for n in (1, 2, 20)
-    for a, b, beta in ((60.0, 30.0, 2.0), (3.0 * n, 3.0 * n, 2.0), (-0.5, 2.0, 0.5))
-] + [pytest.param(20, 1e18, 5e17, 2.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))]
+    for a, b, beta in ((60.0, 30.0, 2.0), (-0.5, 2.0, 0.5))
+] + [
+    (n, *row(n), regime) for regime, row in REGIME_ROWS.items() for n in (1, 2, 20)
+] + [pytest.param(20, 1e18, 5e17, 2.0, "semicircle",
+                  marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))]
 
 
-@pytest.mark.parametrize("n, a, b, beta", MOMENT_CASES)
-def test_trace_moments_match_exact_oracle(n, a, b, beta):
+@pytest.mark.parametrize("n, a, b, beta, regime", MOMENT_CASES)
+def test_trace_moments_match_exact_oracle(n, a, b, beta, regime):
     # sample means of tr(T - cI) and tr((T - cI)^2) = sum (d - c)^2 + 2 sum e^2,
-    # each summed per realization in float64, against their exact expectations
+    # each summed per realization in float64, against their exact expectations,
+    # centred at the regime's epsilon_n
     p = JacobiParams(n, a, b, beta)
-    try:  # centre at the semicircle regime's epsilon_n where that regime applies
-        c = REGIMES["semicircle"](p)[1].epsilon_n
-    except ParameterDomainError:
-        c = 0.0
+    c = REGIMES[regime](p)[1].epsilon_n
     trials = 3000
     rng = RngStream(SEED, 11)
     sums = np.empty((2, trials))

@@ -7,6 +7,7 @@ from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import random_matrix, sample_alphas
 from jacobi_spectra.errors import DegenerateSampleError, ParameterDomainError
 from jacobi_spectra.fmatrix import (
+    TRANSFORMS,
     FDims,
     GaussianPair,
     f_eigs_direct,
@@ -158,6 +159,38 @@ def test_moebius_maps():
         jacobi_to_f(-2.0, d)
     with pytest.raises(ParameterDomainError):
         f_to_jacobi(-0.1, d)
+
+
+F_MAPS = {
+    "f_to_jacobi": f_to_jacobi,
+    "thm42": semicircle_transform,
+    "thm43": reciprocal_edge_transform,
+    "thm44": shifted_semicircle_transform,
+    "none": TRANSFORMS["none"][0],
+}
+
+
+@pytest.mark.parametrize("name", F_MAPS)
+def test_f_eigenvalue_maps_take_finite_nonnegative_values_only(name):
+    fn, d = F_MAPS[name], FDims(5, 10, 20)
+    for bad in (np.nan, np.inf, -np.inf, -1.0, -0.5, -5e-324):
+        for lam in (bad, np.array([0.0, bad, 1.0])):
+            with pytest.raises(ParameterDomainError, match="finite and >= 0"):
+                fn(lam, d)
+    # accepted input maps to a float for a scalar, to an array otherwise
+    assert type(fn(0.0, d)) is float and type(fn(np.array(2.0), d)) is float
+    assert fn(np.array([]), d).shape == (0,)
+    assert fn(np.array([0.0, 2.0]), d).tolist() == [fn(0.0, d), fn(2.0, d)]
+
+
+def test_jacobi_to_f_takes_finite_values_only():
+    d = FDims(5, 10, 20)
+    for bad in (np.nan, np.inf, -np.inf):
+        for t in (bad, np.array([0.0, bad])):
+            with pytest.raises(ParameterDomainError, match="must be finite"):
+                jacobi_to_f(t, d)
+    with pytest.raises(ParameterDomainError, match="pole at lambda = -2"):
+        jacobi_to_f(np.array([0.0, -2.0]), d)
 
 
 def test_tridiag_route_nonnegative_and_deterministic():

@@ -223,6 +223,22 @@ def test_thm42_radius_overflow_raises():
         transform_limit_cdf("thm42", FDims(1, 10**250, 1))
 
 
+@pytest.mark.parametrize("beta0", [1e308, 1e200, 1e34])
+def test_edge_support_overflow_or_collapse_raises(beta0):
+    # 1e308: 2 (2 + beta0) is infinite; below, the width 8 sqrt(1 + beta0) rounds away
+    with pytest.raises(MagnitudeOverflowError, match="edge-law support"):
+        EdgeDensity(beta0)
+
+
+def test_edge_support_a_few_ulps_wide_is_kept_and_thm43_overflow_raises():
+    lo, hi = EdgeDensity(1e32).support
+    assert lo < hi < math.inf and (hi - lo) / hi < 1e-15
+    assert EdgeDensity(1.0).support == pytest.approx((6.0 - 4.0 * math.sqrt(2.0),
+                                                      6.0 + 4.0 * math.sqrt(2.0)))
+    with pytest.raises(MagnitudeOverflowError, match="edge-law support"):
+        transform_limit_cdf("thm43", FDims(1, 2, 10**308))
+
+
 def test_fmatrix_support_properties():
     for y in (0.2, 0.7, 1.0):
         for yp in (0.1, 0.5, 0.9):
