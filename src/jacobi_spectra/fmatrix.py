@@ -130,13 +130,13 @@ def jacobi_to_f(lam_j, d: FDims):
 
 
 def _f_eigenvalues(lam_f):
-    """F-side eigenvalues as float64 (a float for scalar input), or
+    """F-side eigenvalues as float64 (an np.float64 for scalar input), or
     ParameterDomainError unless every one is finite and >= 0."""
     s = real_array(lam_f)
     # one pass each; a NaN propagates through both reductions and fails both
     if not (0.0 <= s.min(initial=0.0) and s.max(initial=0.0) < math.inf):
         raise ParameterDomainError("F-matrix eigenvalues must be finite and >= 0")
-    return float(s) if s.ndim == 0 else s
+    return s[()]
 
 
 def f_to_jacobi(lam_f, d: FDims):

@@ -252,6 +252,13 @@ def test_beta_plan_equals_per_call_reference_and_is_read_only():
         assert np.clip(draws[-1], _TINY, _ONE_MINUS).tobytes() == ref.tobytes()
     # q = 1e-3 against p >= 0.5 puts ratios exactly on 1, which the draw keeps
     assert np.max(draws) == 1.0
+    # sample_beta01 clamps them, and the swapped shapes' ratios below _TINY, into (0, 1)
+    for a, b, end in ((p, q, _ONE_MINUS), (q, p, _TINY)):
+        for t in (0, 1):
+            z = sample_beta01(BetaParams(a, b), RngStream(31, t))
+            ref = beta01_keyed(RngStream(31, t)._call_key(), a, b, np.arange(a.size))
+            assert z.tobytes() == ref.tobytes()
+            assert end in z
     assert plan.means.tobytes() == beta_mean_pm1(BetaParams(p, q)).tobytes()
     arrays = (plan.means, plan.gamma.d, plan.gamma.c, plan.gamma.jg,
               plan.gamma.small, plan.gamma.inv_small)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jacobi_spectra import ensemble
-from jacobi_spectra.betarand import _Y_OFFSET, BetaParams, BetaPlan, RngStream
+from jacobi_spectra.betarand import _Y_OFFSET, RngStream
 from jacobi_spectra.ensemble import (
     AlphaVector,
     JacobiParams,
@@ -223,19 +223,15 @@ def test_entry_ranges():
         assert np.all(m.off >= 0.0) and np.all(m.off <= 2.0 * np.sqrt(2.0))
 
 
-def _tiled_alphas(ps, qs, trials: int, rng: RngStream) -> np.ndarray:
-    """sample_alphas' variates of ``trials`` realizations, drawn as one call."""
-    z = BetaPlan(BetaParams(np.tile(ps, trials), np.tile(qs, trials))).draw(rng._call_key())
-    return np.clip(1.0 - 2.0 * z, -1.0 + 2.0**-52, 1.0 - 2.0**-52)
-
-
 def test_off_entries_never_exactly_zero():
     # continuous variates: no off entry hits 0 across 1e5 sampled matrices
     p = JacobiParams(2, 0.0, 0.0, 2.0)
     ps, qs = alpha_shapes(p)
     trials = 10**5
     rng = RngStream(SEED, 3)
-    alphas = _tiled_alphas(ps, qs, trials, rng).reshape(trials, 3)
+    alphas = beta_pm1_keyed(
+        rng._call_key(), np.tile(ps, trials), np.tile(qs, trials)
+    ).reshape(trials, 3)
     off = (1.0 - alphas[:, 0] ** 2) * 2.0 * (1.0 + alphas[:, 1])
     assert np.all(off > 0.0)
 
@@ -305,7 +301,9 @@ def test_expectation_consistency_with_reversal():
     trials = 10**5
     ps, qs = alpha_shapes(p)
     rng = RngStream(SEED, 4)
-    alphas = _tiled_alphas(ps, qs, trials, rng).reshape(trials, 2 * n - 1)
+    alphas = beta_pm1_keyed(
+        rng._call_key(), np.tile(ps, trials), np.tile(qs, trials)
+    ).reshape(trials, 2 * n - 1)
     diag = np.empty((trials, n))
     off = np.empty((trials, n - 1))
     pad = np.concatenate(

@@ -178,7 +178,7 @@ def test_f_eigenvalue_maps_take_finite_nonnegative_values_only(name):
             with pytest.raises(ParameterDomainError, match="finite and >= 0"):
                 fn(lam, d)
     # accepted input maps to a float for a scalar, to an array otherwise
-    assert type(fn(0.0, d)) is float and type(fn(np.array(2.0), d)) is float
+    assert isinstance(fn(0.0, d), float) and isinstance(fn(np.array(2.0), d), float)
     assert fn(np.array([]), d).shape == (0,)
     assert fn(np.array([0.0, 2.0]), d).tolist() == [fn(0.0, d), fn(2.0, d)]
 

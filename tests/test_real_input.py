@@ -160,20 +160,7 @@ for name, (site, values) in NONFINITE_PARAMS.items():
     for v in values:
         CASES[f"{name}-{v}"] = lambda site=site, v=v: site(v)
 
-# eigenvalue maps at non-finite points, alone and inside an array, which
-# returned NaN or a number or ended in a bare RuntimeWarning
-EIGENVALUE_MAPS = {
-    "jacobi_to_f": jacobi_to_f,
-    "f_to_jacobi": f_to_jacobi,
-    "semicircle_transform": semicircle_transform,
-    "reciprocal_edge_transform": reciprocal_edge_transform,
-    "shifted_semicircle_transform": shifted_semicircle_transform,
-    "TRANSFORMS-none": TRANSFORMS["none"][0],
-}
-for name, fn in EIGENVALUE_MAPS.items():
-    for v in (NAN, INF, -INF):
-        CASES[f"{name}-{v}"] = lambda fn=fn, v=v: fn(v, D)
-        CASES[f"{name}-array-{v}"] = lambda fn=fn, v=v: fn(np.array([0.5, v, 1.0]), D)
+# density_eval at NaN, which read 0
 CASES["density_eval-nan"] = lambda: density_eval(M, NAN)
 CASES["density_eval-array-nan"] = lambda: density_eval(M, [0.1, NAN])
 
