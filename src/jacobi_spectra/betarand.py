@@ -14,9 +14,10 @@ for its normal and one acceptance uniform), and a shape below 1 reads one
 boost uniform of its own. Variate j therefore does not depend on how many
 attempts other variates needed, or on which other variates share the call.
 Everything a call needs besides its key (the Marsaglia-Tsang constants and
-the per-variate counter parts) is built once per shape set, as a
+one slot row of counter words per variate) is built once per shape set, as a
 :class:`GammaPlan` or :class:`BetaPlan`, and a plan can serve any number of
-calls. Normals, keyed or sequential, come from the Box-Muller transform.
+calls. A round redraws, by one mask, the variates that both its squeeze and
+its log test reject. Normals, keyed or sequential, come from Box-Muller.
 
 Beta variates Z ~ Beta(p, q) are gamma ratios X/(X+Y), drawn by
 :meth:`BetaPlan.draw` and clamped by its callers. The ensemble's variate on
@@ -48,14 +49,17 @@ _SHIFTS_MULS = tuple(
 _SHIFT31 = np.array(31, dtype=np.uint64)
 _SHIFT11 = np.array(11, dtype=np.uint64)
 _HALF, _ONE, _THREE = (np.array(x) for x in (0.5, 1.0, 3.0))
-_MINUS_TWO, _TWO_PI, _ULP53 = np.array(-2.0), np.array(2.0 * np.pi), np.array(2.0**-53)
+_MINUS_TWO, _TWO_PI = np.array(-2.0), np.array(2.0 * np.pi)
+_ULP53, _HALF_ULP53 = np.array(2.0**-53), np.array(2.0**-54)
 _SQUEEZE = np.array(0.0331)  # Marsaglia-Tsang squeeze constant
 
 # A keyed word's counter is lane * 2^32 + j + 1 for variate j: lane 0 holds the
 # boost uniform of a shape below 1, and attempt r reads lanes 3r + 1 .. 3r + 3.
 _LANE = 1 << 32
-# the golden-ratio part of the counter of lane L is L * _LANE_GOLDEN mod 2^64
-_LANE_GOLDEN = (_LANE * _GOLDEN) & _MASK64
+# the golden-ratio part L * 2^32 * golden mod 2^64 of the counter of lane L, as a
+# column over the lanes 1..3 of the first attempt, and the step to the next attempt
+_FIRST_LANES = np.arange(1, 4, dtype=np.uint64)[:, None] * np.uint64((_LANE * _GOLDEN) & _MASK64)
+_NEXT_LANES = np.array((3 * _LANE * _GOLDEN) & _MASK64, dtype=np.uint64)
 # gamma variate index of the Y draw of beta variate j (X takes index j)
 _Y_OFFSET = np.uint64(1 << 31)
 _BLOCK = 1024
@@ -92,17 +96,18 @@ def _splitmix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def _unit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Uniforms in the open interval (0, 1) from the top 53 bits of words z,
-    written into ``out`` (a new array when None)."""
+    """Uniforms (z' + 1/2) 2^-53 in the open interval (0, 1), z' the top 53 bits
+    of words z, written into ``out`` (a new array when None)."""
     np.right_shift(z, _SHIFT11, out=z)
-    # exact: z < 2^53
-    if out is None:
-        out = z.astype(np.float64)
-    else:
-        out[...] = z
-    out += _HALF
-    out *= _ULP53
+    # z' 2^-53 is exact (z' < 2^53); + 2^-54 then rounds as z' + 1/2 would, scaled
+    out = np.multiply(z, _ULP53, out=out)
+    out += _HALF_ULP53
     return out
+
+
+def _uniforms(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniforms of the counter words z (hashed in place), as :func:`_unit` writes them."""
+    return _unit(_splitmix(z, np.empty_like(z)), out)
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -161,7 +166,7 @@ class RngStream:
         z = np.arange(first + 1, first + out.size + 1, dtype=np.uint64)
         np.multiply(z, _GOLDEN_U, out=z)
         np.add(z, np.uint64(self._key), out=z)
-        return _unit(_splitmix(z, np.empty_like(z)), out)
+        return _uniforms(z, out)
 
     def uniforms(self, size: int) -> np.ndarray:
         """Uniform variates in the open interval (0, 1)."""
@@ -214,15 +219,14 @@ class GammaPlan:
     """Everything of a keyed gamma call except its key, built once per shape set.
 
     Holds, per variate i, the Marsaglia-Tsang constants d (the shape minus
-    1/3, plus 1 below shape 1) and c = 1/sqrt(9 d); in ``jg[s, i]`` the
-    words (j[i] + 1 + s * 2^32) * golden mod 2^64, s = 0, 1, 2, so that slot s
-    of an attempt whose first lane is L reads word jg[s, i] + key +
-    L * 2^32 * golden; and the index and reciprocal shape of every shape
-    below 1. Every array is read-only, so one plan can serve any number of
-    calls. Shapes above ``_MAX_SHAPE`` raise :class:`MagnitudeOverflowError`;
-    up to it 9 d is finite, and so is every draw d * v, because
-    v = (1 + c x)^3 exceeds 1 by less than 30 c when d is large (|x| < 8.7
-    for Box-Muller normals).
+    1/3, plus 1 below shape 1) and c = 1/sqrt(9 d); one slot row
+    ``jg[i] = (j[i] + 1) * golden mod 2^64``, to which a call adds its key and
+    the column L * 2^32 * golden of the lanes L it reads; and the index and
+    reciprocal shape of every shape below 1. Every array is read-only, so one
+    plan can serve any number of calls. Shapes above ``_MAX_SHAPE`` raise
+    :class:`MagnitudeOverflowError`; up to it 9 d is finite, and so is every
+    draw d * v, because v = (1 + c x)^3 exceeds 1 by less than 30 c when d
+    is large (|x| < 8.7 for Box-Muller normals).
     """
 
     __slots__ = ("d", "c", "jg", "small", "inv_small", "_cuts")
@@ -241,8 +245,7 @@ class GammaPlan:
         small = np.flatnonzero(below)
         self.d = _frozen(d)
         self.c = _frozen(1.0 / np.sqrt(9.0 * d))
-        jg = (j.astype(np.uint64) + np.uint64(1)) * _GOLDEN_U
-        self.jg = _frozen(jg + np.arange(3, dtype=np.uint64)[:, None] * np.uint64(_LANE_GOLDEN))
+        self.jg = _frozen((j.astype(np.uint64) + np.uint64(1)) * _GOLDEN_U)
         self.small = _frozen(small)
         self.inv_small = _frozen(1.0 / shape[small])
         # the shapes below 1 of block b are small[_cuts[b] : _cuts[b + 1]]
@@ -258,37 +261,32 @@ class GammaPlan:
         ``_BLOCK`` to bound the scratch memory of a large call.
         """
         m = self.d.size
-
-        def uniforms(rows: np.ndarray, lane: int) -> np.ndarray:
-            """Uniforms of the words ``rows`` (rows of ``jg``) of the attempt at lane ``lane``."""
-            z = rows + np.array((key + lane * _LANE_GOLDEN) & _MASK64, dtype=np.uint64)
-            return _unit(_splitmix(z, np.empty_like(z)))
-
+        key = np.array(key, dtype=np.uint64)
         out = np.empty(m)
         for blk, lo in enumerate(range(0, m, _BLOCK)):
             hi = lo + _BLOCK
-            self._accept(uniforms, self.d[lo:hi], self.c[lo:hi], self.jg[:, lo:hi], out[lo:hi])
+            self._accept(key, self.d[lo:hi], self.c[lo:hi], self.jg[lo:hi], out[lo:hi])
             s0, s1 = self._cuts[blk], self._cuts[blk + 1]
             if s0 < s1:
                 idx = self.small[s0:s1]
                 # lane 0: one boost uniform per variate, whatever its attempt count
-                boost = uniforms(self.jg[:1, idx], 0)[0] ** self.inv_small[s0:s1]
+                boost = _uniforms(self.jg[idx] + key) ** self.inv_small[s0:s1]
                 # keep draws strictly positive even when the boost underflows
                 out[idx] = np.maximum(out[idx] * boost, _TINY)
         return out
 
     @staticmethod
-    def _accept(uniforms, d: np.ndarray, c: np.ndarray, jg: np.ndarray, out: np.ndarray):
+    def _accept(key: np.ndarray, d: np.ndarray, c: np.ndarray, jg: np.ndarray, out: np.ndarray):
         """Marsaglia-Tsang rounds over one block until every variate is accepted.
 
-        Each round writes d * v for every variate it draws; a rejected
-        variate is drawn again, so a later round rewrites its entry.
+        Each round writes d * v for every variate it draws; the one mask of
+        variates both the squeeze and the log test reject is drawn again.
         """
         pending = None  # the block's variates still drawing, None for all of them
         rows, dp, cp = jg, d, c
-        lane = 1
+        lanes = _FIRST_LANES + key
         while True:
-            u = uniforms(rows, lane)
+            u = _uniforms(rows + lanes)
             # rows of u: the normal x (then x^2), v = (1 + c x)^3, the acceptance uniform
             x, v, ua = u
             _box_muller(x, v)
@@ -301,26 +299,25 @@ class GammaPlan:
                 out[pending] = dp * v
             x2 = np.multiply(x, x, out=x)
             # no entry is NaN, so >= rejects exactly what < accepts
-            rest = (ua >= _ONE - _SQUEEZE * x2 * x2).nonzero()[0]
-            if not rest.size:
-                return
-            w = u[:, rest]  # x^2, v and u of the variates the squeeze rejects
+            reject = ua >= _ONE - _SQUEEZE * x2 * x2
             # The squeeze bound is negative wherever v <= 0 (d >= 2/3), and the
             # log test rejects v = _TINY: its right side is below -434, as
             # x^2 <= -2 log(2^-54), while log u >= log(2^-54) > -38. A
-            # positive v is at least (2^-53)^3, so the clamp moves no other v.
-            np.maximum(w[1], _TINY_0D, out=w[1])
-            rhs = _ONE - w[1]
-            log_v, log_u = np.log(w[1:], out=w[1:])
+            # positive v is at least (2^-53)^3, so the clamp moves no other v
+            # (d * v is written already; the squeeze's accepts ignore the log test).
+            np.maximum(v, _TINY_0D, out=v)
+            rhs = _ONE - v
+            log_v, log_u = np.log(u[1:], out=u[1:])
             rhs += log_v
-            rhs *= dp[rest]
-            rhs += _HALF * w[0]
-            left = rest[log_u >= rhs]
+            rhs *= dp
+            rhs += _HALF * x2
+            reject &= log_u >= rhs
+            left = reject.nonzero()[0]
             if not left.size:
                 return
             pending = left if pending is None else pending[left]
-            rows, dp, cp = jg[:, pending], d[pending], c[pending]
-            lane += 3
+            rows, dp, cp = jg[pending], d[pending], c[pending]
+            lanes += _NEXT_LANES
 
 
 class BetaPlan:

@@ -13,6 +13,7 @@ with LAPACK at any size (the CLI caps its ``--route direct`` at n = 500).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,9 @@ import numpy as np
 
 from .betarand import RngStream
 from .ensemble import JacobiParams, random_matrix, sample_alphas
-from .errors import ParameterDomainError, real_array, whole_number
+from .errors import (
+    MagnitudeOverflowError, NumericalFailureError, ParameterDomainError, real_array, whole_number,
+)
 from .spectra import (
     EdgeDensity, FMatrixDensity, SemicircleDensity, ascending_points, cdf_grid, model_cdf,
     run_trials, semicircle_radius,
@@ -116,15 +119,18 @@ def manova_eigs(g: GaussianPair, d: FDims) -> Spectrum:
 
 
 def jacobi_to_f(lam_j, d: FDims):
-    """Map a finite Jacobi-side eigenvalue in (-2, 2] to the F side: r (2 - t)/(2 + t).
+    """Map a Jacobi-side eigenvalue in (-2, 2] to the F side: r (2 - t)/(2 + t).
 
     Monotone decreasing bijection onto [0, inf); the pole sits at t = -2.
+    Any other value raises ParameterDomainError.
     """
     t = real_array(lam_j)
-    if np.any(t == -2.0):
+    # one pass each; a NaN propagates through both reductions and fails both
+    lo, hi = t.min(initial=0.0), t.max(initial=0.0)
+    if lo == -2.0:
         raise ParameterDomainError("jacobi_to_f has a pole at lambda = -2")
-    if not np.all(np.isfinite(t)):
-        raise ParameterDomainError("Jacobi-side eigenvalues must be finite")
+    if not (-2.0 < lo and hi <= 2.0):
+        raise ParameterDomainError("Jacobi-side eigenvalues must be finite and lie in (-2, 2]")
     out = d.ratio * (2.0 - t) / (2.0 + t)
     return float(out) if np.ndim(lam_j) == 0 else out
 
@@ -149,18 +155,42 @@ def f_eigs_tridiag(d: FDims, rng: RngStream) -> Spectrum:
     """F-matrix spectrum via the tridiagonal Jacobi sampler plus the Moebius map.
 
     O(n) sampling memory and an O(n^2) eigenvalue solve; the production route
-    for large n.
+    for large n. Eigenvalues that round above 2 map as 2, to F value 0. One
+    at or below -2, the pole of the map, raises NumericalFailureError: the
+    lambda coordinate cannot resolve the smallest eigenvalues there (extreme
+    n1/n with n2 near n).
     """
     p = d.jacobi_params()
     lam_j = eig_tridiag(random_matrix(sample_alphas(p, rng))).values
-    lam_f = jacobi_to_f(lam_j, d)  # decreasing map: reverse to ascend
-    return Spectrum(np.maximum(lam_f[::-1], 0.0))
+    if lam_j[0] <= -2.0:
+        raise NumericalFailureError(
+            "a sampled Jacobi eigenvalue rounded onto or below the F map's pole at -2: "
+            "the lambda coordinate cannot resolve eigenvalues this close to -2"
+        )
+    lam_f = jacobi_to_f(np.minimum(lam_j, 2.0), d)  # decreasing map: reverse to ascend
+    return Spectrum(lam_f[::-1])
 
 
 # ---------------------------------------------------------------------------
 # transformed-eigenvalue limit laws (centerings for degenerate aspect ratios)
 
 
+def _finite_transform(transform):
+    """``transform`` computed with float64 overflow silenced, raising
+    MagnitudeOverflowError when a result is not finite."""
+
+    @functools.wraps(transform)
+    def checked(lam_f, d: FDims):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = transform(lam_f, d)
+        if not np.all(np.isfinite(mu)):
+            raise MagnitudeOverflowError("F-eigenvalue transform overflowed float64")
+        return mu
+
+    return checked
+
+
+@_finite_transform
 def semicircle_transform(lam_f, d: FDims):
     """Center/scale F eigenvalues for the balanced-growth semicircle limit.
 
@@ -177,6 +207,7 @@ def semicircle_transform(lam_f, d: FDims):
     )
 
 
+@_finite_transform
 def reciprocal_edge_transform(lam_f, d: FDims):
     """Affine rescaling mu = n/(2 (n1 - n)) (lam n1/n2 + 1).
 
@@ -190,6 +221,7 @@ def reciprocal_edge_transform(lam_f, d: FDims):
     return n / (2.0 * (n1 - n)) * (_f_eigenvalues(lam_f) * n1 / n2 + 1.0)
 
 
+@_finite_transform
 def shifted_semicircle_transform(lam_f, d: FDims):
     """Transform for the strongly imbalanced regime n1 >> n2 >> n.
 

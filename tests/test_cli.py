@@ -181,6 +181,16 @@ def test_huge_parameters_exit_without_traceback_or_warning(args, code):
         assert r.stderr == ""
 
 
+def test_fmatrix_eigenvalue_on_the_pole_exits_4():
+    # n2 = n with n1 >> n: a sampled Jacobi eigenvalue rounds onto -2, a
+    # numerical failure rather than the user's parameter error
+    r = run_cli("fmatrix", "--n", "20", "--n1", "1000000000000000", "--n2", "20",
+                "--trials", "3")
+    assert r.returncode == 4
+    assert r.stderr.startswith("numerical failure:") and "pole at -2" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_compare_weak_transfer_prints_one_notice_line():
     r = run_cli("compare", "--n", "100", "--a", "3", "--b", "5", "--beta", "1",
                 "--model", "arcsine", "--trials", "20")

@@ -153,6 +153,16 @@ def test_realizations_of_one_parameter_set_share_one_plan(monkeypatch):
     assert len(calls) == 2
 
 
+def test_plan_holds_one_slot_row_and_at_most_112_bytes_per_row():
+    # per matrix row: 4 gamma variates of d, c and one slot word each, 2 means
+    n = 3000
+    plan = alpha_plan(JacobiParams(n, 9000.0, 9000.0, 2.0))
+    g = plan.gamma
+    assert g.jg.ndim == 1 and g.jg.size == g.d.size == 2 * (2 * n - 1)
+    arrays = (plan.means, g.d, g.c, g.jg, g.small, g.inv_small)
+    assert sum(a.nbytes for a in arrays) <= 112 * n
+
+
 def test_shapes_beyond_float64_range_raise_overflow():
     for a, b, beta in ((1e308, 1e308, 2.0), (1e308, 0.0, 2.0), (0.0, 0.0, 1e308)):
         with pytest.raises(MagnitudeOverflowError):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from jacobi_spectra import fmatrix
 from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import random_matrix, sample_alphas
-from jacobi_spectra.errors import DegenerateSampleError, ParameterDomainError
+from jacobi_spectra.errors import (
+    DegenerateSampleError, MagnitudeOverflowError, NumericalFailureError, ParameterDomainError,
+)
 from jacobi_spectra.fmatrix import (
     TRANSFORMS,
     FDims,
@@ -23,7 +26,7 @@ from jacobi_spectra.fmatrix import (
     transform_limit_cdf,
 )
 from jacobi_spectra.spectra import Ecdf, ks_distance
-from jacobi_spectra.trieig import eig_tridiag
+from jacobi_spectra.trieig import Spectrum, eig_tridiag
 
 from oracles import DenseSym, ecdf_eval, eig_pencil, ks_whole_array, two_sample_sup_distance
 
@@ -183,14 +186,49 @@ def test_f_eigenvalue_maps_take_finite_nonnegative_values_only(name):
     assert fn(np.array([0.0, 2.0]), d).tolist() == [fn(0.0, d), fn(2.0, d)]
 
 
-def test_jacobi_to_f_takes_finite_values_only():
+def test_jacobi_to_f_takes_values_in_its_domain_only():
     d = FDims(5, 10, 20)
-    for bad in (np.nan, np.inf, -np.inf):
+    above, below = np.nextafter(2.0, 3.0), np.nextafter(-2.0, -3.0)
+    for bad in (np.nan, np.inf, -np.inf, -3.0, 3.0, above, below):
         for t in (bad, np.array([0.0, bad])):
-            with pytest.raises(ParameterDomainError, match="must be finite"):
+            with pytest.raises(ParameterDomainError, match=r"must be finite and lie in \(-2, 2\]"):
                 jacobi_to_f(t, d)
     with pytest.raises(ParameterDomainError, match="pole at lambda = -2"):
         jacobi_to_f(np.array([0.0, -2.0]), d)
+    assert jacobi_to_f(np.array([]), d).shape == (0,)
+
+
+def test_tridiag_route_maps_rounding_above_2_to_0_and_fails_at_the_pole(monkeypatch):
+    d = FDims(5, 10, 20)
+    above, below = np.nextafter(2.0, 3.0), np.nextafter(-2.0, -3.0)
+
+    def solved_as(values):
+        monkeypatch.setattr(fmatrix, "eig_tridiag", lambda m: Spectrum(np.array(values)))
+        return f_eigs_tridiag(d, RngStream(0)).values
+
+    f = solved_as([-1.0, 0.5, 2.0, above])
+    assert f.tolist() == [0.0, 0.0, jacobi_to_f(0.5, d), jacobi_to_f(-1.0, d)]
+    for low in (-2.0, below):
+        with pytest.raises(NumericalFailureError, match="pole at -2"):
+            solved_as([low, 0.0])
+
+
+def test_sampled_eigenvalue_on_the_pole_is_a_numerical_failure():
+    # n2 = n with n1 >> n puts the smallest Jacobi eigenvalues within rounding of -2
+    for t in range(3):
+        with pytest.raises(NumericalFailureError, match="pole at -2"):
+            f_eigs_tridiag(FDims(20, 10**17, 20), RngStream(3, t))
+
+
+@pytest.mark.parametrize("lam", [1e308, np.array([0.0, 1e308])])
+def test_transforms_overflow_as_magnitude_errors(lam):
+    # the intermediate products overflow float64; a finite result stands, an
+    # infinite or NaN one raises, and no bare RuntimeWarning escapes
+    d = FDims(2, 10**300, 10**200)
+    assert np.all(np.isfinite(semicircle_transform(lam, d)))
+    for fn in (reciprocal_edge_transform, shifted_semicircle_transform):
+        with pytest.raises(MagnitudeOverflowError, match="transform overflowed float64"):
+            fn(lam, d)
 
 
 def test_tridiag_route_nonnegative_and_deterministic():
