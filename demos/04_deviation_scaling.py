@@ -25,10 +25,8 @@ from jacobi_spectra import (
     RngStream,
     deviation_probability_bound,
     deviation_report,
-    eig_tridiag,
     ensemble_roots,
-    random_matrix,
-    sample_alphas,
+    realize,
 )
 
 rng = RngStream(42, 0)
@@ -51,10 +49,7 @@ for i, n in enumerate(ns):
     roots = ensemble_roots(p)
     sub = base.substream(i)
     # the draw deviation_report makes, kept whole: |eigenvalue - root| per index
-    gaps = np.array([
-        np.abs(eig_tridiag(random_matrix(sample_alphas(p, sub.substream(t)))).values - roots)
-        for t in range(100)
-    ])
+    gaps = np.array([np.abs(realize(p, sub.substream(t))[1] - roots) for t in range(100)])
     raw = gaps.max(axis=1)  # deviation_report's max_dev
     scaled = raw * ((p.a + p.b) / math.log(n)) ** 0.25
     medians.append(np.median(raw))

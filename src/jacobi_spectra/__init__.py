@@ -48,6 +48,7 @@ from .spectra import (
     ks_distance,
     model_cdf,
     monte_carlo_esd,
+    realize,
 )
 from .trieig import charpoly_eval, eig_tridiag
 from .verify import DEFAULT_SEED, run_all

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .betarand import RngStream
-from .ensemble import JacobiParams, random_matrix, sample_alphas
+from .ensemble import JacobiParams
 from .errors import NumericalFailureError, ParameterDomainError
 from .fmatrix import (
     FDims,
@@ -43,9 +43,9 @@ from .spectra import (
     ks_distance,
     model_cdf,
     monte_carlo_esd,
+    realize,
     run_trials,
 )
-from .trieig import eig_tridiag
 from .verify import DEFAULT_SEED, run_all
 
 SCHEMA_VERSION = 1
@@ -101,10 +101,7 @@ def _trial_rows(spectra) -> list[tuple[int, int, float]]:
 
 def cmd_sample(args) -> int:
     p = _jacobi_params(args)
-    spectra = run_trials(
-        lambda sub: eig_tridiag(random_matrix(sample_alphas(p, sub))).values,
-        args.trials, RngStream(args.seed, 0),
-    )
+    spectra = run_trials(lambda sub: realize(p, sub)[1], args.trials, RngStream(args.seed, 0))
     rows = _trial_rows(spectra)
     _write(_rows_payload(("trial", "index", "value"), rows, args.format), args.out)
     return 0

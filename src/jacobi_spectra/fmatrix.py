@@ -20,15 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betarand import RngStream
-from .ensemble import JacobiParams, random_matrix, sample_alphas
+from .ensemble import JacobiParams
 from .errors import (
     MagnitudeOverflowError, NumericalFailureError, ParameterDomainError, real_array, whole_number,
 )
 from .spectra import (
     EdgeDensity, FMatrixDensity, SemicircleDensity, ascending_points, cdf_grid, model_cdf,
-    run_trials, semicircle_radius,
+    realize, run_trials, semicircle_radius,
 )
-from .trieig import Spectrum, eig_generalized_sym, eig_tridiag
+from .trieig import Spectrum, eig_generalized_sym
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,7 @@ def f_eigs_tridiag(d: FDims, rng: RngStream) -> Spectrum:
     lambda coordinate cannot resolve the smallest eigenvalues there (extreme
     n1/n with n2 near n).
     """
-    p = d.jacobi_params()
-    lam_j = eig_tridiag(random_matrix(sample_alphas(p, rng))).values
+    lam_j = realize(d.jacobi_params(), rng)[1]
     if lam_j[0] <= -2.0:
         raise NumericalFailureError(
             "a sampled Jacobi eigenvalue rounded onto or below the F map's pole at -2: "

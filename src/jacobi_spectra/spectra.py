@@ -9,7 +9,8 @@ caller, because mixing them is the most likely implementation bug:
 
 Monte Carlo trials run through :func:`run_trials`, which gives trial t the
 substream t of the base stream, so a pooled result depends only on the base
-stream and the trial count.
+stream and the trial count; :func:`realize` is the one place a realization is
+drawn.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betarand import RngStream
-from .ensemble import JacobiParams, alpha_plan, random_matrix, sample_alphas
+from .ensemble import AlphaVector, JacobiParams, alpha_plan, random_matrix, sample_alphas
 from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
 from .errors import finite_ascending, real_array, real_number, whole_number
 from .polyroots import ensemble_roots
@@ -424,7 +425,8 @@ class DeviationReport:
     scaled_dev: float
 
     def __post_init__(self):
-        if min(self.max_dev, self.alpha_max_dev, self.chain_bound, self.scaled_dev) < 0:
+        stats = (self.max_dev, self.alpha_max_dev, self.chain_bound, self.scaled_dev)
+        if not all(v >= 0.0 for v in stats):  # NaN fails too
             raise ParameterDomainError("deviation statistics must be nonnegative")
 
 
@@ -434,12 +436,16 @@ def deviation_report(
     """Sample one realization and compare it to the deterministic roots.
 
     ``roots`` may carry precomputed ascending roots for the same parameters
-    (they are deterministic, so sweeps over many trials can share them).
+    (they are deterministic, so sweeps over many trials can share them); n
+    finite ascending values, else ParameterDomainError.
     """
-    alphas = sample_alphas(p, rng)
-    lam = eig_tridiag(random_matrix(alphas)).values
     if roots is None:
         roots = ensemble_roots(p)
+    else:
+        roots = real_array(roots)
+        if roots.shape != (p.n,) or not finite_ascending(roots):
+            raise ParameterDomainError(f"roots must be {p.n} finite ascending values")
+    alphas, lam = realize(p, rng)
     max_dev = float(np.max(np.abs(lam - roots)))
     x_n = float(np.max(np.abs(alphas.alpha - alpha_plan(p).means)))
     chain = 4.0 * math.sqrt(3.0 * x_n) + 6.0 * x_n
@@ -574,6 +580,13 @@ def run_trials(fn, trials: int, rng: RngStream) -> list:
     return [fn(rng.substream(t)) for t in range(trials)]
 
 
+def realize(p: JacobiParams, rng: RngStream) -> tuple[AlphaVector, np.ndarray]:
+    """(driving variates, ascending eigenvalues) of one Killip-Nenciu
+    realization drawn from rng: the one place one is sampled, built and solved."""
+    alphas = sample_alphas(p, rng)
+    return alphas, eig_tridiag(random_matrix(alphas)).values
+
+
 def monte_carlo_esd(
     p: JacobiParams, s: ScalingSequence, trials: int, rng: RngStream, mode: str = "plain"
 ) -> Ecdf:
@@ -599,7 +612,6 @@ def monte_carlo_esd(
             )
 
     def scaled_spectrum(sub: RngStream) -> np.ndarray:
-        lam = eig_tridiag(random_matrix(sample_alphas(p, sub))).values
-        return scale_eigenvalues(lam, s, mode)
+        return scale_eigenvalues(realize(p, sub)[1], s, mode)
 
     return Ecdf(np.concatenate(run_trials(scaled_spectrum, trials, rng)))

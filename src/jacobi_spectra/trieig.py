@@ -84,13 +84,10 @@ _QUERY = _int(-1)
 
 def _tridiagonal(d: np.ndarray, e: np.ndarray, width: int):
     """A zeroed float64 buffer of ``width * n`` entries holding the diagonal d
-    at [0, n) and the off-diagonal e at [n, 2n - 1), the sizes of d and e
-    checked: (ctypes buffer, its numpy view, n). Every call copies into a
-    buffer of its own, which LAPACK may overwrite."""
-    d, e = real_array(d), real_array(e)
+    at [0, n) and the off-diagonal e at [n, 2n - 1), len(e) == len(d) - 1 as
+    :class:`SymTridiag` checks: (ctypes buffer, its numpy view, n). Every call
+    copies into a buffer of its own, which LAPACK may overwrite."""
     n = d.size
-    if d.ndim != 1 or e.shape != (max(n - 1, 0),):
-        raise ParameterDomainError("tridiagonal storage needs len(off) == len(diag) - 1")
     mem = (ctypes.c_double * (width * n))()
     buf = np.frombuffer(mem)
     buf[:n] = d

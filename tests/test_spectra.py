@@ -1,23 +1,30 @@
+import ast
+import json
 import math
+import pathlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import jacobi_spectra.cli as cli
 from jacobi_spectra.betarand import RngStream
-from jacobi_spectra.ensemble import JacobiParams
+from jacobi_spectra.ensemble import JacobiParams, alpha_plan
 from jacobi_spectra.errors import (
     MagnitudeOverflowError,
     NumericalFailureError,
     ParameterDomainError,
 )
-from jacobi_spectra.fmatrix import TRANSFORMS, FDims, transform_limit_cdf
-from jacobi_spectra.polyroots import JacobiPolyParams, jacobi_roots_scaled
+from jacobi_spectra.fmatrix import (
+    TRANSFORMS, FDims, f_eigs_tridiag, jacobi_to_f, transform_limit_cdf,
+)
+from jacobi_spectra.polyroots import JacobiPolyParams, ensemble_roots, jacobi_roots_scaled
 from jacobi_spectra.spectra import (
     REGIMES,
     ArcsineDensity,
     DensityModel,
+    DeviationReport,
     Ecdf,
     EdgeDensity,
     FMatrixDensity,
@@ -33,6 +40,7 @@ from jacobi_spectra.spectra import (
     model_cdf,
     monte_carlo_esd,
     ratio_density_support,
+    realize,
     run_trials,
     scale_eigenvalues,
 )
@@ -443,6 +451,24 @@ def test_general_params_symmetry_and_positivity():
 # ------------------------------------------------------ deviation machinery
 
 
+@pytest.mark.parametrize("roots", [np.array([0.0]), np.full(5, np.nan), np.zeros(3), "abc"],
+                         ids=["one-root", "nan", "wrong-size", "text"])
+def test_deviation_report_rejects_roots_that_do_not_fit(roots):
+    # roots are caller input: n finite ascending values, or ParameterDomainError
+    message = "roots must be 5 finite ascending|expected real numbers"
+    with pytest.raises(ParameterDomainError, match=message):
+        deviation_report(JacobiParams(5, 10, 10, 2), RngStream(SEED, 0), roots=roots)
+
+
+def test_deviation_report_type_rejects_nan_and_keeps_an_infinite_scaled_dev():
+    for nan_at in range(4):
+        stats = [0.1] * 4
+        stats[nan_at] = math.nan
+        with pytest.raises(ParameterDomainError, match="nonnegative"):
+            DeviationReport(*stats)
+    assert DeviationReport(0.1, 0.1, 0.1, math.inf).scaled_dev == math.inf
+
+
 def test_deviation_chain_bound_and_stat_range():
     p = JacobiParams(20, 10.0, 10.0, 2.0)
     roots = jacobi_roots_scaled(JacobiPolyParams(20, p.a_tilde - 1, p.b_tilde - 1)).values
@@ -531,6 +557,69 @@ def test_median_deviation_falls_faster_than_root_n():
         medians.append(float(np.median([r.max_dev for r in reports])))
     slope = np.polyfit(np.log(ns), np.log(medians), 1)[0]
     assert slope < -0.5
+
+
+# ------------------------------------------------------------ realization
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_every_caller_draws_trial_t_as_realize(n, capsys):
+    # trial t of sample, monte_carlo_esd, deviation_report and f_eigs_tridiag
+    # is realize(p, base.substream(t)), byte for byte
+    trials, seed = 3, 11
+    p = JacobiParams(n, 2.0, 3.0, 2.0)
+    d = FDims(n, n + 4, n + 9)
+    base = RngStream(seed, 0)
+    draws = [realize(p, base.substream(t)) for t in range(trials)]
+
+    argv = ["sample", "--n", str(n), "--a", "2", "--b", "3", "--beta", "2",
+            "--trials", str(trials), "--seed", str(seed), "--format", "json"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    for t, (_, lam) in enumerate(draws):
+        assert np.array([v for tt, _, v in rows if tt == t]).tobytes() == lam.tobytes()
+
+    s = ScalingSequence(2.0, 0.1, n)
+    pool = monte_carlo_esd(p, s, trials, base).points
+    scaled = np.sort(np.concatenate([scale_eigenvalues(lam, s, "plain") for _, lam in draws]))
+    assert pool.tobytes() == scaled.tobytes()
+
+    roots = ensemble_roots(p)
+    for t, (alphas, lam) in enumerate(draws):
+        r = deviation_report(p, base.substream(t), roots=roots)
+        assert r.max_dev == float(np.max(np.abs(lam - roots)))
+        assert r.alpha_max_dev == float(np.max(np.abs(alphas.alpha - alpha_plan(p).means)))
+
+    for t in range(trials):
+        lam = realize(d.jacobi_params(), base.substream(t))[1]
+        f = f_eigs_tridiag(d, base.substream(t)).values
+        assert f.tobytes() == jacobi_to_f(lam, d)[::-1].tobytes()
+
+
+def test_only_realize_samples_and_builds_a_realization():
+    # sample_alphas -> random_matrix -> eig_tridiag is spelled out once in the
+    # package, in spectra.realize; a second copy would drift from it
+    drawing = {"sample_alphas", "random_matrix"}
+    package = pathlib.Path(cli.__file__).parent
+    owner, elsewhere = set(), []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        if path.name == "spectra.py":
+            (fn,) = [f for f in tree.body
+                     if isinstance(f, ast.FunctionDef) and f.name == "realize"]
+            inside = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in drawing and id(node) in inside:
+                owner.add(name)
+            elif name in drawing:
+                elsewhere.append(f"{path.relative_to(package)}:{node.lineno} calls {name}")
+    assert owner == drawing
+    assert elsewhere == []
 
 
 # ----------------------------------------------------------- Monte Carlo
