@@ -71,7 +71,7 @@ class JacobiParams:
 
 @dataclass(frozen=True)
 class SymTridiag:
-    """Symmetric tridiagonal matrix: diagonal of length n, off-diagonal n - 1."""
+    """Symmetric tridiagonal matrix: diagonal of length n >= 1, off-diagonal n - 1."""
 
     diag: np.ndarray
     off: np.ndarray
@@ -80,7 +80,7 @@ class SymTridiag:
         d, e = real_array(self.diag), real_array(self.off)
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "off", e)
-        if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
+        if d.ndim != 1 or e.ndim != 1 or e.size != d.size - 1:
             raise ParameterDomainError(
                 "tridiagonal storage needs len(off) == len(diag) - 1"
             )
@@ -114,8 +114,9 @@ class AlphaVector:
         return (self.alpha.size + 1) // 2
 
 
-def alpha_shapes(p: JacobiParams) -> tuple[np.ndarray, np.ndarray]:
-    """Beta shape pairs (p_k, q_k) for k = 0..2n-2, vectorized.
+def alpha_shapes(p: JacobiParams, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Beta shape pairs (p_k, q_k) for k = 0..2n-2, vectorized, times ``scale``
+    (exactly, for a power of two short of the subnormal range).
 
     Shapes beyond float64 come out infinite; the sampling plan and
     :func:`expected_matrix` reject them with MagnitudeOverflowError.
@@ -124,12 +125,13 @@ def alpha_shapes(p: JacobiParams) -> tuple[np.ndarray, np.ndarray]:
     ke, ko = k[0::2], k[1::2]
     ps = np.empty(k.size)
     qs = np.empty(k.size)
+    beta, a, b, one = p.beta * scale, p.a * scale, p.b * scale, scale
     with np.errstate(over="ignore"):
-        even = (2.0 * p.n - ke - 2.0) / 4.0 * p.beta
-        ps[0::2] = even + p.a + 1.0
-        qs[0::2] = even + p.b + 1.0
-        ps[1::2] = (2.0 * p.n - ko - 3.0) / 4.0 * p.beta + p.a + p.b + 2.0
-        qs[1::2] = (2.0 * p.n - ko - 1.0) / 4.0 * p.beta
+        even = (2.0 * p.n - ke - 2.0) / 4.0 * beta
+        ps[0::2] = even + a + one
+        qs[0::2] = even + b + one
+        ps[1::2] = (2.0 * p.n - ko - 3.0) / 4.0 * beta + a + b + 2.0 * one
+        qs[1::2] = (2.0 * p.n - ko - 1.0) / 4.0 * beta
     return ps, qs
 
 
@@ -191,11 +193,15 @@ def expected_matrix(p: JacobiParams) -> SymTridiag:
 
     The complements 1 -+ mean are 2 p/(p + q) and 2 q/(p + q). The eigenvalues
     are the roots of the degree-n Jacobi polynomial with parameters
-    (a_tilde - 1, b_tilde - 1) at x/2. A shape sum beyond float64 raises
-    MagnitudeOverflowError.
+    (a_tilde - 1, b_tilde - 1) at x/2. Where a shape sum overflows float64,
+    the ratios come from the exact halves of the shapes; a halved sum beyond
+    float64 raises MagnitudeOverflowError.
     """
     ps, qs = alpha_shapes(p)
     with np.errstate(over="ignore"):
+        if not np.all(ps + qs < math.inf):
+            over = ~(ps + qs < math.inf)
+            ps, qs = (np.where(over, h, f) for h, f in zip(alpha_shapes(p, 0.5), (ps, qs)))
         s = ps + qs
     if not np.all(s < math.inf):
         raise MagnitudeOverflowError("beta shapes of the expected matrix overflowed float64")

@@ -25,7 +25,7 @@ from .errors import (
     MagnitudeOverflowError, NumericalFailureError, ParameterDomainError, real_array, whole_number,
 )
 from .spectra import (
-    EdgeDensity, FMatrixDensity, SemicircleDensity, ascending_points, cdf_grid, model_cdf,
+    EdgeDensity, FMatrixDensity, SemicircleDensity, _cdf_into, ascending_points, model_cdf,
     realize, run_trials, semicircle_radius,
 )
 from .trieig import Spectrum, eig_generalized_sym
@@ -245,11 +245,12 @@ def _reciprocal_edge_limit_cdf(d: FDims):
     def cdf(xs):
         xs = ascending_points(xs)
         # 1 - G(1/x) is 0 on the prefix x < the smallest normal float (all
-        # x <= 0 among them), where 1/x is +inf or overflows; 1/x maps the rest
-        # to descending points, so cdf_grid integrates their reversed view
+        # x <= 0 among them), where 1/x is +inf or overflows; the closed form
+        # takes the rest's 1/x, descending, in place
         pos = np.searchsorted(xs, np.finfo(np.float64).tiny)
         out = np.zeros_like(xs)
-        out[pos:] = 1.0 - cdf_grid(edge, 1.0 / xs[pos:][::-1])[::-1]
+        rest = np.divide(1.0, xs[pos:], out=out[pos:])
+        np.subtract(1.0, _cdf_into(edge, rest, rest), out=rest)
         return out
 
     return cdf

@@ -89,15 +89,18 @@ def ks_distance(e: Ecdf, cdf) -> float:
 
 
 class DensityModel:
-    """Base class: a closed-form limiting spectral density on a finite support.
+    """Base class: a Wachter-type limiting spectral density on a finite support.
 
-    Concrete models implement :meth:`edge_density`, the density written in
-    terms of the exact distances to the two support endpoints; this avoids the
-    subtractive cancellation that otherwise wrecks the quadrature near
-    inverse-square-root edges (arcsine-type laws).
+    Every model is sqrt(dlo dhi) (c + w / prod_j (x - p_j)) in the distances
+    dlo = x - lo, dhi = hi - x, with at most two poles, real or a complex
+    pair; ``rational`` holds (c, w, poles), which gives :func:`cdf_grid` its
+    closed form. Concrete models implement :meth:`edge_density`, the density
+    written in terms of the exact distances to the two support endpoints,
+    which avoids subtractive cancellation near inverse-square-root edges.
     """
 
     support: tuple[float, float]
+    rational: tuple[float, float, tuple]
 
     def edge_density(self, dlo, dhi):
         """Density at x = lo + dlo = hi - dhi for interior distances dlo, dhi > 0."""
@@ -123,21 +126,23 @@ class GeneralDensity(DensityModel):
             raise ParameterDomainError("location parameters a1, a2 must be finite")
         if not (0.0 < b1 < math.inf and 0.0 < b2 < math.inf):
             raise ParameterDomainError("scale parameters must be finite and satisfy b1, b2 > 0")
-        w = 2.0 * math.sqrt(b2)
-        self.__dict__.update(a1=a1, a2=a2, b1=b1, b2=b2, support=(a2 - w, a2 + w))
+        w, k = 2.0 * math.sqrt(b2), b1 / (2.0 * np.pi)
+        # the denominator A x^2 + B x + C, its roots without cancellation
+        a, b, c = b2 - b1, b1 * a2 + b1 * a1 - 2.0 * b2 * a1, b2 * a1 * a1 - a1 * a2 * b1 + b1 * b1
+        root = (b * b - 4.0 * a * c) ** 0.5  # complex for complex poles
+        q = -0.5 * (b + root if (b * root.conjugate()).real >= 0.0 else b - root)
+        if a == 0.0:
+            rational = (k / c, 0.0, ()) if b == 0.0 else (0.0, k / b, (-c / b,))
+        else:  # q = 0 only for the double root 0 (b = c = 0)
+            p = q / a
+            rational = (0.0, k / a, (p, p.conjugate() if root.imag else c / q if q else p))
+        self.__dict__.update(a1=a1, a2=a2, b1=b1, b2=b2, support=(a2 - w, a2 + w),
+                             _den=(a, b, c), rational=rational)
 
     def edge_density(self, dlo, dhi):
-        a1, a2, b1, b2 = self.a1, self.a2, self.b1, self.b2
         x = self.support[0] + dlo
-        num = b1 / (2.0 * np.pi) * np.sqrt(dlo * dhi)
-        den = (
-            (b2 - b1) * x * x
-            + (b1 * a2 + b1 * a1 - 2.0 * b2 * a1) * x
-            + b2 * a1 * a1
-            - a1 * a2 * b1
-            + b1 * b1
-        )
-        return num / den
+        a, b, c = self._den
+        return self.b1 / (2.0 * np.pi) * np.sqrt(dlo * dhi) / (a * x * x + b * x + c)
 
 
 def ratio_density_support(alpha0: float, beta0: float) -> tuple[float, float]:
@@ -171,7 +176,11 @@ class RatioDensity(DensityModel):
 
     def __post_init__(self):
         a0, b0 = real_number(self.alpha0), real_number(self.beta0)
-        self.__dict__.update(alpha0=a0, beta0=b0, support=ratio_density_support(a0, b0))
+        # (c / 2pi) / (4 - x^2) = -(c / 2pi) / ((x - 2)(x + 2))
+        rational = (0.0, -(2.0 + a0 + b0) / (2.0 * np.pi), (2.0, -2.0))
+        self.__dict__.update(
+            alpha0=a0, beta0=b0, support=ratio_density_support(a0, b0), rational=rational
+        )
 
     def edge_density(self, dlo, dhi):
         lo, hi = self.support
@@ -186,7 +195,7 @@ class ArcsineDensity(DensityModel):
     """Arcsine law on (-2, 2): f(x) = 1 / (pi sqrt(4 - x^2))."""
 
     def __post_init__(self):
-        object.__setattr__(self, "support", (-2.0, 2.0))
+        self.__dict__.update(support=(-2.0, 2.0), rational=(0.0, -1.0 / np.pi, (2.0, -2.0)))
 
     def edge_density(self, dlo, dhi):
         return 1.0 / (np.pi * np.sqrt(dlo * dhi))
@@ -210,7 +219,8 @@ class SemicircleDensity(DensityModel):
         r, c = real_number(self.radius), real_number(self.center)
         if not (0.0 < r < math.inf and math.isfinite(c)):
             raise ParameterDomainError("semicircle needs a finite radius > 0 and a finite center")
-        self.__dict__.update(radius=r, center=c, support=(c - r, c + r))
+        rational = (2.0 / (np.pi * r * r), 0.0, ())
+        self.__dict__.update(radius=r, center=c, support=(c - r, c + r), rational=rational)
 
     def edge_density(self, dlo, dhi):
         r = self.radius
@@ -240,7 +250,8 @@ class EdgeDensity(DensityModel):
             raise MagnitudeOverflowError(
                 "edge-law support overflowed float64 or collapsed to a point"
             )
-        self.__dict__.update(beta0=beta0, support=(s - w, s + w))
+        rational = (0.0, 1.0 / (4.0 * np.pi), (0.0,))
+        self.__dict__.update(beta0=beta0, support=(s - w, s + w), rational=rational)
 
     def edge_density(self, dlo, dhi):
         # x = lo + dlo is exact even when the support starts at 0 (beta0 = 0)
@@ -268,7 +279,9 @@ class FMatrixDensity(DensityModel):
         root = math.sqrt(1.0 - (1.0 - y) * (1.0 - yprime))
         s1 = ((1.0 - root) / (1.0 - yprime)) ** 2
         s2 = ((1.0 + root) / (1.0 - yprime)) ** 2
-        self.__dict__.update(y=y, yprime=yprime, support=(s1, s2))
+        # 1 / (x (y' x + y)) = (1/y') / (x (x + y/y'))
+        rational = (0.0, (1.0 - yprime) / (2.0 * np.pi * yprime), (0.0, -y / yprime))
+        self.__dict__.update(y=y, yprime=yprime, support=(s1, s2), rational=rational)
 
     def edge_density(self, dlo, dhi):
         x = self.support[0] + dlo
@@ -289,84 +302,107 @@ def density_eval(m: DensityModel, x):
 
 
 # ---------------------------------------------------------------------------
-# quadrature: blockwise Gauss-Legendre panels, sqrt substitution at the edges
+# closed-form CDF: x = m - h cos(phi) on [lo, hi] = [m - h, m + h], so that
+# dlo = h (1 - cos phi), dhi = h (1 + cos phi) and dx = h sin(phi) dphi
 
-# 8-point Gauss-Legendre rule on [-1, 1]; literals, because computing them
-# with numpy.polynomial.legendre.leggauss loads numpy's own LAPACK
-_GL_NODES = np.array([
-    -0.9602898564975363, -0.7966664774136267, -0.5255324099163290, -0.1834346424956498,
-    0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975363,
-])
-_GL_WEIGHTS = np.array([
-    0.1012285362903763, 0.2223810344533745, 0.3137066458778873, 0.3626837833783620,
-    0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763,
-])
-# points per block: bounds the (intervals x nodes) temporaries
+# points per block: bounds the temporaries of a CDF or KS evaluation
 _BLOCK = 1024
-# live intervals per block: a density the rule cannot resolve (a pole, rounding
-# noise above the halved tolerance) fails here, not after doubling to depth 40
-_MAX_INTERVALS = 16 * _BLOCK
+# a pole with |t| below this takes the Poisson-kernel series, whose 21 terms
+# k carry the weights 2 - [k = 0]
+_FAR_POLE_T = 0.1
+_K = np.arange(21)
+_K_WEIGHTS = np.where(_K > 0, 2.0, 1.0)
 
 
-def _gauss_legendre(m: DensityModel, a, b, upper):
-    """8-point rule for the substituted integrand 2v f(x) on each [a_i, b_i].
-
-    v is t = sqrt(x - s1), or u = sqrt(s2 - x) where ``upper``; the edge
-    distances v^2 feed :meth:`DensityModel.edge_density` exactly.
-    """
-    h = 0.5 * (b - a)
-    v = (0.5 * (a + b))[:, None] + h[:, None] * _GL_NODES
-    sq = v * v
-    rest = (m.support[1] - m.support[0]) - sq
-    up = upper[:, None]
-    dlo, dhi = np.where(up, rest, sq), np.where(up, sq, rest)
-    del sq, rest  # free before the density's own temporaries
-    return 2.0 * h * ((m.edge_density(dlo, dhi) * v) @ _GL_WEIGHTS)
+def _pole(p, lo: float, hi: float):
+    """(d1, d2, a, r, t): d1 = lo - p, d2 = hi - p, a = m - p, r = sqrt(d1 d2)
+    with Re(r/a) >= 0 and t = h/(a + r), |t| < 1. A real pole that rounding
+    put inside the support (an end computed past +-2) sits on the end."""
+    d1, d2, h = lo - p, hi - p, 0.5 * (hi - lo)
+    if not isinstance(p, complex) and d1 < 0.0 < d2:
+        if min(-d1, d2) > 1e-13 * (abs(lo) + abs(hi)):
+            raise NumericalFailureError("limit density has a pole inside its support")
+        d1, d2 = (0.0, d2) if -d1 < d2 else (d1, 0.0)
+    r = (d1 * d2) ** 0.5  # complex for a complex pole
+    r = -r if (r / (d1 + h)).real < 0.0 else r
+    return d1, d2, d1 + h, r, h / (d1 + h + r)
 
 
-def _panel_integrals(m: DensityModel, edges: np.ndarray) -> np.ndarray:
-    """Integrals of the density over [edges[i], edges[i+1]] inside the support.
+def _series(g, phi):
+    """sum_k g_k int_0^phi sin^2(th) cos(k th) dth = sum_k g_k (S_k/2 -
+    (S_(k-2) + S_(k+2))/4), S_0 = phi, S_j = sin(|j| phi)/|j|."""
+    c = np.zeros(g.size + 2, dtype=g.dtype)  # of S_0 .. S_22
+    np.add.at(c, np.r_[_K, abs(_K - 2), _K + 2], np.r_[g / 2.0, -g / 4.0, -g / 4.0])
+    out, two_cos, s_prev, s = c[0] * phi, 2.0 * np.cos(phi), 0.0, np.sin(phi)
+    for j in range(1, c.size):  # sin(j phi) by the Chebyshev recurrence
+        out, s_prev, s = out + (c[j] / j) * s, s, two_cos * s - s_prev
+    return out
 
-    Panels are integrated in t below the support midpoint and in u above it,
-    which makes inverse-square-root edges analytic. An interval whose two halves
-    miss the whole by more than 1e-10 (halved at each split) is split.
-    """
-    s1, s2 = m.support
-    mid = 0.5 * (s1 + s2)
-    a, b = edges[:-1], edges[1:]
-    # avoid evaluating 2v * f at exactly v = 0 (0 * inf at singular edges);
-    # the skipped mass below v = 1e-12 is O(1e-12) even for 1/sqrt edges
-    ta = np.maximum(np.sqrt(a - s1), 1e-12)
-    tb = np.sqrt(np.minimum(b, mid) - s1)
-    ua = np.maximum(np.sqrt(s2 - b), 1e-12)
-    ub = np.sqrt(s2 - np.maximum(a, mid))
-    keep = np.concatenate([ta < tb, ua < ub])
-    lo, hi = np.concatenate([ta, ua])[keep], np.concatenate([tb, ub])[keep]
-    upper = np.repeat([False, True], a.size)[keep]
-    owner = np.tile(np.arange(a.size), 2)[keep]
-    total = np.zeros(a.size)
-    whole = _gauss_legendre(m, lo, hi, upper)
-    tol = 1e-10
-    for depth in range(41):
-        half = 0.5 * (lo + hi)
-        left = _gauss_legendre(m, lo, half, upper)
-        right = _gauss_legendre(m, half, hi, upper)
-        est = left + right
-        if not np.all(np.isfinite(est)):
-            raise NumericalFailureError("density quadrature is not finite")
-        done = np.abs(est - whole) <= tol
-        total += np.bincount(owner[done], weights=est[done], minlength=a.size)
-        if done.all():
-            return total
-        split = ~done
-        if depth == 40 or 2 * np.count_nonzero(split) > _MAX_INTERVALS:
-            raise NumericalFailureError("adaptive quadrature did not converge")
-        lo = np.concatenate([lo[split], half[split]])
-        hi = np.concatenate([half[split], hi[split]])
-        whole = np.concatenate([left[split], right[split]])
-        upper = np.tile(upper[split], 2)
-        owner = np.tile(owner[split], 2)
-        tol *= 0.5
+
+def _pole_integral(pole, h, phi, sin_phi, tan_half):
+    """I(p) = int_lo^x sqrt(dlo dhi) / (x - p) dx = h^2 J(a, -h, phi), where
+    J(a, b, phi) = int_0^phi sin^2/(a + b cos)
+                 = -sin(phi)/b + a phi/b^2 - (2r/b^2) atan((a - b)/r tan(phi/2))
+    and the atan term is 0 for a pole on an end (r = 0). That form loses
+    (a/h)^2 eps to cancellation, so a far pole (|t| < 0.1) sums the series
+    1/(a - h cos) = (1/r) (1 + 2 sum_k t^k cos(k th)) over k <= 20 instead."""
+    d1, d2, a, r, t = pole
+    if abs(t) < _FAR_POLE_T:
+        return _series(_K_WEIGHTS * h * h * t**_K / r, phi)
+    atan = 0.0 if r == 0.0 else r * np.arctan(d2 / r * tan_half)
+    return h * sin_phi + a * phi - 2.0 * atan
+
+
+def _pair_integral(p1, p2, delta, h, phi, tan_half, rlo, rhi):
+    """(I(p1) - I(p2))/delta for poles p1 = p2 + delta nearer each other than
+    the support, without cancelling I(p1) against I(p2): r1 - r2 =
+    -delta (a1 + a2)/(r1 + r2), and with u = d2/r (u^2 = d2/d1) the atan
+    terms differ by atan(delta z), as u1 - u2 = 2 h delta/(d1 d1' (u1 + u2)).
+    A far pair sums the series of the divided differences of t^k/r."""
+    (d1, d2, a1, r1, t1), (e1, e2, a2, r2, t2) = p1, p2
+    dr = -(a1 + a2) / (r1 + r2)  # (r1 - r2)/delta
+    if max(abs(t1), abs(t2)) < _FAR_POLE_T:
+        dt = h * (1.0 - dr) / ((a1 + r1) * (a2 + r2))  # (t1 - t2)/delta
+        # (t1^k - t2^k)/(t1 - t2) = t2^(k-1) sum_(i<k) (t1/t2)^i
+        e = np.r_[0.0, np.cumsum((t1 / t2) ** _K[:-1]) * t2 ** _K[:-1]]
+        return _series(_K_WEIGHTS * h * h * (dt * e / r1 - t2**_K * dr / (r1 * r2)), phi)
+    u1, u2 = d2 / r1, e2 / r2
+    z = 2.0 * h * rlo * rhi / (d1 * e1 * (u1 + u2) * (rhi * rhi + u1 * u2 * rlo * rlo))
+    datan = z if delta == 0.0 else np.arctan(delta * z) / delta
+    return -phi - 2.0 * dr * np.arctan(u1 * tan_half) - 2.0 * r2 * datan
+
+
+def _cdf_into(m: DensityModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The CDF of m at finite points x in any order, written block by block
+    into out (which may be x itself): c h^2 (phi - sin(phi) cos(phi))/2 plus
+    w times I(p) of one pole, or (I(p1) - I(p2))/(p1 - p2) of two, through
+    :func:`_pair_integral` where they are nearer each other than the support.
+    phi = 2 atan2(sqrt(dlo), sqrt(dhi)) is accurate at either end. Points at
+    or above hi read exactly 1, at or below lo 0."""
+    lo, hi = m.support
+    h = 0.5 * (hi - lo)
+    c, w, ps = m.rational
+    poles = [_pole(p, lo, hi) for p in ps]
+    close = len(ps) == 2 and not lo <= ps[0].real <= hi and (
+        abs(ps[0] - ps[1]) < min(abs(d) for pole in poles for d in pole[:2]))
+    for i in range(0, x.size, _BLOCK):
+        xb = x[i : i + _BLOCK]
+        rlo, rhi = np.sqrt(np.maximum(xb - lo, 0.0)), np.sqrt(np.maximum(hi - xb, 0.0))
+        phi = 2.0 * np.arctan2(rlo, rhi)
+        sin_phi = np.sin(phi)
+        f = (0.5 * c * h * h) * (phi - sin_phi * np.cos(phi))
+        with np.errstate(divide="ignore", invalid="ignore"):  # rhi = 0 only at x >= hi
+            tan_half = rlo / rhi
+            if close:
+                f += (w * _pair_integral(*poles, ps[0] - ps[1], h, phi, tan_half, rlo, rhi)).real
+            elif poles:
+                i1, *i2 = (_pole_integral(p, h, phi, sin_phi, tan_half) for p in poles)
+                f += (w * ((i1 - i2[0]) / (ps[0] - ps[1]) if i2 else i1)).real
+        f[xb >= hi] = 1.0
+        if not np.isfinite(f).all():
+            raise NumericalFailureError("limit-law CDF is not finite")
+        np.clip(f, 0.0, 1.0, out=out[i : i + _BLOCK])
+    return out
 
 
 def ascending_points(xs) -> np.ndarray:
@@ -380,23 +416,10 @@ def ascending_points(xs) -> np.ndarray:
 
 
 def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
-    """CDF at ascending finite points (see :func:`ascending_points`), walked in
-    blocks with a running panel total (tol 1e-10 per panel) written straight
-    into the output."""
+    """CDF at ascending finite points (see :func:`ascending_points`), in
+    closed form (:func:`_cdf_into`) block by block into the output."""
     xs = ascending_points(xs)
-    lo, hi = m.support
-    first = np.searchsorted(xs, lo, side="right")
-    stop = np.searchsorted(xs, hi, side="left")
-    vals = np.zeros_like(xs)
-    vals[stop:] = 1.0
-    acc, prev = 0.0, lo
-    for i in range(first, stop, _BLOCK):
-        block = xs[i : min(i + _BLOCK, stop)]
-        panels = _panel_integrals(m, np.concatenate([[prev], block]))
-        cum = np.cumsum(np.concatenate([[acc], panels]))[1:]
-        vals[i : i + block.size] = cum
-        acc, prev = cum[-1], block[-1]
-    return np.clip(vals, 0.0, 1.0, out=vals)
+    return _cdf_into(m, xs, np.empty_like(xs))
 
 
 def model_cdf(m: DensityModel):

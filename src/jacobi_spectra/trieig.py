@@ -165,9 +165,10 @@ def eig_tridiag(t: SymTridiag) -> Spectrum:
     vals, info = _dsterf(t.diag, t.off)
     if info != 0:
         raise NumericalFailureError(f"tridiagonal QR did not converge (dsterf info={info})")
-    if not finite_ascending(vals):
-        raise NumericalFailureError("tridiagonal matrix has a NaN or infinite entry")
-    return Spectrum(vals)
+    try:  # Spectrum's one order and finiteness scan
+        return Spectrum(vals)
+    except ParameterDomainError:
+        raise NumericalFailureError("tridiagonal matrix has a NaN or infinite entry") from None
 
 
 def _eig_zero_diagonal(off: np.ndarray) -> np.ndarray:

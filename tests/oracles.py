@@ -6,8 +6,9 @@ the Levy distance from a brute-force grid search, entry ranges from
 exhaustive maximization over a grid on the cube, eigenvalue counts from
 Sturm sequences (bisection's inertia count, not the production QR solver),
 limit-law CDFs from scalar adaptive Simpson or, for the arcsine law, in
-closed form (not the production Gauss-Legendre panels), and random-matrix entries from per-index gathers
-(not the production strided views). Keyed gamma and beta variates come from
+closed form (not the production closed forms in the half-angle variable),
+and random-matrix entries from per-index gathers (not the production strided
+views). Keyed gamma and beta variates come from
 a per-call path that rebuilds every Marsaglia-Tsang constant inside each
 block of every call (not the production sampling plans); it shares only the
 keyed-word helpers with the library, so it pins the sampled bytes. ECDF

@@ -290,10 +290,23 @@ def test_expected_matrix_finite_at_huge_rescaled_exponents(a, b, beta):
     assert np.max(np.abs(eig_tridiag(m).values - ensemble_roots(p))) < 1e-10
 
 
+@pytest.mark.parametrize("a, beta", [(1e308, 3.0), (1e308, 2.0), (1.7e308, 2.0)])
+def test_expected_matrix_halves_shapes_whose_sum_overflows(a, beta):
+    # p + q is infinite where a + b is, but p/2 + q/2 is not: the mean ratios
+    # come from the exact halves, and the spectrum is the roots' (+-1e-154)
+    p = JacobiParams(5, a, a, beta)
+    ev = eig_tridiag(expected_matrix(p)).values
+    assert np.all(np.isfinite(ev)) and 1e-160 < ev[-1] < 1e-150
+    if beta == 3.0:  # where the root solver answers too
+        roots = ensemble_roots(p)
+        assert np.max(np.abs(ev - roots)) < 1e-12 * np.max(np.abs(roots))
+
+
 def test_expected_matrix_shape_overflow_is_typed():
-    for a in (1e308, 1.7e308):
+    # the halved shapes overflow too: beta n/4 and a + b both near 1e308
+    for beta in (1e308, 1.7e308):
         with pytest.raises(MagnitudeOverflowError, match="overflowed float64"):
-            expected_matrix(JacobiParams(5, a, a, 2.0))
+            expected_matrix(JacobiParams(5, 1e308, 1e308, beta))
     # at b = 0 every shape and shape sum stays finite, so the matrix is built
     # (its spectrum sits at -2, although a_tilde = (2a + 2)/beta overflows)
     m = expected_matrix(JacobiParams(5, 1.7e308, 0.0, 2.0))

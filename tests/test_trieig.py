@@ -16,6 +16,7 @@ from jacobi_spectra.errors import (
     MagnitudeOverflowError,
     NumericalFailureError,
     ParameterDomainError,
+    finite_ascending,
 )
 from jacobi_spectra.fmatrix import FDims
 from jacobi_spectra.polyroots import JacobiPolyParams, recurrence_coefficients
@@ -120,6 +121,25 @@ def test_eig_tridiag_nonfinite_entry_raises():
         eig_tridiag(_tridiag([np.nan], []))
     with pytest.raises(NumericalFailureError):
         eig_tridiag(_tridiag([1.0, np.inf, 3.0], [1.0, 1.0]))
+
+
+def test_eig_tridiag_scans_its_eigenvalues_once(monkeypatch):
+    # Spectrum owns the order and finiteness check; eig_tridiag re-raises its
+    # ParameterDomainError as a numerical failure with the message it had
+    calls = []
+
+    def counted(xs):
+        calls.append(xs.size)
+        return finite_ascending(xs)
+
+    monkeypatch.setattr(trieig, "finite_ascending", counted)
+    t = _tridiag([1.0, 2.0, 3.0], [0.5, 0.5])
+    assert np.array_equal(eig_tridiag(t).values, trieig._dsterf(t.diag, t.off)[0])
+    assert calls == [3]
+    with pytest.raises(NumericalFailureError, match="^tridiagonal matrix has a NaN or infinite"):
+        eig_tridiag(_tridiag([np.nan], []))
+    with pytest.raises(ParameterDomainError, match="len\\(diag\\) - 1"):
+        SymTridiag(np.zeros(0), np.zeros(0))
 
 
 def test_sturm_count_matches_spectrum():
