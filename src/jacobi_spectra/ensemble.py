@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betarand import BetaParams, BetaPlan, RngStream, beta_mean_pm1
-from .errors import InternalConsistencyError, MagnitudeOverflowError, ParameterDomainError
+from .errors import InternalConsistencyError, ParameterDomainError
 from .errors import real_array, real_number, whole_number
 
 # 0-d operands of the per-realization array passes (numpy converts a scalar
@@ -118,8 +118,8 @@ def alpha_shapes(p: JacobiParams, scale: float = 1.0) -> tuple[np.ndarray, np.nd
     """Beta shape pairs (p_k, q_k) for k = 0..2n-2, vectorized, times ``scale``
     (exactly, for a power of two short of the subnormal range).
 
-    Shapes beyond float64 come out infinite; the sampling plan and
-    :func:`expected_matrix` reject them with MagnitudeOverflowError.
+    Shapes beyond float64 come out infinite; the sampling plan rejects them
+    with MagnitudeOverflowError, and :func:`expected_matrix` scales them down.
     """
     k = np.arange(2 * p.n - 1, dtype=np.float64)
     ke, ko = k[0::2], k[1::2]
@@ -188,23 +188,28 @@ def random_matrix(alphas: AlphaVector) -> SymTridiag:
     return _killip_nenciu(pad, _ONE - a_odd, _ONE + a_odd, _ONE - pad[2 : 2 * n - 1 : 2] ** 2)
 
 
+def _exact_scale(count: float, unit: float, *terms: float) -> float:
+    """The largest power of two 2^-j, j >= 0, that keeps sums of count * unit,
+    the |terms| and a few units below 2^1023 once every operand is multiplied
+    by it, as bounded by the operands' binary exponents: 1.0 while that bound
+    is at most 2^1021. The scale is exact short of the subnormal range, so
+    ratios of scaled operands are the unscaled ones. A non-finite term reads
+    exponent 0 and gets no scale of its own."""
+    e = max(math.frexp(count)[1] + math.frexp(unit)[1], *(math.frexp(t)[1] for t in terms))
+    return math.ldexp(1.0, min(0, 1021 - e))
+
+
 def expected_matrix(p: JacobiParams) -> SymTridiag:
     """The random matrix's build at the variate means (q - p)/(p + q), reversed.
 
     The complements 1 -+ mean are 2 p/(p + q) and 2 q/(p + q). The eigenvalues
     are the roots of the degree-n Jacobi polynomial with parameters
-    (a_tilde - 1, b_tilde - 1) at x/2. Where a shape sum overflows float64,
-    the ratios come from the exact halves of the shapes; a halved sum beyond
-    float64 raises MagnitudeOverflowError.
+    (a_tilde - 1, b_tilde - 1) at x/2. The shapes are taken at one exact
+    power-of-two scale (1.0 below 2^1021), so every sum p + q is finite and
+    every ratio is the unscaled one.
     """
-    ps, qs = alpha_shapes(p)
-    with np.errstate(over="ignore"):
-        if not np.all(ps + qs < math.inf):
-            over = ~(ps + qs < math.inf)
-            ps, qs = (np.where(over, h, f) for h, f in zip(alpha_shapes(p, 0.5), (ps, qs)))
-        s = ps + qs
-    if not np.all(s < math.inf):
-        raise MagnitudeOverflowError("beta shapes of the expected matrix overflowed float64")
+    ps, qs = alpha_shapes(p, _exact_scale(p.n, p.beta, p.a, p.b))
+    s = ps + qs
     pad = np.empty(2 * p.n + 1)
     pad[:2] = -1.0
     pad[2:] = beta_mean_pm1(BetaParams(ps, qs))

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import MagnitudeOverflowError, ParameterDomainError, real_array
 from .errors import real_number, whole_number
 from .trieig import Spectrum, _eig_zero_diagonal, eig_tridiag
-from .ensemble import JacobiParams, SymTridiag
+from .ensemble import JacobiParams, SymTridiag, _exact_scale
 
 
 @dataclass(frozen=True)
@@ -121,24 +121,27 @@ def recurrence_coefficients(p: JacobiPolyParams) -> tuple[np.ndarray, np.ndarray
     x Phat_k = Phat_{k+1} + A_k Phat_k + B_k Phat_{k-1}; the B_k are the
     squared off-diagonal entries of the symmetrized recurrence matrix. Each
     coefficient is a product of bounded ratios, which avoids subtractive
-    cancellation and keeps every factor in float64 range up to the largest
-    finite exponents (gamma = delta -> infinity tends to the Hermite limit
-    B_k ~ k / (2 gamma)); MagnitudeOverflowError is raised when a ratio is
-    not finite, e.g. at an infinite gamma + delta.
+    cancellation. The ratios are formed from k, gamma, delta and the
+    constants all times one exact power of two (1.0 unless a sum such as
+    2k + gamma + delta would overflow), so every factor stays in float64 range
+    up to the largest finite exponents (gamma = delta -> infinity tends to the
+    Hermite limit B_k ~ k / (2 gamma)); MagnitudeOverflowError is raised when a
+    ratio is not finite, e.g. at an infinite gamma.
     """
-    g, d, n = p.gamma, p.delta, p.n
+    n = p.n
+    one = _exact_scale(n, 2.0, p.gamma, p.delta)
+    g, d = p.gamma * one, p.delta * one
     diag = np.empty(n)
-    k = np.arange(1, n, dtype=np.float64)
+    k = np.arange(1, n, dtype=np.float64) * one
     with np.errstate(all="ignore"):
         s = 2.0 * k + g + d
-        diag[0] = (d - g) / (g + d + 2.0)
-        diag[1:] = ((d - g) / s) * ((d + g) / (s + 2.0))
-        off_sq = 4.0 * (k / s) * ((k + g) / s) * ((k + d) / (s - 1.0)) * ((k + g + d) / (s + 1.0))
+        diag[0] = (d - g) / (g + d + 2.0 * one)
+        diag[1:] = ((d - g) / s) * ((d + g) / (s + 2.0 * one))
+        off_sq = 4.0 * (k / s) * ((k + g) / s) * ((k + d) / (s - one)) * ((k + g + d) / (s + one))
         if n > 1:
             # k = 1 has a removable 0/0 at g + d = -1: cancel (1 + g + d)/(s - 1)
-            off_sq[0] = 4.0 * ((1.0 + g) / (g + d + 2.0)) * ((1.0 + d) / (g + d + 2.0)) / (
-                g + d + 3.0
-            )
+            off_sq[0] = 4.0 * ((one + g) / (g + d + 2.0 * one)) * (
+                (one + d) / (g + d + 2.0 * one)) / (g + d + 3.0 * one) * one
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off_sq))):
         raise MagnitudeOverflowError(
             f"recurrence coefficients overflowed float64 at gamma = {p.gamma:g}, "

@@ -91,20 +91,33 @@ def ks_distance(e: Ecdf, cdf) -> float:
 class DensityModel:
     """Base class: a Wachter-type limiting spectral density on a finite support.
 
-    Every model is sqrt(dlo dhi) (c + w / prod_j (x - p_j)) in the distances
-    dlo = x - lo, dhi = hi - x, with at most two poles, real or a complex
-    pair; ``rational`` holds (c, w, poles), which gives :func:`cdf_grid` its
-    closed form. Concrete models implement :meth:`edge_density`, the density
-    written in terms of the exact distances to the two support endpoints,
-    which avoids subtractive cancellation near inverse-square-root edges.
+    A law is its ``support`` (lo, hi) and its rational form ``rational`` =
+    (c, w, poles): the density is sqrt(dlo dhi) (c + w / prod_j (x - p_j)) in
+    the distances dlo = x - lo, dhi = hi - x, with at most two poles, real or
+    a complex pair. :meth:`edge_density` and :func:`cdf_grid`'s closed form
+    both read that one encoding.
     """
 
     support: tuple[float, float]
     rational: tuple[float, float, tuple]
 
     def edge_density(self, dlo, dhi):
-        """Density at x = lo + dlo = hi - dhi for interior distances dlo, dhi > 0."""
-        raise NotImplementedError
+        """Density at x = lo + dlo = hi - dhi for interior distances dlo, dhi > 0:
+        c s + (s w) / prod_j delta_j with s = sqrt(dlo dhi), where delta_j =
+        x - p_j is (hi - p_j) - dhi for a real pole at or above hi and
+        (lo - p_j) + dlo for any other, so a pole on a support end costs no
+        cancellation (a real pole that rounding put inside the support counts
+        from its nearer end, as in :func:`_pole`); the real part for a
+        complex pair.
+        """
+        lo, hi = self.support
+        c, w, poles = self.rational
+        s = np.sqrt(dlo * dhi)
+        den = 1.0
+        for p in poles:
+            above = not isinstance(p, complex) and p - lo > hi - p
+            den = den * ((hi - p) - dhi if above else (lo - p) + dlo)
+        return (c * s + (s * w) / den).real
 
 
 @dataclass(frozen=True)
@@ -137,12 +150,7 @@ class GeneralDensity(DensityModel):
             p = q / a
             rational = (0.0, k / a, (p, p.conjugate() if root.imag else c / q if q else p))
         self.__dict__.update(a1=a1, a2=a2, b1=b1, b2=b2, support=(a2 - w, a2 + w),
-                             _den=(a, b, c), rational=rational)
-
-    def edge_density(self, dlo, dhi):
-        x = self.support[0] + dlo
-        a, b, c = self._den
-        return self.b1 / (2.0 * np.pi) * np.sqrt(dlo * dhi) / (a * x * x + b * x + c)
+                             rational=rational)
 
 
 def ratio_density_support(alpha0: float, beta0: float) -> tuple[float, float]:
@@ -182,13 +190,6 @@ class RatioDensity(DensityModel):
             alpha0=a0, beta0=b0, support=ratio_density_support(a0, b0), rational=rational
         )
 
-    def edge_density(self, dlo, dhi):
-        lo, hi = self.support
-        c = (2.0 + self.alpha0 + self.beta0) / (2.0 * np.pi)
-        # 4 - x^2 written via endpoint distances; exact when the support
-        # touches +-2 (alpha0 or beta0 = 0), where the density is singular
-        return c * np.sqrt(dlo * dhi) / (((2.0 - hi) + dhi) * ((2.0 + lo) + dlo))
-
 
 @dataclass(frozen=True)
 class ArcsineDensity(DensityModel):
@@ -196,9 +197,6 @@ class ArcsineDensity(DensityModel):
 
     def __post_init__(self):
         self.__dict__.update(support=(-2.0, 2.0), rational=(0.0, -1.0 / np.pi, (2.0, -2.0)))
-
-    def edge_density(self, dlo, dhi):
-        return 1.0 / (np.pi * np.sqrt(dlo * dhi))
 
 
 @dataclass(frozen=True)
@@ -221,10 +219,6 @@ class SemicircleDensity(DensityModel):
             raise ParameterDomainError("semicircle needs a finite radius > 0 and a finite center")
         rational = (2.0 / (np.pi * r * r), 0.0, ())
         self.__dict__.update(radius=r, center=c, support=(c - r, c + r), rational=rational)
-
-    def edge_density(self, dlo, dhi):
-        r = self.radius
-        return 2.0 / (np.pi * r * r) * np.sqrt(dlo * dhi)
 
 
 @dataclass(frozen=True)
@@ -253,10 +247,6 @@ class EdgeDensity(DensityModel):
         rational = (0.0, 1.0 / (4.0 * np.pi), (0.0,))
         self.__dict__.update(beta0=beta0, support=(s - w, s + w), rational=rational)
 
-    def edge_density(self, dlo, dhi):
-        # x = lo + dlo is exact even when the support starts at 0 (beta0 = 0)
-        return np.sqrt(dlo * dhi) / (4.0 * np.pi * (self.support[0] + dlo))
-
 
 @dataclass(frozen=True)
 class FMatrixDensity(DensityModel):
@@ -282,11 +272,6 @@ class FMatrixDensity(DensityModel):
         # 1 / (x (y' x + y)) = (1/y') / (x (x + y/y'))
         rational = (0.0, (1.0 - yprime) / (2.0 * np.pi * yprime), (0.0, -y / yprime))
         self.__dict__.update(y=y, yprime=yprime, support=(s1, s2), rational=rational)
-
-    def edge_density(self, dlo, dhi):
-        x = self.support[0] + dlo
-        c = (1.0 - self.yprime) / (2.0 * np.pi)
-        return c * np.sqrt(dlo * dhi) / (x * (x * self.yprime + self.y))
 
 
 def density_eval(m: DensityModel, x):

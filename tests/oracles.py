@@ -7,6 +7,8 @@ exhaustive maximization over a grid on the cube, eigenvalue counts from
 Sturm sequences (bisection's inertia count, not the production QR solver),
 limit-law CDFs from scalar adaptive Simpson or, for the arcsine law, in
 closed form (not the production closed forms in the half-angle variable),
+limit densities from each law's docstring formula in plain x in exact
+rationals (not the production (support, rational) encoding),
 and random-matrix entries from per-index gathers (not the production strided
 views). Keyed gamma and beta variates come from
 a per-call path that rebuilds every Marsaglia-Tsang constant inside each
@@ -367,6 +369,36 @@ def cdf_eval(m, xi: float, tol: float) -> float:
     if xi >= hi:
         return 1.0
     return min(max(integrate_density(m, lo, xi, tol), 0.0), 1.0)
+
+
+def density_formula(m, x: float) -> float:
+    """The limit density of m at an interior point x from its class docstring's
+    formula in plain x, not from ``m.rational``: the root factor
+    sqrt((x - lo)(hi - x)) at the float support ``m.support``, times the law's
+    rational factor in exact rationals (the float pi)."""
+    lo, hi = m.support
+    x, pi = Fraction(x), Fraction(math.pi)
+    root = Fraction(math.sqrt((x - Fraction(lo)) * (Fraction(hi) - x)))
+    name = type(m).__name__
+    if name == "GeneralDensity":
+        a1, a2, b1, b2 = (Fraction(v) for v in (m.a1, m.a2, m.b1, m.b2))
+        den = (b2 - b1) * x * x + (b1 * a2 + b1 * a1 - 2 * b2 * a1) * x + (
+            b2 * a1 * a1 - a1 * a2 * b1 + b1 * b1)
+        factor = b1 / (2 * pi) / den
+    elif name == "RatioDensity":
+        factor = (2 + Fraction(m.alpha0) + Fraction(m.beta0)) / (2 * pi) / (4 - x * x)
+    elif name == "ArcsineDensity":  # 1 / (pi sqrt(4 - x^2)) = sqrt(4 - x^2) / (pi (4 - x^2))
+        factor = 1 / (pi * (4 - x * x))
+    elif name == "SemicircleDensity":
+        factor = 2 / (pi * Fraction(m.radius) ** 2)
+    elif name == "EdgeDensity":
+        factor = 1 / (4 * pi * x)
+    elif name == "FMatrixDensity":
+        y, yp = Fraction(m.y), Fraction(m.yprime)
+        factor = (1 - yp) / (2 * pi * x * (x * yp + y))
+    else:
+        raise ParameterDomainError(f"no docstring formula for {name}")
+    return float(root * factor)
 
 
 def arcsine_cdf(xi):

@@ -136,16 +136,20 @@ def test_roots_closed_form_and_symmetry():
 
 
 @pytest.mark.parametrize(
-    "a, code", [("1e100", 0), ("1e150", 0), ("1e200", 0), ("1e308", 4)]
+    "a, b, beta, code",
+    [("1e100", "1e100", "2", 0), ("1e150", "1e150", "2", 0), ("1e200", "1e200", "2", 0),
+     ("1e308", "1e308", "2", 0), ("1.7e308", "1.7e308", "2", 0), ("1.7e308", "0", "1e-300", 4)],
 )
-def test_roots_overflow_exits_4_without_traceback(a, code):
-    r = run_cli("roots", "--n", "5", "--a", a, "--b", a, "--beta", "2")
+def test_roots_overflow_exits_4_without_traceback(a, b, beta, code):
+    r = run_cli("roots", "--n", "5", "--a", a, "--b", b, "--beta", beta)
     assert r.returncode == code
     assert "Traceback" not in r.stderr
     assert "RuntimeWarning" not in r.stderr
     if code:
-        # gamma + delta = a_tilde + b_tilde - 2 is infinite at a = b = 1e308
-        assert "overflowed float64" in r.stderr
+        # a_tilde = (2a + 2)/beta and so gamma is infinite at a = 1.7e308,
+        # beta = 1e-300; at a = b = 1e308 only gamma + delta overflows, and the
+        # recurrence takes its ratios at a smaller exact scale
+        assert "recurrence coefficients overflowed float64" in r.stderr
     else:
         # gamma = delta = a -> infinity: the doubled roots tend to
         # 2 h_k / sqrt(gamma), h_k the Hermite roots
@@ -161,7 +165,7 @@ def test_roots_overflow_exits_4_without_traceback(a, code):
         ("compare --model ratio --n 20 --a 1e306 --b 1e306 --beta 2", 4),
         ("compare --model semicircle --n 20 --a 1e300 --b -0.9999999 --beta 2", 4),
         ("compare --model ratio --n 20 --a 3 --b 3 --beta 2 --scaling plain:1e300:1e300", 0),
-        ("roots --n 5 --a 5e307 --b 5e307 --beta 1", 4),
+        ("roots --n 5 --a 5e307 --b 5e307 --beta 1", 0),
         ("roots --n 5 --a 1e308 --beta 2", 0),
         # beta0 = 5e198: the edge-law support is one float wide
         ("compare --model edge --n 20 --a 3 --b 1e200 --trials 2", 4),

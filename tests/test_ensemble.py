@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -280,38 +282,52 @@ def test_expected_matrix_is_the_random_build_at_the_means(n):
 
 @pytest.mark.parametrize("a, b, beta", [
     (1e155, 0.0, 2.0), (1e200, 3.0, 2.0), (0.0, 1e200, 2.0), (1e300, 1e300, 2.0),
-    (0.5, -0.5, 1e-300),
+    (0.5, -0.5, 1e-300), (1.7e308, 0.0, 2.0),
 ])
 def test_expected_matrix_finite_at_huge_rescaled_exponents(a, b, beta):
-    # a_tilde ~ 1e155 and beyond: no entry squares a shape, so every entry is finite
+    # a_tilde ~ 1e155 and beyond: no entry squares a shape, so every entry is
+    # finite (at a = 1.7e308, b = 0 the spectrum sits at -2, although
+    # a_tilde = (2a + 2)/beta overflows)
     p = JacobiParams(5, a, b, beta)
     m = expected_matrix(p)
     assert np.all(np.isfinite(m.diag)) and np.all(np.isfinite(m.off))
     assert np.max(np.abs(eig_tridiag(m).values - ensemble_roots(p))) < 1e-10
 
 
-@pytest.mark.parametrize("a, beta", [(1e308, 3.0), (1e308, 2.0), (1.7e308, 2.0)])
-def test_expected_matrix_halves_shapes_whose_sum_overflows(a, beta):
-    # p + q is infinite where a + b is, but p/2 + q/2 is not: the mean ratios
-    # come from the exact halves, and the spectrum is the roots' (+-1e-154)
+@pytest.mark.parametrize("a, beta", [
+    (1e308, 3.0), (1e308, 2.0), (1.7e308, 2.0), (1e308, 1e308), (1e308, 1.7e308),
+])
+def test_expected_matrix_scales_shapes_whose_sum_overflows(a, beta):
+    # p + q is infinite where a + b or beta n/4 + a is, but not at a smaller
+    # exact power-of-two scale of every shape: the mean ratios are the
+    # unscaled ones, and the spectrum is the roots' (about +-1e-154 at
+    # beta = 2 or 3, about +-1.66, +-0.94 and 0 at beta = 1e308)
     p = JacobiParams(5, a, a, beta)
     ev = eig_tridiag(expected_matrix(p)).values
-    assert np.all(np.isfinite(ev)) and 1e-160 < ev[-1] < 1e-150
-    if beta == 3.0:  # where the root solver answers too
-        roots = ensemble_roots(p)
-        assert np.max(np.abs(ev - roots)) < 1e-12 * np.max(np.abs(roots))
+    roots = ensemble_roots(p)
+    assert np.all(np.isfinite(ev))
+    assert np.max(np.abs(ev - roots)) < 1e-12 * np.max(np.abs(roots))
 
 
-def test_expected_matrix_shape_overflow_is_typed():
-    # the halved shapes overflow too: beta n/4 and a + b both near 1e308
-    for beta in (1e308, 1.7e308):
-        with pytest.raises(MagnitudeOverflowError, match="overflowed float64"):
-            expected_matrix(JacobiParams(5, 1e308, 1e308, beta))
-    # at b = 0 every shape and shape sum stays finite, so the matrix is built
-    # (its spectrum sits at -2, although a_tilde = (2a + 2)/beta overflows)
-    m = expected_matrix(JacobiParams(5, 1.7e308, 0.0, 2.0))
-    assert np.all(np.isfinite(m.diag)) and np.all(np.isfinite(m.off))
-    assert np.max(np.abs(eig_tridiag(m).values + 2.0)) < 1e-10
+def test_expected_matrix_bytes_at_every_tested_parameter_set():
+    # the parameter sets of this file's other tests: scaling every shape by
+    # one exact power of two moves no byte of the mean matrix (SHA-256 of
+    # every diagonal and off-diagonal, in this order)
+    sets = [(6, 2.0, 2.0, 2.0), (2, 0.0, 0.0, 2.0), (1, 1.0, 3.0, 2.0)]
+    sets += [(n, -0.5, 4.0, 1.5) for n in (2, 3, 7, 30)]
+    sets += [(n, a, b, beta) for n in (1, 2, 3, 7, 50, 400) for a, b, beta in
+             ((0.5, 1.5, 2.0), (3.0, 0.0, 1.0), (-0.5, 4.0, 0.3), (20.0, 20.0, 2.0))]
+    sets += [(5, a, b, beta) for a, b, beta in ((1e155, 0.0, 2.0), (1e200, 3.0, 2.0),
+             (0.0, 1e200, 2.0), (1e300, 1e300, 2.0), (0.5, -0.5, 1e-300))]
+    sets += [(5, a, a, beta) for a, beta in ((1e308, 3.0), (1e308, 2.0), (1.7e308, 2.0))]
+    sets += [(5, 1.7e308, 0.0, 2.0), (20, 10.0, 10.0, 2.0), (10, 2.0, 5.0, 2.0),
+             (10, 5.0, 2.0, 2.0)]
+    h = hashlib.sha256()
+    for args in sets:
+        m = expected_matrix(JacobiParams(*args))
+        h.update(m.diag.tobytes())
+        h.update(m.off.tobytes())
+    assert h.hexdigest() == "bb15de20dac570b589942c14ac547a63a5f913527a02d1ac233d64cf993129d2"
 
 
 def test_expectation_consistency_with_reversal():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import eval_jacobi, roots_jacobi
@@ -253,9 +255,10 @@ def test_ensemble_roots_name_vanishing_rescaled_parameters(a, b):
 
 
 def test_infinite_exponent_sum_raises_only_overflow():
-    # gamma + delta = 2e308 is infinite: a MagnitudeOverflowError, no RuntimeWarning
+    # gamma = inf, so gamma + delta is infinite at any scale: a
+    # MagnitudeOverflowError, no RuntimeWarning
     with pytest.raises(MagnitudeOverflowError):
-        jacobi_roots_scaled(JacobiPolyParams(5, 1e308, 1e308))
+        jacobi_roots_scaled(JacobiPolyParams(5, math.inf, 1e308))
 
 
 @pytest.mark.parametrize("a", [1e308, 1.7e308])

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import pathlib
@@ -48,6 +49,7 @@ from jacobi_spectra.spectra import (
 from oracles import (
     arcsine_cdf,
     cdf_eval,
+    density_formula,
     density_norm,
     ecdf_eval,
     general_density_params_at_n,
@@ -211,6 +213,40 @@ def test_density_eval_is_edge_density_inside_the_support(model):
     assert np.array_equal(density_eval(model, xs), model.edge_density(xs - lo, hi - xs))
 
 
+# SHA-256 of density_eval on 4001 points spanning the support, ends included:
+# the density of these laws is pinned to the bit
+DENSITY_BYTES = {
+    RatioDensity(3.0, 3.0): "890c2bda5360767bacd5f9895fdfc1550b5d4a54c54325780a12ef155d6c0888",
+    RatioDensity(0.0, 5.0): "2bd2dff53fe35672b547459e12a116a3825878af71314912f69cd51250fc0dac",
+    SemicircleDensity(4.0, 2.0): "bc339c5dac20e09d5577516bce0b27822b0042234774ae16b6c5287ca63ccea1",
+}
+
+
+@pytest.mark.parametrize("model", DENSITY_BYTES, ids=repr)
+def test_density_eval_bytes_are_pinned(model):
+    xs = np.linspace(*model.support, 4001)
+    digest = hashlib.sha256(density_eval(model, xs).tobytes()).hexdigest()
+    assert digest == DENSITY_BYTES[model]
+
+
+def test_only_the_base_model_evaluates_a_density():
+    # a law is its parameter checks, its support and its rational form; the
+    # density is evaluated once, from that encoding, in DensityModel
+    package = pathlib.Path(cli.__file__).parent
+    owners = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                     for b in node.bases}
+            if node.name != "DensityModel" and "DensityModel" not in bases:
+                continue
+            owners += [f"{path.relative_to(package)}:{node.name}" for f in node.body
+                       if isinstance(f, ast.FunctionDef) and f.name == "edge_density"]
+    assert owners == ["spectra.py:DensityModel"]
+
+
 def test_ratio_support_values():
     lo, hi = ratio_density_support(3.0, 3.0)
     assert (lo, hi) == pytest.approx((-math.sqrt(7.0) / 2.0, math.sqrt(7.0) / 2.0))
@@ -272,6 +308,18 @@ MODELS = [
     FMatrixDensity(0.5, 1.0 / 3.0),
     FMatrixDensity(1.0, 0.5),
 ]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_density_eval_matches_the_docstring_formula(model):
+    # an independent check on each law's (support, rational) encoding: the
+    # formula in plain x, at least 1e-6 of the width from either end
+    lo, hi = model.support
+    w = hi - lo
+    ends = w * np.logspace(-6.0, -1.0, 11)
+    xs = np.concatenate([np.linspace(lo + 1e-6 * w, hi - 1e-6 * w, 101), lo + ends, hi - ends])
+    ref = np.array([density_formula(model, x) for x in xs])
+    assert np.max(np.abs(density_eval(model, xs) / ref - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -430,9 +478,11 @@ def test_cdf_grid_rejects_non_vector_points(xs):
 def test_general_matches_ratio_density():
     g = GeneralDensity(0.0, 0.0, 0.5, 7.0 / 16.0)
     r = RatioDensity(3.0, 3.0)
+    # the same law in the same encoding: poles +-2 and equal weights
+    assert g.support == r.support and g.rational == r.rational
     lo, hi = r.support
     xs = np.linspace(lo, hi, 102)[1:-1]
-    assert np.max(np.abs(density_eval(g, xs) - density_eval(r, xs))) < 1e-8
+    assert np.array_equal(density_eval(g, xs), density_eval(r, xs))
 
 
 def test_shifted_semicircle_is_the_imbalanced_limit():
