@@ -13,7 +13,6 @@ from .betarand import RngStream
 from .ensemble import JacobiParams, expected_matrix, random_matrix, sample_alphas
 from .errors import (
     DegenerateSampleError,
-    InternalConsistencyError,
     JacobiSpectraError,
     MagnitudeOverflowError,
     NumericalFailureError,

@@ -20,10 +20,11 @@ calls. A round redraws, by one mask, the variates that both its squeeze and
 its log test reject. Normals, keyed or sequential, come from Box-Muller.
 
 Beta variates Z ~ Beta(p, q) are gamma ratios X/(X+Y), drawn by
-:meth:`BetaPlan.draw` and clamped by its callers. The ensemble's variate on
-[-1, 1] has weight (1-x)^(p-1) (1+x)^(q-1), which forces the orientation
-alpha = 1 - 2*Z (``ensemble.sample_alphas``); flipping this sign silently
-mirrors every spectrum downstream, so do not "simplify" it.
+:meth:`BetaPlan.draw` with their complements W = Y/(X+Y). The ensemble's
+variate on [-1, 1] has weight (1-x)^(p-1) (1+x)^(q-1), which forces the
+orientation alpha = 1 - 2*Z = W - Z, 1 -+ alpha = 2 Z, 2 W
+(``ensemble.sample_alphas``); flipping this sign silently mirrors every
+spectrum downstream, so do not "simplify" it.
 """
 
 from __future__ import annotations
@@ -340,16 +341,15 @@ class BetaPlan:
         self.means = _frozen(real_array(beta_mean_pm1(params)))
 
     def draw(self, key: int) -> np.ndarray:
-        """Beta(p, q) variates X/(X+Y) of call ``key``, shaped like p, in a new array.
-
-        Unclamped: rounding at extreme shapes can land on either end of [0, 1].
+        """Beta(p, q) variates Z = X/(X+Y) of call ``key`` stacked with their
+        complements W = Y/(X+Y) from the same gamma pair, as one new array of
+        shape (2, *p.shape). W is never formed as 1 - Z, which loses a W far
+        below the float64 spacing near 1. Unclamped: rounding at extreme
+        shapes can put Z or W on 0 or 1.
         """
-        g = self.gamma.draw(key)
-        m = g.size // 2
-        x = g[:m]
-        z = x + g[m:]
-        np.divide(x, z, out=z)
-        return z.reshape(self.shape)
+        g = self.gamma.draw(key).reshape(2, -1)
+        np.divide(g, g[0] + g[1], out=g)
+        return g.reshape((2, *self.shape))
 
 
 def sample_beta01(params: BetaParams, rng: RngStream) -> np.ndarray:
@@ -358,7 +358,7 @@ def sample_beta01(params: BetaParams, rng: RngStream) -> np.ndarray:
     One call takes one key word of ``rng``; draw i is keyed variate i of
     that call, so a prefix of the shapes gives a prefix of the draws.
     """
-    z = BetaPlan(params).draw(rng._call_key())
+    z = BetaPlan(params).draw(rng._call_key())[0, ...]
     np.maximum(z, _TINY, out=z)
     np.minimum(z, _ONE_MINUS, out=z)
     return z

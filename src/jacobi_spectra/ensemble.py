@@ -22,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betarand import BetaParams, BetaPlan, RngStream, beta_mean_pm1
-from .errors import InternalConsistencyError, ParameterDomainError
-from .errors import real_array, real_number, whole_number
+from .errors import ParameterDomainError, real_array, real_number, whole_number
 
 # 0-d operands of the per-realization array passes (numpy converts a scalar
 # operand on every call)
 _ZERO, _ONE, _TWO = np.array(0.0), np.array(1.0), np.array(2.0)
-_ALPHA_LOW, _ALPHA_HIGH = np.array(-1.0 + 2.0**-52), np.array(1.0 - 2.0**-52)
 
 # largest matrix size: the 2n - 1 beta variates of a realization keep their
 # keyed gamma indices below 2^31, where the Y draws start
@@ -92,22 +90,30 @@ class SymTridiag:
 
 @dataclass(frozen=True)
 class AlphaVector:
-    """The 2n-1 independent beta variates alpha_0..alpha_{2n-2} driving one draw.
-
-    Interior entries lie in (-1, 1); the boundary convention
-    alpha_{-1} = alpha_{-2} = -1 is applied by the matrix builder, not stored
-    here (the model's alpha_{2n-1} = -1 enters no entry formula).
+    """The 2n-1 independent beta variates alpha_0..alpha_{2n-2} of one draw, in
+    [-1, 1], with their complements one_minus = 1 - alpha and one_plus = 1 + alpha
+    in [0, 2], given exactly (``sample_alphas``: 2 Z and 2 W of one gamma pair):
+    near alpha = +-1 a complement is below the float64 spacing of alpha, so it
+    is never formed from alpha. The builder applies alpha_{-1} = alpha_{-2} = -1
+    (the model's alpha_{2n-1} = -1 enters no entry formula).
     """
 
     alpha: np.ndarray
+    one_minus: np.ndarray
+    one_plus: np.ndarray
 
     def __post_init__(self):
-        arr = real_array(self.alpha)
-        object.__setattr__(self, "alpha", arr)
-        if arr.ndim != 1 or arr.size % 2 != 1:
-            raise ParameterDomainError("alpha vector must have odd length 2n - 1")
-        if np.count_nonzero(np.abs(arr) < _ONE) < arr.size:  # NaN fails too
-            raise ParameterDomainError("alpha entries must lie strictly inside (-1, 1)")
+        alpha, one_minus, one_plus = (
+            real_array(self.alpha), real_array(self.one_minus), real_array(self.one_plus))
+        self.__dict__.update(alpha=alpha, one_minus=one_minus, one_plus=one_plus)
+        # the smaller complement >= 0, the larger <= 2 and |alpha| <= 1; NaN fails each
+        if not (alpha.ndim == 1 and alpha.size % 2 == 1
+                and one_minus.shape == one_plus.shape == alpha.shape
+                and np.count_nonzero(np.minimum(one_minus, one_plus) >= _ZERO)
+                + np.count_nonzero(np.maximum(one_minus, one_plus) <= _TWO)
+                + np.count_nonzero(np.abs(alpha) <= _ONE) == 3 * alpha.size):
+            raise ParameterDomainError("alpha needs odd length 2n - 1 and entries in [-1, 1], "
+                                       "its complements its length and entries in [0, 2]")
 
     @property
     def n(self) -> int:
@@ -147,45 +153,38 @@ def alpha_plan(p: JacobiParams) -> BetaPlan:
 
 
 def sample_alphas(p: JacobiParams, rng: RngStream) -> AlphaVector:
-    """Draw the 2n-1 independent variates alpha_k = 1 - 2 Z_k, Z_k ~ Beta(p_k, q_k),
-    of one matrix realization, clamped to +-(1 - 2^-52) as AlphaVector needs."""
-    a = alpha_plan(p).draw(rng._call_key())
-    np.multiply(a, _TWO, out=a)
-    np.subtract(_ONE, a, out=a)
-    np.maximum(a, _ALPHA_LOW, out=a)
-    np.minimum(a, _ALPHA_HIGH, out=a)
-    return AlphaVector(a)
+    """Draw the 2n-1 independent variates alpha_k = 1 - 2 Z_k = W_k - Z_k,
+    Z_k ~ Beta(p_k, q_k) and W_k = 1 - Z_k from one gamma pair, of one matrix
+    realization, with the exact complements 1 -+ alpha_k = 2 Z_k, 2 W_k."""
+    zw = alpha_plan(p).draw(rng._call_key())
+    alpha = zw[1] - zw[0]
+    np.multiply(zw, _TWO, out=zw)
+    return AlphaVector(alpha, zw[0], zw[1])
 
 
-def _killip_nenciu(alpha, one_minus, one_plus, one_minus_sq) -> SymTridiag:
-    """The Killip-Nenciu tridiagonal, the one owner of its entry formula.
-
-    alpha[i + 2] = alpha_i, with alpha_{-2} = alpha_{-1} = -1; one_minus[k] and
-    one_plus[k] are 1 -+ alpha_{2k-1} (k < n), and one_minus_sq[k] is
-    1 - alpha_{2k}^2 (k < n - 1). The entries are
+def _killip_nenciu(v: AlphaVector) -> SymTridiag:
+    """The Killip-Nenciu tridiagonal of v, the one owner of its entry formula:
       diag_k = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2},
-      off_k = sqrt((1 - alpha_{2k-1}) (1 - alpha_{2k}^2) (1 + alpha_{2k+1})).
+      off_k = sqrt((1 - alpha_{2k-1}) ((1 - alpha_{2k}) (1 + alpha_{2k})) (1 + alpha_{2k+1})),
+    multiplied in this order, every factor 1 -+ alpha read from v's complements.
+    Row 0 pads alpha_{-2} = alpha_{-1} = -1, whose complements are 2 and 0.
     """
-    n = one_minus.size
-    diag = one_minus * alpha[2::2] - one_plus * alpha[0 : 2 * n - 1 : 2]
-    arg = one_minus[:-1] * one_minus_sq * one_plus[1:]
-    if np.count_nonzero(arg < _ZERO):
-        raise InternalConsistencyError("negative square-root argument in off-diagonal")
-    return SymTridiag(diag, np.sqrt(arg, out=arg))
+    alpha, one_minus, one_plus = v.alpha, v.one_minus, v.one_plus
+    diag = np.empty(v.n)
+    diag[0] = 2.0 * alpha[0]
+    np.multiply(one_minus[1::2], alpha[2::2], out=diag[1:])
+    diag[1:] -= one_plus[1::2] * alpha[:-2:2]
+    off = one_minus[:-1:2] * one_plus[:-1:2]
+    off[:1] *= _TWO
+    off[1:] *= one_minus[1:-2:2]
+    off *= one_plus[1::2]
+    return SymTridiag(diag, np.sqrt(off, out=off))
 
 
 def random_matrix(alphas: AlphaVector) -> SymTridiag:
-    """Random tridiagonal matrix built from one alpha draw.
-
-    Diagonal entries lie in [-2, 2]; off-diagonal entries are square roots of
-    products of factors in (0, 2), hence strictly positive for interior alphas.
-    """
-    n = alphas.n
-    pad = np.empty(2 * n + 1)
-    pad[:2] = -1.0
-    pad[2:] = alphas.alpha
-    a_odd = pad[1 : 2 * n : 2]  # alpha_{2k-1}, k = 0..n-1
-    return _killip_nenciu(pad, _ONE - a_odd, _ONE + a_odd, _ONE - pad[2 : 2 * n - 1 : 2] ** 2)
+    """Random tridiagonal matrix of one alpha draw: diagonal entries in [-2, 2],
+    off-diagonal entries square roots of products of complements in [0, 2]."""
+    return _killip_nenciu(alphas)
 
 
 def _exact_scale(count: float, unit: float, *terms: float) -> float:
@@ -210,11 +209,7 @@ def expected_matrix(p: JacobiParams) -> SymTridiag:
     """
     ps, qs = alpha_shapes(p, _exact_scale(p.n, p.beta, p.a, p.b))
     s = ps + qs
-    pad = np.empty(2 * p.n + 1)
-    pad[:2] = -1.0
-    pad[2:] = beta_mean_pm1(BetaParams(ps, qs))
     # 2 (p/s), not 2p/s: doubling is exact, and 2p could overflow
-    one_minus, one_plus = 2.0 * (ps / s), 2.0 * (qs / s)
-    m = _killip_nenciu(pad, np.concatenate(([2.0], one_minus[1::2])),
-                       np.concatenate(([0.0], one_plus[1::2])), (one_minus * one_plus)[:-1:2])
+    m = _killip_nenciu(AlphaVector(beta_mean_pm1(BetaParams(ps, qs)), 2.0 * (ps / s),
+                                   2.0 * (qs / s)))
     return SymTridiag(m.diag[::-1], m.off[::-1])

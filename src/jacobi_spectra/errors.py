@@ -24,10 +24,6 @@ class ParameterDomainError(JacobiSpectraError, ValueError):
     """An argument violates its documented domain (e.g. a <= -1, beta <= 0)."""
 
 
-class InternalConsistencyError(JacobiSpectraError, RuntimeError):
-    """An invariant that should hold by construction was violated."""
-
-
 class NumericalFailureError(JacobiSpectraError, RuntimeError):
     """An iterative numerical procedure failed to converge or produced garbage."""
 

@@ -104,18 +104,18 @@ class DensityModel:
     def edge_density(self, dlo, dhi):
         """Density at x = lo + dlo = hi - dhi for interior distances dlo, dhi > 0:
         c s + (s w) / prod_j delta_j with s = sqrt(dlo dhi), where delta_j =
-        x - p_j is (hi - p_j) - dhi for a real pole at or above hi and
-        (lo - p_j) + dlo for any other, so a pole on a support end costs no
-        cancellation (a real pole that rounding put inside the support counts
-        from its nearer end, as in :func:`_pole`); the real part for a
-        complex pair.
+        x - p_j is (hi - p_j) - dhi for a pole whose real part is nearer hi
+        than lo and (lo - p_j) + dlo for any other, so a pole on or near a
+        support end costs no cancellation (a real pole that rounding put
+        inside the support counts from its nearer end, as in :func:`_pole`);
+        the real part for a complex pair.
         """
         lo, hi = self.support
         c, w, poles = self.rational
         s = np.sqrt(dlo * dhi)
         den = 1.0
         for p in poles:
-            above = not isinstance(p, complex) and p - lo > hi - p
+            above = p.real - lo > hi - p.real
             den = den * ((hi - p) - dhi if above else (lo - p) + dlo)
         return (c * s + (s * w) / den).real
 
@@ -126,6 +126,8 @@ class GeneralDensity(DensityModel):
 
     f(x) = (b1 / 2pi) sqrt(4 b2 - (x - a2)^2) /
            ((b2-b1) x^2 + (b1 a2 + b1 a1 - 2 b2 a1) x + b2 a1^2 - a1 a2 b1 + b1^2)
+    A coefficient or discriminant of that denominator beyond float64 raises
+    MagnitudeOverflowError.
     """
 
     a1: float
@@ -140,9 +142,16 @@ class GeneralDensity(DensityModel):
         if not (0.0 < b1 < math.inf and 0.0 < b2 < math.inf):
             raise ParameterDomainError("scale parameters must be finite and satisfy b1, b2 > 0")
         w, k = 2.0 * math.sqrt(b2), b1 / (2.0 * np.pi)
-        # the denominator A x^2 + B x + C, its roots without cancellation
-        a, b, c = b2 - b1, b1 * a2 + b1 * a1 - 2.0 * b2 * a1, b2 * a1 * a1 - a1 * a2 * b1 + b1 * b1
-        root = (b * b - 4.0 * a * c) ** 0.5  # complex for complex poles
+        # the denominator A x^2 + B x + C and its discriminant in exact rationals,
+        # each rounded once (a float B^2 - 4AC cancels for nearly equal roots)
+        from fractions import Fraction  # here, not at import: only this law needs it
+        f1, f2, g1, g2 = (Fraction(v) for v in (a1, a2, b1, b2))
+        ea, eb, ec = g2 - g1, g1 * (f2 + f1) - 2 * g2 * f1, f1 * (g2 * f1 - f2 * g1) + g1 * g1
+        try:
+            a, b, c, disc = (float(v) for v in (ea, eb, ec, eb * eb - 4 * ea * ec))
+        except OverflowError:
+            raise MagnitudeOverflowError("general-law denominator overflowed float64") from None
+        root = disc**0.5  # complex for complex poles; the roots without cancellation
         q = -0.5 * (b + root if (b * root.conjugate()).real >= 0.0 else b - root)
         if a == 0.0:
             rational = (k / c, 0.0, ()) if b == 0.0 else (0.0, k / b, (-c / b,))

@@ -21,9 +21,10 @@ Dense symmetric eigenvalues come from round-robin cyclic plane rotations after
 an unblocked Cholesky (not the production LAPACK ``dsygvd`` pencil solve).
 Jacobi polynomials at any real parameters come from their power sum in
 (x - 1)/2 in exact rationals (not the production recurrence or binomial sum),
-and the first two trace moments of the random build from its entry
+the first two trace moments of the random build from its entry
 polynomials and closed-form beta moments, also in exact rationals (not a
-sample).
+sample), and its off-diagonals from the gamma pairs of a draw in exact
+rationals (not from float complements).
 """
 
 import math
@@ -120,38 +121,63 @@ def _gamma_block(key: int, shape: np.ndarray, j: np.ndarray) -> np.ndarray:
     return out
 
 
-def beta01_keyed(key: int, p: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Beta(p[i], q[i]) on (0, 1) as keyed variate j[i] of call ``key``: X is
-    keyed gamma variate j and Y keyed gamma variate j + 2^31."""
+def beta_pair_keyed(key: int, p: np.ndarray, q: np.ndarray,
+                    j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Beta(p[i], q[i]) variates Z = X/(X+Y) and their complements W = Y/(X+Y),
+    unclamped, as keyed variate j[i] of call ``key``: X is keyed gamma variate
+    j and Y keyed gamma variate j + 2^31."""
     j = np.asarray(j, dtype=np.uint64)
     g = gamma_keyed(key, np.concatenate((p, q)), np.concatenate((j, j + _Y_OFFSET)))
     x, y = g[: p.size], g[p.size :]
-    z = x / (x + y)
+    s = x + y
+    return x / s, y / s
+
+
+def beta01_keyed(key: int, p: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The Z of :func:`beta_pair_keyed`, clamped into (0, 1)."""
+    z = beta_pair_keyed(key, p, q, j)[0]
     return np.clip(z, _TINY, _ONE_MINUS, out=z)
 
 
-def beta_pm1_keyed(key: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Variates 1 - 2 Beta01(p, q) on (-1, 1) of call ``key``, draw i keyed variate i."""
-    a = 1.0 - 2.0 * beta01_keyed(key, p, q, np.arange(p.size))
-    return np.clip(a, -1.0 + 2.0**-52, 1.0 - 2.0**-52)
+def alphas_keyed(key: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Variates alpha = W - Z on [-1, 1] of call ``key``, draw i keyed variate i,
+    with their complements 1 - alpha = 2 Z and 1 + alpha = 2 W."""
+    z, w = beta_pair_keyed(key, p, q, np.arange(p.size))
+    return w - z, 2.0 * z, 2.0 * w
 
 
-def random_matrix_gathered(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of the Killip-Nenciu matrix of one alpha draw.
+def random_matrix_gathered(alpha: np.ndarray, one_minus: np.ndarray,
+                           one_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of the Killip-Nenciu matrix of one alpha draw
+    and its complements 1 -+ alpha.
 
-    Gathers alpha_j for every index j the entry formulas name, with the
-    boundary convention alpha_{-1} = alpha_{-2} = -1.
+    Gathers alpha_j, 1 - alpha_j and 1 + alpha_j for every index j the entry
+    formulas name, with the boundary convention alpha_{-1} = alpha_{-2} = -1
+    (complements 2 and 0).
     """
     n = (alpha.size + 1) // 2
 
-    def at(j: np.ndarray) -> np.ndarray:
-        return np.where(j >= 0, alpha[np.maximum(j, 0)], -1.0)
+    def gather(v: np.ndarray, pad: float):
+        return lambda j: np.where(j >= 0, v[np.maximum(j, 0)], pad)
 
+    at, om, op = gather(alpha, -1.0), gather(one_minus, 2.0), gather(one_plus, 0.0)
     k = np.arange(n)
-    diag = (1.0 - at(2 * k - 1)) * at(2 * k) - (1.0 + at(2 * k - 1)) * at(2 * k - 2)
+    diag = om(2 * k - 1) * at(2 * k) - op(2 * k - 1) * at(2 * k - 2)
     ko = np.arange(n - 1)
-    arg = (1.0 - at(2 * ko - 1)) * (1.0 - at(2 * ko) ** 2) * (1.0 + at(2 * ko + 1))
+    arg = om(2 * ko - 1) * (om(2 * ko) * op(2 * ko)) * op(2 * ko + 1)
     return diag, np.sqrt(arg)
+
+
+def kn_off_exact(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Killip-Nenciu off-diagonals from the gamma pairs (x[i], y[i]) of the
+    2n - 1 variates, in exact rationals and rounded once before the square root:
+    off_k^2 = (2 Z_{2k-1})(2 Z_{2k})(2 W_{2k})(2 W_{2k+1}) with Z = x/(x + y),
+    W = y/(x + y) and the boundary complement 1 - alpha_{-1} = 2."""
+    z = [Fraction(a) / (Fraction(a) + Fraction(b)) for a, b in zip(x.tolist(), y.tolist())]
+    om = [Fraction(2)] + [2 * v for v in z]  # om[j + 1] = 1 - alpha_j
+    op = [2 * (1 - v) for v in z]
+    return np.array([math.sqrt(float(om[2 * k] * om[2 * k + 1] * op[2 * k] * op[2 * k + 1]))
+                     for k in range(len(z) // 2)])
 
 
 def sturm_count(t, x):

@@ -22,7 +22,7 @@ from jacobi_spectra.betarand import (
 )
 from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 
-from oracles import beta01_keyed, gamma_keyed, inverse_cdf_beta
+from oracles import beta01_keyed, beta_pair_keyed, gamma_keyed, inverse_cdf_beta
 
 
 def gammas(shape: float, rng: RngStream, n: int) -> np.ndarray:
@@ -194,8 +194,8 @@ def test_keyed_beta_variate_depends_only_on_key_and_index():
     full = BetaPlan(BetaParams(p, q)).draw(key)
     for j in (0, 1, 150, 299):
         # the reference draws variate j alone
-        alone = beta01_keyed(key, p[j : j + 1], q[j : j + 1], np.array([j]))
-        assert alone.tobytes() == full[j : j + 1].tobytes()
+        alone = beta_pair_keyed(key, p[j : j + 1], q[j : j + 1], np.array([j]))
+        assert np.stack(alone).tobytes() == full[:, j : j + 1].tobytes()
     # through the public call: a prefix of the shapes gives a prefix of the draws
     head = sample_beta01(BetaParams(p[:40], q[:40]), RngStream(23, 0))
     whole = sample_beta01(BetaParams(p, q), RngStream(23, 0))
@@ -246,12 +246,15 @@ def test_beta_plan_equals_per_call_reference_and_is_read_only():
     plan = BetaPlan(BetaParams(p, q))
     draws = []
     for key in (3, 0xFEDC_BA98_7654_3210):
-        ref = beta01_keyed(key, p, q, np.arange(p.size))
         draws.append(plan.draw(key))
-        # the reference clamps into (0, 1); the plan's draw is the unclamped ratio
-        assert np.clip(draws[-1], _TINY, _ONE_MINUS).tobytes() == ref.tobytes()
-    # q = 1e-3 against p >= 0.5 puts ratios exactly on 1, which the draw keeps
-    assert np.max(draws) == 1.0
+        # the unclamped ratio and its complement, each from the same gamma pair
+        ref = beta_pair_keyed(key, p, q, np.arange(p.size))
+        assert draws[-1].shape == (2, p.size)
+        assert draws[-1].tobytes() == np.stack(ref).tobytes()
+    # q = 1e-3 against p >= 0.5 puts ratios exactly on 1, which the draw keeps,
+    # while their complements stay positive
+    z, w = draws[0]
+    assert np.max(z) == 1.0 and np.min(w[z == 1.0]) > 0.0
     # sample_beta01 clamps them, and the swapped shapes' ratios below _TINY, into (0, 1)
     for a, b, end in ((p, q, _ONE_MINUS), (q, p, _TINY)):
         for t in (0, 1):
@@ -342,12 +345,13 @@ def test_beta01_matches_inverse_cdf_oracle(p, q):
 def test_beta_pm1_orientation_and_support():
     # the ensemble's variate on (-1, 1) is alpha = 1 - 2 Z, Z the plan's draw
     rng = RngStream(19, 0)
-    a = 1.0 - 2.0 * BetaPlan(shapes(5.0, 5.0, 10**5)).draw(rng._call_key())
+    z = BetaPlan(shapes(5.0, 5.0, 10**5)).draw(rng._call_key())[0]
+    a = 1.0 - 2.0 * z
     assert np.all((a > -1.0) & (a < 1.0))
     assert abs(a.mean()) < 0.01
     # mean is (q - p)/(p + q): the (1 - x) weight exponent pairs with p
-    a = 1.0 - 2.0 * BetaPlan(shapes(1.0, 3.0, 10**5)).draw(rng._call_key())
-    assert abs(a.mean() - 0.5) < 0.01
+    z = BetaPlan(shapes(1.0, 3.0, 10**5)).draw(rng._call_key())[0]
+    assert abs((1.0 - 2.0 * z).mean() - 0.5) < 0.01
 
 
 def test_beta_mean_pm1_values():

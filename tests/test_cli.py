@@ -304,6 +304,15 @@ def test_compare_arcsine_defaults():
     assert json.loads(r.stdout)["ks"] < 0.05
 
 
+def test_compare_semicircle_far_beyond_one_over_eps():
+    # a + b = 1.5e20: the odd variates' complements 1 + alpha are about 1e-20,
+    # below the float64 spacing near -1, and read KS 0.465 when formed as 1 + alpha
+    r = run_cli("compare", "--model", "semicircle", "--n", "200", "--beta", "2",
+                "--trials", "20", "--a", "1e20", "--b", "5e19")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["ks"] < 0.01
+
+
 def test_output_path_failure_exits_3(tmp_path):
     r = run_cli("roots", "--n", "2", "--a", "0", "--b", "0", "--beta", "2",
                 "--out", str(tmp_path / "missing" / "roots.csv"))

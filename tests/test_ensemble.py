@@ -22,7 +22,8 @@ from jacobi_spectra.trieig import eig_tridiag
 
 from oracles import (
     alpha_moments,
-    beta_pm1_keyed,
+    alphas_keyed,
+    kn_off_exact,
     max_over_cube,
     random_matrix_gathered,
     trace_moments,
@@ -96,29 +97,34 @@ def test_alpha_shapes_always_positive():
 def test_sample_alphas_shape_and_support():
     p = JacobiParams(30, 1.0, 2.0, 2.0)
     al = sample_alphas(p, RngStream(SEED, 0))
-    assert al.alpha.size == 59 and al.n == 30
+    assert al.alpha.size == al.one_minus.size == al.one_plus.size == 59 and al.n == 30
     assert np.all((al.alpha > -1.0) & (al.alpha < 1.0))
+    assert np.max(np.abs(al.one_minus - (1.0 - al.alpha))) <= 2.0**-52
+    assert np.max(np.abs(al.one_plus - (1.0 + al.alpha))) <= 2.0**-52
     al1 = sample_alphas(JacobiParams(1, 1.0, 2.0, 2.0), RngStream(SEED, 0))
     assert al1.alpha.size == 1
 
 
-def _reference_alphas(p: JacobiParams, rng: RngStream) -> np.ndarray:
+def _alpha_bytes(al: AlphaVector) -> tuple[bytes, ...]:
+    return al.alpha.tobytes(), al.one_minus.tobytes(), al.one_plus.tobytes()
+
+
+def _reference_alphas(p: JacobiParams, rng: RngStream) -> tuple[bytes, ...]:
     """The per-call reference draw of the next sample_alphas call on rng."""
-    return beta_pm1_keyed(rng._call_key(), *alpha_shapes(p))
+    return tuple(a.tobytes() for a in alphas_keyed(rng._call_key(), *alpha_shapes(p)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 50, 1100, 3000])
 def test_sample_alphas_equals_per_call_reference(n):
     # 2n - 1 = 2199 variates and 4398 gamma shapes cross the 1024-variate block;
-    # at a or b = 1e18 ratios round onto 0 or 1, where the +-(1 - 2^-52) clamp acts
+    # at a or b = 1e18 ratios round onto 0 or 1 while their complements do not
     for a in (-0.99, 0.0, 3.0 * n, 1e18):
         for b in (-0.99, 0.0, 3.0 * n, 1e18):
             for beta in (1e-3, 1.0, 2.0, 1e4):
                 p = JacobiParams(n, a, b, beta)
                 rng, ref = RngStream(SEED, n), RngStream(SEED, n)
                 for _ in range(2):
-                    got = sample_alphas(p, rng).alpha
-                    assert got.tobytes() == _reference_alphas(p, ref).tobytes()
+                    assert _alpha_bytes(sample_alphas(p, rng)) == _reference_alphas(p, ref)
 
 
 def test_fmatrix_alphas_equal_per_call_reference():
@@ -127,7 +133,22 @@ def test_fmatrix_alphas_equal_per_call_reference():
         p = d.jacobi_params()
         rng, ref = RngStream(SEED, 7), RngStream(SEED, 7)
         for _ in range(2):
-            assert sample_alphas(p, rng).alpha.tobytes() == _reference_alphas(p, ref).tobytes()
+            assert _alpha_bytes(sample_alphas(p, rng)) == _reference_alphas(p, ref)
+
+
+@pytest.mark.parametrize("a, b", [(150.0, 150.0), (1e12, 1e12), (1e18, 5e17)])
+def test_off_diagonals_match_the_exact_build_from_the_gamma_pairs(a, b):
+    # the off-diagonals against their exact value from the same gamma words:
+    # at a + b of 1e18 the complement 1 + alpha of an odd variate is about
+    # 1e-17, which 1 - 2 Z cannot resolve and 2 W carries to full precision
+    p = JacobiParams(20, a, b, 2.0)
+    rng = RngStream(SEED, 12)
+    for t in range(5):
+        key = rng.substream(t)._call_key()
+        x, y = np.split(alpha_plan(p).gamma.draw(key), 2)
+        off = random_matrix(sample_alphas(p, rng.substream(t))).off
+        exact = kn_off_exact(x, y)
+        assert np.max(np.abs(off - exact) / exact) <= 4.0 * 2.0**-52
 
 
 def test_realizations_of_one_parameter_set_share_one_plan(monkeypatch):
@@ -183,39 +204,48 @@ def test_even_entries_symmetric_for_equal_weights():
     assert np.all(np.abs(mean[::2]) < 0.02)
 
 
+def _with_complements(alpha) -> AlphaVector:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return AlphaVector(alpha, 1.0 - alpha, 1.0 + alpha)
+
+
 def test_boundary_convention_first_diagonal():
     # alpha_{-1} = alpha_{-2} = -1 collapses the first diagonal entry to 2*alpha_0
-    alpha = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
-    t = random_matrix(AlphaVector(alpha))
+    t = random_matrix(_with_complements([0.3, -0.2, 0.5, 0.1, -0.4]))
     assert t.diag[0] == pytest.approx(2.0 * 0.3, abs=1e-15)
 
 
 def test_random_matrix_matches_gathered_oracle():
     rng = RngStream(SEED, 7)
-    cases = [AlphaVector(np.array([0.3, -0.2, 0.5, 0.1, -0.4]))]
+    cases = [_with_complements([0.3, -0.2, 0.5, 0.1, -0.4])]
     for n in (1, 2, 3, 50):
-        for a, b, beta in ((150.0, 150.0, 2.0), (-0.99, 0.5, 0.05)):
+        for a, b, beta in ((150.0, 150.0, 2.0), (-0.99, 0.5, 0.05), (1e18, 5e17, 2.0)):
             p = JacobiParams(n, a, b, beta)
             cases += [sample_alphas(p, rng.substream(len(cases) + t)) for t in range(5)]
     for al in cases:
         m = random_matrix(al)
-        diag, off = random_matrix_gathered(al.alpha)
+        diag, off = random_matrix_gathered(al.alpha, al.one_minus, al.one_plus)
         assert m.diag.tobytes() == diag.tobytes()
         assert m.off.tobytes() == off.tobytes()
 
 
-def test_alpha_vector_validation_and_builder_guard():
-    from jacobi_spectra.errors import InternalConsistencyError
-
+def test_alpha_vector_validation():
     with pytest.raises(ParameterDomainError):
-        AlphaVector(np.array([0.1, 0.2]))  # even length
+        _with_complements([0.1, 0.2])  # even length
     with pytest.raises(ParameterDomainError):
-        AlphaVector(np.array([0.1, 1.0, 0.2]))  # closed endpoint
-    # corrupting a validated vector in place must trip the builder's guard
-    al = AlphaVector(np.array([0.1, 0.2, 0.3]))
-    al.alpha[0] = 5.0
-    with pytest.raises(InternalConsistencyError):
-        random_matrix(al)
+        AlphaVector(np.zeros(3), np.ones(3), np.ones(5))  # complements of another length
+    for bad in (1.5, -1.5, np.nan):
+        with pytest.raises(ParameterDomainError):
+            _with_complements([0.1, bad, 0.2])
+    ones = np.ones(3)
+    for bad in (-1e-300, 2.5, np.nan):
+        with pytest.raises(ParameterDomainError):
+            AlphaVector(np.zeros(3), np.array([1.0, bad, 1.0]), ones)
+        with pytest.raises(ParameterDomainError):
+            AlphaVector(np.zeros(3), ones, np.array([1.0, 1.0, bad]))
+    # the closed ends: a variate on +-1 has a zero complement and a zero off-diagonal
+    m = random_matrix(_with_complements([1.0, -1.0, 0.1]))
+    assert m.diag.tolist() == [2.0, 0.2] and m.off.tolist() == [0.0]
 
 
 def test_entry_ranges():
@@ -241,10 +271,9 @@ def test_off_entries_never_exactly_zero():
     ps, qs = alpha_shapes(p)
     trials = 10**5
     rng = RngStream(SEED, 3)
-    alphas = beta_pm1_keyed(
-        rng._call_key(), np.tile(ps, trials), np.tile(qs, trials)
-    ).reshape(trials, 3)
-    off = (1.0 - alphas[:, 0] ** 2) * 2.0 * (1.0 + alphas[:, 1])
+    _, one_minus, one_plus = (a.reshape(trials, 3) for a in alphas_keyed(
+        rng._call_key(), np.tile(ps, trials), np.tile(qs, trials)))
+    off = 2.0 * (one_minus[:, 0] * one_plus[:, 0]) * one_plus[:, 1]
     assert np.all(off > 0.0)
 
 
@@ -274,7 +303,7 @@ def test_expected_matrix_is_the_random_build_at_the_means(n):
     for a, b, beta in ((0.5, 1.5, 2.0), (3.0, 0.0, 1.0), (-0.5, 4.0, 0.3), (20.0, 20.0, 2.0)):
         p = JacobiParams(n, a, b, beta)
         ps, qs = alpha_shapes(p)
-        r = random_matrix(AlphaVector((qs - ps) / (ps + qs)))
+        r = random_matrix(_with_complements((qs - ps) / (ps + qs)))
         m = expected_matrix(p)
         assert np.max(np.abs(m.diag - r.diag[::-1]), initial=0.0) < 1e-14
         assert np.max(np.abs(m.off - r.off[::-1]), initial=0.0) < 1e-14
@@ -340,9 +369,9 @@ def test_expectation_consistency_with_reversal():
     trials = 10**5
     ps, qs = alpha_shapes(p)
     rng = RngStream(SEED, 4)
-    alphas = beta_pm1_keyed(
+    alphas = alphas_keyed(
         rng._call_key(), np.tile(ps, trials), np.tile(qs, trials)
-    ).reshape(trials, 2 * n - 1)
+    )[0].reshape(trials, 2 * n - 1)
     diag = np.empty((trials, n))
     off = np.empty((trials, n - 1))
     pad = np.concatenate(
@@ -400,8 +429,11 @@ MOMENT_CASES = [
     for a, b, beta in ((60.0, 30.0, 2.0), (-0.5, 2.0, 0.5))
 ] + [
     (n, *row(n), regime) for regime, row in REGIME_ROWS.items() for n in (1, 2, 20)
-] + [pytest.param(20, 1e18, 5e17, 2.0, "semicircle",
-                  marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))]
+] + [
+    # a + b beyond 1/eps: the complements 1 + alpha of the odd variates are
+    # below the float64 spacing near -1
+    (20, a, a / 2.0, 2.0, "semicircle") for a in (1e18, 1e20, 1e24)
+] + [(20, 1e20, 1e10, 2.0, "shifted-semicircle")]
 
 
 @pytest.mark.parametrize("n, a, b, beta, regime", MOMENT_CASES)

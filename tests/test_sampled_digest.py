@@ -1,13 +1,13 @@
 """One sha256 over the package's sampled bytes.
 
-The digest pins every byte the samplers produce: keyed beta draws through
-``sample_alphas -> random_matrix -> eig_tridiag`` at ordinary and extreme
-parameters, ``sample_beta01`` at shape pairs from 1e-3 to 1e20, and the
-sequential ``uniforms`` and ``normals`` of ``RngStream``. A change that only
-restructures the samplers must leave it as it is. Only a change that means to
-move sampled bytes rewrites ``DIGEST``, and it names the new digest and the
-reason in CHANGES.md (ROADMAP item 1 will, when the build takes the exact
-complements 1 -+ alpha).
+The digest pins every byte the samplers produce: keyed beta draws and their
+exact complements through ``sample_alphas -> random_matrix -> eig_tridiag`` at
+ordinary and extreme parameters, ``sample_beta01`` at shape pairs from 1e-3
+to 1e20, and the sequential ``uniforms`` and ``normals`` of ``RngStream``. A
+change that only restructures the samplers must leave it as it is. Only a
+change that means to move sampled bytes rewrites ``DIGEST``, and it names the
+new digest and the reason in CHANGES.md (as the build on the exact complements
+1 - alpha = 2 Z and 1 + alpha = 2 W did).
 """
 
 import hashlib
@@ -18,7 +18,7 @@ from jacobi_spectra.betarand import BetaParams, RngStream, sample_beta01
 from jacobi_spectra.ensemble import JacobiParams, random_matrix, sample_alphas
 from jacobi_spectra.trieig import eig_tridiag
 
-DIGEST = "01bc5c902bb1746b1c8ece3ab562e72aad07050df3c6748edeeb3cc0f0c0ab61"
+DIGEST = "d5a2e0cee621e81f62ba41c70159338abe3710923659edbc8cd871bc978dbea8"
 
 SIZES = (1, 2, 3, 7, 50, 301)
 # (a, b, beta); None stands for 3n
@@ -45,7 +45,8 @@ def sampled_bytes():
             for t in SUBSTREAMS:
                 alphas = sample_alphas(p, base.substream(t))
                 m = random_matrix(alphas)
-                yield from (alphas.alpha, m.diag, m.off, eig_tridiag(m).values)
+                yield from (alphas.alpha, alphas.one_minus, alphas.one_plus,
+                            m.diag, m.off, eig_tridiag(m).values)
     rng = RngStream(0xB17A, 1)
     for p, q in SHAPE_PAIRS:
         yield sample_beta01(BetaParams(np.full(500, p), np.full(500, q)), rng)

@@ -262,6 +262,13 @@ def test_ratio_support_overflow_raises(a0):
         RatioDensity(a0, a0)
 
 
+@pytest.mark.parametrize("a1, a2, b1", [(1e200, 0.0, 1.0), (0.0, 1e200, 1.0), (0.5, 0.0, 1e300)])
+def test_general_denominator_overflow_raises(a1, a2, b1):
+    # B or B^2 - 4AC beyond float64: poles of inf or NaN before, a typed error now
+    with pytest.raises(MagnitudeOverflowError, match="overflowed float64"):
+        GeneralDensity(a1, a2, b1, 1.0)
+
+
 def test_thm42_radius_overflow_raises():
     with pytest.raises(MagnitudeOverflowError, match="overflowed float64"):
         transform_limit_cdf("thm42", FDims(1, 10**250, 1))
@@ -310,7 +317,9 @@ MODELS = [
 ]
 
 
-@pytest.mark.parametrize("model", MODELS, ids=repr)
+# a complex pole pair 4e-5 off the axis, 2e-3 beyond the top end: the
+# discriminant B^2 - 4AC cancels to -4e-6 against terms of 2.6e5
+@pytest.mark.parametrize("model", MODELS + [GeneralDensity(10.0, 0.0, 1.0, 26.000001)], ids=repr)
 def test_density_eval_matches_the_docstring_formula(model):
     # an independent check on each law's (support, rational) encoding: the
     # formula in plain x, at least 1e-6 of the width from either end

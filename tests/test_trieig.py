@@ -345,9 +345,11 @@ def _python(code: str) -> str:
 
 def test_import_runs_no_scipy_package():
     # the LAPACK wrappers come from scipy's extension file, not scipy.linalg
+    # and fractions, which only GeneralDensity loads, stays out as well
     out = _python("import sys, jacobi_spectra\n"
-                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert out == "[]\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                  "print('fractions' in sys.modules)")
+    assert out == "[]\nFalse\n"
 
 
 def test_missing_lapack_symbol_raises_import_error_naming_it():
