@@ -22,8 +22,9 @@ its log test reject. Normals, keyed or sequential, come from Box-Muller.
 Beta variates Z ~ Beta(p, q) are gamma ratios X/(X+Y), drawn by
 :meth:`BetaPlan.draw` with their complements W = Y/(X+Y). The ensemble's
 variate on [-1, 1] has weight (1-x)^(p-1) (1+x)^(q-1), which forces the
-orientation alpha = 1 - 2*Z = W - Z, 1 -+ alpha = 2 Z, 2 W
-(``ensemble.sample_alphas``); flipping this sign silently mirrors every
+orientation 1 - alpha = 2 Z and 1 + alpha = 2 W, so alpha = W - Z: the doubled
+(Z, W) stack is the complement array of ``ensemble.AlphaVector``
+(``ensemble.sample_alphas``). Swapping its rows silently mirrors every
 spectrum downstream, so do not "simplify" it.
 """
 

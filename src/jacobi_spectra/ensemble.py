@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betarand import BetaParams, BetaPlan, RngStream, beta_mean_pm1
+from .betarand import BetaParams, BetaPlan, RngStream
 from .errors import ParameterDomainError, real_array, real_number, whole_number
 
 # 0-d operands of the per-realization array passes (numpy converts a scalar
 # operand on every call)
-_ZERO, _ONE, _TWO = np.array(0.0), np.array(1.0), np.array(2.0)
+_HALF, _TWO = np.array(0.5), np.array(2.0)
 
 # largest matrix size: the 2n - 1 beta variates of a realization keep their
 # keyed gamma indices below 2^31, where the Y draws start
@@ -90,34 +90,32 @@ class SymTridiag:
 
 @dataclass(frozen=True)
 class AlphaVector:
-    """The 2n-1 independent beta variates alpha_0..alpha_{2n-2} of one draw, in
-    [-1, 1], with their complements one_minus = 1 - alpha and one_plus = 1 + alpha
-    in [0, 2], given exactly (``sample_alphas``: 2 Z and 2 W of one gamma pair):
-    near alpha = +-1 a complement is below the float64 spacing of alpha, so it
-    is never formed from alpha. The builder applies alpha_{-1} = alpha_{-2} = -1
-    (the model's alpha_{2n-1} = -1 enters no entry formula).
+    """The 2n-1 independent beta variates alpha_0..alpha_{2n-2} of one draw, held
+    as the (2, 2n - 1) array of their complements 1 - alpha and 1 + alpha in
+    [0, 2] (``sample_alphas``: 2 Z and 2 W of one gamma pair). Near alpha = +-1
+    a complement is below the float64 spacing of alpha, so alpha is formed from
+    the complements, never they from alpha. The builder applies
+    alpha_{-1} = alpha_{-2} = -1 (alpha_{2n-1} = -1 enters no entry formula).
     """
 
-    alpha: np.ndarray
-    one_minus: np.ndarray
-    one_plus: np.ndarray
+    complements: np.ndarray
 
     def __post_init__(self):
-        alpha, one_minus, one_plus = (
-            real_array(self.alpha), real_array(self.one_minus), real_array(self.one_plus))
-        self.__dict__.update(alpha=alpha, one_minus=one_minus, one_plus=one_plus)
-        # the smaller complement >= 0, the larger <= 2 and |alpha| <= 1; NaN fails each
-        if not (alpha.ndim == 1 and alpha.size % 2 == 1
-                and one_minus.shape == one_plus.shape == alpha.shape
-                and np.count_nonzero(np.minimum(one_minus, one_plus) >= _ZERO)
-                + np.count_nonzero(np.maximum(one_minus, one_plus) <= _TWO)
-                + np.count_nonzero(np.abs(alpha) <= _ONE) == 3 * alpha.size):
-            raise ParameterDomainError("alpha needs odd length 2n - 1 and entries in [-1, 1], "
-                                       "its complements its length and entries in [0, 2]")
+        c = real_array(self.complements)
+        self.__dict__.update(complements=c)
+        # min and max propagate NaN, which fails both comparisons
+        if not (c.ndim == 2 and c.shape[0] == 2 and c.shape[1] % 2 == 1
+                and c.min() >= 0.0 and c.max() <= 2.0):
+            raise ParameterDomainError("alpha complements must be a (2, 2n - 1) array in [0, 2]")
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """((1 + alpha) - (1 - alpha))/2, a new array: W - Z bit for bit from 2 Z, 2 W."""
+        return (self.complements[1] - self.complements[0]) * _HALF
 
     @property
     def n(self) -> int:
-        return (self.alpha.size + 1) // 2
+        return (self.complements.shape[1] + 1) // 2
 
 
 def alpha_shapes(p: JacobiParams, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -153,23 +151,22 @@ def alpha_plan(p: JacobiParams) -> BetaPlan:
 
 
 def sample_alphas(p: JacobiParams, rng: RngStream) -> AlphaVector:
-    """Draw the 2n-1 independent variates alpha_k = 1 - 2 Z_k = W_k - Z_k,
-    Z_k ~ Beta(p_k, q_k) and W_k = 1 - Z_k from one gamma pair, of one matrix
-    realization, with the exact complements 1 -+ alpha_k = 2 Z_k, 2 W_k."""
+    """Draw the 2n-1 variates alpha_k = W_k - Z_k of one matrix realization,
+    Z_k ~ Beta(p_k, q_k) and W_k = 1 - Z_k from one gamma pair: the plan's
+    (Z, W) stack, doubled in place, is their exact complements 2 Z_k, 2 W_k."""
     zw = alpha_plan(p).draw(rng._call_key())
-    alpha = zw[1] - zw[0]
     np.multiply(zw, _TWO, out=zw)
-    return AlphaVector(alpha, zw[0], zw[1])
+    return AlphaVector(zw)
 
 
 def _killip_nenciu(v: AlphaVector) -> SymTridiag:
     """The Killip-Nenciu tridiagonal of v, the one owner of its entry formula:
       diag_k = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2},
       off_k = sqrt((1 - alpha_{2k-1}) ((1 - alpha_{2k}) (1 + alpha_{2k})) (1 + alpha_{2k+1})),
-    multiplied in this order, every factor 1 -+ alpha read from v's complements.
+    multiplied in this order, every factor 1 -+ alpha a row of v's complements.
     Row 0 pads alpha_{-2} = alpha_{-1} = -1, whose complements are 2 and 0.
     """
-    alpha, one_minus, one_plus = v.alpha, v.one_minus, v.one_plus
+    (one_minus, one_plus), alpha = v.complements, v.alpha
     diag = np.empty(v.n)
     diag[0] = 2.0 * alpha[0]
     np.multiply(one_minus[1::2], alpha[2::2], out=diag[1:])
@@ -199,17 +196,16 @@ def _exact_scale(count: float, unit: float, *terms: float) -> float:
 
 
 def expected_matrix(p: JacobiParams) -> SymTridiag:
-    """The random matrix's build at the variate means (q - p)/(p + q), reversed.
+    """The random matrix's build at the variate means, reversed.
 
-    The complements 1 -+ mean are 2 p/(p + q) and 2 q/(p + q). The eigenvalues
-    are the roots of the degree-n Jacobi polynomial with parameters
-    (a_tilde - 1, b_tilde - 1) at x/2. The shapes are taken at one exact
-    power-of-two scale (1.0 below 2^1021), so every sum p + q is finite and
-    every ratio is the unscaled one.
+    The complements 1 -+ mean are 2 (p/s) and 2 (q/s), s = p + q, so the mean
+    is q/s - p/s, as a sampled build forms it. The eigenvalues are the roots
+    of the degree-n Jacobi polynomial with parameters (a_tilde - 1, b_tilde - 1)
+    at x/2. The shapes are taken at one exact power-of-two scale (1.0 below
+    2^1021), so every sum p + q is finite and every ratio is the unscaled one.
     """
     ps, qs = alpha_shapes(p, _exact_scale(p.n, p.beta, p.a, p.b))
     s = ps + qs
     # 2 (p/s), not 2p/s: doubling is exact, and 2p could overflow
-    m = _killip_nenciu(AlphaVector(beta_mean_pm1(BetaParams(ps, qs)), 2.0 * (ps / s),
-                                   2.0 * (qs / s)))
+    m = _killip_nenciu(AlphaVector(2.0 * np.stack((ps / s, qs / s))))
     return SymTridiag(m.diag[::-1], m.off[::-1])

@@ -95,11 +95,21 @@ class DensityModel:
     (c, w, poles): the density is sqrt(dlo dhi) (c + w / prod_j (x - p_j)) in
     the distances dlo = x - lo, dhi = hi - x, with at most two poles, real or
     a complex pair. :meth:`edge_density` and :func:`cdf_grid`'s closed form
-    both read that one encoding.
+    both read that one encoding, which every law sets through :meth:`_settle`.
     """
 
     support: tuple[float, float]
     rational: tuple[float, float, tuple]
+
+    def _settle(self, support, rational, **fields):
+        """Set the law's fields, support and rational form, once the one float64
+        check of every law passes: finite lo < hi, and c and w finite."""
+        (lo, hi), (c, w, _) = support, rational
+        if not (-math.inf < lo < hi < math.inf and math.isfinite(c) and math.isfinite(w)):
+            law = type(self).__name__.removesuffix("Density").lower()
+            raise MagnitudeOverflowError(f"{law}-law support or weight overflowed float64, "
+                                         "or the support collapsed to a point")
+        self.__dict__.update(fields, support=support, rational=rational)
 
     def edge_density(self, dlo, dhi):
         """Density at x = lo + dlo = hi - dhi for interior distances dlo, dhi > 0:
@@ -127,7 +137,7 @@ class GeneralDensity(DensityModel):
     f(x) = (b1 / 2pi) sqrt(4 b2 - (x - a2)^2) /
            ((b2-b1) x^2 + (b1 a2 + b1 a1 - 2 b2 a1) x + b2 a1^2 - a1 a2 b1 + b1^2)
     A coefficient or discriminant of that denominator beyond float64 raises
-    MagnitudeOverflowError.
+    MagnitudeOverflowError, and so does a support that rounds to one point.
     """
 
     a1: float
@@ -158,8 +168,7 @@ class GeneralDensity(DensityModel):
         else:  # q = 0 only for the double root 0 (b = c = 0)
             p = q / a
             rational = (0.0, k / a, (p, p.conjugate() if root.imag else c / q if q else p))
-        self.__dict__.update(a1=a1, a2=a2, b1=b1, b2=b2, support=(a2 - w, a2 + w),
-                             rational=rational)
+        self._settle((a2 - w, a2 + w), rational, a1=a1, a2=a2, b1=b1, b2=b2)
 
 
 def ratio_density_support(alpha0: float, beta0: float) -> tuple[float, float]:
@@ -195,9 +204,7 @@ class RatioDensity(DensityModel):
         a0, b0 = real_number(self.alpha0), real_number(self.beta0)
         # (c / 2pi) / (4 - x^2) = -(c / 2pi) / ((x - 2)(x + 2))
         rational = (0.0, -(2.0 + a0 + b0) / (2.0 * np.pi), (2.0, -2.0))
-        self.__dict__.update(
-            alpha0=a0, beta0=b0, support=ratio_density_support(a0, b0), rational=rational
-        )
+        self._settle(ratio_density_support(a0, b0), rational, alpha0=a0, beta0=b0)
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,7 @@ class ArcsineDensity(DensityModel):
     """Arcsine law on (-2, 2): f(x) = 1 / (pi sqrt(4 - x^2))."""
 
     def __post_init__(self):
-        self.__dict__.update(support=(-2.0, 2.0), rational=(0.0, -1.0 / np.pi, (2.0, -2.0)))
+        self._settle((-2.0, 2.0), (0.0, -1.0 / np.pi, (2.0, -2.0)))
 
 
 @dataclass(frozen=True)
@@ -226,8 +233,9 @@ class SemicircleDensity(DensityModel):
         r, c = real_number(self.radius), real_number(self.center)
         if not (0.0 < r < math.inf and math.isfinite(c)):
             raise ParameterDomainError("semicircle needs a finite radius > 0 and a finite center")
-        rational = (2.0 / (np.pi * r * r), 0.0, ())
-        self.__dict__.update(radius=r, center=c, support=(c - r, c + r), rational=rational)
+        den = np.pi * r * r  # 0 where r * r underflows, and 2.0 / 0.0 raises
+        rational = (2.0 / den if den else math.inf, 0.0, ())
+        self._settle((c - r, c + r), rational, radius=r, center=c)
 
 
 @dataclass(frozen=True)
@@ -236,8 +244,8 @@ class EdgeDensity(DensityModel):
 
     beta0 is the limit of b_tilde/n while a_tilde/n diverges. Support is
     [s1, s2] with s1, s2 = 2 (2 + beta0) -/+ 4 sqrt(1 + beta0) and density
-    (1 / 4pi) sqrt((s2 - x)(x - s1)) / x. A beta0 whose support collapses or
-    overflows in float64 raises MagnitudeOverflowError.
+    (1 / 4pi) sqrt((s2 - x)(x - s1)) / x. Its support collapses from beta0
+    near 1e33 on and overflows near 9e307 (MagnitudeOverflowError).
     """
 
     beta0: float
@@ -248,13 +256,7 @@ class EdgeDensity(DensityModel):
             raise ParameterDomainError("growth ratio must be finite and satisfy beta0 >= 0")
         s = 2.0 * (2.0 + beta0)
         w = 4.0 * math.sqrt(1.0 + beta0)
-        # the width 2 w rounds away from beta0 near 1e33 on, and s overflows near 9e307
-        if not s - w < s + w < math.inf:
-            raise MagnitudeOverflowError(
-                "edge-law support overflowed float64 or collapsed to a point"
-            )
-        rational = (0.0, 1.0 / (4.0 * np.pi), (0.0,))
-        self.__dict__.update(beta0=beta0, support=(s - w, s + w), rational=rational)
+        self._settle((s - w, s + w), (0.0, 1.0 / (4.0 * np.pi), (0.0,)), beta0=beta0)
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ class FMatrixDensity(DensityModel):
         s2 = ((1.0 + root) / (1.0 - yprime)) ** 2
         # 1 / (x (y' x + y)) = (1/y') / (x (x + y/y'))
         rational = (0.0, (1.0 - yprime) / (2.0 * np.pi * yprime), (0.0, -y / yprime))
-        self.__dict__.update(y=y, yprime=yprime, support=(s1, s2), rational=rational)
+        self._settle((s1, s2), rational, y=y, yprime=yprime)
 
 
 def density_eval(m: DensityModel, x):

@@ -169,12 +169,17 @@ def test_roots_overflow_exits_4_without_traceback(a, b, beta, code):
         ("roots --n 5 --a 1e308 --beta 2", 0),
         # beta0 = 5e198: the edge-law support is one float wide
         ("compare --model edge --n 20 --a 3 --b 1e200 --trials 2", 4),
+        # radius 8e-300: its square underflows, so the weight 2/(pi r^2) is inf
+        ("compare --model semicircle --n 20 --a 1 --b 1e300 --beta 2", 4),
+        # the ratio-law support rounds to the one point 2/3
+        ("compare --model ratio --n 20 --a 5e35 --b 1e36 --beta 2", 4),
     ],
 )
 def test_huge_parameters_exit_without_traceback_or_warning(args, code):
     # a float ** that overflows raises OverflowError where * gives inf; the
-    # ratio support and the semicircle radius report it as exit 4, and an
-    # overflowing transfer proxy gives no notice
+    # ratio support and the semicircle radius report it as exit 4, as does a
+    # limit law whose support or weight leaves float64, and an overflowing
+    # transfer proxy gives no notice
     r = run_cli(*args.split())
     assert r.returncode == code
     assert "Traceback" not in r.stderr

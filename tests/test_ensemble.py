@@ -97,16 +97,17 @@ def test_alpha_shapes_always_positive():
 def test_sample_alphas_shape_and_support():
     p = JacobiParams(30, 1.0, 2.0, 2.0)
     al = sample_alphas(p, RngStream(SEED, 0))
-    assert al.alpha.size == al.one_minus.size == al.one_plus.size == 59 and al.n == 30
+    one_minus, one_plus = al.complements
+    assert al.complements.shape == (2, 59) and al.alpha.size == 59 and al.n == 30
     assert np.all((al.alpha > -1.0) & (al.alpha < 1.0))
-    assert np.max(np.abs(al.one_minus - (1.0 - al.alpha))) <= 2.0**-52
-    assert np.max(np.abs(al.one_plus - (1.0 + al.alpha))) <= 2.0**-52
+    assert np.max(np.abs(one_minus - (1.0 - al.alpha))) <= 2.0**-52
+    assert np.max(np.abs(one_plus - (1.0 + al.alpha))) <= 2.0**-52
     al1 = sample_alphas(JacobiParams(1, 1.0, 2.0, 2.0), RngStream(SEED, 0))
     assert al1.alpha.size == 1
 
 
 def _alpha_bytes(al: AlphaVector) -> tuple[bytes, ...]:
-    return al.alpha.tobytes(), al.one_minus.tobytes(), al.one_plus.tobytes()
+    return tuple(a.tobytes() for a in (al.alpha, *al.complements))
 
 
 def _reference_alphas(p: JacobiParams, rng: RngStream) -> tuple[bytes, ...]:
@@ -206,7 +207,7 @@ def test_even_entries_symmetric_for_equal_weights():
 
 def _with_complements(alpha) -> AlphaVector:
     alpha = np.asarray(alpha, dtype=np.float64)
-    return AlphaVector(alpha, 1.0 - alpha, 1.0 + alpha)
+    return AlphaVector(np.stack((1.0 - alpha, 1.0 + alpha)))
 
 
 def test_boundary_convention_first_diagonal():
@@ -224,28 +225,36 @@ def test_random_matrix_matches_gathered_oracle():
             cases += [sample_alphas(p, rng.substream(len(cases) + t)) for t in range(5)]
     for al in cases:
         m = random_matrix(al)
-        diag, off = random_matrix_gathered(al.alpha, al.one_minus, al.one_plus)
+        diag, off = random_matrix_gathered(al.alpha, *al.complements)
         assert m.diag.tobytes() == diag.tobytes()
         assert m.off.tobytes() == off.tobytes()
 
 
 def test_alpha_vector_validation():
-    with pytest.raises(ParameterDomainError):
-        _with_complements([0.1, 0.2])  # even length
-    with pytest.raises(ParameterDomainError):
-        AlphaVector(np.zeros(3), np.ones(3), np.ones(5))  # complements of another length
-    for bad in (1.5, -1.5, np.nan):
+    ones = np.ones((2, 3))
+    for bad in (np.ones(3), np.ones((2, 4)), np.ones((3, 5))):  # 1-D, even length, 3 rows
         with pytest.raises(ParameterDomainError):
-            _with_complements([0.1, bad, 0.2])
-    ones = np.ones(3)
-    for bad in (-1e-300, 2.5, np.nan):
-        with pytest.raises(ParameterDomainError):
-            AlphaVector(np.zeros(3), np.array([1.0, bad, 1.0]), ones)
-        with pytest.raises(ParameterDomainError):
-            AlphaVector(np.zeros(3), ones, np.array([1.0, 1.0, bad]))
+            AlphaVector(bad)
+    for bad in (np.nan, -(2.0**-1074), 2.0 + 2.0**-51, np.inf):
+        for row in (0, 1):
+            c = ones.copy()
+            c[row, 1] = bad
+            with pytest.raises(ParameterDomainError):
+                AlphaVector(c)
     # the closed ends: a variate on +-1 has a zero complement and a zero off-diagonal
-    m = random_matrix(_with_complements([1.0, -1.0, 0.1]))
-    assert m.diag.tolist() == [2.0, 0.2] and m.off.tolist() == [0.0]
+    m = random_matrix(_with_complements([1.0, -1.0, 0.5]))
+    assert m.diag.tolist() == [2.0, 1.0] and m.off.tolist() == [0.0]
+
+
+def test_alpha_is_derived_from_its_complements():
+    # alpha, 1 - alpha and 1 + alpha as three arrays could disagree (alpha = 0
+    # with both complements 0.5 was accepted and built); one array holds them now
+    with pytest.raises(TypeError):
+        AlphaVector(np.zeros(3), np.full(3, 0.5), np.full(3, 0.5))
+    c = np.array([[0.5, 2.0, 0.0], [1.5, 0.0, 2.0]])
+    al = AlphaVector(c)
+    assert al.complements is c and al.alpha.tolist() == [0.5, -1.0, 1.0]
+    assert not np.shares_memory(al.alpha, c)
 
 
 def test_entry_ranges():
@@ -356,7 +365,7 @@ def test_expected_matrix_bytes_at_every_tested_parameter_set():
         m = expected_matrix(JacobiParams(*args))
         h.update(m.diag.tobytes())
         h.update(m.off.tobytes())
-    assert h.hexdigest() == "bb15de20dac570b589942c14ac547a63a5f913527a02d1ac233d64cf993129d2"
+    assert h.hexdigest() == "736358b49421cd7e4f0a15fecd5adea426fa38649104fba1051b81ded4d74ee6"
 
 
 def test_expectation_consistency_with_reversal():

@@ -76,8 +76,8 @@ NONFINITE = {"nan-inside": [1.0, np.nan, 2.0], "inf": [np.inf], "-inf-first": [-
 
 CASES = {
     "SymTridiag": lambda: SymTridiag(np.array([Z, 2.0]), np.array([0.5])),
-    "AlphaVector": lambda: AlphaVector(np.array([Z]), np.array([0.5]), np.array([1.5])),
-    "AlphaVector-complement": lambda: AlphaVector(np.array([0.5]), np.array([Z]), np.array([1.5])),
+    "AlphaVector": lambda: AlphaVector(np.array([[Z], [1.5]])),
+    "AlphaVector-complement": lambda: AlphaVector(np.array([[0.5], [Z]])),
     "Spectrum": lambda: Spectrum(np.array([0.25, Z])),
     "Ecdf": lambda: Ecdf(ZS),
     "cdf_grid": lambda: cdf_grid(M, ZS),

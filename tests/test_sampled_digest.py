@@ -45,7 +45,7 @@ def sampled_bytes():
             for t in SUBSTREAMS:
                 alphas = sample_alphas(p, base.substream(t))
                 m = random_matrix(alphas)
-                yield from (alphas.alpha, alphas.one_minus, alphas.one_plus,
+                yield from (alphas.alpha, *alphas.complements,
                             m.diag, m.off, eig_tridiag(m).values)
     rng = RngStream(0xB17A, 1)
     for p, q in SHAPE_PAIRS:

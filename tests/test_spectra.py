@@ -274,11 +274,22 @@ def test_thm42_radius_overflow_raises():
         transform_limit_cdf("thm42", FDims(1, 10**250, 1))
 
 
-@pytest.mark.parametrize("beta0", [1e308, 1e200, 1e34])
-def test_edge_support_overflow_or_collapse_raises(beta0):
-    # 1e308: 2 (2 + beta0) is infinite; below, the width 8 sqrt(1 + beta0) rounds away
-    with pytest.raises(MagnitudeOverflowError, match="edge-law support"):
-        EdgeDensity(beta0)
+@pytest.mark.parametrize("law, args, match", [
+    (EdgeDensity, (1e308,), "edge-law support"),
+    (EdgeDensity, (1e200,), "edge-law support"),
+    (EdgeDensity, (1e34,), "edge-law support"),
+    (GeneralDensity, (0.0, 1e20, 1.0, 1.0), "general-law support"),
+    (RatioDensity, (1e35, 2e35), "ratio-law support"),
+    (SemicircleDensity, (1e-20, 1.0), "semicircle-law support"),
+    (SemicircleDensity, (1e-300,), "semicircle-law support"),
+], ids=["edge-1e308", "edge-1e200", "edge-1e34", "general-1e20", "ratio-1e35",
+        "semicircle-1e-20", "semicircle-1e-300"])
+def test_support_overflow_or_collapse_raises(law, args, match):
+    # edge 1e308: 2 (2 + beta0) is infinite; below, the width 8 sqrt(1 + beta0)
+    # rounds away; the general, ratio and first semicircle supports round to
+    # one point; at radius 1e-300 the weight 2/(pi r^2) is beyond float64
+    with pytest.raises(MagnitudeOverflowError, match=match):
+        law(*args)
 
 
 def test_edge_support_a_few_ulps_wide_is_kept_and_thm43_overflow_raises():
