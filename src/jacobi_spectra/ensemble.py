@@ -28,6 +28,10 @@ from .errors import ParameterDomainError, real_array, real_number, whole_number
 # operand on every call)
 _HALF, _TWO = np.array(0.5), np.array(2.0)
 
+# how far a column (1 - alpha, 1 + alpha) of an AlphaVector may sum from 2: a
+# few float64 spacings of 2 (sampled and mean columns are within 4.4e-16)
+_SUM_TOL = 2.0**-49
+
 # largest matrix size: the 2n - 1 beta variates of a realization keep their
 # keyed gamma indices below 2^31, where the Y draws start
 _MAX_N = 1 << 30
@@ -92,10 +96,11 @@ class SymTridiag:
 class AlphaVector:
     """The 2n-1 independent beta variates alpha_0..alpha_{2n-2} of one draw, held
     as the (2, 2n - 1) array of their complements 1 - alpha and 1 + alpha in
-    [0, 2] (``sample_alphas``: 2 Z and 2 W of one gamma pair). Near alpha = +-1
-    a complement is below the float64 spacing of alpha, so alpha is formed from
-    the complements, never they from alpha. The builder applies
-    alpha_{-1} = alpha_{-2} = -1 (alpha_{2n-1} = -1 enters no entry formula).
+    [0, 2], each column summing to 2 up to 2^-49 (``sample_alphas``: 2 Z and
+    2 W of one gamma pair). Near alpha = +-1 a complement is below the float64
+    spacing of alpha, so alpha is formed from the complements, never they from
+    alpha. The builder applies alpha_{-1} = alpha_{-2} = -1 (alpha_{2n-1} = -1
+    enters no entry formula).
     """
 
     complements: np.ndarray
@@ -107,6 +112,9 @@ class AlphaVector:
         if not (c.ndim == 2 and c.shape[0] == 2 and c.shape[1] % 2 == 1
                 and c.min() >= 0.0 and c.max() <= 2.0):
             raise ParameterDomainError("alpha complements must be a (2, 2n - 1) array in [0, 2]")
+        sums = c[0] + c[1]
+        if not (sums.min() >= 2.0 - _SUM_TOL and sums.max() <= 2.0 + _SUM_TOL):
+            raise ParameterDomainError("alpha complements 1 - alpha, 1 + alpha must sum to 2")
 
     @property
     def alpha(self) -> np.ndarray:

@@ -23,7 +23,8 @@ from .ensemble import JacobiParams, SymTridiag, _exact_scale
 
 @dataclass(frozen=True)
 class JacobiPolyParams:
-    """Degree n >= 0 and weight exponents gamma, delta > -1 (+inf overflows later)."""
+    """Degree n >= 0 and weight exponents gamma, delta > -1 (+inf overflows later).
+    The roots are read from the shifted exponents a_tilde = gamma + 1, b_tilde = delta + 1."""
 
     n: int
     gamma: float
@@ -37,6 +38,9 @@ class JacobiPolyParams:
                 "weight exponents must satisfy gamma > -1 and delta > -1"
             )
         self.__dict__.update(n=n, gamma=gamma, delta=delta)
+
+    a_tilde = property(lambda self: self.gamma + 1.0)
+    b_tilde = property(lambda self: self.delta + 1.0)
 
 
 def pochhammer(a: float, n: int) -> float:
@@ -115,47 +119,49 @@ def monic_factor(p: JacobiPolyParams) -> float:
     return num / denom
 
 
-def recurrence_coefficients(p: JacobiPolyParams) -> tuple[np.ndarray, np.ndarray]:
+def recurrence_coefficients(p: JacobiPolyParams | JacobiParams) -> tuple[np.ndarray, np.ndarray]:
     """Monic three-term recurrence data (A_0..A_{n-1}, B_1..B_{n-1}) on [-1, 1].
 
     x Phat_k = Phat_{k+1} + A_k Phat_k + B_k Phat_{k-1}; the B_k are the
-    squared off-diagonal entries of the symmetrized recurrence matrix. Each
-    coefficient is a product of bounded ratios, which avoids subtractive
-    cancellation. The ratios are formed from k, gamma, delta and the
-    constants all times one exact power of two (1.0 unless a sum such as
-    2k + gamma + delta would overflow), so every factor stays in float64 range
-    up to the largest finite exponents (gamma = delta -> infinity tends to the
-    Hermite limit B_k ~ k / (2 gamma)); MagnitudeOverflowError is raised when a
-    ratio is not finite, e.g. at an infinite gamma.
+    squared off-diagonal entries of the symmetrized recurrence matrix. Each is
+    a product of bounded ratios of k, a_tilde = gamma + 1, b_tilde = delta + 1
+    and constants, which avoids subtractive cancellation (an ensemble's small
+    a_tilde = (2a + 2)/beta keeps its digits). The ratios are taken at one exact
+    power of two (1.0 unless a sum such as 2k + a_tilde + b_tilde would
+    overflow), so every factor stays in float64 range up to the largest finite
+    exponents (a_tilde = b_tilde -> infinity tends to the Hermite limit
+    B_k ~ k / (2 a_tilde)); MagnitudeOverflowError is raised when a ratio is
+    not finite, e.g. at an infinite a_tilde.
     """
-    n = p.n
-    one = _exact_scale(n, 2.0, p.gamma, p.delta)
-    g, d = p.gamma * one, p.delta * one
+    n, one = p.n, _exact_scale(p.n, 2.0, p.a_tilde, p.b_tilde)
+    # numpy scalars, so 0/0 at a_tilde = b_tilde = 0 (both underflowed) obeys errstate
+    at, bt = np.float64(p.a_tilde) * one, np.float64(p.b_tilde) * one
     diag = np.empty(n)
-    k = np.arange(1, n, dtype=np.float64) * one
+    km = np.arange(n - 1, dtype=np.float64) * one  # k - 1 for k = 1..n-1
     with np.errstate(all="ignore"):
-        s = 2.0 * k + g + d
-        diag[0] = (d - g) / (g + d + 2.0 * one)
-        diag[1:] = ((d - g) / s) * ((d + g) / (s + 2.0 * one))
-        off_sq = 4.0 * (k / s) * ((k + g) / s) * ((k + d) / (s - one)) * ((k + g + d) / (s + one))
+        s = 2.0 * km + at + bt
+        diag[0] = (bt - at) / (at + bt)
+        diag[1:] = ((bt - at) / s) * ((at + bt - 2.0 * one) / (s + 2.0 * one))
+        off_sq = 4.0 * ((km + one) / s) * ((km + at) / s) * ((km + bt) / (s - one)) * (
+            (km - one + at + bt) / (s + one))
         if n > 1:
-            # k = 1 has a removable 0/0 at g + d = -1: cancel (1 + g + d)/(s - 1)
-            off_sq[0] = 4.0 * ((one + g) / (g + d + 2.0 * one)) * (
-                (one + d) / (g + d + 2.0 * one)) / (g + d + 3.0 * one) * one
+            # k = 1 has a removable 0/0 at a_tilde + b_tilde = 1: cancel (at + bt - 1)/(s - 1)
+            off_sq[0] = 4.0 * (at / (at + bt)) * (bt / (at + bt)) / (at + bt + one) * one
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off_sq))):
         raise MagnitudeOverflowError(
-            f"recurrence coefficients overflowed float64 at gamma = {p.gamma:g}, "
-            f"delta = {p.delta:g}"
+            f"recurrence coefficients overflowed float64 at a_tilde = {p.a_tilde:g}, "
+            f"b_tilde = {p.b_tilde:g}"
         )
     return diag, off_sq
 
 
-def jacobi_roots_scaled(p: JacobiPolyParams) -> Spectrum:
-    """Ascending roots of P_n^{(gamma, delta)}(x/2), all inside (-2, 2).
+def jacobi_roots_scaled(p: JacobiPolyParams | JacobiParams) -> Spectrum:
+    """Ascending roots of P_n^{(a_tilde - 1, b_tilde - 1)}(x/2) from p's n, a_tilde
+    and b_tilde, in [-2, 2] up to 8n float64 epsilons of rounding (not clamped).
 
     Computed as eigenvalues of the symmetric tridiagonal matrix obtained by
     symmetrizing the monic recurrence (Golub-Welsch shape), then doubling.
-    For gamma = delta the diagonal is exactly zero and the roots are the
+    For a_tilde = b_tilde the diagonal is exactly zero and the roots are the
     +-singular values of an order-ceil(n/2) bidiagonal (LAPACK dqds), each
     to high relative accuracy, mirror symmetric bit for bit, with an exact
     0.0 in the middle for odd n.
@@ -165,7 +171,7 @@ def jacobi_roots_scaled(p: JacobiPolyParams) -> Spectrum:
     diag, off_sq = recurrence_coefficients(p)
     # B_k > 0 in exact arithmetic for an integrable weight; guard rounding
     off = np.sqrt(np.maximum(off_sq, 0.0))
-    if p.gamma == p.delta:
+    if p.a_tilde == p.b_tilde:
         return Spectrum(2.0 * _eig_zero_diagonal(off))
     return Spectrum(2.0 * eig_tridiag(SymTridiag(diag, off)).values)
 
@@ -174,18 +180,11 @@ def ensemble_roots(p: JacobiParams) -> np.ndarray:
     """The paper's root approximation to the ensemble's ascending eigenvalues.
 
     Roots of P_n^{(a_tilde - 1, b_tilde - 1)}(x/2), the spectrum of
-    :func:`~jacobi_spectra.ensemble.expected_matrix`. Raises
-    ParameterDomainError when a_tilde or b_tilde is so small that
-    a_tilde - 1 or b_tilde - 1 rounds to -1 (e.g. beta = 1e300).
+    :func:`~jacobi_spectra.ensemble.expected_matrix`, read from the exact
+    a_tilde = (2a + 2)/beta and b_tilde at every beta; in [-2, 2] up to 8n
+    float64 epsilons.
     """
-    gamma, delta = p.a_tilde - 1.0, p.b_tilde - 1.0
-    if not (gamma > -1.0 and delta > -1.0):
-        raise ParameterDomainError(
-            f"roots need a_tilde - 1 > -1 and b_tilde - 1 > -1 in float64, but "
-            f"a_tilde = (2a+2)/beta = {p.a_tilde:.3g} and b_tilde = (2b+2)/beta = "
-            f"{p.b_tilde:.3g} at a = {p.a:g}, b = {p.b:g}, beta = {p.beta:g}"
-        )
-    return jacobi_roots_scaled(JacobiPolyParams(p.n, gamma, delta)).values
+    return jacobi_roots_scaled(p).values
 
 
 def _term_relative(t1, t2, t3) -> float:

@@ -23,8 +23,10 @@ Jacobi polynomials at any real parameters come from their power sum in
 (x - 1)/2 in exact rationals (not the production recurrence or binomial sum),
 the first two trace moments of the random build from its entry
 polynomials and closed-form beta moments, also in exact rationals (not a
-sample), and its off-diagonals from the gamma pairs of a draw in exact
-rationals (not from float complements).
+sample), the mixed moments of its determinants det(2I +- T) from the same
+beta moments and from the Selberg integral's product formula (not from the
+shape table alone), and its off-diagonals from the gamma pairs of a draw in
+exact rationals (not from float complements).
 """
 
 import math
@@ -595,3 +597,39 @@ def trace_moments(shapes: tuple[np.ndarray, np.ndarray], c: float) -> tuple[Frac
         if k < n - 1:
             second += 2 * (1 - o1) * (1 - e2) * (1 + mom[2 * k + 3][0])
     return first, second
+
+
+def _rising(x: Fraction, m: int) -> Fraction:
+    return math.prod((x + i for i in range(m)), start=Fraction(1))
+
+
+def determinant_moment(shapes: tuple[np.ndarray, np.ndarray], u: int, s: int) -> Fraction:
+    """Exact E[det(2I + T)^u det(2I - T)^s] of the Killip-Nenciu build whose
+    2n - 1 independent alphas have the beta shapes (ps, qs), in exact rationals.
+
+    det(2I + T) = prod_{k<n} (1 - alpha_{2k-1})(1 + alpha_{2k}) and
+    det(2I - T) = prod_{k<n} (1 - alpha_{2k-1})(1 - alpha_{2k}), with
+    alpha_{-1} = -1. With 1 - alpha = 2Z and 1 + alpha = 2(1 - Z),
+    Z ~ Beta(p, q), each factor's moment is 2^m times rising factorials:
+    E (2Z)^m = 2^m (p)_m / (p + q)_m and
+    E (2 - 2Z)^u (2Z)^s = 2^(u+s) (q)_u (p)_s / (p + q)_(u+s).
+    """
+    out = Fraction(2) ** (u + s)  # 1 - alpha_{-1}
+    for i, (p, q) in enumerate(zip(*shapes)):
+        p, q = Fraction(p), Fraction(q)
+        num = _rising(p, u + s) if i % 2 else _rising(q, u) * _rising(p, s)
+        out *= 2 ** (u + s) * num / _rising(p + q, u + s)
+    return out
+
+
+def selberg_moment(n: int, a: float, b: float, beta: float, u: int, s: int) -> Fraction:
+    """E prod_i (2 + lambda_i)^u (2 - lambda_i)^s under the beta-Jacobi density
+    prod (2 - x_i)^a (2 + x_i)^b |Delta|^beta on (-2, 2), from the Selberg integral:
+    4^(n(u+s)) prod_{j<n} (b + 1 + j beta/2)_u (a + 1 + j beta/2)_s
+    / (a + b + 2 + (n + j - 1) beta/2)_(u+s), in exact rationals."""
+    a, b, half = Fraction(a), Fraction(b), Fraction(beta) / 2
+    out = Fraction(4) ** (n * (u + s))
+    for j in range(n):
+        out *= _rising(b + 1 + j * half, u) * _rising(a + 1 + j * half, s)
+        out /= _rising(a + b + 2 + (n + j - 1) * half, u + s)
+    return out

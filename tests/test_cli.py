@@ -146,13 +146,13 @@ def test_roots_overflow_exits_4_without_traceback(a, b, beta, code):
     assert "Traceback" not in r.stderr
     assert "RuntimeWarning" not in r.stderr
     if code:
-        # a_tilde = (2a + 2)/beta and so gamma is infinite at a = 1.7e308,
-        # beta = 1e-300; at a = b = 1e308 only gamma + delta overflows, and the
+        # a_tilde = (2a + 2)/beta is infinite at a = 1.7e308, beta = 1e-300;
+        # at a = b = 1e308 only a_tilde + b_tilde overflows, and the
         # recurrence takes its ratios at a smaller exact scale
         assert "recurrence coefficients overflowed float64" in r.stderr
     else:
-        # gamma = delta = a -> infinity: the doubled roots tend to
-        # 2 h_k / sqrt(gamma), h_k the Hermite roots
+        # a_tilde = b_tilde = a -> infinity: the doubled roots tend to
+        # 2 h_k / sqrt(a_tilde), h_k the Hermite roots
         vals = np.array([float(line.split(",")[1])
                          for line in r.stdout.strip().splitlines()[1:]])
         expected = 2.0 * np.sort(roots_hermite(5)[0]) / np.sqrt(float(a))
@@ -244,6 +244,15 @@ def test_deviation_summary():
         deviation_probability_bound(20, 10.0, 10.0, 1.0)
     )
     assert np.isfinite(payload["scaled_dev_median"])
+
+
+def test_deviation_at_large_beta_reads_the_fluctuation_not_a_root_error():
+    # at beta = 1e16 the eigenvalues sit about beta^-1/2 from the roots; a
+    # root route that loses a_tilde = 12/beta reads 0.014 in every trial
+    r = run_cli("deviation", "--n", "30", "--a", "5", "--b", "3", "--beta", "1e16",
+                "--trials", "20")
+    assert r.returncode == 0, r.stderr
+    assert 1e-9 <= json.loads(r.stdout)["max_dev"]["median"] <= 1e-8
 
 
 def _reject(constant):

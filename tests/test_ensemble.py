@@ -23,9 +23,11 @@ from jacobi_spectra.trieig import eig_tridiag
 from oracles import (
     alpha_moments,
     alphas_keyed,
+    determinant_moment,
     kn_off_exact,
     max_over_cube,
     random_matrix_gathered,
+    selberg_moment,
     trace_moments,
     two_sample_sup_distance,
 )
@@ -257,6 +259,19 @@ def test_alpha_is_derived_from_its_complements():
     assert not np.shares_memory(al.alpha, c)
 
 
+def test_alpha_vector_columns_sum_to_two():
+    # complements (2, 2) for alpha_1 = 0 were accepted and built the diagonal [-2, 4]
+    with pytest.raises(ParameterDomainError, match="must sum to 2"):
+        AlphaVector(np.array([[2.0, 2.0, 0.0], [0.0, 2.0, 2.0]]))
+    # a few float64 spacings of 2 are rounding; 2^-48 is not
+    c = np.array([[0.5, 1.0, 2.0], [1.5, 1.0, 0.0]])
+    c[1, 1] += 2.0**-50
+    AlphaVector(c)
+    c[1, 1] += 2.0**-48
+    with pytest.raises(ParameterDomainError, match="must sum to 2"):
+        AlphaVector(c)
+
+
 def test_entry_ranges():
     # brute-force the entry formulas over the closed alpha cube
     diag_sup = max_over_cube(
@@ -462,3 +477,31 @@ def test_trace_moments_match_exact_oracle(n, a, b, beta, regime):
     for sample, exact in zip(sums, trace_moments(alpha_shapes(p), c)):
         z = (sample.mean() - float(exact)) / (sample.std(ddof=1) / np.sqrt(trials))
         assert abs(z) < 4.5
+
+
+SELBERG_CASES = [(1, 0.5, 2.0, 2.0), (5, 3.0, 1.0, 2.0), (7, 0.5, -0.5, 1.0),
+                 (6, 2.25, 0.75, 0.5), (9, 10.0, 4.0, 4.0)]
+
+
+def _selberg_holds(shapes_of) -> bool:
+    """Whether the build on shapes_of(p) has the theorem's mixed determinant
+    moments E[det(2I + T)^u det(2I - T)^s], u, s in 0..3, at every Selberg case."""
+    return all(
+        determinant_moment(shapes_of(JacobiParams(n, a, b, beta)), u, s)
+        == selberg_moment(n, a, b, beta, u, s)
+        for n, a, b, beta in SELBERG_CASES for u in range(4) for s in range(4)
+    )
+
+
+def _raised(p, start, row):
+    ps, qs = alpha_shapes(p)
+    (ps, qs)[row][start::2] += p.beta / 4.0
+    return ps, qs
+
+
+def test_shape_table_has_the_selberg_determinant_moments():
+    # exact, sampling-free: a wrong shape table that the trace moments cannot
+    # see fails here
+    assert _selberg_holds(alpha_shapes)
+    assert not _selberg_holds(lambda p: _raised(p, 1, 1))  # odd q shapes + beta/4
+    assert not _selberg_holds(lambda p: _raised(p, 0, 0))  # even p shapes + beta/4

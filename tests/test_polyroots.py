@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,13 +246,46 @@ def test_ensemble_roots_are_the_mean_matrix_spectrum():
         assert np.max(np.abs(eig_tridiag(expected_matrix(p)).values - roots)) < 1e-10
 
 
-@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1e290, 0.0), (0.0, 1e290)])
-def test_ensemble_roots_name_vanishing_rescaled_parameters(a, b):
-    # a_tilde = (2a + 2)/beta below float64 rounding of 1 makes a_tilde - 1 == -1
-    p = JacobiParams(3, a, b, 1e300)
-    with pytest.raises(ParameterDomainError, match=r"a_tilde = \(2a\+2\)/beta") as exc:
-        ensemble_roots(p)
-    assert "beta = 1e+300" in str(exc.value)
+# a recurrence that re-forms a_tilde from a_tilde - 1 loses digits as that
+# difference happens to round (at 1e12 it loses none), so several beta are checked
+BETA_SWEEP = (2.0, 1e8, 1e12, 1e14, 1e16, 1e20, 1e100)
+
+
+@pytest.mark.parametrize("beta", BETA_SWEEP)
+def test_ensemble_roots_are_the_mean_matrix_spectrum_at_every_beta(beta):
+    # a_tilde = 12/beta far below float64 rounding of 1: both routes keep its digits
+    p = JacobiParams(30, 5.0, 3.0, beta)
+    assert np.max(np.abs(eig_tridiag(expected_matrix(p)).values - ensemble_roots(p))) < 1e-12
+
+
+@pytest.mark.parametrize("n, a, b", [(1, 5.0, 3.0), (5, 0.0, 1e4), (30, 5.0, 3.0),
+                                     (101, 3.0, -0.5), (400, 0.0, -0.999999)])
+def test_roots_lie_in_the_closed_interval_up_to_the_stated_bound(n, a, b):
+    # rounding may put a root past -2 or 2 when a_tilde or b_tilde is tiny;
+    # jacobi_roots_scaled states 8 n float64 epsilons
+    bound = 8.0 * n * np.finfo(float).eps
+    for beta in BETA_SWEEP + (1e300,):
+        roots = ensemble_roots(JacobiParams(n, a, b, beta))
+        assert np.all(np.abs(roots) <= 2.0 + bound)
+
+
+@pytest.mark.parametrize("a, b, beta", [(0.0, 0.0, 1e300), (1e290, 0.0, 1e300),
+                                        (0.0, 1e290, 1e300), (0.0, 0.0, 1.7e308)])
+def test_ensemble_roots_answer_at_vanishing_rescaled_parameters(a, b, beta):
+    # a_tilde = (2a + 2)/beta below float64 rounding of 1 (subnormal at 1.7e308):
+    # finite roots tending to those of P_3^(-1, -1), -2, 0 and 2, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = ensemble_roots(JacobiParams(3, a, b, beta))
+    assert np.all(np.isfinite(roots))
+    assert np.allclose(roots, [-2.0, 0.0, 2.0], rtol=0.0, atol=1e-9)
+
+
+def test_both_rescaled_parameters_underflowed_raise_a_typed_error():
+    # a_tilde = b_tilde = 0 in float64: the recurrence's 0/0 is a typed error,
+    # not a ZeroDivisionError
+    with pytest.raises(MagnitudeOverflowError, match="a_tilde = 0, b_tilde = 0"):
+        ensemble_roots(JacobiParams(3, -0.9999999999999999, -0.9999999999999999, 1.7e308))
 
 
 def test_infinite_exponent_sum_raises_only_overflow():
