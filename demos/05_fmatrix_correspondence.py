@@ -29,9 +29,9 @@ from jacobi_spectra import (
 # exact same-realization correspondence at toy size
 d = FDims(6, 40, 60)
 g = sample_gaussian_pair(d, RngStream(3, 0))
-lam_f = f_eigs_direct(g, d).values
+lam_f = f_eigs_direct(g).values
 mapped = np.sort(f_to_jacobi(lam_f, d))
-direct = manova_eigs(g, d).values
+direct = manova_eigs(g).values
 print("one Gaussian realization, n=6, n1=40, n2=60:")
 print("  F eigenvalues:        ", np.array2string(lam_f, precision=4))
 print("  mapped to Jacobi side:", np.array2string(mapped, precision=4))

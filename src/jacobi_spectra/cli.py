@@ -121,10 +121,8 @@ def _quantiles(vals) -> dict:
 
 def cmd_deviation(args) -> int:
     p = _jacobi_params(args)
-    roots = ensemble_roots(p)
-    reports = run_trials(
-        lambda sub: deviation_report(p, sub, roots=roots), args.trials, RngStream(args.seed, 0)
-    )
+    rng = RngStream(args.seed, 0)
+    reports = run_trials(lambda sub: deviation_report(p, sub), args.trials, rng)
     violations = sum(1 for r in reports if r.max_dev > r.chain_bound)
     median = float(np.median([r.scaled_dev for r in reports]))
     payload = {
@@ -220,7 +218,7 @@ def cmd_fmatrix(args) -> int:
                     f"dense F-matrix route is capped at n = {DENSE_SIZE_CAP}; "
                     "the tridiagonal route is not"
                 )
-            vals = f_eigs_direct(sample_gaussian_pair(d, sub), d).values
+            vals = f_eigs_direct(sample_gaussian_pair(d, sub)).values
         else:
             vals = f_eigs_tridiag(d, sub).values
         return np.sort(tf(vals, d))

@@ -167,15 +167,18 @@ def sample_alphas(p: JacobiParams, rng: RngStream) -> AlphaVector:
     return AlphaVector(zw)
 
 
-def _killip_nenciu(v: AlphaVector) -> SymTridiag:
-    """The Killip-Nenciu tridiagonal of v, the one owner of its entry formula:
+def random_matrix(alphas: AlphaVector) -> SymTridiag:
+    """Random tridiagonal matrix of one alpha draw, the one owner of the
+    Killip-Nenciu entry formula:
       diag_k = (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2},
       off_k = sqrt((1 - alpha_{2k-1}) ((1 - alpha_{2k}) (1 + alpha_{2k})) (1 + alpha_{2k+1})),
-    multiplied in this order, every factor 1 -+ alpha a row of v's complements.
+    multiplied in this order, every factor 1 -+ alpha a row of the complements.
     Row 0 pads alpha_{-2} = alpha_{-1} = -1, whose complements are 2 and 0.
+    Diagonal entries lie in [-2, 2]; off-diagonal entries are square roots of
+    products of complements in [0, 2].
     """
-    (one_minus, one_plus), alpha = v.complements, v.alpha
-    diag = np.empty(v.n)
+    (one_minus, one_plus), alpha = alphas.complements, alphas.alpha
+    diag = np.empty(alphas.n)
     diag[0] = 2.0 * alpha[0]
     np.multiply(one_minus[1::2], alpha[2::2], out=diag[1:])
     diag[1:] -= one_plus[1::2] * alpha[:-2:2]
@@ -184,12 +187,6 @@ def _killip_nenciu(v: AlphaVector) -> SymTridiag:
     off[1:] *= one_minus[1:-2:2]
     off *= one_plus[1::2]
     return SymTridiag(diag, np.sqrt(off, out=off))
-
-
-def random_matrix(alphas: AlphaVector) -> SymTridiag:
-    """Random tridiagonal matrix of one alpha draw: diagonal entries in [-2, 2],
-    off-diagonal entries square roots of products of complements in [0, 2]."""
-    return _killip_nenciu(alphas)
 
 
 def _exact_scale(count: float, unit: float, *terms: float) -> float:
@@ -215,5 +212,5 @@ def expected_matrix(p: JacobiParams) -> SymTridiag:
     ps, qs = alpha_shapes(p, _exact_scale(p.n, p.beta, p.a, p.b))
     s = ps + qs
     # 2 (p/s), not 2p/s: doubling is exact, and 2p could overflow
-    m = _killip_nenciu(AlphaVector(2.0 * np.stack((ps / s, qs / s))))
+    m = random_matrix(AlphaVector(2.0 * np.stack((ps / s, qs / s))))
     return SymTridiag(m.diag[::-1], m.off[::-1])

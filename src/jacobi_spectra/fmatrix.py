@@ -73,7 +73,8 @@ class FDims:
 
 @dataclass(frozen=True)
 class GaussianPair:
-    """Independent standard normal matrices X (n x n1) and Y (n x n2), finite."""
+    """Independent standard normal matrices X (n x n1) and Y (n x n2), finite,
+    with n1 >= n >= 1 and n2 >= n, as :class:`FDims` requires."""
 
     x: np.ndarray
     y: np.ndarray
@@ -81,6 +82,9 @@ class GaussianPair:
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.ndim != 2 or self.x.shape[0] != self.y.shape[0]:
             raise ParameterDomainError("matrices must share their row count n")
+        (n, n1), n2 = self.x.shape, self.y.shape[1]
+        if not 1 <= n <= min(n1, n2):
+            raise ParameterDomainError("dimensions must satisfy n1 >= n >= 1 and n2 >= n")
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ParameterDomainError("matrices must have finite entries")
 
@@ -92,20 +96,21 @@ def sample_gaussian_pair(d: FDims, rng: RngStream) -> GaussianPair:
     return GaussianPair(x, y)
 
 
-def f_eigs_direct(g: GaussianPair, d: FDims) -> Spectrum:
-    """Eigenvalues of (X X^T / n1)(Y Y^T / n2)^{-1} from an explicit Gaussian pair.
+def f_eigs_direct(g: GaussianPair) -> Spectrum:
+    """Eigenvalues of (X X^T / n1)(Y Y^T / n2)^{-1} from an explicit Gaussian
+    pair, n1 and n2 the column counts of X and Y.
 
     Solved as the symmetric-definite pencil (X X^T / n1) v = lambda (Y Y^T / n2) v;
     all eigenvalues are nonnegative. Uncapped here; the CLI's n <= 500 policy
     for ``--route direct`` is checked before the draw. Raises
     DegenerateSampleError when Y Y^T is numerically singular.
     """
-    spec = eig_generalized_sym(g.x @ g.x.T / d.n1, g.y @ g.y.T / d.n2)
+    spec = eig_generalized_sym(g.x @ g.x.T / g.x.shape[1], g.y @ g.y.T / g.y.shape[1])
     # pencil of PSD vs PD matrices; clip the rounding fuzz below zero
     return Spectrum(np.maximum(spec.values, 0.0))
 
 
-def manova_eigs(g: GaussianPair, d: FDims) -> Spectrum:
+def manova_eigs(g: GaussianPair) -> Spectrum:
     """Eigenvalues of 2 (Y Y^T - X X^T)(Y Y^T + X X^T)^{-1}, all inside (-2, 2).
 
     These follow the beta = 1 Jacobi ensemble with the dimension-induced

@@ -10,13 +10,14 @@ variable is internal only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MagnitudeOverflowError, ParameterDomainError, real_array
-from .errors import real_number, whole_number
+from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
+from .errors import real_array, real_number, whole_number
 from .trieig import Spectrum, _eig_zero_diagonal, eig_tridiag
 from .ensemble import JacobiParams, SymTridiag, _exact_scale
 
@@ -131,11 +132,17 @@ def recurrence_coefficients(p: JacobiPolyParams | JacobiParams) -> tuple[np.ndar
     overflow), so every factor stays in float64 range up to the largest finite
     exponents (a_tilde = b_tilde -> infinity tends to the Hermite limit
     B_k ~ k / (2 a_tilde)); MagnitudeOverflowError is raised when a ratio is
-    not finite, e.g. at an infinite a_tilde.
+    not finite, e.g. at an infinite a_tilde. Where an ensemble's a_tilde and
+    b_tilde both underflow to 0, NumericalFailureError is raised: the limit of
+    the coefficients there is set by (a + 1)/(a + b + 2), which they lose.
     """
+    if p.a_tilde == p.b_tilde == 0.0:
+        raise NumericalFailureError(
+            "recurrence coefficients are undefined: a_tilde = (2a + 2)/beta and "
+            "b_tilde = (2b + 2)/beta both underflowed float64 to 0"
+        )
     n, one = p.n, _exact_scale(p.n, 2.0, p.a_tilde, p.b_tilde)
-    # numpy scalars, so 0/0 at a_tilde = b_tilde = 0 (both underflowed) obeys errstate
-    at, bt = np.float64(p.a_tilde) * one, np.float64(p.b_tilde) * one
+    at, bt = p.a_tilde * one, p.b_tilde * one
     diag = np.empty(n)
     km = np.arange(n - 1, dtype=np.float64) * one  # k - 1 for k = 1..n-1
     with np.errstate(all="ignore"):
@@ -176,15 +183,19 @@ def jacobi_roots_scaled(p: JacobiPolyParams | JacobiParams) -> Spectrum:
     return Spectrum(2.0 * eig_tridiag(SymTridiag(diag, off)).values)
 
 
+@functools.lru_cache(maxsize=1)
 def ensemble_roots(p: JacobiParams) -> np.ndarray:
     """The paper's root approximation to the ensemble's ascending eigenvalues.
 
     Roots of P_n^{(a_tilde - 1, b_tilde - 1)}(x/2), the spectrum of
     :func:`~jacobi_spectra.ensemble.expected_matrix`, read from the exact
     a_tilde = (2a + 2)/beta and b_tilde at every beta; in [-2, 2] up to 8n
-    float64 epsilons.
+    float64 epsilons. The roots depend on p only, so those of the most recent
+    parameters are kept, read-only, and every trial of a run shares one solve.
     """
-    return jacobi_roots_scaled(p).values
+    roots = jacobi_roots_scaled(p).values
+    roots.flags.writeable = False
+    return roots
 
 
 def _term_relative(t1, t2, t3) -> float:

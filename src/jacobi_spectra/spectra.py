@@ -449,21 +449,10 @@ class DeviationReport:
             raise ParameterDomainError("deviation statistics must be nonnegative")
 
 
-def deviation_report(
-    p: JacobiParams, rng: RngStream, roots: np.ndarray | None = None
-) -> DeviationReport:
-    """Sample one realization and compare it to the deterministic roots.
-
-    ``roots`` may carry precomputed ascending roots for the same parameters
-    (they are deterministic, so sweeps over many trials can share them); n
-    finite ascending values, else ParameterDomainError.
-    """
-    if roots is None:
-        roots = ensemble_roots(p)
-    else:
-        roots = real_array(roots)
-        if roots.shape != (p.n,) or not finite_ascending(roots):
-            raise ParameterDomainError(f"roots must be {p.n} finite ascending values")
+def deviation_report(p: JacobiParams, rng: RngStream) -> DeviationReport:
+    """Sample one realization and compare it to the deterministic roots
+    :func:`~jacobi_spectra.polyroots.ensemble_roots` of the same parameters."""
+    roots = ensemble_roots(p)
     alphas, lam = realize(p, rng)
     max_dev = float(np.max(np.abs(lam - roots)))
     x_n = float(np.max(np.abs(alphas.alpha - alpha_plan(p).means)))
@@ -513,14 +502,18 @@ class ScalingSequence:
 SCALING_MODES = ("plain", "doubled")
 
 
+def _shift_scale(s: ScalingSequence, mode: str) -> tuple[float, float]:
+    """(shift, scale) of one of the two conventions: xi = (lambda - shift)/scale."""
+    if mode == "plain":
+        return s.epsilon_n, s.delta_n
+    if mode == "doubled":
+        return 2.0 * (2.0 * s.epsilon_n - 1.0), 2.0 * s.delta_n
+    raise ParameterDomainError(f"unknown scaling mode {mode!r}; use plain or doubled")
+
+
 def scale_eigenvalues(lam: np.ndarray, s: ScalingSequence, mode: str) -> np.ndarray:
     """Apply one of the two affine scaled-eigenvalue conventions."""
-    if mode == "plain":
-        shift, scale = s.epsilon_n, s.delta_n
-    elif mode == "doubled":
-        shift, scale = 2.0 * (2.0 * s.epsilon_n - 1.0), 2.0 * s.delta_n
-    else:
-        raise ParameterDomainError(f"unknown scaling mode {mode!r}; use plain or doubled")
+    shift, scale = _shift_scale(s, mode)
     with np.errstate(all="ignore"):
         out = real_array(lam) - shift
         out /= scale
@@ -612,13 +605,13 @@ def monte_carlo_esd(
     """Pooled ECDF of affinely scaled eigenvalues over independent trials.
 
     Trials run through :func:`run_trials`, so the pool is deterministic for a
-    given base stream.
+    given base stream. A notice warns when the transfer proxy scale^4 (a + b)/log n
+    of the scale that ``mode`` applies (delta_n plain, 2 delta_n doubled) is below 10.
     """
-    if mode not in SCALING_MODES:
-        raise ParameterDomainError(f"unknown scaling mode {mode!r}")
+    scale = _shift_scale(s, mode)[1]
     if p.n >= 2:
         try:
-            d4 = s.delta_n**4
+            d4 = scale**4
         except OverflowError:  # the proxy only decides the notice below
             d4 = math.inf
         transfer = d4 * (p.a + p.b) / math.log(p.n)

@@ -34,7 +34,6 @@ from .fmatrix import (
 )
 from .polyroots import (
     JacobiPolyParams,
-    ensemble_roots,
     first_param_lowering_residual,
     jacobi_roots_scaled,
     second_param_lowering_residual,
@@ -136,10 +135,7 @@ def criterion_02(rng: RngStream) -> float:
 def criterion_03(rng: RngStream) -> int:
     """Per-realization deviation chain bound is never violated."""
     p = JacobiParams(20, 10.0, 10.0, 2.0)
-    roots = ensemble_roots(p)
-    reports = run_trials(
-        lambda sub: deviation_report(p, sub, roots=roots), 1000, rng.substream(3)
-    )
+    reports = run_trials(lambda sub: deviation_report(p, sub), 1000, rng.substream(3))
     return sum(r.max_dev > r.chain_bound for r in reports)
 
 
@@ -150,10 +146,7 @@ def criterion_04(rng: RngStream) -> tuple[float, dict]:
     base = rng.substream(4)
     for i, n in enumerate((50, 100, 200, 400)):
         p = JacobiParams(n, 3.0 * n, 3.0 * n, 2.0)
-        roots = ensemble_roots(p)
-        reports = run_trials(
-            lambda sub: deviation_report(p, sub, roots=roots), 200, base.substream(i)
-        )
+        reports = run_trials(lambda sub: deviation_report(p, sub), 200, base.substream(i))
         medians[n] = float(np.median([r.scaled_dev for r in reports]))
     ratio = max(medians.values()) / min(medians.values())
     return ratio, {"medians": medians}
@@ -204,8 +197,8 @@ def criterion_09(rng: RngStream) -> float:
 
     def gap(sub: RngStream) -> float:
         g = sample_gaussian_pair(d, sub)
-        mapped = np.sort(f_to_jacobi(f_eigs_direct(g, d).values, d))
-        return float(np.max(np.abs(mapped - manova_eigs(g, d).values)))
+        mapped = np.sort(f_to_jacobi(f_eigs_direct(g).values, d))
+        return float(np.max(np.abs(mapped - manova_eigs(g).values)))
 
     return max(run_trials(gap, 50, rng.substream(9)))
 
@@ -271,7 +264,7 @@ def criterion_13(rng: RngStream) -> tuple[float, dict]:
     t_tri = time.perf_counter() - t1
     g = sample_gaussian_pair(d, rng.substream(131))  # drawn outside the timed region
     t2 = time.perf_counter()
-    f_eigs_direct(g, d)
+    f_eigs_direct(g)
     t_dir = time.perf_counter() - t2
     ratio = t_dir / t_tri
     return ratio, {

@@ -190,6 +190,14 @@ def test_huge_parameters_exit_without_traceback_or_warning(args, code):
         assert r.stderr == ""
 
 
+def test_roots_at_underflowed_rescaled_parameters_exit_4_naming_the_underflow():
+    r = run_cli("roots", "--n", "3", "--a", "-0.9999999999999999",
+                "--b", "-0.9999999999999999", "--beta", "1.7e308")
+    assert r.returncode == 4
+    assert r.stderr.startswith("numerical failure:") and "both underflowed" in r.stderr
+    assert "overflow" not in r.stderr and "Traceback" not in r.stderr
+
+
 def test_fmatrix_eigenvalue_on_the_pole_exits_4():
     # n2 = n with n1 >> n: a sampled Jacobi eigenvalue rounds onto -2, a
     # numerical failure rather than the user's parameter error
@@ -209,6 +217,19 @@ def test_compare_weak_transfer_prints_one_notice_line():
     assert len(lines) == 1
     assert lines[0].startswith("notice: scaled-comparison transfer proxy")
     assert "Warning" not in r.stderr and "cli.py" not in r.stderr
+
+
+@pytest.mark.parametrize("a", ["1", "120"])
+def test_transfer_notice_reads_the_applied_scale(a):
+    # doubled:0.5:0.5 applies shift 0 and scale 1, as plain:1:0 does: the same
+    # pool, and the transfer proxy of the same scale (a notice at a = b = 1 only)
+    runs = [run_cli("compare", "--n", "40", "--a", a, "--b", a, "--model", "ratio",
+                    "--trials", "2", "--scaling", scaling)
+            for scaling in ("doubled:0.5:0.5", "plain:1:0")]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stderr == runs[1].stderr
+    assert json.loads(runs[0].stdout)["ks"] == json.loads(runs[1].stdout)["ks"]
+    assert runs[0].stderr.startswith("notice: scaled-comparison transfer proxy") == (a == "1")
 
 
 @pytest.mark.parametrize(

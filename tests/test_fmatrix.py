@@ -26,7 +26,7 @@ from jacobi_spectra.fmatrix import (
     transform_limit_cdf,
 )
 from jacobi_spectra.spectra import Ecdf, ks_distance
-from jacobi_spectra.trieig import eig_tridiag
+from jacobi_spectra.trieig import eig_generalized_sym, eig_tridiag
 
 from oracles import DenseSym, ecdf_eval, eig_pencil, ks_whole_array, two_sample_sup_distance
 
@@ -64,15 +64,33 @@ def test_gaussian_pair_moments_and_determinism():
     assert np.array_equal(g.x, g2.x) and np.array_equal(g.y, g2.y)
 
 
+def test_gaussian_pair_rejects_what_fdims_rejects():
+    # the pair carries its dimensions, so it checks n1 >= n >= 1 and n2 >= n itself
+    for x, y in [((4, 3), (4, 6)), ((4, 6), (4, 3)), ((0, 2), (0, 2))]:
+        with pytest.raises(ParameterDomainError, match="n1 >= n >= 1 and n2 >= n"):
+            GaussianPair(np.ones(x), np.ones(y))
+
+
+def test_dense_routes_read_the_dimensions_from_the_pair():
+    # (X X^T / n1)(Y Y^T / n2)^{-1} at the column counts of X and Y, the same
+    # bytes the route returned when it took n1 and n2 from matching FDims
+    for d in (FDims(6, 40, 60), FDims(6, 50, 60), FDims(1, 1, 3)):
+        g = sample_gaussian_pair(d, RngStream(SEED, d.n1))
+        ref = eig_generalized_sym(g.x @ g.x.T / d.n1, g.y @ g.y.T / d.n2).values
+        assert f_eigs_direct(g).values.tobytes() == np.maximum(ref, 0.0).tobytes()
+        xxt, yyt = g.x @ g.x.T, g.y @ g.y.T
+        ref = eig_generalized_sym(2.0 * (yyt - xxt), yyt + xxt).values
+        assert manova_eigs(g).values.tobytes() == ref.tobytes()
+
+
 def test_f_eigs_direct_identity_case_and_no_library_cap():
     rng = RngStream(1, 0)
     x = rng.normals(5 * 8).reshape(5, 8)
-    d = FDims(5, 8, 8)
-    vals = f_eigs_direct(GaussianPair(x, x.copy()), d).values
+    vals = f_eigs_direct(GaussianPair(x, x.copy())).values
     assert vals == pytest.approx(np.ones(5), abs=1e-9)
     # the n <= 500 cap is the CLI's policy (test_cli); the library call is uncapped
     big = FDims(501, 501, 501)
-    assert f_eigs_direct(sample_gaussian_pair(big, rng), big).n == 501
+    assert f_eigs_direct(sample_gaussian_pair(big, rng)).n == 501
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 60])
@@ -87,7 +105,7 @@ def test_dense_routes_match_plane_rotation_oracle(n):
         (manova_eigs, 2.0 * (yyt - xxt), yyt + xxt, -np.inf),
     ]:
         expected = np.maximum(eig_pencil(DenseSym(a), DenseSym(b)).values, clip)
-        got = route(g, d).values
+        got = route(g).values
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -100,24 +118,23 @@ def test_dense_routes_reject_nonfinite_entries(route, side, bad):
     x, y = g.x.copy(), g.y.copy()
     (x if side == "x" else y)[1, 2] = bad
     with pytest.raises(ParameterDomainError, match="finite"):
-        route(GaussianPair(x, y), d)
+        route(GaussianPair(x, y))
 
 
 def test_dense_routes_raise_on_singular_pencil():
     # B = Y Y^T / n2 = 0, and B = Y Y^T + X X^T = 4 * ones of rank 1 (exact pivot 0)
-    d = FDims(3, 4, 4)
-    x = sample_gaussian_pair(d, RngStream(SEED, 9)).x
+    x = sample_gaussian_pair(FDims(3, 4, 4), RngStream(SEED, 9)).x
     with pytest.raises(DegenerateSampleError):
-        f_eigs_direct(GaussianPair(x, np.zeros((3, 4))), d)
+        f_eigs_direct(GaussianPair(x, np.zeros((3, 4))))
     with pytest.raises(DegenerateSampleError):
-        manova_eigs(GaussianPair(np.ones((3, 4)), np.zeros((3, 4))), d)
+        manova_eigs(GaussianPair(np.ones((3, 4)), np.zeros((3, 4))))
 
 
 def test_f_eigs_nonnegative():
     rng = RngStream(2, 0)
     for t in range(20):
         d = FDims(8, 12, 15)
-        vals = f_eigs_direct(sample_gaussian_pair(d, rng.substream(t)), d).values
+        vals = f_eigs_direct(sample_gaussian_pair(d, rng.substream(t))).values
         assert np.all(vals >= 0.0)
 
 
@@ -125,14 +142,14 @@ def test_manova_eigs_properties():
     rng = RngStream(3, 0)
     d = FDims(5, 9, 9)
     x = rng.normals(5 * 9).reshape(5, 9)
-    assert manova_eigs(GaussianPair(x, x.copy()), d).values == pytest.approx(
+    assert manova_eigs(GaussianPair(x, x.copy())).values == pytest.approx(
         np.zeros(5), abs=1e-10
     )
     for t in range(20):
         g = sample_gaussian_pair(d, rng.substream(t))
-        vals = manova_eigs(g, d).values
+        vals = manova_eigs(g).values
         assert np.all(np.abs(vals) < 2.0)
-        swapped = manova_eigs(GaussianPair(g.y, g.x), FDims(5, 9, 9)).values
+        swapped = manova_eigs(GaussianPair(g.y, g.x)).values
         assert vals == pytest.approx(-swapped[::-1], abs=1e-9)
 
 
@@ -142,7 +159,7 @@ def test_three_by_three_spectrum_bound_brute_force():
     for _ in range(50):
         x = gen.normal(size=(3, 5))
         y = gen.normal(size=(3, 6))
-        vals = manova_eigs(GaussianPair(x, y), FDims(3, 5, 6)).values
+        vals = manova_eigs(GaussianPair(x, y)).values
         assert np.all(np.abs(vals) < 2.0)
 
 
@@ -247,7 +264,7 @@ def test_routes_agree_in_distribution():
     )
     dirc = np.concatenate(
         [
-            f_eigs_direct(sample_gaussian_pair(d, rng.substream(1000 + t)), d).values
+            f_eigs_direct(sample_gaussian_pair(d, rng.substream(1000 + t))).values
             for t in range(200)
         ]
     )
@@ -266,7 +283,7 @@ def test_manova_agrees_with_tridiagonal_jacobi():
     )
     man = np.concatenate(
         [
-            manova_eigs(sample_gaussian_pair(d, rng.substream(1000 + t)), d).values
+            manova_eigs(sample_gaussian_pair(d, rng.substream(1000 + t))).values
             for t in range(200)
         ]
     )
@@ -278,15 +295,15 @@ def test_exact_same_realization_correspondence():
     rng = RngStream(SEED, 6)
     for s in range(10):
         g = sample_gaussian_pair(d, rng.substream(s))
-        mapped = np.sort(f_to_jacobi(f_eigs_direct(g, d).values, d))
-        assert np.max(np.abs(mapped - manova_eigs(g, d).values)) < 1e-8
+        mapped = np.sort(f_to_jacobi(f_eigs_direct(g).values, d))
+        assert np.max(np.abs(mapped - manova_eigs(g).values)) < 1e-8
 
 
 def test_ecdf_bookkeeping_identity():
     # F-side ECDF at xi equals 1 - Jacobi-side ECDF at the mapped point
     d = FDims(10, 30, 40)
     g = sample_gaussian_pair(d, RngStream(8, 0))
-    lam_f = f_eigs_direct(g, d).values
+    lam_f = f_eigs_direct(g).values
     e_f = Ecdf(lam_f)
     e_j = Ecdf(np.sort(f_to_jacobi(lam_f, d)))
     xis = np.linspace(0.0, 12.0, 300)

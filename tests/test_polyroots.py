@@ -7,7 +7,7 @@ from scipy.special import eval_jacobi, roots_jacobi
 
 from jacobi_spectra import polyroots
 from jacobi_spectra.ensemble import JacobiParams, SymTridiag, expected_matrix
-from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
+from jacobi_spectra.errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
 from jacobi_spectra.polyroots import (
     JacobiPolyParams,
     ensemble_roots,
@@ -282,10 +282,12 @@ def test_ensemble_roots_answer_at_vanishing_rescaled_parameters(a, b, beta):
 
 
 def test_both_rescaled_parameters_underflowed_raise_a_typed_error():
-    # a_tilde = b_tilde = 0 in float64: the recurrence's 0/0 is a typed error,
-    # not a ZeroDivisionError
-    with pytest.raises(MagnitudeOverflowError, match="a_tilde = 0, b_tilde = 0"):
-        ensemble_roots(JacobiParams(3, -0.9999999999999999, -0.9999999999999999, 1.7e308))
+    # a_tilde = b_tilde = 0 in float64: the recurrence's 0/0 is a typed error
+    # that names the underflow, not a ZeroDivisionError or an overflow
+    p = JacobiParams(3, -0.9999999999999999, -0.9999999999999999, 1.7e308)
+    with pytest.raises(NumericalFailureError, match="both underflowed float64 to 0") as info:
+        ensemble_roots(p)
+    assert type(info.value) is NumericalFailureError
 
 
 def test_infinite_exponent_sum_raises_only_overflow():

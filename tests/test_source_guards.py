@@ -1,0 +1,48 @@
+"""Static checks over the package source."""
+
+import ast
+import pathlib
+
+import jacobi_spectra
+
+PACKAGE = pathlib.Path(jacobi_spectra.__file__).parent
+
+
+def unread_parameters(source: str) -> list[str]:
+    """"line name: parameters" of every def in source that declares a parameter
+    its body never reads (a read in a nested function counts). ``@criterion``
+    checks are exempt: the registry fixes their (rng) signature, and a
+    deterministic check draws nothing from it."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "criterion"
+               for d in fn.decorator_list):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread = [p for p in params if p not in read]
+        if unread:
+            found.append(f"{fn.lineno} {fn.name}: {', '.join(unread)}")
+    return found
+
+
+def test_every_function_reads_every_parameter():
+    # a parameter the code never reads is a value the caller must supply for
+    # nothing, and a copy that can silently disagree with what the code derives
+    found = {path.name: unread_parameters(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: fns for name, fns in found.items() if fns} == {}
+
+
+def test_unread_parameter_guard_sees_a_dropped_read():
+    source = (
+        "def kept(g, d):\n    return g + d\n"
+        "def dropped(g, d):\n    return g\n"
+        "def closure(d):\n    def inner():\n        return d\n    return inner\n"
+        "@criterion('C00', 'deterministic', 0.0, 1.0)\ndef check(rng):\n    return 0.0\n"
+    )
+    assert unread_parameters(source) == ["3 dropped: d"]

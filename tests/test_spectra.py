@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pathlib
+import struct
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import jacobi_spectra.cli as cli
+from jacobi_spectra import polyroots
 from jacobi_spectra.betarand import RngStream
 from jacobi_spectra.ensemble import JacobiParams, alpha_plan
 from jacobi_spectra.errors import (
@@ -20,7 +22,7 @@ from jacobi_spectra.errors import (
 from jacobi_spectra.fmatrix import (
     TRANSFORMS, FDims, f_eigs_tridiag, jacobi_to_f, transform_limit_cdf,
 )
-from jacobi_spectra.polyroots import JacobiPolyParams, ensemble_roots, jacobi_roots_scaled
+from jacobi_spectra.polyroots import ensemble_roots, jacobi_roots_scaled
 from jacobi_spectra.spectra import (
     REGIMES,
     ArcsineDensity,
@@ -535,13 +537,40 @@ def test_general_params_symmetry_and_positivity():
 # ------------------------------------------------------ deviation machinery
 
 
-@pytest.mark.parametrize("roots", [np.array([0.0]), np.full(5, np.nan), np.zeros(3), "abc"],
-                         ids=["one-root", "nan", "wrong-size", "text"])
-def test_deviation_report_rejects_roots_that_do_not_fit(roots):
-    # roots are caller input: n finite ascending values, or ParameterDomainError
-    message = "roots must be 5 finite ascending|expected real numbers"
-    with pytest.raises(ParameterDomainError, match=message):
-        deviation_report(JacobiParams(5, 10, 10, 2), RngStream(SEED, 0), roots=roots)
+def test_deviation_report_bytes_are_pinned():
+    # the four statistics of 10 trials at five parameter sets, pinned from the
+    # form that took the roots as an argument, roots=ensemble_roots(p)
+    h = hashlib.sha256()
+    for i, args in enumerate([(1, 0.5, 2.0, 2.0), (20, 10.0, 10.0, 2.0), (50, 150.0, 150.0, 2.0),
+                              (30, 5.0, 3.0, 1e16), (8, -0.5, 3.0, 0.7)]):
+        p, base = JacobiParams(*args), RngStream(SEED, i)
+        for t in range(10):
+            r = deviation_report(p, base.substream(t))
+            h.update(struct.pack("<4d", r.max_dev, r.alpha_max_dev, r.chain_bound, r.scaled_dev))
+    assert h.hexdigest() == "edbb4f05c0e1dc4d1f040a610b908ed02934e1b0d8d2457ce2cdb8b81b20cbd3"
+
+
+def test_deviation_report_solves_the_roots_once_per_run(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return jacobi_roots_scaled(p)
+
+    monkeypatch.setattr(polyroots, "jacobi_roots_scaled", counted)
+    polyroots.ensemble_roots.cache_clear()
+    try:
+        p = JacobiParams(20, 10.0, 10.0, 2.0)
+        run_trials(lambda sub: deviation_report(p, sub), 50, RngStream(SEED, 3))
+    finally:
+        polyroots.ensemble_roots.cache_clear()
+    assert calls == [p]
+
+
+def test_ensemble_roots_are_read_only():
+    roots = ensemble_roots(JacobiParams(6, 1.0, 2.0, 2.0))
+    with pytest.raises(ValueError, match="read-only"):
+        roots[0] = 0.0
 
 
 def test_deviation_report_type_rejects_nan_and_keeps_an_infinite_scaled_dev():
@@ -555,10 +584,9 @@ def test_deviation_report_type_rejects_nan_and_keeps_an_infinite_scaled_dev():
 
 def test_deviation_chain_bound_and_stat_range():
     p = JacobiParams(20, 10.0, 10.0, 2.0)
-    roots = jacobi_roots_scaled(JacobiPolyParams(20, p.a_tilde - 1, p.b_tilde - 1)).values
     rng = RngStream(SEED, 1)
     for t in range(200):
-        r = deviation_report(p, rng.substream(t), roots=roots)
+        r = deviation_report(p, rng.substream(t))
         assert r.max_dev <= r.chain_bound
         assert 0.0 <= r.alpha_max_dev < 2.0
         assert r.scaled_dev == pytest.approx(
@@ -587,12 +615,8 @@ def test_probability_bound_respects_empirical_frequency_when_nonvacuous():
     bound = deviation_probability_bound(n, ab, ab, eps)
     assert bound < 1.0
     p = JacobiParams(n, ab, ab, 2.0)
-    roots = jacobi_roots_scaled(JacobiPolyParams(n, p.a_tilde - 1, p.b_tilde - 1)).values
     rng = RngStream(SEED, 9)
-    exceed = sum(
-        deviation_report(p, rng.substream(t), roots=roots).max_dev > eps
-        for t in range(100)
-    )
+    exceed = sum(deviation_report(p, rng.substream(t)).max_dev > eps for t in range(100))
     assert exceed / 100.0 <= bound
 
 
@@ -617,11 +641,8 @@ def test_concentration_monotone_in_weights():
     medians = []
     for i, ab in enumerate((20.0, 80.0, 320.0)):
         p = JacobiParams(20, ab, ab, 2.0)
-        roots = jacobi_roots_scaled(JacobiPolyParams(20, p.a_tilde - 1, p.b_tilde - 1)).values
         sub = rng.substream(i)
-        vals = [
-            deviation_report(p, sub.substream(t), roots=roots).max_dev for t in range(200)
-        ]
+        vals = [deviation_report(p, sub.substream(t)).max_dev for t in range(200)]
         medians.append(float(np.median(vals)))
     assert medians[0] > medians[1] > medians[2]
 
@@ -635,9 +656,7 @@ def test_median_deviation_falls_faster_than_root_n():
     medians = []
     for i, n in enumerate(ns):
         p = JacobiParams(n, 3.0 * n, 3.0 * n, 2.0)
-        roots = jacobi_roots_scaled(JacobiPolyParams(n, p.a_tilde - 1, p.b_tilde - 1)).values
-        reports = run_trials(lambda sub: deviation_report(p, sub, roots=roots), 40,
-                             base.substream(i))
+        reports = run_trials(lambda sub: deviation_report(p, sub), 40, base.substream(i))
         medians.append(float(np.median([r.max_dev for r in reports])))
     slope = np.polyfit(np.log(ns), np.log(medians), 1)[0]
     assert slope < -0.5
@@ -670,7 +689,7 @@ def test_every_caller_draws_trial_t_as_realize(n, capsys):
 
     roots = ensemble_roots(p)
     for t, (alphas, lam) in enumerate(draws):
-        r = deviation_report(p, base.substream(t), roots=roots)
+        r = deviation_report(p, base.substream(t))
         assert r.max_dev == float(np.max(np.abs(lam - roots)))
         assert r.alpha_max_dev == float(np.max(np.abs(alphas.alpha - alpha_plan(p).means)))
 
@@ -682,17 +701,20 @@ def test_every_caller_draws_trial_t_as_realize(n, capsys):
 
 def test_only_realize_samples_and_builds_a_realization():
     # sample_alphas -> random_matrix -> eig_tridiag is spelled out once in the
-    # package, in spectra.realize; a second copy would drift from it
+    # package, in spectra.realize; a second copy would drift from it. The mean
+    # matrix draws nothing: ensemble.expected_matrix builds it with random_matrix
     drawing = {"sample_alphas", "random_matrix"}
     package = pathlib.Path(cli.__file__).parent
     owner, elsewhere = set(), []
+
+    def body(tree, name):
+        (fn,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name]
+        return {id(node) for node in ast.walk(fn)}
+
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        inside = set()
-        if path.name == "spectra.py":
-            (fn,) = [f for f in tree.body
-                     if isinstance(f, ast.FunctionDef) and f.name == "realize"]
-            inside = {id(node) for node in ast.walk(fn)}
+        inside = body(tree, "realize") if path.name == "spectra.py" else set()
+        mean = body(tree, "expected_matrix") if path.name == "ensemble.py" else set()
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -700,6 +722,8 @@ def test_only_realize_samples_and_builds_a_realization():
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             if name in drawing and id(node) in inside:
                 owner.add(name)
+            elif name == "random_matrix" and id(node) in mean:
+                continue
             elif name in drawing:
                 elsewhere.append(f"{path.relative_to(package)}:{node.lineno} calls {name}")
     assert owner == drawing
