@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .spectra import (
     SCALING_MODES,
     Ecdf,
     ScalingSequence,
+    _shift_scale,
     density_eval,
     deviation_probability_bound,
     deviation_report,
@@ -45,6 +45,7 @@ from .spectra import (
     monte_carlo_esd,
     realize,
     run_trials,
+    transfer_proxy,
 )
 from .verify import DEFAULT_SEED, run_all
 
@@ -57,13 +58,18 @@ def _fmt(v: float) -> str:
 
 
 def _jacobi_params(args) -> JacobiParams:
-    """Build ensemble parameters; --a-tilde/--b-tilde override --a/--b."""
-    a, b = args.a, args.b
-    if args.a_tilde is not None:
-        a = args.beta * args.a_tilde / 2.0 - 1.0
-    if args.b_tilde is not None:
-        b = args.beta * args.b_tilde / 2.0 - 1.0
-    return JacobiParams(args.n, a, b, args.beta)
+    """Build ensemble parameters; --a-tilde/--b-tilde override --a/--b with
+    beta*tilde/2 - 1, reported against the flag unless finite and > -1."""
+    ab = {"a": args.a, "b": args.b}
+    for name in ab:
+        tilde = getattr(args, f"{name}_tilde")
+        if tilde is not None:
+            ab[name] = w = args.beta * tilde / 2.0 - 1.0
+            if not -1.0 < w < np.inf:
+                raise ParameterDomainError(
+                    f"--{name}-tilde {tilde} with --beta {args.beta} gives {name} = "
+                    f"beta*{name}_tilde/2 - 1 = {w}; it must be finite and > -1")
+    return JacobiParams(args.n, ab["a"], ab["b"], args.beta)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -167,15 +173,14 @@ def cmd_compare(args) -> int:
         raise ParameterDomainError("--bins/--grid must be >= 1")
     if (args.bins or args.grid) and args.out is None:
         raise ParameterDomainError("--bins/--grid emit CSV companions and need --out")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        ecdf = monte_carlo_esd(p, scaling, args.trials, RngStream(args.seed, 0), mode=mode)
-    for w in caught:
-        if issubclass(w.category, UserWarning):
-            print(f"notice: {w.message}", file=sys.stderr)
-        else:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    ecdf = monte_carlo_esd(p, scaling, args.trials, RngStream(args.seed, 0), mode=mode)
     ks = ks_distance(ecdf, model_cdf(model))
+    # after the pool and its KS distance, so a run that fails prints only its error
+    proxy = transfer_proxy(p, scaling, mode)
+    if proxy < 10.0:
+        print(f"notice: scaled-comparison transfer proxy scale^4 (a+b)/log n = {proxy:.3g} < 10 "
+              f"at scale {_shift_scale(scaling, mode)[1]:.3g}; the eigenvalue-root error bound "
+              "may not resolve this scale", file=sys.stderr)
     lo, hi = model.support
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -109,9 +109,7 @@ def monic_factor(p: JacobiPolyParams) -> float:
     Raises MagnitudeOverflowError when either product overflows float64
     (from degree ~150 at gamma = delta = 0) instead of returning 0 or NaN.
     """
-    denom = pochhammer(p.n + p.gamma + p.delta + 1.0, p.n)
-    if denom == 0.0:
-        raise ParameterDomainError("zero Pochhammer divisor in monic factor")
+    denom = pochhammer(p.n + p.gamma + p.delta + 1.0, p.n)  # each factor > n - 1 >= 0
     num = 1.0
     for k in range(1, p.n + 1):
         num *= 2.0 * k

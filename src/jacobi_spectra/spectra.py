@@ -16,7 +16,6 @@ drawn.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -522,6 +521,15 @@ def scale_eigenvalues(lam: np.ndarray, s: ScalingSequence, mode: str) -> np.ndar
     return out
 
 
+def transfer_proxy(p: JacobiParams, s: ScalingSequence, mode: str = "plain") -> float:
+    """scale^4 (a + b)/log n at the scale ``mode`` applies (delta_n plain, 2 delta_n
+    doubled); inf at n = 1 and, for a + b > 0, where scale^4 overflows. The
+    eigenvalue-root error is of order {log n/(a + b)}^(1/4), so the scaled
+    eigenvalues inherit the roots' limit law only where this is large."""
+    scale, logn = _shift_scale(s, mode)[1], math.log(p.n)
+    return scale * scale * scale * scale * (p.a + p.b) / logn if logn else math.inf
+
+
 # ---------------------------------------------------------------------------
 # limit regimes: model with plug-in parameters and automatic plain scaling
 
@@ -605,23 +613,9 @@ def monte_carlo_esd(
     """Pooled ECDF of affinely scaled eigenvalues over independent trials.
 
     Trials run through :func:`run_trials`, so the pool is deterministic for a
-    given base stream. A notice warns when the transfer proxy scale^4 (a + b)/log n
-    of the scale that ``mode`` applies (delta_n plain, 2 delta_n doubled) is below 10.
+    given base stream; :func:`transfer_proxy` says how far it may follow the
+    roots' limit law.
     """
-    scale = _shift_scale(s, mode)[1]
-    if p.n >= 2:
-        try:
-            d4 = scale**4
-        except OverflowError:  # the proxy only decides the notice below
-            d4 = math.inf
-        transfer = d4 * (p.a + p.b) / math.log(p.n)
-        if transfer < 10.0:
-            warnings.warn(
-                "scaled-comparison transfer proxy delta^4 (a+b)/log n = "
-                f"{transfer:.3g} < 10; the root approximation may be too coarse "
-                "at this scale",
-                stacklevel=2,
-            )
 
     def scaled_spectrum(sub: RngStream) -> np.ndarray:
         return scale_eigenvalues(realize(p, sub)[1], s, mode)

@@ -113,6 +113,9 @@ def test_sample_parameter_error_names_constraint():
         (("--a", "inf", "--b", "0", "--beta", "2"), 2, "finite and satisfy a > -1"),
         (("--a", "0", "--b", "0", "--beta", "inf"), 2, "finite and satisfy beta > 0"),
         (("--a", "1e308", "--b", "1e308", "--beta", "2"), 4, "overflowed float64"),
+        # beta a_tilde/2 - 1 rounds to -1: the error names the flag, not an unpassed --a
+        (("--a-tilde", "1e-20", "--beta", "1"), 2, "--a-tilde 1e-20 with --beta 1.0 gives a ="),
+        (("--b-tilde", "inf"), 2, "--b-tilde inf with --beta 2.0 gives b ="),
     ],
 )
 def test_sample_nonfinite_or_overflowing_params_exit_cleanly(params, code, message):

@@ -42,6 +42,8 @@ def test_dims_reject_nonfinite_or_fractional_dimensions(dims):
 
 
 def test_dims_validation_and_induced_params():
+    with pytest.raises(ParameterDomainError, match="n >= 1"):
+        FDims(0, 5, 5)
     with pytest.raises(ParameterDomainError):
         FDims(10, 9, 20)
     with pytest.raises(ParameterDomainError):
@@ -69,6 +71,8 @@ def test_gaussian_pair_rejects_what_fdims_rejects():
     for x, y in [((4, 3), (4, 6)), ((4, 6), (4, 3)), ((0, 2), (0, 2))]:
         with pytest.raises(ParameterDomainError, match="n1 >= n >= 1 and n2 >= n"):
             GaussianPair(np.ones(x), np.ones(y))
+    with pytest.raises(ParameterDomainError, match="share their row count"):
+        GaussianPair(np.ones((4, 6)), np.ones((5, 6)))
 
 
 def test_dense_routes_read_the_dimensions_from_the_pair():
@@ -335,6 +339,19 @@ def test_shifted_semicircle_transform_monotone():
     d = FDims(100, 50000, 5000)
     grid = np.linspace(0.0, 100.0, 300)
     assert np.all(np.diff(shifted_semicircle_transform(grid, d)) > 0.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: semicircle_transform(1.0, FDims(5, 5, 10)), "n1 > n"),
+    (lambda: reciprocal_edge_transform(1.0, FDims(5, 5, 10)), "n1 > n"),
+    (lambda: shifted_semicircle_transform(1.0, FDims(5, 10, 5)), "n2 > n"),
+    (lambda: transform_limit_cdf("thm41", FDims(5, 10, 20)), "unknown transform 'thm41'"),
+    (lambda: f_esd_pooled(FDims(5, 10, 20), 1, RngStream(SEED, 0), "thm41"),
+     "unknown transform 'thm41'"),
+], ids=["thm42-n1=n", "thm43-n1=n", "thm44-n2=n", "limit-cdf-unknown", "pooled-unknown"])
+def test_transforms_reject_dimensions_and_kinds_outside_their_domain(call, match):
+    with pytest.raises(ParameterDomainError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("kind", ["none", "thm42", "thm43", "thm44"])

@@ -215,6 +215,16 @@ def test_shifted_parameter_values_match_exact_sum():
     assert np.all(np.array(errs) < 1e-13)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: JacobiPolyParams(2, -1.0, 0.0), "gamma > -1 and delta > -1"),
+    (lambda: JacobiPolyParams(2, 0.0, -1.0), "gamma > -1 and delta > -1"),
+    (lambda: jacobi_roots_scaled(JacobiPolyParams(0, 0.5, 0.5)), "degree n >= 1"),
+], ids=["gamma=-1", "delta=-1", "roots-degree-0"])
+def test_poly_params_and_roots_reject_their_domain_ends(call, match):
+    with pytest.raises(ParameterDomainError, match=match):
+        call()
+
+
 def test_identity_degree_preconditions():
     with pytest.raises(ParameterDomainError):
         first_param_lowering_residual(JacobiPolyParams(1, 1.0, 1.0), 0.0)

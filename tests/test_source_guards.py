@@ -46,3 +46,36 @@ def test_unread_parameter_guard_sees_a_dropped_read():
         "@criterion('C00', 'deterministic', 0.0, 1.0)\ndef check(rng):\n    return 0.0\n"
     )
     assert unread_parameters(source) == ["3 dropped: d"]
+
+
+def warnings_imports(source: str) -> list[int]:
+    """Line of every import of the warnings module in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "warnings" for m in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_imports_warnings():
+    # the library reports a diagnostic as a value and the CLI prints it; a
+    # warning would reach the user only through whatever filter is set
+    found = {path.name: warnings_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_warnings_guard_sees_every_import_form():
+    source = (
+        "import math\nimport warnings\n"
+        "from warnings import warn\n"
+        "def f():\n    import warnings as w\n    return w\n"
+        "from .errors import ParameterDomainError\n"
+    )
+    assert warnings_imports(source) == [2, 3, 5]

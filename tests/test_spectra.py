@@ -46,6 +46,7 @@ from jacobi_spectra.spectra import (
     realize,
     run_trials,
     scale_eigenvalues,
+    transfer_proxy,
 )
 
 from oracles import (
@@ -763,6 +764,15 @@ def test_scale_eigenvalues_overflow_raises_without_warning():
         assert np.all(np.isfinite(scale_eigenvalues(np.array([0.0]), s, "plain")))
 
 
+@pytest.mark.parametrize("y, yprime, match", [
+    (0.0, 0.5, r"y in \(0, 1\]"),
+    (0.5, 1.0, r"yprime in \(0, 1\)"),
+])
+def test_fmatrix_density_rejects_aspect_ratios_outside_its_domain(y, yprime, match):
+    with pytest.raises(ParameterDomainError, match=match):
+        FMatrixDensity(y, yprime)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ecdf_rejects_nonfinite_points(bad):
     with pytest.raises(ParameterDomainError):
@@ -804,27 +814,26 @@ def test_regime_domain_checks():
         REGIMES["shifted-semicircle"](JacobiParams(20, 30.0, -0.5, 2.0))
 
 
-def test_monte_carlo_warns_on_weak_transfer():
+def test_transfer_proxy_reads_the_applied_scale_and_runs_without_warning():
     p = JacobiParams(50, 1.0, 1.0, 2.0)
     s = ScalingSequence(0.1, 0.0, 50)
-    with pytest.warns(UserWarning):
-        monte_carlo_esd(p, s, 1, RngStream(4, 0))
-
-
-def test_monte_carlo_overflowing_transfer_proxy_gives_no_notice():
-    # delta^4 overflows float64: the proxy reads +inf, above the notice threshold
-    p = JacobiParams(20, 3.0, 3.0, 2.0)
+    plain = transfer_proxy(p, s)
+    assert plain == pytest.approx(1e-4 * 2.0 / math.log(50), rel=1e-15)
+    assert transfer_proxy(p, s, "doubled") == pytest.approx(16.0 * plain, rel=1e-15)
+    # log 1 = 0, and a scale whose fourth power overflows float64
+    assert transfer_proxy(JacobiParams(1, 1.0, 1.0, 2.0), ScalingSequence(0.1, 0.0, 1)) == math.inf
+    assert transfer_proxy(p, ScalingSequence(1e300, 0.0, 50)) == math.inf
+    with pytest.raises(ParameterDomainError):
+        transfer_proxy(p, s, "identity")
+    # the library reports the proxy as a value; the weak point warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        e = monte_carlo_esd(p, ScalingSequence(1e300, 1e300, 20), 1, RngStream(4, 0))
-    assert e.n == 20
+        assert monte_carlo_esd(p, s, 1, RngStream(4, 0)).n == 50
 
 
 def test_pooled_esd_close_to_ratio_limit():
     # desk-scale version of the figure-reproduction run
     n = 500
     p = JacobiParams(n, 3.0 * n, 3.0 * n, 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        e = monte_carlo_esd(p, ScalingSequence(0.5, 0.5, n), 4, RngStream(5, 0), mode="doubled")
+    e = monte_carlo_esd(p, ScalingSequence(0.5, 0.5, n), 4, RngStream(5, 0), mode="doubled")
     assert ks_distance(e, model_cdf(RatioDensity(3.0, 3.0))) < 0.05
