@@ -50,6 +50,5 @@ from .spectra import (
     realize,
 )
 from .trieig import charpoly_eval, eig_tridiag
-from .verify import DEFAULT_SEED, run_all
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
 from .errors import real_array, real_number, whole_number
-from .trieig import Spectrum, _eig_zero_diagonal, eig_tridiag
+from .trieig import Spectrum, eig_tridiag
 from .ensemble import JacobiParams, SymTridiag, _exact_scale
 
 
@@ -134,7 +134,7 @@ def recurrence_coefficients(p: JacobiPolyParams | JacobiParams) -> tuple[np.ndar
     b_tilde both underflow to 0, NumericalFailureError is raised: the limit of
     the coefficients there is set by (a + 1)/(a + b + 2), which they lose.
     """
-    if p.a_tilde == p.b_tilde == 0.0:
+    if p.a_tilde == 0.0 and p.b_tilde == 0.0:
         raise NumericalFailureError(
             "recurrence coefficients are undefined: a_tilde = (2a + 2)/beta and "
             "b_tilde = (2b + 2)/beta both underflowed float64 to 0"
@@ -164,21 +164,17 @@ def jacobi_roots_scaled(p: JacobiPolyParams | JacobiParams) -> Spectrum:
     """Ascending roots of P_n^{(a_tilde - 1, b_tilde - 1)}(x/2) from p's n, a_tilde
     and b_tilde, in [-2, 2] up to 8n float64 epsilons of rounding (not clamped).
 
-    Computed as eigenvalues of the symmetric tridiagonal matrix obtained by
-    symmetrizing the monic recurrence (Golub-Welsch shape), then doubling.
-    For a_tilde = b_tilde the diagonal is exactly zero and the roots are the
-    +-singular values of an order-ceil(n/2) bidiagonal (LAPACK dqds), each
-    to high relative accuracy, mirror symmetric bit for bit, with an exact
-    0.0 in the middle for odd n.
+    Computed by :func:`~jacobi_spectra.trieig.eig_tridiag` on the symmetric
+    tridiagonal matrix obtained by symmetrizing the monic recurrence
+    (Golub-Welsch shape), then doubled. For a_tilde = b_tilde that diagonal
+    is exactly zero, so ``eig_tridiag`` takes its half-size dqds route: each
+    root to high relative accuracy, mirror symmetric bit for bit, with an
+    exact 0.0 in the middle for odd n.
     """
     if p.n < 1:
         raise ParameterDomainError("need degree n >= 1 for roots")
     diag, off_sq = recurrence_coefficients(p)
-    # B_k > 0 in exact arithmetic for an integrable weight; guard rounding
-    off = np.sqrt(np.maximum(off_sq, 0.0))
-    if p.a_tilde == p.b_tilde:
-        return Spectrum(2.0 * _eig_zero_diagonal(off))
-    return Spectrum(2.0 * eig_tridiag(SymTridiag(diag, off)).values)
+    return Spectrum(2.0 * eig_tridiag(SymTridiag(diag, np.sqrt(off_sq))).values)
 
 
 @functools.lru_cache(maxsize=1)

@@ -2,8 +2,8 @@
 recurrence, and the symmetric-definite generalized problem.
 
 The tridiagonal path is the production solver (LAPACK root-free QR,
-eigenvalues only). A zero-diagonal tridiagonal, the recurrence matrix of
-equal-exponent Jacobi roots, is solved as the singular values of its
+eigenvalues only). A zero diagonal (the Jacobi recurrence and mean matrices
+at equal exponents) routes it to the singular values of the half-size
 Golub-Kahan bidiagonal (LAPACK dqds). The dense pencil A v = lambda B v of
 the Gaussian F-matrix route is LAPACK ``dsygvd`` (Cholesky of B, then a
 divide-and-conquer solve of L^-1 A L^-T). The tests hold it to a Cholesky
@@ -156,15 +156,20 @@ class Spectrum:
 def eig_tridiag(t: SymTridiag) -> Spectrum:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
+    A zero diagonal with finite off-diagonal takes :func:`_eig_zero_diagonal`
+    (half-size dqds); any other matrix, a NaN or infinite entry included,
     Pal-Walker-Kahan root-free QR (LAPACK ``dsterf``). The tests hold each
-    eigenvalue v_k to the Sturm-count bracket
+    eigenvalue v_k of both routes to the Sturm-count bracket
     count(v_k - tol) <= k < count(v_k + tol), tol = 1e-13 * ||T||_inf.
-    Raises NumericalFailureError when the QR iteration does not converge or
-    an eigenvalue is not finite, e.g. on a NaN or infinite entry.
+    Raises NumericalFailureError when LAPACK does not converge or an
+    eigenvalue is not finite, e.g. on a NaN or infinite entry.
     """
-    vals, info = _dsterf(t.diag, t.off)
-    if info != 0:
-        raise NumericalFailureError(f"tridiagonal QR did not converge (dsterf info={info})")
+    if np.count_nonzero(t.diag) == 0 and np.isfinite(t.off).all():
+        vals = _eig_zero_diagonal(t.off)
+    else:
+        vals, info = _dsterf(t.diag, t.off)
+        if info != 0:
+            raise NumericalFailureError(f"tridiagonal QR did not converge (dsterf info={info})")
     try:  # Spectrum's one order and finiteness scan
         return Spectrum(vals)
     except ParameterDomainError:
@@ -181,8 +186,8 @@ def _eig_zero_diagonal(off: np.ndarray) -> np.ndarray:
     middle eigenvalue for odd n; the result is mirror symmetric bit for bit.
     LAPACK ``dlasq1`` (dqds) computes every sigma(C) to high relative
     accuracy, which the eigenvalues near 0 need, and scales internally.
-    Raises NumericalFailureError when ``dlasq1`` reports info != 0 or a
-    singular value is not finite, e.g. on a NaN or infinite entry.
+    Raises NumericalFailureError when ``dlasq1`` reports info != 0. ``off``
+    must be finite: ``dlasq1`` can drop a NaN ([nan, 1e-12] reads 0, +-1e-12).
     """
     n = off.size + 1
     d = np.zeros((n + 1) // 2)
@@ -190,8 +195,6 @@ def _eig_zero_diagonal(off: np.ndarray) -> np.ndarray:
     sigma, info = _dlasq1(d, off[1::2])
     if info != 0:
         raise NumericalFailureError(f"bidiagonal singular values failed (dlasq1 info={info})")
-    if not finite_ascending(sigma[::-1]):
-        raise NumericalFailureError("zero-diagonal tridiagonal has a NaN or infinite entry")
     sigma = sigma[: n // 2]  # descending: odd n drops the padding's 0
     return np.concatenate((-sigma, np.zeros(n % 2), sigma[::-1]))
 

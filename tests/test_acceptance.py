@@ -11,6 +11,9 @@ trials, so any change to the sampled bytes can move it to either side of
 3.0. It was a strict expected failure while the default seed read 3.134.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from jacobi_spectra.betarand import RngStream
@@ -39,3 +42,11 @@ def test_criterion(cid):
 
 def test_registry_covers_all_ids():
     assert sorted(CRITERIA) == [f"C{i:02d}" for i in range(1, 14)]
+
+
+def test_package_import_leaves_verify_unloaded():
+    # the package root re-exports the README's and demos' names only; the
+    # gate is imported from jacobi_spectra.verify, by the CLI and these tests
+    code = "import sys, jacobi_spectra; print('jacobi_spectra.verify' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi, roots_jacobi
 
-from jacobi_spectra import polyroots
+from jacobi_spectra import polyroots, trieig
 from jacobi_spectra.ensemble import JacobiParams, SymTridiag, expected_matrix
 from jacobi_spectra.errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
 from jacobi_spectra.polyroots import (
@@ -99,7 +99,8 @@ def test_roots_symmetric_for_equal_params():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 41, 50, 51, 1000, 1001, 3001])
 def test_equal_exponent_roots_take_the_half_size_route(n):
-    # gamma = delta: +-singular values of an order-ceil(n/2) bidiagonal
+    # gamma = delta: +-singular values of an order-ceil(n/2) bidiagonal, held
+    # to dsterf on the full matrix and to the Sturm bracket
     for g in (-0.99, 0.0, 1.0, 3.0 * n, 1e6):
         p = JacobiPolyParams(n, g, g)
         r = jacobi_roots_scaled(p).values
@@ -110,7 +111,7 @@ def test_equal_exponent_roots_take_the_half_size_route(n):
         assert np.array_equal(r, -r[::-1])
         if n % 2:
             assert r[n // 2] == 0.0
-        assert np.max(np.abs(v - eig_tridiag(t).values)) <= tol
+        assert np.max(np.abs(v - trieig._dsterf(t.diag, t.off)[0])) <= tol
         if n > 1:  # the 1x1 matrix is [0]: a zero tolerance has no bracket
             k = np.arange(n)
             assert np.all(sturm_count(t, v - tol) <= k)
@@ -298,6 +299,28 @@ def test_both_rescaled_parameters_underflowed_raise_a_typed_error():
     with pytest.raises(NumericalFailureError, match="both underflowed float64 to 0") as info:
         ensemble_roots(p)
     assert type(info.value) is NumericalFailureError
+
+
+def test_recurrence_off_diagonal_squares_are_never_negative():
+    # each B_k is a product of positive ratios (k = 1 its own positive formula)
+    # and a non-finite one raises, so jacobi_roots_scaled takes sqrt(B_k) as is;
+    # the sweep covers a_tilde + b_tilde < 1 and shifted exponents near 1e+-300
+    exps = (-0.9999999999999999, -0.5, 0.0, 1.0, 1e3, 1e150, 1e300)
+    tildes = []
+    for n in (1, 2, 3, 10, 101):
+        for a in exps:
+            for b in exps:
+                for beta in (1e-300, 1e-10, 0.5, 2.0, 1e10, 1e150, 1e300, 1.7e308):
+                    p = JacobiParams(n, a, b, beta)
+                    try:
+                        _, off_sq = recurrence_coefficients(p)
+                    except (MagnitudeOverflowError, NumericalFailureError):
+                        continue
+                    assert np.all(off_sq >= 0.0), (n, a, b, beta)
+                    tildes.append((p.a_tilde, p.b_tilde))
+    at, bt = np.array(tildes).T
+    assert len(tildes) > 1000 and np.any(at + bt < 1.0)
+    assert at.min() < 1e-300 and at.max() > 1e300
 
 
 def test_infinite_exponent_sum_raises_only_overflow():

@@ -79,3 +79,34 @@ def test_warnings_guard_sees_every_import_form():
         "from .errors import ParameterDomainError\n"
     )
     assert warnings_imports(source) == [2, 3, 5]
+
+
+def private_trieig_imports(source: str) -> list[str]:
+    """"line name" of every name starting with _ that source imports from the
+    package's trieig module, relatively or by its absolute name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if module in (".trieig", "jacobi_spectra.trieig"):
+            found += [f"{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_only_trieig_uses_its_private_solvers():
+    # eig_tridiag alone picks the LAPACK route (dsterf or half-size dqds) from
+    # the matrix it is given; a caller reaching past it would pick a second way
+    found = {path.name: private_trieig_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "trieig.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_private_trieig_guard_sees_every_import_form():
+    source = (
+        "from .trieig import Spectrum, _eig_zero_diagonal\n"
+        "from .ensemble import _exact_scale\n"
+        "def f():\n    from jacobi_spectra.trieig import _dsterf as d\n    return d\n"
+        "from .trieig import eig_tridiag\n"
+    )
+    assert private_trieig_imports(source) == ["1 _eig_zero_diagonal", "4 _dsterf"]

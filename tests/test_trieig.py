@@ -10,7 +10,13 @@ import pytest
 
 from jacobi_spectra import trieig
 from jacobi_spectra.betarand import RngStream
-from jacobi_spectra.ensemble import JacobiParams, SymTridiag, random_matrix, sample_alphas
+from jacobi_spectra.ensemble import (
+    JacobiParams,
+    SymTridiag,
+    expected_matrix,
+    random_matrix,
+    sample_alphas,
+)
 from jacobi_spectra.errors import (
     DegenerateSampleError,
     MagnitudeOverflowError,
@@ -19,7 +25,7 @@ from jacobi_spectra.errors import (
     finite_ascending,
 )
 from jacobi_spectra.fmatrix import FDims
-from jacobi_spectra.polyroots import JacobiPolyParams, recurrence_coefficients
+from jacobi_spectra.polyroots import JacobiPolyParams, ensemble_roots, recurrence_coefficients
 from jacobi_spectra.trieig import (
     Spectrum,
     _eig_zero_diagonal,
@@ -136,6 +142,8 @@ def test_eig_tridiag_scans_its_eigenvalues_once(monkeypatch):
     t = _tridiag([1.0, 2.0, 3.0], [0.5, 0.5])
     assert np.array_equal(eig_tridiag(t).values, trieig._dsterf(t.diag, t.off)[0])
     assert calls == [3]
+    eig_tridiag(_tridiag(np.zeros(4), [1.0, 0.5, 0.25]))  # the half-size route
+    assert calls == [3, 4]
     with pytest.raises(NumericalFailureError, match="^tridiagonal matrix has a NaN or infinite"):
         eig_tridiag(_tridiag([np.nan], []))
     with pytest.raises(ParameterDomainError, match="len\\(diag\\) - 1"):
@@ -182,22 +190,47 @@ def test_eig_tridiag_within_sturm_bracket(make):
 
 @pytest.mark.parametrize("n, seed", [(8, 4), (400, 0), (401, 0)])
 def test_eig_tridiag_graded_zero_diagonal_within_sturm_bracket(n, seed):
-    # off-diagonals spread over e^-20..1: both the general solver and the
-    # half-size route of symmetric Jacobi roots hold the Sturm bracket
+    # off-diagonals spread over e^-20..1: both the half-size route eig_tridiag
+    # takes here and the general solver hold the Sturm bracket
     rng = np.random.default_rng(seed)
     t = _tridiag(np.zeros(n), np.exp(-20.0 * rng.random(n - 1)))
     tol = 1e-13 * norm_inf(t)
     k = np.arange(n)
-    for vals in (eig_tridiag(t).values, _eig_zero_diagonal(t.off)):
+    for vals in (eig_tridiag(t).values, trieig._dsterf(t.diag, t.off)[0]):
         assert np.all(sturm_count(t, vals - tol) <= k)
         assert np.all(k < sturm_count(t, vals + tol))
 
 
-@pytest.mark.parametrize("off", [[1.0, np.nan, 0.5], [1.0, np.inf, 0.5], [np.inf], [0.5, np.nan]])
+@pytest.mark.parametrize("n", [1, 2, 7, 400, 401])
+def test_eig_tridiag_routes_zero_diagonal_to_half_size_solve(n):
+    # the route is read from the matrix: an all-zero diagonal (-0.0 included)
+    # gives the half-size route's bytes, one nonzero diagonal entry dsterf's
+    rng = np.random.default_rng(n)
+    off = np.exp(-20.0 * rng.random(n - 1))
+    diag = np.zeros(n)
+    diag[::2] = -0.0
+    assert np.array_equal(eig_tridiag(_tridiag(diag, off)).values, _eig_zero_diagonal(off))
+    diag[n // 2] = 1e-300
+    vals = eig_tridiag(_tridiag(diag, off)).values
+    assert np.array_equal(vals, trieig._dsterf(diag, off)[0])
+
+
+def test_mean_matrix_at_equal_exponents_takes_the_half_size_route():
+    p = JacobiParams(301, 903.0, 903.0, 2.0)
+    vals = eig_tridiag(expected_matrix(p)).values
+    assert np.array_equal(vals, -vals[::-1])
+    assert vals[150] == 0.0 and not np.signbit(vals[150])
+    assert np.max(np.abs(vals - ensemble_roots(p))) <= 2e-15
+
+
+@pytest.mark.parametrize("off", [[1.0, np.nan, 0.5], [1.0, np.inf, 0.5], [np.inf], [0.5, np.nan],
+                                 [np.nan, 1e-12], [0.0, np.nan, 0.0, 0.0]])
 def test_eig_zero_diagonal_nonfinite_entry_raises(off):
-    # dlasq1 itself reports info = 0 here, returning NaN or [inf, 0]
+    # dlasq1 reports info = 0 on all of these, returning NaN or [inf, 0], or
+    # finite values for the last two; eig_tridiag sends them to dsterf, which
+    # reports info != 0 or a non-finite eigenvalue
     with pytest.raises(NumericalFailureError):
-        _eig_zero_diagonal(np.array(off))
+        eig_tridiag(_tridiag(np.zeros(len(off) + 1), off))
 
 
 def test_eig_matches_charpoly_bisection_oracle():
@@ -390,9 +423,9 @@ def test_lapack_calls_map_no_scipy_library():
 import sys
 import numpy as np
 from jacobi_spectra.ensemble import SymTridiag
-from jacobi_spectra.trieig import _eig_zero_diagonal, eig_generalized_sym, eig_tridiag
+from jacobi_spectra.trieig import eig_generalized_sym, eig_tridiag
 eig_tridiag(SymTridiag(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5])))
-_eig_zero_diagonal(np.array([1.0, 0.5, 0.25]))
+eig_tridiag(SymTridiag(np.zeros(4), np.array([1.0, 0.5, 0.25])))
 eig_generalized_sym(np.array([[1.0, 0.5], [0.5, 2.0]]), np.eye(2))
 with open("/proc/self/maps") as f:
     paths = {{p.strip() for line in f for p in line.split(maxsplit=5)[5:]}}
