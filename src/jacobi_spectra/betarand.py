@@ -158,7 +158,7 @@ class RngStream:
         k = whole_number(k, "substream index must be a whole number k >= 0", 0)
         return RngStream(_mix64(self._key ^ _mix64(((k + 1) * _GOLDEN) & _MASK64)), 0)
 
-    def _call_key(self) -> int:
+    def call_key(self) -> int:
         """The next raw word, as the key of one keyed call."""
         self._pos += 1
         return _mix64((self._key + self._pos * _GOLDEN) & _MASK64)
@@ -359,7 +359,7 @@ def sample_beta01(params: BetaParams, rng: RngStream) -> np.ndarray:
     One call takes one key word of ``rng``; draw i is keyed variate i of
     that call, so a prefix of the shapes gives a prefix of the draws.
     """
-    z = BetaPlan(params).draw(rng._call_key())[0, ...]
+    z = BetaPlan(params).draw(rng.call_key())[0, ...]
     np.maximum(z, _TINY, out=z)
     np.minimum(z, _ONE_MINUS, out=z)
     return z

@@ -36,7 +36,6 @@ from .spectra import (
     SCALING_MODES,
     Ecdf,
     ScalingSequence,
-    _shift_scale,
     density_eval,
     deviation_probability_bound,
     deviation_report,
@@ -45,6 +44,7 @@ from .spectra import (
     monte_carlo_esd,
     realize,
     run_trials,
+    shift_scale,
     transfer_proxy,
 )
 from .verify import DEFAULT_SEED, run_all
@@ -179,7 +179,7 @@ def cmd_compare(args) -> int:
     proxy = transfer_proxy(p, scaling, mode)
     if proxy < 10.0:
         print(f"notice: scaled-comparison transfer proxy scale^4 (a+b)/log n = {proxy:.3g} < 10 "
-              f"at scale {_shift_scale(scaling, mode)[1]:.3g}; the eigenvalue-root error bound "
+              f"at scale {shift_scale(scaling, mode)[1]:.3g}; the eigenvalue-root error bound "
               "may not resolve this scale", file=sys.stderr)
     lo, hi = model.support
     payload = {

@@ -162,7 +162,7 @@ def sample_alphas(p: JacobiParams, rng: RngStream) -> AlphaVector:
     """Draw the 2n-1 variates alpha_k = W_k - Z_k of one matrix realization,
     Z_k ~ Beta(p_k, q_k) and W_k = 1 - Z_k from one gamma pair: the plan's
     (Z, W) stack, doubled in place, is their exact complements 2 Z_k, 2 W_k."""
-    zw = alpha_plan(p).draw(rng._call_key())
+    zw = alpha_plan(p).draw(rng.call_key())
     np.multiply(zw, _TWO, out=zw)
     return AlphaVector(zw)
 
@@ -189,7 +189,7 @@ def random_matrix(alphas: AlphaVector) -> SymTridiag:
     return SymTridiag(diag, np.sqrt(off, out=off))
 
 
-def _exact_scale(count: float, unit: float, *terms: float) -> float:
+def exact_scale(count: float, unit: float, *terms: float) -> float:
     """The largest power of two 2^-j, j >= 0, that keeps sums of count * unit,
     the |terms| and a few units below 2^1023 once every operand is multiplied
     by it, as bounded by the operands' binary exponents: 1.0 while that bound
@@ -209,7 +209,7 @@ def expected_matrix(p: JacobiParams) -> SymTridiag:
     at x/2. The shapes are taken at one exact power-of-two scale (1.0 below
     2^1021), so every sum p + q is finite and every ratio is the unscaled one.
     """
-    ps, qs = alpha_shapes(p, _exact_scale(p.n, p.beta, p.a, p.b))
+    ps, qs = alpha_shapes(p, exact_scale(p.n, p.beta, p.a, p.b))
     s = ps + qs
     # 2 (p/s), not 2p/s: doubling is exact, and 2p could overflow
     m = random_matrix(AlphaVector(2.0 * np.stack((ps / s, qs / s))))

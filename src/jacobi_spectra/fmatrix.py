@@ -25,8 +25,8 @@ from .errors import (
     MagnitudeOverflowError, NumericalFailureError, ParameterDomainError, real_array, whole_number,
 )
 from .spectra import (
-    EdgeDensity, FMatrixDensity, SemicircleDensity, _cdf_into, ascending_points, model_cdf,
-    realize, run_trials, semicircle_radius,
+    FMatrixDensity, SemicircleDensity, model_cdf, realize, reciprocal_edge_cdf, run_trials,
+    semicircle_radius,
 )
 from .trieig import Spectrum, eig_generalized_sym
 
@@ -235,30 +235,13 @@ def shifted_semicircle_transform(lam_f, d: FDims):
     (support [-6, 2]).
     """
     n, n1, n2 = d.n, d.n1, d.n2
-    if n2 <= n:
-        raise ParameterDomainError("transform needs n2 > n")
+    if n1 <= n or n2 <= n:
+        raise ParameterDomainError("transform needs n1 > n and n2 > n")
     w = math.sqrt(n * (n2 - n))
     s = _f_eigenvalues(lam_f)
     num = (n1 / n2) * (n2 - w) * s - (n1 + w)
     den = w * (1.0 + (n1 / n2) * s)
     return 2.0 * (n1 - n) / (n1 + n2) * num / den
-
-
-def _reciprocal_edge_limit_cdf(d: FDims):
-    edge = EdgeDensity(d.n2 / d.n - 1.0)
-
-    def cdf(xs):
-        xs = ascending_points(xs)
-        # 1 - G(1/x) is 0 on the prefix x < the smallest normal float (all
-        # x <= 0 among them), where 1/x is +inf or overflows; the closed form
-        # takes the rest's 1/x, descending, in place
-        pos = np.searchsorted(xs, np.finfo(np.float64).tiny)
-        out = np.zeros_like(xs)
-        rest = np.divide(1.0, xs[pos:], out=out[pos:])
-        np.subtract(1.0, _cdf_into(edge, rest, rest), out=rest)
-        return out
-
-    return cdf
 
 
 # kind -> (F-eigenvalue map (lam, d) -> mu, dims d -> CDF of the limit law of mu)
@@ -271,7 +254,7 @@ TRANSFORMS = {
         semicircle_transform,
         lambda d: model_cdf(SemicircleDensity(semicircle_radius(d.n1 / d.n2))),
     ),
-    "thm43": (reciprocal_edge_transform, _reciprocal_edge_limit_cdf),
+    "thm43": (reciprocal_edge_transform, lambda d: reciprocal_edge_cdf(d.n2 / d.n - 1.0)),
     "thm44": (shifted_semicircle_transform, lambda d: model_cdf(SemicircleDensity(4.0, -2.0))),
 }
 
@@ -286,8 +269,7 @@ def transform_limit_cdf(kind: str, d: FDims):
     """CDF callable of the limiting law matching a transform at dimensions d.
 
     Plug-in parameters are used (y = n/n1, y' = n/n2, g = n1/n2); points as
-    ``cdf_grid`` takes them. For ``thm43`` the limit is the law of 1/Z with
-    Z ~ EdgeDensity, so its CDF is 1 - G(1/x) by reflection, 0 at x <= 0.
+    ``cdf_grid`` takes them; ``thm43``'s is :func:`~jacobi_spectra.spectra.reciprocal_edge_cdf`.
     """
     return _transform(kind)[1](d)
 

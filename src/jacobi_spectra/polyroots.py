@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MagnitudeOverflowError, NumericalFailureError, ParameterDomainError
 from .errors import real_array, real_number, whole_number
 from .trieig import Spectrum, eig_tridiag
-from .ensemble import JacobiParams, SymTridiag, _exact_scale
+from .ensemble import JacobiParams, SymTridiag, exact_scale
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def recurrence_coefficients(p: JacobiPolyParams | JacobiParams) -> tuple[np.ndar
             "recurrence coefficients are undefined: a_tilde = (2a + 2)/beta and "
             "b_tilde = (2b + 2)/beta both underflowed float64 to 0"
         )
-    n, one = p.n, _exact_scale(p.n, 2.0, p.a_tilde, p.b_tilde)
+    n, one = p.n, exact_scale(p.n, 2.0, p.a_tilde, p.b_tilde)
     at, bt = p.a_tilde * one, p.b_tilde * one
     diag = np.empty(n)
     km = np.arange(n - 1, dtype=np.float64) * one  # k - 1 for k = 1..n-1

@@ -102,9 +102,9 @@ class DensityModel:
 
     def _settle(self, support, rational, **fields):
         """Set the law's fields, support and rational form, once the one float64
-        check of every law passes: finite lo < hi, and c and w finite."""
+        check of every law passes: finite lo < hi, and c and w finite, not both 0."""
         (lo, hi), (c, w, _) = support, rational
-        if not (-math.inf < lo < hi < math.inf and math.isfinite(c) and math.isfinite(w)):
+        if not (-math.inf < lo < hi < math.inf and 0.0 < abs(c) + abs(w) < math.inf):
             law = type(self).__name__.removesuffix("Density").lower()
             raise MagnitudeOverflowError(f"{law}-law support or weight overflowed float64, "
                                          "or the support collapsed to a point")
@@ -422,6 +422,24 @@ def model_cdf(m: DensityModel):
     return lambda xs: cdf_grid(m, xs)
 
 
+def reciprocal_edge_cdf(beta0: float):
+    """CDF of 1/Z, Z ~ EdgeDensity(beta0) with CDF G: 1 - G(1/x), 0 at x <= 0."""
+    edge = EdgeDensity(beta0)
+
+    def cdf(xs):
+        xs = ascending_points(xs)
+        # 1 - G(1/x) is 0 on the prefix x < the smallest normal float (all
+        # x <= 0 among them), where 1/x is +inf or overflows; the closed form
+        # takes the rest's 1/x, descending, in place
+        pos = np.searchsorted(xs, np.finfo(np.float64).tiny)
+        out = np.zeros_like(xs)
+        rest = np.divide(1.0, xs[pos:], out=out[pos:])
+        np.subtract(1.0, _cdf_into(edge, rest, rest), out=rest)
+        return out
+
+    return cdf
+
+
 # ---------------------------------------------------------------------------
 # deviation machinery
 
@@ -501,7 +519,7 @@ class ScalingSequence:
 SCALING_MODES = ("plain", "doubled")
 
 
-def _shift_scale(s: ScalingSequence, mode: str) -> tuple[float, float]:
+def shift_scale(s: ScalingSequence, mode: str) -> tuple[float, float]:
     """(shift, scale) of one of the two conventions: xi = (lambda - shift)/scale."""
     if mode == "plain":
         return s.epsilon_n, s.delta_n
@@ -512,7 +530,7 @@ def _shift_scale(s: ScalingSequence, mode: str) -> tuple[float, float]:
 
 def scale_eigenvalues(lam: np.ndarray, s: ScalingSequence, mode: str) -> np.ndarray:
     """Apply one of the two affine scaled-eigenvalue conventions."""
-    shift, scale = _shift_scale(s, mode)
+    shift, scale = shift_scale(s, mode)
     with np.errstate(all="ignore"):
         out = real_array(lam) - shift
         out /= scale
@@ -526,7 +544,7 @@ def transfer_proxy(p: JacobiParams, s: ScalingSequence, mode: str = "plain") -> 
     doubled); inf at n = 1 and, for a + b > 0, where scale^4 overflows. The
     eigenvalue-root error is of order {log n/(a + b)}^(1/4), so the scaled
     eigenvalues inherit the roots' limit law only where this is large."""
-    scale, logn = _shift_scale(s, mode)[1], math.log(p.n)
+    scale, logn = shift_scale(s, mode)[1], math.log(p.n)
     return scale * scale * scale * scale * (p.a + p.b) / logn if logn else math.inf
 
 

@@ -26,7 +26,9 @@ polynomials and closed-form beta moments, also in exact rationals (not a
 sample), the mixed moments of its determinants det(2I +- T) from the same
 beta moments and from the Selberg integral's product formula (not from the
 shape table alone), and its off-diagonals from the gamma pairs of a draw in
-exact rationals (not from float complements).
+exact rationals (not from float complements). The law of the eigenvalue at a
+hard edge comes from the density's scaling under a change of variables (not
+from a sample or a solver).
 """
 
 import math
@@ -633,3 +635,20 @@ def selberg_moment(n: int, a: float, b: float, beta: float, u: int, s: int) -> F
         out *= _rising(b + 1 + j * half, u) * _rising(a + 1 + j * half, s)
         out /= _rising(a + b + 2 + (n + j - 1) * half, u + s)
     return out
+
+
+def hard_edge_exponent(n: int, e: float, beta: float) -> float:
+    """K = n(e + 1) + beta n(n - 1)/2 of :func:`hard_edge_uniform`."""
+    return n * (e + 1.0) + beta * n * (n - 1) / 2.0
+
+
+def hard_edge_uniform(gap: np.ndarray, k: float) -> np.ndarray:
+    """U = (1 - gap/4)^K, Uniform(0, 1) for the exact K of :func:`hard_edge_exponent`.
+
+    At b = 0, gap = lambda_min + 2 and e = a: lambda = 2 - r (2 - y) with
+    r = 1 - t/4 maps (-2, 2) onto (-2 + t, 2), and scales dx by r, every
+    |x_i - x_j| and 2 - x_i by r, so P(lambda_min > -2 + t) = r^K exactly at
+    every n, a > -1 and beta > 0. At a = 0 the mirror holds for
+    gap = 2 - lambda_max with e = b.
+    """
+    return np.exp(k * np.log1p(-gap / 4.0))

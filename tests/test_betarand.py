@@ -27,7 +27,7 @@ from oracles import beta01_keyed, beta_pair_keyed, gamma_keyed, inverse_cdf_beta
 
 def gammas(shape: float, rng: RngStream, n: int) -> np.ndarray:
     """n Gamma(shape, 1) draws as keyed variates 0..n-1 of one call of rng."""
-    return GammaPlan(np.full(n, shape), np.arange(n)).draw(rng._call_key())
+    return GammaPlan(np.full(n, shape), np.arange(n)).draw(rng.call_key())
 
 
 def shapes(p: float, q: float, n: int) -> BetaParams:
@@ -259,7 +259,7 @@ def test_beta_plan_equals_per_call_reference_and_is_read_only():
     for a, b, end in ((p, q, _ONE_MINUS), (q, p, _TINY)):
         for t in (0, 1):
             z = sample_beta01(BetaParams(a, b), RngStream(31, t))
-            ref = beta01_keyed(RngStream(31, t)._call_key(), a, b, np.arange(a.size))
+            ref = beta01_keyed(RngStream(31, t).call_key(), a, b, np.arange(a.size))
             assert z.tobytes() == ref.tobytes()
             assert end in z
     assert plan.means.tobytes() == beta_mean_pm1(BetaParams(p, q)).tobytes()
@@ -345,12 +345,12 @@ def test_beta01_matches_inverse_cdf_oracle(p, q):
 def test_beta_pm1_orientation_and_support():
     # the ensemble's variate on (-1, 1) is alpha = 1 - 2 Z, Z the plan's draw
     rng = RngStream(19, 0)
-    z = BetaPlan(shapes(5.0, 5.0, 10**5)).draw(rng._call_key())[0]
+    z = BetaPlan(shapes(5.0, 5.0, 10**5)).draw(rng.call_key())[0]
     a = 1.0 - 2.0 * z
     assert np.all((a > -1.0) & (a < 1.0))
     assert abs(a.mean()) < 0.01
     # mean is (q - p)/(p + q): the (1 - x) weight exponent pairs with p
-    z = BetaPlan(shapes(1.0, 3.0, 10**5)).draw(rng._call_key())[0]
+    z = BetaPlan(shapes(1.0, 3.0, 10**5)).draw(rng.call_key())[0]
     assert abs((1.0 - 2.0 * z).mean() - 0.5) < 0.01
 
 

@@ -25,8 +25,9 @@ from jacobi_spectra.fmatrix import (
     shifted_semicircle_transform,
     transform_limit_cdf,
 )
-from jacobi_spectra.spectra import Ecdf, ks_distance
+from jacobi_spectra.spectra import REGIMES, Ecdf, ks_distance, realize
 from jacobi_spectra.trieig import eig_generalized_sym, eig_tridiag
+from jacobi_spectra.verify import TRANSFORM_DIMS
 
 from oracles import DenseSym, ecdf_eval, eig_pencil, ks_whole_array, two_sample_sup_distance
 
@@ -341,14 +342,42 @@ def test_shifted_semicircle_transform_monotone():
     assert np.all(np.diff(shifted_semicircle_transform(grid, d)) > 0.0)
 
 
+# each F transform is a Jacobi regime read through the Moebius map: mu of the
+# F values of lambda equals a function of the plain regime scaling
+# xi = (lambda - eps_n)/delta_n at d.jacobi_params(), so a resolution check on
+# a transform reads the regime named here
+TRANSFORM_REGIMES = [
+    (semicircle_transform, "semicircle", lambda xi: -xi),
+    (reciprocal_edge_transform, "edge", lambda xi: 1.0 / xi),
+    (shifted_semicircle_transform, "shifted-semicircle", lambda xi: -xi),
+]
+
+
+@pytest.mark.parametrize("dims", [dims for dims, _, _ in TRANSFORM_DIMS.values()]
+                         + [FDims(20, 60, 80), FDims(40, 400, 80), FDims(7, 9, 300)])
+def test_f_transforms_are_the_jacobi_regimes(dims):
+    # verify's dims and the golden dims, three seeds: the largest gap read
+    # 3.45e-15 of max|mu|
+    p = dims.jacobi_params()
+    for seed in range(3):
+        lam = np.minimum(realize(p, RngStream(SEED, seed))[1], 2.0)  # as f_eigs_tridiag
+        for transform, regime, of_xi in TRANSFORM_REGIMES:
+            s = REGIMES[regime](p)[1]
+            mu = transform(jacobi_to_f(lam, dims), dims)
+            expected = of_xi((lam - s.epsilon_n) / s.delta_n)
+            assert np.max(np.abs(mu - expected)) <= 1e-12 * np.max(np.abs(mu))
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: semicircle_transform(1.0, FDims(5, 5, 10)), "n1 > n"),
     (lambda: reciprocal_edge_transform(1.0, FDims(5, 5, 10)), "n1 > n"),
     (lambda: shifted_semicircle_transform(1.0, FDims(5, 10, 5)), "n2 > n"),
+    (lambda: shifted_semicircle_transform(1.0, FDims(5, 5, 10)), "n1 > n and n2 > n"),
     (lambda: transform_limit_cdf("thm41", FDims(5, 10, 20)), "unknown transform 'thm41'"),
     (lambda: f_esd_pooled(FDims(5, 10, 20), 1, RngStream(SEED, 0), "thm41"),
      "unknown transform 'thm41'"),
-], ids=["thm42-n1=n", "thm43-n1=n", "thm44-n2=n", "limit-cdf-unknown", "pooled-unknown"])
+], ids=["thm42-n1=n", "thm43-n1=n", "thm44-n2=n", "thm44-n1=n", "limit-cdf-unknown",
+        "pooled-unknown"])
 def test_transforms_reject_dimensions_and_kinds_outside_their_domain(call, match):
     with pytest.raises(ParameterDomainError, match=match):
         call()

@@ -6,6 +6,7 @@ import pathlib
 import jacobi_spectra
 
 PACKAGE = pathlib.Path(jacobi_spectra.__file__).parent
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -81,32 +82,100 @@ def test_warnings_guard_sees_every_import_form():
     assert warnings_imports(source) == [2, 3, 5]
 
 
-def private_trieig_imports(source: str) -> list[str]:
-    """"line name" of every name starting with _ that source imports from the
-    package's trieig module, relatively or by its absolute name."""
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reaches(source: str) -> list[str]:
+    """"line name" of every private name (one leading _, not a dunder) that
+    source takes from elsewhere: imported from a module of the package,
+    relatively or by its absolute name, aliased or not, or read as x._name on
+    any object x but self. Imports from outside the package are not checked."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        module = "." * node.level + (node.module or "")
-        if module in (".trieig", "jacobi_spectra.trieig"):
-            found += [f"{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "jacobi_spectra":
+                found += [f"{node.lineno} {a.name}" for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.append(f"{node.lineno} {node.attr}")
     return found
 
 
-def test_only_trieig_uses_its_private_solvers():
-    # eig_tridiag alone picks the LAPACK route (dsterf or half-size dqds) from
-    # the matrix it is given; a caller reaching past it would pick a second way
-    found = {path.name: private_trieig_imports(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "trieig.py"}
-    assert {name: names for name, names in found.items() if names} == {}
+def test_no_module_reaches_into_another_modules_private_names():
+    # a helper that another module needs is part of its owner's public surface;
+    # a private reach lets one module lean on another's internals, such as
+    # eig_tridiag's LAPACK route choice, and the demos show only the public API
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos
+    found = {path.name: private_reaches(path.read_text(encoding="utf-8"))
+             for path in [*sorted(PACKAGE.rglob("*.py")), *demos]}
+    assert {name: reaches for name, reaches in found.items() if reaches} == {}
 
 
-def test_private_trieig_guard_sees_every_import_form():
+def test_private_reach_guard_sees_every_reach_form():
     source = (
         "from .trieig import Spectrum, _eig_zero_diagonal\n"
         "from .ensemble import _exact_scale\n"
         "def f():\n    from jacobi_spectra.trieig import _dsterf as d\n    return d\n"
         "from .trieig import eig_tridiag\n"
+        "key = rng._call_key()\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "from numpy import __config__\n"
+        "def _own(x):\n    return x.__class__\n"
+        "class S:\n    def g(self):\n        return self._pos + _own(self._key)\n"
     )
-    assert private_trieig_imports(source) == ["1 _eig_zero_diagonal", "4 _dsterf"]
+    assert private_reaches(source) == [
+        "1 _eig_zero_diagonal", "2 _exact_scale", "4 _dsterf", "7 _call_key"]
+
+
+# callee -> the functions, as module.name, that may call it: monte_carlo_esd
+# and f_eigs_tridiag are the only code that turns a realization into scaled or
+# F values, so a change to how a regime or transform reads a realization (a
+# resolution guard, another solver route, a centred build) lands in them alone
+SCALED_USE_OWNERS = {
+    "scale_eigenvalues": {"spectra.monte_carlo_esd"},
+    "jacobi_to_f": {"fmatrix.f_eigs_tridiag"},
+    "realize": {"spectra.monte_carlo_esd", "fmatrix.f_eigs_tridiag",
+                "spectra.deviation_report", "cli.cmd_sample"},
+}
+
+
+def scaled_use_calls(module: str, source: str) -> list[str]:
+    """"line caller callee" of every call in source to a name of
+    SCALED_USE_OWNERS from outside its owners. The caller is the top-level
+    def or class that holds the call (a nested function or lambda counts as
+    it), or <module>."""
+    found = []
+    for top in ast.parse(source).body:
+        caller = f"{module}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if callee in SCALED_USE_OWNERS and caller not in SCALED_USE_OWNERS[callee]:
+                    found.append(f"{node.lineno} {caller} {callee}")
+    return found
+
+
+def test_only_the_two_owners_scale_or_map_a_realization():
+    found = {path.name: scaled_use_calls(path.stem, path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_scaled_use_guard_sees_every_caller():
+    source = (
+        "def monte_carlo_esd(p, s, trials, rng):\n"
+        "    def scaled(sub):\n"
+        "        return scale_eigenvalues(realize(p, sub)[1], s, 'plain')\n"
+        "    return run_trials(scaled, trials, rng)\n"
+        "def compare(p, s, rng):\n"
+        "    return scale_eigenvalues(spectra.realize(p, rng)[1], s, 'plain')\n"
+        "MAPS = {'f': lambda lam, d: jacobi_to_f(lam, d)}\n"
+        "class Route:\n    def f(self, lam, d):\n        return fmatrix.jacobi_to_f(lam, d)\n"
+    )
+    assert scaled_use_calls("spectra", source) == [
+        "6 spectra.compare scale_eigenvalues", "6 spectra.compare realize",
+        "7 spectra.<module> jacobi_to_f", "10 spectra.Route jacobi_to_f"]
+    assert scaled_use_calls("cli", "def cmd_sample(p, rng):\n    return realize(p, rng)\n") == []

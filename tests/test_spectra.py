@@ -285,12 +285,15 @@ def test_thm42_radius_overflow_raises():
     (RatioDensity, (1e35, 2e35), "ratio-law support"),
     (SemicircleDensity, (1e-20, 1.0), "semicircle-law support"),
     (SemicircleDensity, (1e-300,), "semicircle-law support"),
+    (SemicircleDensity, (1e154,), "semicircle-law support"),
 ], ids=["edge-1e308", "edge-1e200", "edge-1e34", "general-1e20", "ratio-1e35",
-        "semicircle-1e-20", "semicircle-1e-300"])
+        "semicircle-1e-20", "semicircle-1e-300", "semicircle-1e154"])
 def test_support_overflow_or_collapse_raises(law, args, match):
     # edge 1e308: 2 (2 + beta0) is infinite; below, the width 8 sqrt(1 + beta0)
     # rounds away; the general, ratio and first semicircle supports round to
-    # one point; at radius 1e-300 the weight 2/(pi r^2) is beyond float64
+    # one point; at radius 1e-300 the weight 2/(pi r^2) is beyond float64, and
+    # at 1e154 pi r^2 overflows, so the law would carry no weight (its CDF read
+    # 0 at -r/2, 0 and r/2)
     with pytest.raises(MagnitudeOverflowError, match=match):
         law(*args)
 
