@@ -539,15 +539,6 @@ def scale_eigenvalues(lam: np.ndarray, s: ScalingSequence, mode: str) -> np.ndar
     return out
 
 
-def transfer_proxy(p: JacobiParams, s: ScalingSequence, mode: str = "plain") -> float:
-    """scale^4 (a + b)/log n at the scale ``mode`` applies (delta_n plain, 2 delta_n
-    doubled); inf at n = 1 and, for a + b > 0, where scale^4 overflows. The
-    eigenvalue-root error is of order {log n/(a + b)}^(1/4), so the scaled
-    eigenvalues inherit the roots' limit law only where this is large."""
-    scale, logn = shift_scale(s, mode)[1], math.log(p.n)
-    return scale * scale * scale * scale * (p.a + p.b) / logn if logn else math.inf
-
-
 # ---------------------------------------------------------------------------
 # limit regimes: model with plug-in parameters and automatic plain scaling
 
@@ -631,8 +622,7 @@ def monte_carlo_esd(
     """Pooled ECDF of affinely scaled eigenvalues over independent trials.
 
     Trials run through :func:`run_trials`, so the pool is deterministic for a
-    given base stream; :func:`transfer_proxy` says how far it may follow the
-    roots' limit law.
+    given base stream.
     """
 
     def scaled_spectrum(sub: RngStream) -> np.ndarray:

@@ -181,8 +181,8 @@ def test_roots_overflow_exits_4_without_traceback(a, b, beta, code):
 def test_huge_parameters_exit_without_traceback_or_warning(args, code):
     # a float ** that overflows raises OverflowError where * gives inf; the
     # ratio support and the semicircle radius report it as exit 4, as does a
-    # limit law whose support or weight leaves float64, and an overflowing
-    # transfer proxy gives no notice
+    # limit law whose support or weight leaves float64; a run that exits 0
+    # writes nothing to stderr
     r = run_cli(*args.split())
     assert r.returncode == code
     assert "Traceback" not in r.stderr
@@ -211,28 +211,36 @@ def test_fmatrix_eigenvalue_on_the_pole_exits_4():
     assert "Traceback" not in r.stderr
 
 
-def test_compare_weak_transfer_prints_one_notice_line():
-    r = run_cli("compare", "--n", "100", "--a", "3", "--b", "5", "--beta", "1",
-                "--model", "arcsine", "--trials", "20")
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["n_pooled"] == 2000
-    lines = r.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("notice: scaled-comparison transfer proxy")
-    assert "Warning" not in r.stderr and "cli.py" not in r.stderr
-
-
 @pytest.mark.parametrize("a", ["1", "120"])
-def test_transfer_notice_reads_the_applied_scale(a):
-    # doubled:0.5:0.5 applies shift 0 and scale 1, as plain:1:0 does: the same
-    # pool, and the transfer proxy of the same scale (a notice at a = b = 1 only)
+def test_equivalent_scalings_give_one_pool_and_no_stderr(a):
+    # doubled:0.5:0.5 applies shift 0 and scale 1, as plain:1:0 does: the same pool
     runs = [run_cli("compare", "--n", "40", "--a", a, "--b", a, "--model", "ratio",
                     "--trials", "2", "--scaling", scaling)
             for scaling in ("doubled:0.5:0.5", "plain:1:0")]
     assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stderr == runs[1].stderr
+    assert [r.stderr for r in runs] == ["", ""]
     assert json.loads(runs[0].stdout)["ks"] == json.loads(runs[1].stdout)["ks"]
-    assert runs[0].stderr.startswith("notice: scaled-comparison transfer proxy") == (a == "1")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # runs that match their law (KS 0.0041, 0.0034) though the bound's
+        # scale^4 (a + b)/log n reads 0.0906 and 4.8e-36, and two at n beta = 2
+        # and 10 whose KS (0.107, 0.036) differ 3x where it reads 0.377 twice
+        "--model semicircle --a 2e6 --b 1e6 --beta 2",
+        "--model edge --a 1e15 --b 100 --beta 2",
+        "--model ratio --a 1 --b 1 --beta 0.01",
+        "--model ratio --a 1 --b 1 --beta 0.05",
+        # a = b = 0, where that ratio is exactly 0
+        "--model arcsine",
+    ],
+)
+def test_successful_compare_writes_nothing_to_stderr(args):
+    r = run_cli("compare", "--n", "200", "--trials", "20", *args.split())
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["n_pooled"] == 4000
+    assert r.stderr == ""
 
 
 @pytest.mark.parametrize(
@@ -393,6 +401,22 @@ def test_fmatrix_direct_cap_is_checked_before_the_draw(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "parameter error: dense F-matrix route is capped at n = 500; "
         "the tridiagonal route is not\n"
+    )
+
+
+@pytest.mark.parametrize("route", ["tridiag", "direct"])
+def test_fmatrix_json_limit_law_is_checked_before_the_draw(monkeypatch, capsys, route):
+    # n2 = n has no limit law (yprime = 1), so JSON stops before any realization
+    def no_draw(*args):
+        raise AssertionError("a realization was drawn before the limit-law check")
+
+    monkeypatch.setattr(cli, "f_eigs_tridiag", no_draw)
+    monkeypatch.setattr(cli, "sample_gaussian_pair", no_draw)
+    code = cli.main(["fmatrix", "--n", "1000", "--n1", "1200", "--n2", "1000",
+                     "--trials", "20", "--format", "json", "--route", route])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "parameter error: aspect ratio must satisfy yprime in (0, 1)\n"
     )
 
 

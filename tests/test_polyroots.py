@@ -258,19 +258,23 @@ def test_ensemble_roots_are_the_mean_matrix_spectrum():
 
 
 # a recurrence that re-forms a_tilde from a_tilde - 1 loses digits as that
-# difference happens to round (at 1e12 it loses none), so several beta are checked
-BETA_SWEEP = (2.0, 1e8, 1e12, 1e14, 1e16, 1e20, 1e100)
+# difference happens to round (at 1e12 it loses none), so several beta are
+# checked; at beta = 1e-6 and 1e-3, a_tilde = (2a + 2)/beta is large instead
+BETA_SWEEP = (1e-6, 1e-3, 2.0, 1e8, 1e12, 1e14, 1e16, 1e20, 1e100)
+ROOT_CASES = [(1, 5.0, 3.0), (5, 0.0, 1e4), (30, 5.0, 3.0), (101, 3.0, -0.5),
+              (400, 0.0, -0.999999)]
 
 
 @pytest.mark.parametrize("beta", BETA_SWEEP)
-def test_ensemble_roots_are_the_mean_matrix_spectrum_at_every_beta(beta):
-    # a_tilde = 12/beta far below float64 rounding of 1: both routes keep its digits
-    p = JacobiParams(30, 5.0, 3.0, beta)
+@pytest.mark.parametrize("n, a, b", ROOT_CASES + [(50, 150.0, 150.0)])
+def test_ensemble_roots_are_the_mean_matrix_spectrum_at_every_beta(n, a, b, beta):
+    # both routes keep the digits of a_tilde, also far below float64 rounding
+    # of 1; at a = b the mean matrix takes eig_tridiag's half-size route
+    p = JacobiParams(n, a, b, beta)
     assert np.max(np.abs(eig_tridiag(expected_matrix(p)).values - ensemble_roots(p))) < 1e-12
 
 
-@pytest.mark.parametrize("n, a, b", [(1, 5.0, 3.0), (5, 0.0, 1e4), (30, 5.0, 3.0),
-                                     (101, 3.0, -0.5), (400, 0.0, -0.999999)])
+@pytest.mark.parametrize("n, a, b", ROOT_CASES)
 def test_roots_lie_in_the_closed_interval_up_to_the_stated_bound(n, a, b):
     # rounding may put a root past -2 or 2 when a_tilde or b_tilde is tiny;
     # jacobi_roots_scaled states 8 n float64 epsilons

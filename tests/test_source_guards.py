@@ -141,20 +141,27 @@ SCALED_USE_OWNERS = {
 }
 
 
-def scaled_use_calls(module: str, source: str) -> list[str]:
-    """"line caller callee" of every call in source to a name of
-    SCALED_USE_OWNERS from outside its owners. The caller is the top-level
-    def or class that holds the call (a nested function or lambda counts as
-    it), or <module>."""
-    found = []
-    for top in ast.parse(source).body:
+def located_nodes(module: str, tree: ast.Module):
+    """(caller, node) for every node of tree, the caller being module.name of
+    the top-level def or class that holds it (a nested function or lambda
+    counts as it), or module.<module>."""
+    for top in tree.body:
         caller = f"{module}.{getattr(top, 'name', '<module>')}"
         for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                f = node.func
-                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if callee in SCALED_USE_OWNERS and caller not in SCALED_USE_OWNERS[callee]:
-                    found.append(f"{node.lineno} {caller} {callee}")
+            yield caller, node
+
+
+def scaled_use_calls(module: str, source: str) -> list[str]:
+    """"line caller callee" of every call in source to a name of
+    SCALED_USE_OWNERS from outside its owners, the caller as located_nodes
+    names it."""
+    found = []
+    for caller, node in located_nodes(module, ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if callee in SCALED_USE_OWNERS and caller not in SCALED_USE_OWNERS[callee]:
+                found.append(f"{node.lineno} {caller} {callee}")
     return found
 
 
@@ -179,3 +186,50 @@ def test_scaled_use_guard_sees_every_caller():
         "6 spectra.compare scale_eigenvalues", "6 spectra.compare realize",
         "7 spectra.<module> jacobi_to_f", "10 spectra.Route jacobi_to_f"]
     assert scaled_use_calls("cli", "def cmd_sample(p, rng):\n    return realize(p, rng)\n") == []
+
+
+# the one function that may write to stderr: the library returns its
+# diagnostics as values or raises them, and cli.main prints the error of a
+# failed run, so a run that succeeds writes nothing there
+STDERR_WRITERS = {"cli.main"}
+
+
+def stderr_uses(module: str, source: str) -> list[str]:
+    """"line caller" of every use of stderr in source outside STDERR_WRITERS:
+    sys.stderr under any name sys is imported as, or an import of stderr from
+    sys, the caller as located_nodes names it."""
+    tree = ast.parse(source)
+    sys_names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names if a.name == "sys"}
+    found = []
+    for caller, node in located_nodes(module, tree):
+        named = (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                 and isinstance(node.value, ast.Name) and node.value.id in sys_names)
+        imported = (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                    and any(a.name == "stderr" for a in node.names))
+        if (named or imported) and caller not in STDERR_WRITERS:
+            found.append(f"{node.lineno} {caller}")
+    return found
+
+
+def test_only_cli_main_writes_to_stderr():
+    found = {path.name: stderr_uses(path.stem, path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_stderr_guard_sees_every_use():
+    source = (
+        "import sys\n"
+        "def report(x):\n    print(x, file=sys.stderr)\n"
+        "def write(x):\n    sys.stderr.write(x)\n"
+        "from sys import stderr\n"
+        "import sys as s\n"
+        "def alias(x):\n    return s.stderr\n"
+        "def local():\n    from sys import stderr as e\n    return e\n"
+        "def main(argv):\n    print(argv, file=sys.stderr)\n"
+        "def out(r):\n    sys.stdout.write(r.stderr)\n"
+    )
+    assert stderr_uses("cli", source) == [
+        "3 cli.report", "5 cli.write", "6 cli.<module>", "9 cli.alias", "11 cli.local"]
+    assert stderr_uses("spectra", source)[-1] == "14 spectra.main"

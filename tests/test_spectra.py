@@ -46,7 +46,6 @@ from jacobi_spectra.spectra import (
     realize,
     run_trials,
     scale_eigenvalues,
-    transfer_proxy,
 )
 
 from oracles import (
@@ -815,23 +814,6 @@ def test_regime_domain_checks():
             REGIMES[name](JacobiParams(20, -0.5, 30.0, 2.0))
     with pytest.raises(ParameterDomainError):
         REGIMES["shifted-semicircle"](JacobiParams(20, 30.0, -0.5, 2.0))
-
-
-def test_transfer_proxy_reads_the_applied_scale_and_runs_without_warning():
-    p = JacobiParams(50, 1.0, 1.0, 2.0)
-    s = ScalingSequence(0.1, 0.0, 50)
-    plain = transfer_proxy(p, s)
-    assert plain == pytest.approx(1e-4 * 2.0 / math.log(50), rel=1e-15)
-    assert transfer_proxy(p, s, "doubled") == pytest.approx(16.0 * plain, rel=1e-15)
-    # log 1 = 0, and a scale whose fourth power overflows float64
-    assert transfer_proxy(JacobiParams(1, 1.0, 1.0, 2.0), ScalingSequence(0.1, 0.0, 1)) == math.inf
-    assert transfer_proxy(p, ScalingSequence(1e300, 0.0, 50)) == math.inf
-    with pytest.raises(ParameterDomainError):
-        transfer_proxy(p, s, "identity")
-    # the library reports the proxy as a value; the weak point warns of nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert monte_carlo_esd(p, s, 1, RngStream(4, 0)).n == 50
 
 
 def test_pooled_esd_close_to_ratio_limit():
