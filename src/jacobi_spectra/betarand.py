@@ -6,18 +6,17 @@ stream key and k. :meth:`RngStream.substream` derives a child key by mixing
 (parent key, k), which does not commute, so ``s.substream(i).substream(j)`` and
 ``s.substream(j).substream(i)`` are different streams.
 
-Gamma and beta draws are keyed rather than sequential. A call takes one word
-of its stream as the call key, and every word it then uses is a pure
-splitmix64 function of (call key, variate index j, attempt r, slot): each
-Marsaglia-Tsang attempt reads a fixed set of slots (two Box-Muller uniforms
-for its normal and one acceptance uniform), and a shape below 1 reads one
-boost uniform of its own. Variate j therefore does not depend on how many
-attempts other variates needed, or on which other variates share the call.
-Everything a call needs besides its key (the Marsaglia-Tsang constants and
-one slot row of counter words per variate) is built once per shape set, as a
-:class:`GammaPlan` or :class:`BetaPlan`, and a plan can serve any number of
-calls. A round redraws, by one mask, the variates that both its squeeze and
-its log test reject. Normals, keyed or sequential, come from Box-Muller.
+Every draw is one keyed call: it takes one word of its stream as the call key
+(so a stream's position counts its calls), and every word it then reads is a
+pure splitmix64 function of (call key, lane, index j). ``uniforms`` reads lane
+0, normal j pairs lanes 1 and 2 at j by Box-Muller, and each Marsaglia-Tsang
+attempt of gamma variate j reads three lanes (a Box-Muller normal and an
+acceptance uniform), while a shape below 1 reads one lane-0 boost uniform.
+Variate j therefore depends neither on how many attempts other variates
+needed nor on which variates share the call. A :class:`GammaPlan` or
+:class:`BetaPlan` holds everything a call needs besides its key, built once per
+shape set for any number of calls. A round redraws, by one mask, the variates
+that both its squeeze and its log test reject.
 
 Beta variates Z ~ Beta(p, q) are gamma ratios X/(X+Y), drawn by
 :meth:`BetaPlan.draw` with their complements W = Y/(X+Y). The ensemble's
@@ -55,8 +54,8 @@ _MINUS_TWO, _TWO_PI = np.array(-2.0), np.array(2.0 * np.pi)
 _ULP53, _HALF_ULP53 = np.array(2.0**-53), np.array(2.0**-54)
 _SQUEEZE = np.array(0.0331)  # Marsaglia-Tsang squeeze constant
 
-# A keyed word's counter is lane * 2^32 + j + 1 for variate j: lane 0 holds the
-# boost uniform of a shape below 1, and attempt r reads lanes 3r + 1 .. 3r + 3.
+# A keyed word's counter is lane * 2^32 + j + 1 for index j < 2^32: gamma attempt r
+# reads lanes 3r + 1 .. 3r + 3, and lane 0 holds the boost uniform of a shape below 1.
 _LANE = 1 << 32
 # the golden-ratio part L * 2^32 * golden mod 2^64 of the counter of lane L, as a
 # column over the lanes 1..3 of the first attempt, and the step to the next attempt
@@ -65,8 +64,8 @@ _NEXT_LANES = np.array((3 * _LANE * _GOLDEN) & _MASK64, dtype=np.uint64)
 # gamma variate index of the Y draw of beta variate j (X takes index j)
 _Y_OFFSET = np.uint64(1 << 31)
 _BLOCK = 1024
-# normals per block of RngStream.normals
-_NORMAL_BLOCK = 1 << 16
+_NORMAL_BLOCK = 1 << 15  # indices per block of RngStream.normals, two lane words each
+_NEXT_BLOCK = np.array(_NORMAL_BLOCK * _GOLDEN & _MASK64, dtype=np.uint64)  # a block's step
 
 # smallest positive normal double; used to keep gamma/beta draws off 0 and 1
 _TINY = float(np.finfo(np.float64).tiny)
@@ -107,9 +106,9 @@ def _unit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _uniforms(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _uniforms(z: np.ndarray) -> np.ndarray:
     """Uniforms of the counter words z (hashed in place), as :func:`_unit` writes them."""
-    return _unit(_splitmix(z, np.empty_like(z)), out)
+    return _unit(_splitmix(z, np.empty_like(z)))
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -163,32 +162,27 @@ class RngStream:
         self._pos += 1
         return _mix64((self._key + self._pos * _GOLDEN) & _MASK64)
 
-    def _fill_uniforms(self, first: int, out: np.ndarray) -> np.ndarray:
-        """Uniforms of the counter words first + 1 .. first + out.size, written into out."""
-        z = np.arange(first + 1, first + out.size + 1, dtype=np.uint64)
-        np.multiply(z, _GOLDEN_U, out=z)
-        np.add(z, np.uint64(self._key), out=z)
-        return _uniforms(z, out)
-
     def uniforms(self, size: int) -> np.ndarray:
-        """Uniform variates in the open interval (0, 1)."""
-        out = self._fill_uniforms(self._pos, np.empty(size))
-        self._pos += size
-        return out
+        """Uniforms in (0, 1) of one keyed call: value j reads lane 0 at index j < 2^32."""
+        # (j + 1) * golden, the golden part of word j's counter, as a running sum
+        return _uniforms(np.full(size, _GOLDEN_U).cumsum() + np.uint64(self.call_key()))
 
     def normals(self, size: int) -> np.ndarray:
-        """Standard normal variates via the Box-Muller transform (two uniforms each).
+        """Standard normal variates via the Box-Muller transform, as one keyed call.
 
-        Normal i pairs the uniforms of counter words pos + i + 1 and
-        pos + size + i + 1. The output is filled in blocks of ``_NORMAL_BLOCK``,
-        so the working memory beyond the result stays a few blocks.
+        Normal j pairs the lane-1 and lane-2 uniforms of index j < 2^32; blocks of
+        ``_NORMAL_BLOCK`` indices bound the working memory beyond the result.
         """
         out = np.empty(size)
-        u2 = np.empty(min(size, _NORMAL_BLOCK))
+        rows = np.arange(1, min(size, _NORMAL_BLOCK) + 1, dtype=np.uint64) * _GOLDEN_U
+        z, tmp = np.empty((2, rows.size), np.uint64), np.empty((2, rows.size), np.uint64)
+        lanes = _FIRST_LANES[:2] + np.uint64(self.call_key())
         for lo in range(0, size, _NORMAL_BLOCK):
-            u1 = self._fill_uniforms(self._pos + lo, out[lo:lo + _NORMAL_BLOCK])
-            _box_muller(u1, self._fill_uniforms(self._pos + size + lo, u2[:u1.size]))
-        self._pos += 2 * size
+            k = min(rows.size, size - lo)
+            zk = _splitmix(np.add(rows[:k], lanes, out=z[:, :k]), tmp[:, :k])
+            # the lane-2 uniforms go to the scratch words the hash is done with
+            _box_muller(_unit(zk[0], out[lo:lo + k]), _unit(zk[1], tmp[0, :k].view(np.float64)))
+            lanes += _NEXT_BLOCK
         return out
 
 
@@ -231,7 +225,7 @@ class GammaPlan:
     is large (|x| < 8.7 for Box-Muller normals).
     """
 
-    __slots__ = ("d", "c", "jg", "small", "inv_small", "_cuts")
+    __slots__ = ("d", "c", "jg", "small", "inv_small")
 
     def __init__(self, shape: np.ndarray, j: np.ndarray):
         shape = real_array(shape)
@@ -250,8 +244,6 @@ class GammaPlan:
         self.jg = _frozen((j.astype(np.uint64) + np.uint64(1)) * _GOLDEN_U)
         self.small = _frozen(small)
         self.inv_small = _frozen(1.0 / shape[small])
-        # the shapes below 1 of block b are small[_cuts[b] : _cuts[b + 1]]
-        self._cuts = np.searchsorted(small, np.arange(0, shape.size + _BLOCK, _BLOCK)).tolist()
 
     def draw(self, key: int) -> np.ndarray:
         """Gamma(shape[i], 1) variates, the i-th drawn as variate j[i] of call ``key``.
@@ -265,16 +257,15 @@ class GammaPlan:
         m = self.d.size
         key = np.array(key, dtype=np.uint64)
         out = np.empty(m)
-        for blk, lo in enumerate(range(0, m, _BLOCK)):
+        for lo in range(0, m, _BLOCK):
             hi = lo + _BLOCK
             self._accept(key, self.d[lo:hi], self.c[lo:hi], self.jg[lo:hi], out[lo:hi])
-            s0, s1 = self._cuts[blk], self._cuts[blk + 1]
-            if s0 < s1:
-                idx = self.small[s0:s1]
-                # lane 0: one boost uniform per variate, whatever its attempt count
-                boost = _uniforms(self.jg[idx] + key) ** self.inv_small[s0:s1]
-                # keep draws strictly positive even when the boost underflows
-                out[idx] = np.maximum(out[idx] * boost, _TINY)
+        for lo in range(0, self.small.size, _BLOCK):
+            idx = self.small[lo:lo + _BLOCK]
+            # lane 0: one boost uniform per variate, whatever its attempt count
+            boost = _uniforms(self.jg[idx] + key) ** self.inv_small[lo:lo + _BLOCK]
+            # keep draws strictly positive even when the boost underflows
+            out[idx] = np.maximum(out[idx] * boost, _TINY)
         return out
 
     @staticmethod

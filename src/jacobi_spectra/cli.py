@@ -56,18 +56,22 @@ def _fmt(v: float) -> str:
 
 
 def _jacobi_params(args) -> JacobiParams:
-    """Build ensemble parameters; --a-tilde/--b-tilde override --a/--b with
-    beta*tilde/2 - 1, reported against the flag unless finite and > -1."""
+    """Build ensemble parameters; --a-tilde/--b-tilde override --a/--b with beta*tilde/2 - 1,
+    reported against the flag unless finite, > -1 and run at the flag's tilde to 1e-9."""
     ab = {"a": args.a, "b": args.b}
-    for name in ab:
-        tilde = getattr(args, f"{name}_tilde")
-        if tilde is not None:
-            ab[name] = w = args.beta * tilde / 2.0 - 1.0
-            if not -1.0 < w < np.inf:
-                raise ParameterDomainError(
-                    f"--{name}-tilde {tilde} with --beta {args.beta} gives {name} = "
-                    f"beta*{name}_tilde/2 - 1 = {w}; it must be finite and > -1")
-    return JacobiParams(args.n, ab["a"], ab["b"], args.beta)
+    tildes = {name: t for name in ab if (t := getattr(args, f"{name}_tilde")) is not None}
+    for name, tilde in tildes.items():
+        ab[name] = w = args.beta * tilde / 2.0 - 1.0
+        if not -1.0 < w < np.inf:
+            raise ParameterDomainError(
+                f"--{name}-tilde {tilde} with --beta {args.beta} gives {name} = "
+                f"beta*{name}_tilde/2 - 1 = {w}; it must be finite and > -1")
+    p = JacobiParams(args.n, ab["a"], ab["b"], args.beta)
+    for name, tilde in tildes.items():
+        if abs((run := getattr(p, f"{name}_tilde")) - tilde) > 1e-9 * tilde:
+            raise ParameterDomainError(f"--{name}-tilde {tilde} with --beta {args.beta} would run "
+                                       f"at {name}_tilde = {run}; give --{name} instead")
+    return p
 
 
 def _write(text: str, out: str | None) -> None:

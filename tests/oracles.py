@@ -10,7 +10,8 @@ closed form (not the production closed forms in the half-angle variable),
 limit densities from each law's docstring formula in plain x in exact
 rationals (not the production (support, rational) encoding),
 and random-matrix entries from per-index gathers (not the production strided
-views). Keyed gamma and beta variates come from
+views). Keyed normals come from one whole-array Box-Muller pass over their
+lane words (not the production blocks), and keyed gamma and beta variates from
 a per-call path that rebuilds every Marsaglia-Tsang constant inside each
 block of every call (not the production sampling plans); it shares only the
 keyed-word helpers with the library, so it pins the sampled bytes. ECDF
@@ -141,6 +142,20 @@ def beta01_keyed(key: int, p: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.nd
     """The Z of :func:`beta_pair_keyed`, clamped into (0, 1)."""
     z = beta_pair_keyed(key, p, q, j)[0]
     return np.clip(z, _TINY, _ONE_MINUS, out=z)
+
+
+def keyed_uniforms(key: int, lane: int, size: int) -> np.ndarray:
+    """Uniforms of the keyed words splitmix64(key + golden (lane 2^32 + j + 1)), j < size."""
+    z = (np.arange(size, dtype=np.uint64) + np.uint64(lane * _LANE + 1)) * _GOLDEN_U
+    z += np.uint64(key)
+    return _unit(_splitmix(z, np.empty_like(z)))
+
+
+def keyed_normals(key: int, size: int) -> np.ndarray:
+    """Normals of call ``key`` in one pass: normal j is sqrt(-2 log u1) cos(2 pi u2)
+    of the lane-1 and lane-2 uniforms u1, u2 of index j."""
+    u1, u2 = keyed_uniforms(key, 1, size), keyed_uniforms(key, 2, size)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def alphas_keyed(key: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:

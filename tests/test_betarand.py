@@ -9,7 +9,6 @@ from jacobi_spectra import betarand, verify
 from jacobi_spectra.betarand import (
     _BLOCK,
     _MAX_SHAPE,
-    _NORMAL_BLOCK,
     _ONE_MINUS,
     _TINY,
     BetaParams,
@@ -22,7 +21,14 @@ from jacobi_spectra.betarand import (
 )
 from jacobi_spectra.errors import MagnitudeOverflowError, ParameterDomainError
 
-from oracles import beta01_keyed, beta_pair_keyed, gamma_keyed, inverse_cdf_beta
+from oracles import (
+    beta01_keyed,
+    beta_pair_keyed,
+    gamma_keyed,
+    inverse_cdf_beta,
+    keyed_normals,
+    keyed_uniforms,
+)
 
 
 def gammas(shape: float, rng: RngStream, n: int) -> np.ndarray:
@@ -115,16 +121,26 @@ def test_normal_moments():
     assert abs(z.var() - 1.0) < 0.01
 
 
-@pytest.mark.parametrize("size", [0, 1, _NORMAL_BLOCK - 1, _NORMAL_BLOCK, _NORMAL_BLOCK + 1,
-                                  2 * _NORMAL_BLOCK + 3])
+def test_uniforms_read_lane_0_of_one_call():
+    a, b = RngStream(21, 4), RngStream(21, 4)
+    assert a.uniforms(1000).tobytes() == keyed_uniforms(b.call_key(), 0, 1000).tobytes()
+    assert a.uniforms(3).tobytes() == b.uniforms(3).tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3])
 def test_blocked_normals_equal_the_one_shot_box_muller(size):
-    # normal i pairs the uniforms of words pos + i + 1 and pos + size + i + 1
+    # normal j pairs the lane-1 and lane-2 uniforms of index j of one call
     a, b = RngStream(21, 4), RngStream(21, 4)
     a.uniforms(5), b.uniforms(5)
-    u = a.uniforms(2 * size)
-    ref = np.sqrt(-2.0 * np.log(u[:size])) * np.cos(2.0 * np.pi * u[size:])
+    ref = keyed_normals(a.call_key(), size)
     assert b.normals(size).tobytes() == ref.tobytes()
     assert a.uniforms(3).tobytes() == b.uniforms(3).tobytes()
+
+
+@pytest.mark.parametrize("k", [5, 2**16 + 1])
+def test_shorter_normals_call_is_a_prefix_of_a_longer_one(k):
+    long = RngStream(21, 4).normals(2**17 + 3)
+    assert RngStream(21, 4).normals(k).tobytes() == long[:k].tobytes()
 
 
 def test_normals_working_memory_is_near_the_result():

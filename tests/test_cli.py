@@ -116,6 +116,11 @@ def test_sample_parameter_error_names_constraint():
         # beta a_tilde/2 - 1 rounds to -1: the error names the flag, not an unpassed --a
         (("--a-tilde", "1e-20", "--beta", "1"), 2, "--a-tilde 1e-20 with --beta 1.0 gives a ="),
         (("--b-tilde", "inf"), 2, "--b-tilde inf with --beta 2.0 gives b ="),
+        # a = beta a_tilde/2 - 1 keeps too few digits of a_tilde to run at it
+        (("--a-tilde", "0.3", "--beta", "1e-12"), 2,
+         "--a-tilde 0.3 with --beta 1e-12 would run at a_tilde = 0.2999822612537173; give --a"),
+        (("--b-tilde", "1", "--beta", "1e-9"), 2,
+         "--b-tilde 1.0 with --beta 1e-09 would run at b_tilde = 1.000000082740371; give --b"),
     ],
 )
 def test_sample_nonfinite_or_overflowing_params_exit_cleanly(params, code, message):

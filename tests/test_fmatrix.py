@@ -67,6 +67,13 @@ def test_gaussian_pair_moments_and_determinism():
     assert np.array_equal(g.x, g2.x) and np.array_equal(g.y, g2.y)
 
 
+def test_gaussian_pair_y_does_not_depend_on_the_size_of_x():
+    # each matrix is one keyed normals call, so X's size moves no word of Y
+    y9 = sample_gaussian_pair(FDims(4, 9, 11), RngStream(SEED, 0)).y
+    y30 = sample_gaussian_pair(FDims(4, 30, 11), RngStream(SEED, 0)).y
+    assert y9.tobytes() == y30.tobytes()
+
+
 def test_gaussian_pair_rejects_what_fdims_rejects():
     # the pair carries its dimensions, so it checks n1 >= n >= 1 and n2 >= n itself
     for x, y in [((4, 3), (4, 6)), ((4, 6), (4, 3)), ((0, 2), (0, 2))]:

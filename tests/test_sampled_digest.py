@@ -3,7 +3,7 @@
 The digest pins every byte the samplers produce: keyed beta draws and their
 exact complements through ``sample_alphas -> random_matrix -> eig_tridiag`` at
 ordinary and extreme parameters, ``sample_beta01`` at shape pairs from 1e-3
-to 1e20, and the sequential ``uniforms`` and ``normals`` of ``RngStream``. A
+to 1e20, and the keyed ``uniforms`` and ``normals`` calls of ``RngStream``. A
 change that only restructures the samplers must leave it as it is. Only a
 change that means to move sampled bytes rewrites ``DIGEST``, and it names the
 new digest and the reason in CHANGES.md (as the build on the exact complements
@@ -18,7 +18,7 @@ from jacobi_spectra.betarand import BetaParams, RngStream, sample_beta01
 from jacobi_spectra.ensemble import JacobiParams, random_matrix, sample_alphas
 from jacobi_spectra.trieig import eig_tridiag
 
-DIGEST = "d5a2e0cee621e81f62ba41c70159338abe3710923659edbc8cd871bc978dbea8"
+DIGEST = "e4e5830cdcd3096b6d7e709c269d1f0499c957e48b1b2e04f44a2a94279e5328"
 
 SIZES = (1, 2, 3, 7, 50, 301)
 # (a, b, beta); None stands for 3n
@@ -50,7 +50,7 @@ def sampled_bytes():
     rng = RngStream(0xB17A, 1)
     for p, q in SHAPE_PAIRS:
         yield sample_beta01(BetaParams(np.full(500, p), np.full(500, q)), rng)
-    # normals cross a 2^16 block of RngStream.normals
+    # normals cross the blocks of RngStream.normals
     yield from (rng.uniforms(1000), rng.normals(70_001), rng.uniforms(3))
 
 

@@ -188,6 +188,52 @@ def test_scaled_use_guard_sees_every_caller():
     assert scaled_use_calls("cli", "def cmd_sample(p, rng):\n    return realize(p, rng)\n") == []
 
 
+# the only functions that may move a stream: every draw takes its words from one
+# call_key, so a stream's position counts its calls and no draw's size moves
+# the words of the calls after it
+POS_MOVERS = {"betarand.RngStream.__init__", "betarand.RngStream.call_key"}
+
+
+def qualified_nodes(module: str, tree: ast.Module):
+    """(name, node) for every node of tree, the name module.Class.function of
+    the defs and classes that hold it, or module at the top level."""
+    def walk(node, name):
+        for child in ast.iter_child_nodes(node):
+            yield name, child
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from walk(child, f"{name}.{child.name}" if inner else name)
+    yield from walk(tree, module)
+
+
+def pos_writes(module: str, source: str) -> list[str]:
+    """"line name" of every assignment, augmented or not, to an attribute
+    _pos in source outside POS_MOVERS, the name as qualified_nodes gives it."""
+    return [f"{node.lineno} {name}" for name, node in qualified_nodes(module, ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_pos"
+            and isinstance(node.ctx, ast.Store) and name not in POS_MOVERS]
+
+
+def test_only_call_key_moves_a_stream():
+    found = {path.name: pos_writes(path.stem, path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: writes for name, writes in found.items() if writes} == {}
+
+
+def test_pos_guard_sees_every_write():
+    source = (
+        "class RngStream:\n"
+        "    def __init__(self):\n        self._pos = 0\n"
+        "    def call_key(self):\n        self._pos += 1\n        return self._pos\n"
+        "    def uniforms(self, k):\n        self._pos += k\n"
+        "    def seek(self, x):\n        self._pos = x\n"
+        "def rewind(s):\n    s._pos -= 1\n    return s._pos\n"
+    )
+    assert pos_writes("betarand", source) == [
+        "8 betarand.RngStream.uniforms", "10 betarand.RngStream.seek", "12 betarand.rewind"]
+    assert pos_writes("spectra", source)[:2] == [
+        "3 spectra.RngStream.__init__", "5 spectra.RngStream.call_key"]
+
+
 # the one function that may write to stderr: the library returns its
 # diagnostics as values or raises them, and cli.main prints the error of a
 # failed run, so a run that succeeds writes nothing there
