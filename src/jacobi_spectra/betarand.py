@@ -164,8 +164,9 @@ class RngStream:
 
     def uniforms(self, size: int) -> np.ndarray:
         """Uniforms in (0, 1) of one keyed call: value j reads lane 0 at index j < 2^32."""
-        # (j + 1) * golden, the golden part of word j's counter, as a running sum
-        return _uniforms(np.full(size, _GOLDEN_U).cumsum() + np.uint64(self.call_key()))
+        size = whole_number(size, "size must be a whole number >= 0", 0)
+        counters = (np.arange(size, dtype=np.uint64) + np.uint64(1)) * _GOLDEN_U
+        return _uniforms(counters + np.uint64(self.call_key()))
 
     def normals(self, size: int) -> np.ndarray:
         """Standard normal variates via the Box-Muller transform, as one keyed call.
@@ -173,6 +174,7 @@ class RngStream:
         Normal j pairs the lane-1 and lane-2 uniforms of index j < 2^32; blocks of
         ``_NORMAL_BLOCK`` indices bound the working memory beyond the result.
         """
+        size = whole_number(size, "size must be a whole number >= 0", 0)
         out = np.empty(size)
         rows = np.arange(1, min(size, _NORMAL_BLOCK) + 1, dtype=np.uint64) * _GOLDEN_U
         z, tmp = np.empty((2, rows.size), np.uint64), np.empty((2, rows.size), np.uint64)

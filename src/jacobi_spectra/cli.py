@@ -3,8 +3,8 @@
 Subcommands: ``sample``, ``roots``, ``deviation``, ``compare``, ``fmatrix``,
 ``verify``. All numeric output is serialized with 17 significant digits and a
 locale-independent decimal point; JSON payloads carry ``"schema_version": 1``.
-The default seed is the documented constant 0x4A41434F424921, so every
-subcommand is reproducible without flags.
+``--seed`` (the subcommands that draw, and ``verify``) defaults to the documented
+constant 0x4A41434F424921, so every subcommand is reproducible without flags.
 
 Exit codes: 0 success, 2 parameter error, 3 I/O failure, 4 numerical failure
 (a failed allocation included). ``fmatrix --route direct`` is capped at
@@ -56,10 +56,10 @@ def _fmt(v: float) -> str:
 
 
 def _jacobi_params(args) -> JacobiParams:
-    """Build ensemble parameters; --a-tilde/--b-tilde override --a/--b with beta*tilde/2 - 1,
+    """Build ensemble parameters; --a-tilde/--b-tilde set a/b to beta*tilde/2 - 1,
     reported against the flag unless finite, > -1 and run at the flag's tilde to 1e-9."""
     ab = {"a": args.a, "b": args.b}
-    tildes = {name: t for name in ab if (t := getattr(args, f"{name}_tilde")) is not None}
+    tildes = {name: t for name, t in (("a", args.a_tilde), ("b", args.b_tilde)) if t is not None}
     for name, tilde in tildes.items():
         ab[name] = w = args.beta * tilde / 2.0 - 1.0
         if not -1.0 < w < np.inf:
@@ -248,7 +248,7 @@ def cmd_fmatrix(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_all(seed=args.seed)
-    _write(json.dumps(report, indent=2), args.out)
+    _write(json.dumps({"schema_version": SCHEMA_VERSION, **report}, indent=2), args.out)
     return 0 if report["all_pass"] else 1
 
 
@@ -256,21 +256,21 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
-def _add_common(sp, *, trials=True, ensemble=False, dims=False):
-    sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
-                    help="64-bit seed (default 0x4A41434F424921)")
+def _add_common(sp, *, seed=True, trials=True, ensemble=False, dims=False):
+    if seed:
+        sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+                        help="64-bit seed (default 0x4A41434F424921)")
     sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     if trials:
         sp.add_argument("--trials", type=int, default=1)
     if ensemble:
         sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--a", type=float, default=0.0)
-        sp.add_argument("--b", type=float, default=0.0)
+        for name in ("a", "b"):
+            given = sp.add_mutually_exclusive_group()
+            given.add_argument(f"--{name}", type=float, default=0.0)
+            given.add_argument(f"--{name}-tilde", dest=f"{name}_tilde", type=float, default=None,
+                               help=f"set {name} via {name} = beta*{name}_tilde/2 - 1")
         sp.add_argument("--beta", type=float, default=2.0)
-        sp.add_argument("--a-tilde", dest="a_tilde", type=float, default=None,
-                        help="set a via a = beta*a_tilde/2 - 1")
-        sp.add_argument("--b-tilde", dest="b_tilde", type=float, default=None,
-                        help="set b via b = beta*b_tilde/2 - 1")
     if dims:
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--n1", type=int, required=True)
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sample)
 
     sp = sub.add_parser("roots", help="deterministic root approximations (CSV index,value)")
-    _add_common(sp, trials=False, ensemble=True)
+    _add_common(sp, seed=False, trials=False, ensemble=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_roots)
 

@@ -170,30 +170,13 @@ class GeneralDensity(DensityModel):
         self._settle((a2 - w, a2 + w), rational, a1=a1, a2=a2, b1=b1, b2=b2)
 
 
-def ratio_density_support(alpha0: float, beta0: float) -> tuple[float, float]:
-    """Support endpoints (2 r1, 2 r2) of :class:`RatioDensity` on the [-2, 2] scale."""
-    alpha0, beta0 = real_number(alpha0), real_number(beta0)
-    if not (0.0 <= alpha0 < math.inf and 0.0 <= beta0 < math.inf):
-        raise ParameterDomainError("growth ratios must be finite and satisfy alpha0, beta0 >= 0")
-    root = 4.0 * math.sqrt((alpha0 + 1.0) * (beta0 + 1.0) * (alpha0 + beta0 + 1.0))
-    try:
-        den = (2.0 + alpha0 + beta0) ** 2
-        r1 = (beta0**2 - alpha0**2 - root) / den
-        r2 = (beta0**2 - alpha0**2 + root) / den
-    except OverflowError:  # a float ** raises where * gives inf
-        r1 = r2 = math.inf
-    if not (math.isfinite(r1) and math.isfinite(r2)):
-        raise MagnitudeOverflowError("ratio-law support overflowed float64")
-    return 2.0 * r1, 2.0 * r2
-
-
 @dataclass(frozen=True)
 class RatioDensity(DensityModel):
     """Limit law when the rescaled parameters grow linearly with n.
 
     alpha0 and beta0 are the limits of a_tilde/n and b_tilde/n. The density is
-    ((2 + alpha0 + beta0) / 2pi) sqrt((2 r2 - x)(x - 2 r1)) / (4 - x^2); for
-    alpha0 = beta0 = 0 it degenerates to the arcsine law.
+    ((2 + alpha0 + beta0) / 2pi) sqrt((2 r2 - x)(x - 2 r1)) / (4 - x^2) on
+    [2 r1, 2 r2]; at alpha0 = beta0 = 0 it is the arcsine law 1 / (pi sqrt(4 - x^2)).
     """
 
     alpha0: float
@@ -201,17 +184,20 @@ class RatioDensity(DensityModel):
 
     def __post_init__(self):
         a0, b0 = real_number(self.alpha0), real_number(self.beta0)
+        if not (0.0 <= a0 < math.inf and 0.0 <= b0 < math.inf):
+            raise ParameterDomainError("growth ratios must be finite and satisfy alpha0, beta0 >= 0")
+        root = 4.0 * math.sqrt((a0 + 1.0) * (b0 + 1.0) * (a0 + b0 + 1.0))
+        try:
+            den = (2.0 + a0 + b0) ** 2
+            r1 = (b0**2 - a0**2 - root) / den
+            r2 = (b0**2 - a0**2 + root) / den
+        except OverflowError:  # a float ** raises where * gives inf
+            r1 = r2 = math.inf
+        if not (math.isfinite(r1) and math.isfinite(r2)):
+            raise MagnitudeOverflowError("ratio-law support overflowed float64")
         # (c / 2pi) / (4 - x^2) = -(c / 2pi) / ((x - 2)(x + 2))
         rational = (0.0, -(2.0 + a0 + b0) / (2.0 * np.pi), (2.0, -2.0))
-        self._settle(ratio_density_support(a0, b0), rational, alpha0=a0, beta0=b0)
-
-
-@dataclass(frozen=True)
-class ArcsineDensity(DensityModel):
-    """Arcsine law on (-2, 2): f(x) = 1 / (pi sqrt(4 - x^2))."""
-
-    def __post_init__(self):
-        self._settle((-2.0, 2.0), (0.0, -1.0 / np.pi, (2.0, -2.0)))
+        self._settle((2.0 * r1, 2.0 * r2), rational, alpha0=a0, beta0=b0)
 
 
 @dataclass(frozen=True)
@@ -548,7 +534,7 @@ def _ratio_regime(p: JacobiParams):
 
 
 def _arcsine_regime(p: JacobiParams):
-    return ArcsineDensity(), ScalingSequence(1.0, 0.0, p.n)
+    return RatioDensity(0.0, 0.0), ScalingSequence(1.0, 0.0, p.n)
 
 
 def semicircle_radius(g: float) -> float:

@@ -278,7 +278,6 @@ def run_all(seed: int = DEFAULT_SEED) -> dict:
     rng = RngStream(seed, 0)
     records = [fn(rng) for fn in CRITERIA.values()]
     return {
-        "schema_version": 1,
         "seed": seed,
         "all_pass": all(r["passed"] for r in records),
         "criteria": records,

@@ -7,7 +7,9 @@ every run. The record of a case is its exit code and the SHA-256 of stdout,
 of stderr and of every file the command left in that directory.
 
 Rewrite the hashes after an intended byte change (cases keep their order
-and arguments; add a case by appending ``{"args": [...]}``):
+and arguments; add a case by appending ``{"args": [...]}``). The rewrite
+prints the command line of every case whose record changed, and nothing when
+none did:
 
     PYTHONPATH=src python tests/golden_cli.py
 """
@@ -51,7 +53,10 @@ def load_cases() -> list[dict]:
 
 def rewrite() -> None:
     doc = json.loads(GOLDEN.read_text())
-    doc["cases"] = [run_case(case["args"])[0] for case in doc["cases"]]
+    old, doc["cases"] = doc["cases"], [run_case(case["args"])[0] for case in doc["cases"]]
+    for before, after in zip(old, doc["cases"]):
+        if before != after:
+            print(" ".join(after["args"]))
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
 
 

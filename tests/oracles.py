@@ -432,8 +432,6 @@ def density_formula(m, x: float) -> float:
         factor = b1 / (2 * pi) / den
     elif name == "RatioDensity":
         factor = (2 + Fraction(m.alpha0) + Fraction(m.beta0)) / (2 * pi) / (4 - x * x)
-    elif name == "ArcsineDensity":  # 1 / (pi sqrt(4 - x^2)) = sqrt(4 - x^2) / (pi (4 - x^2))
-        factor = 1 / (pi * (4 - x * x))
     elif name == "SemicircleDensity":
         factor = 2 / (pi * Fraction(m.radius) ** 2)
     elif name == "EdgeDensity":

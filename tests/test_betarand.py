@@ -127,6 +127,15 @@ def test_uniforms_read_lane_0_of_one_call():
     assert a.uniforms(3).tobytes() == b.uniforms(3).tobytes()
 
 
+@pytest.mark.parametrize("size", [-1, 2.5, math.nan, 10**400], ids=["-1", "2.5", "nan", "1e400"])
+@pytest.mark.parametrize("draw", ["uniforms", "normals"])
+def test_a_rejected_size_consumes_no_key(draw, size):
+    s = RngStream(21, 4)
+    with pytest.raises(ParameterDomainError, match="size must be a whole number >= 0"):
+        getattr(s, draw)(size)
+    assert s.uniforms(3).tobytes() == RngStream(21, 4).uniforms(3).tobytes()
+
+
 @pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3])
 def test_blocked_normals_equal_the_one_shot_box_muller(size):
     # normal j pairs the lane-1 and lane-2 uniforms of index j of one call

@@ -449,14 +449,34 @@ def test_fmatrix_json_summary():
 
 
 def test_verify_exit_code_tracks_report(monkeypatch, capsys):
-    fake = {"schema_version": 1, "all_pass": True,
-            "criteria": [{"id": "C01", "passed": True}]}
+    fake = {"seed": 1, "all_pass": True, "criteria": [{"id": "C01", "passed": True}]}
     monkeypatch.setattr(cli, "run_all", lambda seed: fake)
     assert cli.main(["verify"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["schema_version", "seed", "all_pass", "criteria"]
+    assert payload["schema_version"] == 1
     fake["all_pass"] = False
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert '"C01"' in out
+
+
+@pytest.mark.parametrize("command", [
+    ("roots", "--n", "3", "--seed", "99"),  # roots draws nothing
+    ("roots", "--n", "3", "--a", "7", "--a-tilde", "2"),
+    ("sample", "--n", "3", "--b", "1", "--b-tilde", "2"),
+], ids=" ".join)
+def test_inert_or_conflicting_flags_exit_2(command):
+    r = run_cli(*command)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error: " in r.stderr
+
+
+def test_every_drawing_subcommand_takes_a_seed():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    seeded = [c for c, sp in sub.choices.items() if any(a.dest == "seed" for a in sp._actions)]
+    assert seeded == ["sample", "deviation", "compare", "fmatrix", "verify"]
 
 
 def _choices(command, dest):

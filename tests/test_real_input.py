@@ -61,7 +61,6 @@ from jacobi_spectra.spectra import (
     deviation_probability_bound,
     ks_distance,
     model_cdf,
-    ratio_density_support,
     run_trials,
     scale_eigenvalues,
 )
@@ -118,7 +117,6 @@ SCALAR_SITES = {
     "ScalingSequence-n": lambda v: ScalingSequence(1.0, 0.0, v),
     "GeneralDensity": lambda v: GeneralDensity(v, 0.0, 1.0, 1.0),
     "RatioDensity": lambda v: RatioDensity(v, 1.0),
-    "ratio_density_support": lambda v: ratio_density_support(1.0, v),
     "SemicircleDensity": lambda v: SemicircleDensity(v),
     "EdgeDensity": lambda v: EdgeDensity(v),
     "FMatrixDensity": lambda v: FMatrixDensity(0.5, v),
@@ -132,6 +130,8 @@ SCALAR_SITES = {
     "RngStream-base_seed": lambda v: RngStream(v),
     "RngStream-stream_id": lambda v: RngStream(5, v),
     "substream": lambda v: R.substream(v),
+    "uniforms": lambda v: RngStream(1).uniforms(v),
+    "normals": lambda v: RngStream(1).normals(v),
 }
 for name, site in SCALAR_SITES.items():
     CASES[f"{name}-complex"] = lambda site=site: site(Z)
@@ -146,8 +146,6 @@ NONFINITE_PARAMS = {
     "GeneralDensity-b2": (lambda v: GeneralDensity(0.5, 0.0, 1.0, v), (INF,)),
     "RatioDensity-alpha0": (lambda v: RatioDensity(v, 1.0), (NAN, INF)),
     "RatioDensity-beta0": (lambda v: RatioDensity(1.0, v), (NAN, INF)),
-    "ratio_density_support-alpha0": (lambda v: ratio_density_support(v, 1.0), (NAN, INF)),
-    "ratio_density_support-beta0": (lambda v: ratio_density_support(1.0, v), (NAN, INF)),
     "SemicircleDensity-radius": (lambda v: SemicircleDensity(v), (INF,)),
     "SemicircleDensity-center": (lambda v: SemicircleDensity(1.0, v), (NAN, INF, -INF)),
     "EdgeDensity-beta0": (lambda v: EdgeDensity(v), (NAN, INF)),
@@ -170,6 +168,12 @@ CASES.update({
     "RngStream-fractional-seed": lambda: RngStream(5.7),
     "RngStream-fractional-stream_id": lambda: RngStream(5, 2.9),
     "substream-fractional": lambda: R.substream(1.5),
+    "uniforms-negative": lambda: RngStream(1).uniforms(-1),
+    "uniforms-fractional": lambda: RngStream(1).uniforms(2.5),
+    "uniforms-nan": lambda: RngStream(1).uniforms(NAN),
+    "normals-negative": lambda: RngStream(1).normals(-1),
+    "normals-fractional": lambda: RngStream(1).normals(2.5),
+    "normals-nan": lambda: RngStream(1).normals(NAN),
     "run_trials-fractional": lambda: run_trials(lambda sub: 0, 2.5, R),
     "ScalingSequence-negative-n": lambda: ScalingSequence(1, 0, -3),
     "deviation_probability_bound-n0": lambda: deviation_probability_bound(0, 1.0, 1.0, 0.5),
@@ -183,6 +187,8 @@ CASES.update({
     "density_eval-huge": lambda: density_eval(M, [0.1, HUGE]),
     "Spectrum-huge": lambda: Spectrum([0.0, HUGE]),
     "JacobiParams-huge-a": lambda: JacobiParams(5, HUGE, 0, 2),
+    "uniforms-huge": lambda: RngStream(1).uniforms(HUGE),
+    "normals-huge": lambda: RngStream(1).normals(HUGE),
 })
 
 

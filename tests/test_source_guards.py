@@ -1,9 +1,12 @@
 """Static checks over the package source."""
 
+import argparse
 import ast
+import inspect
 import pathlib
 
 import jacobi_spectra
+from jacobi_spectra import cli
 
 PACKAGE = pathlib.Path(jacobi_spectra.__file__).parent
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
@@ -47,6 +50,56 @@ def test_unread_parameter_guard_sees_a_dropped_read():
         "@criterion('C00', 'deterministic', 0.0, 1.0)\ndef check(rng):\n    return 0.0\n"
     )
     assert unread_parameters(source) == ["3 dropped: d"]
+
+
+def unread_flags(parser: argparse.ArgumentParser, source: str) -> list[str]:
+    """"command: dest" of every flag a subcommand of parser accepts whose dest is
+    never read as <args>.<dest>, in the subcommand's ``fn`` (defined in source)
+    or in a function of source that it passes its args to, under that
+    function's name for them."""
+    defs = {f.name: f for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)}
+
+    def reads(name: str, var: str) -> set[str]:
+        out = set()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == var:
+                out.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs:
+                callee = defs[node.func.id]
+                out |= {r for i, a in enumerate(node.args) if getattr(a, "id", None) == var
+                        for r in reads(callee.name, callee.args.args[i].arg)}
+        return out
+
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = []
+    for command, sp in sub.choices.items():
+        fn = defs[sp.get_default("fn").__name__]
+        read = reads(fn.name, fn.args.args[0].arg)
+        found += [f"{command}: {a.dest}" for a in sp._actions
+                  if a.option_strings and a.dest != "help" and a.dest not in read]
+    return found
+
+
+def test_every_flag_a_subcommand_accepts_is_read():
+    # a flag the subcommand never reads is accepted and silently does nothing
+    assert unread_flags(cli.build_parser(), inspect.getsource(cli)) == []
+
+
+def test_unread_flag_guard_sees_a_dropped_read():
+    source = (
+        "def cmd(args):\n    return _params(args, 1)\n"
+        "def _params(ns, k):\n    return ns.n + k\n"
+    )
+    ap = argparse.ArgumentParser()
+    sp = ap.add_subparsers().add_parser("run")
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--seed", type=int)
+
+    def cmd(args):  # the guard reads the source above, not this body
+        pass
+
+    sp.set_defaults(fn=cmd)
+    assert unread_flags(ap, source) == ["run: seed"]
 
 
 def warnings_imports(source: str) -> list[int]:

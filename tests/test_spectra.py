@@ -25,7 +25,6 @@ from jacobi_spectra.fmatrix import (
 from jacobi_spectra.polyroots import ensemble_roots, jacobi_roots_scaled
 from jacobi_spectra.spectra import (
     REGIMES,
-    ArcsineDensity,
     DensityModel,
     DeviationReport,
     Ecdf,
@@ -42,7 +41,6 @@ from jacobi_spectra.spectra import (
     ks_distance,
     model_cdf,
     monte_carlo_esd,
-    ratio_density_support,
     realize,
     run_trials,
     scale_eigenvalues,
@@ -95,11 +93,11 @@ def _tied_sample(lo, hi, size, seed):
     return lo - 0.1 * w + np.round(400.0 * u) * (1.2 * w / 400.0)
 
 
-KS_MODELS = [RatioDensity(3.0, 3.0), ArcsineDensity(), FMatrixDensity(0.5, 1.0 / 3.0)]
+KS_MODELS = [RatioDensity(3.0, 3.0), RatioDensity(0.0, 0.0), FMatrixDensity(0.5, 1.0 / 3.0)]
 
 
 @pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 5150])
-@pytest.mark.parametrize("model", KS_MODELS, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("model", KS_MODELS, ids=["RatioDensity", "arcsine", "FMatrixDensity"])
 def test_ks_distance_is_the_whole_array_formula(size, model):
     e = Ecdf(_tied_sample(*model.support, size, SEED + size))
     if size > 1000:
@@ -173,7 +171,7 @@ def test_density_spot_values():
     assert density_eval(RatioDensity(3.0, 3.0), 0.0) == pytest.approx(
         math.sqrt(7.0) / (2.0 * math.pi), rel=1e-14
     )
-    assert density_eval(ArcsineDensity(), 0.0) == pytest.approx(
+    assert density_eval(RatioDensity(0.0, 0.0), 0.0) == pytest.approx(
         1.0 / (2.0 * math.pi), rel=1e-14
     )
     assert density_eval(SemicircleDensity(math.sqrt(2.0)), 0.0) == pytest.approx(
@@ -204,7 +202,7 @@ def test_density_eval_scalar_and_shape_contract():
 @pytest.mark.parametrize("model", [
     GeneralDensity(2.0, 2.0, 4.0, 4.0),
     RatioDensity(3.0, 3.0),
-    ArcsineDensity(),
+    RatioDensity(0.0, 0.0),
     SemicircleDensity(4.0, -2.0),
     EdgeDensity(1.0),
     FMatrixDensity(0.5, 1.0 / 3.0),
@@ -219,6 +217,7 @@ def test_density_eval_is_edge_density_inside_the_support(model):
 # the density of these laws is pinned to the bit
 DENSITY_BYTES = {
     RatioDensity(3.0, 3.0): "890c2bda5360767bacd5f9895fdfc1550b5d4a54c54325780a12ef155d6c0888",
+    RatioDensity(0.0, 0.0): "4617a768781a89c3552a494f45e002bd881566ad5a16057078e6d8225c49ac8a",
     RatioDensity(0.0, 5.0): "2bd2dff53fe35672b547459e12a116a3825878af71314912f69cd51250fc0dac",
     SemicircleDensity(4.0, 2.0): "bc339c5dac20e09d5577516bce0b27822b0042234774ae16b6c5287ca63ccea1",
 }
@@ -250,10 +249,10 @@ def test_only_the_base_model_evaluates_a_density():
 
 
 def test_ratio_support_values():
-    lo, hi = ratio_density_support(3.0, 3.0)
+    lo, hi = RatioDensity(3.0, 3.0).support
     assert (lo, hi) == pytest.approx((-math.sqrt(7.0) / 2.0, math.sqrt(7.0) / 2.0))
-    assert ratio_density_support(0.0, 0.0) == pytest.approx((-2.0, 2.0))
-    lo, hi = ratio_density_support(1.3, 1.3)
+    assert RatioDensity(0.0, 0.0).support == pytest.approx((-2.0, 2.0))
+    lo, hi = RatioDensity(1.3, 1.3).support
     assert lo == pytest.approx(-hi)
 
 
@@ -322,7 +321,6 @@ MODELS = [
     RatioDensity(3.0, 3.0),
     RatioDensity(0.0, 0.0),
     RatioDensity(0.0, 2.5),
-    ArcsineDensity(),
     SemicircleDensity(math.sqrt(2.0)),
     SemicircleDensity(4.0, 2.0),
     SemicircleDensity(4.0, -2.0),
@@ -353,7 +351,7 @@ def test_density_normalization(model):
 
 
 def test_cdf_endpoints_and_closed_form():
-    m = ArcsineDensity()
+    m = RatioDensity(0.0, 0.0)  # the arcsine law
     assert cdf_eval(m, -2.0, 1e-8) == 0.0
     assert cdf_eval(m, 2.0, 1e-8) == pytest.approx(1.0, abs=1e-6)
     xs = np.linspace(-1.99, 1.99, 31)
@@ -443,7 +441,7 @@ def test_model_cdf_holds_its_output_and_one_block():
 def test_cdf_grid_closed_forms():
     xs = np.linspace(-2.5, 2.5, 1001)
     arcsine = arcsine_cdf(xs)
-    assert np.max(np.abs(cdf_grid(ArcsineDensity(), xs) - arcsine)) < 1e-13
+    assert np.max(np.abs(cdf_grid(RatioDensity(0.0, 0.0), xs) - arcsine)) < 1e-13
     r = 1.3
     xs = np.linspace(-r, r, 1001)
     semicircle = 0.5 + xs * np.sqrt(r * r - xs * xs) / (np.pi * r * r) + np.arcsin(xs / r) / np.pi
@@ -470,7 +468,7 @@ def test_cdf_grid_edge_cases():
     assert out == pytest.approx([cdf_eval(m, x, 1e-12) for x in xs], abs=1e-10)
     # several blocks: nondecreasing across block boundaries and still accurate
     xs = np.linspace(-1.999, 1.999, 5001)
-    out = cdf_grid(ArcsineDensity(), xs)
+    out = cdf_grid(RatioDensity(0.0, 0.0), xs)
     assert np.all(np.diff(out) >= 0.0)
     assert np.max(np.abs(out - arcsine_cdf(xs))) < 1e-12
 
