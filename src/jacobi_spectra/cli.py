@@ -6,7 +6,8 @@ locale-independent decimal point; JSON payloads carry ``"schema_version": 1``.
 ``--seed`` (the subcommands that draw, and ``verify``) defaults to the documented
 constant 0x4A41434F424921, so every subcommand is reproducible without flags.
 
-Exit codes: 0 success, 2 parameter error, 3 I/O failure, 4 numerical failure
+Exit codes, all returned by :func:`main`: 0 success, 2 parameter error (a
+command line argparse rejects included), 3 I/O failure, 4 numerical failure
 (a failed allocation included). ``fmatrix --route direct`` is capped at
 n = 500, checked before the Gaussian draw; the library's dense route is not.
 """
@@ -75,15 +76,12 @@ def _jacobi_params(args) -> JacobiParams:
 
 
 def _write(text: str, out: str | None) -> None:
+    text += "" if text.endswith("\n") else "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _rows_payload(header: tuple[str, ...], rows, fmt: str) -> str:
@@ -327,10 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # argparse: 2 for a rejected command line, 0 after --help
+        return exc.code
     except ParameterDomainError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

@@ -137,6 +137,8 @@ class GeneralDensity(DensityModel):
            ((b2-b1) x^2 + (b1 a2 + b1 a1 - 2 b2 a1) x + b2 a1^2 - a1 a2 b1 + b1^2)
     A coefficient or discriminant of that denominator beyond float64 raises
     MagnitudeOverflowError, and so does a support that rounds to one point.
+    Parameters whose law has atoms, so that the density integrates to less
+    than 1 - 1e-9, raise ParameterDomainError naming the missing mass.
     """
 
     a1: float
@@ -168,6 +170,11 @@ class GeneralDensity(DensityModel):
             p = q / a
             rational = (0.0, k / a, (p, p.conjugate() if root.imag else c / q if q else p))
         self._settle((a2 - w, a2 + w), rational, a1=a1, a2=a2, b1=b1, b2=b2)
+        # the closed form at hi itself reads the density's mass (cdf_grid reads 1 there)
+        mass = _closed_form(self)(np.array([a2 + w]))[0]
+        if 1.0 - mass > 1e-9:
+            raise ParameterDomainError(f"general law has atoms: its density integrates to "
+                                       f"{mass:.12g}, missing mass {1.0 - mass:.3g}")
 
 
 @dataclass(frozen=True)
@@ -353,21 +360,21 @@ def _pair_integral(p1, p2, delta, h, phi, tan_half, rlo, rhi):
     return -phi - 2.0 * dr * np.arctan(u1 * tan_half) - 2.0 * r2 * datan
 
 
-def _cdf_into(m: DensityModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The CDF of m at finite points x in any order, written block by block
-    into out (which may be x itself): c h^2 (phi - sin(phi) cos(phi))/2 plus
-    w times I(p) of one pole, or (I(p1) - I(p2))/(p1 - p2) of two, through
-    :func:`_pair_integral` where they are nearer each other than the support.
-    phi = 2 atan2(sqrt(dlo), sqrt(dhi)) is accurate at either end. Points at
-    or above hi read exactly 1, at or below lo 0."""
+def _closed_form(m: DensityModel):
+    """The closed form of m's CDF as a function of a block of finite points:
+    c h^2 (phi - sin(phi) cos(phi))/2 plus w times I(p) of one pole, or
+    (I(p1) - I(p2))/(p1 - p2) of two, through :func:`_pair_integral` where
+    they are nearer each other than the support. phi = 2 atan2(sqrt(dlo),
+    sqrt(dhi)) is accurate at either end. Unclipped: at hi it reads the mass
+    of the density, which falls short of 1 by the mass of any atom."""
     lo, hi = m.support
     h = 0.5 * (hi - lo)
     c, w, ps = m.rational
     poles = [_pole(p, lo, hi) for p in ps]
     close = len(ps) == 2 and not lo <= ps[0].real <= hi and (
         abs(ps[0] - ps[1]) < min(abs(d) for pole in poles for d in pole[:2]))
-    for i in range(0, x.size, _BLOCK):
-        xb = x[i : i + _BLOCK]
+
+    def cdf(xb):
         rlo, rhi = np.sqrt(np.maximum(xb - lo, 0.0)), np.sqrt(np.maximum(hi - xb, 0.0))
         phi = 2.0 * np.arctan2(rlo, rhi)
         sin_phi = np.sin(phi)
@@ -379,6 +386,19 @@ def _cdf_into(m: DensityModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
             elif poles:
                 i1, *i2 = (_pole_integral(p, h, phi, sin_phi, tan_half) for p in poles)
                 f += (w * ((i1 - i2[0]) / (ps[0] - ps[1]) if i2 else i1)).real
+        return f
+
+    return cdf
+
+
+def _cdf_into(m: DensityModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The CDF of m at finite points x in any order, :func:`_closed_form`
+    written block by block into out (which may be x itself). Points at or
+    above hi read exactly 1, at or below lo 0."""
+    hi, cdf = m.support[1], _closed_form(m)
+    for i in range(0, x.size, _BLOCK):
+        xb = x[i : i + _BLOCK]
+        f = cdf(xb)
         f[xb >= hi] = 1.0
         if not np.isfinite(f).all():
             raise NumericalFailureError("limit-law CDF is not finite")

@@ -1,10 +1,18 @@
 """Run the CLI command lines of ``golden_cli.json`` in-process and hash their output.
 
+:func:`run_case` is the one CLI runner of the tests: it calls ``cli.main``,
+which returns every exit code, argparse's 2 for a rejected command line
+included. A ``RuntimeWarning`` raises, so a run that would print one to stderr
+fails as a traceback would, and argparse wraps its usage at 80 columns
+whatever the terminal.
+
 Each case is one command line. ``{tmp}`` in its arguments stands for a fresh
 empty directory; the same directory is written back as ``{tmp}`` in stdout
 and stderr before hashing, so a path in an error message hashes the same on
 every run. The record of a case is its exit code and the SHA-256 of stdout,
-of stderr and of every file the command left in that directory.
+of stderr and of every file the command left in that directory. The numeric
+hashes belong to one numpy build; the stderr of an argparse rejection holds
+argparse's usage text, so its hash belongs to one Python version.
 
 Rewrite the hashes after an intended byte change (cases keep their order
 and arguments; add a case by appending ``{"args": [...]}``). The rewrite
@@ -20,8 +28,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 from jacobi_spectra import cli
 
@@ -34,7 +45,9 @@ def _sha(data: bytes) -> str:
 
 def run_case(args: list[str]) -> tuple[dict, dict[str, bytes]]:
     """(record, raw outputs) of one command line; raw keys are "stdout", "stderr" and file names."""
-    with tempfile.TemporaryDirectory() as tmp:
+    with (tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(),
+          mock.patch.dict(os.environ, COLUMNS="80")):
+        warnings.simplefilter("error", RuntimeWarning)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([a.replace("{tmp}", tmp) for a in args])

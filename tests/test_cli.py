@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -13,12 +14,37 @@ from jacobi_spectra.fmatrix import TRANSFORMS, FDims, f_eigs_tridiag, semicircle
 from jacobi_spectra.spectra import REGIMES
 from jacobi_spectra.trieig import eig_tridiag
 
+from golden_cli import run_case
 
-def run_cli(*args, **kw):
-    return subprocess.run(
-        [sys.executable, "-m", "jacobi_spectra", *args],
-        capture_output=True, text=True, **kw,
-    )
+
+def run_cli(*args):
+    """The command line run in-process by golden_cli.run_case, as subprocess.run's text result."""
+    record, raw = run_case(list(args))
+    return subprocess.CompletedProcess(list(args), record["exit"], raw["stdout"].decode(),
+                                       raw["stderr"].decode())
+
+
+def test_python_m_entry_exits_with_the_code_and_bytes_of_main():
+    # the one CLI run in a fresh interpreter: sys.exit(main()) exits with the
+    # code main returns and writes the in-process bytes, the drawn ones too
+    for args, code in [
+        (("sample", "--n", "5", "--trials", "2", "--seed", "7"), 0),
+        (("roots", "--n", "3", "--seed", "99"), 2),  # argparse rejects the command line
+        (("sample", "--n", "3", "--a", "-1"), 2),  # ParameterDomainError
+        (("roots", "--n", "5", "--a", "1.7e308", "--beta", "1e-300"), 4),
+    ]:
+        r = subprocess.run([sys.executable, "-m", "jacobi_spectra", *args], capture_output=True,
+                           text=True, env={**os.environ, "COLUMNS": "80"})
+        ref = run_cli(*args)
+        assert r.returncode == ref.returncode == code, args
+        assert (r.stdout, r.stderr) == (ref.stdout, ref.stderr), args
+
+
+def test_help_exits_0_with_the_usage_on_stdout():
+    r = run_cli("roots", "--help")
+    assert r.returncode == 0
+    assert r.stdout.startswith("usage: jacobi-spectra roots ")
+    assert r.stderr == ""
 
 
 def test_sample_shape_and_determinism():
@@ -395,46 +421,45 @@ def test_fmatrix_direct_refuses_large_n():
     assert r.returncode == 2
 
 
-def test_fmatrix_direct_cap_is_checked_before_the_draw(monkeypatch, capsys):
+def test_fmatrix_direct_cap_is_checked_before_the_draw(monkeypatch):
     def no_draw(d, rng):
         raise AssertionError("the Gaussian pair was drawn before the cap check")
 
     monkeypatch.setattr(cli, "sample_gaussian_pair", no_draw)
-    code = cli.main(["fmatrix", "--n", "501", "--n1", "600", "--n2", "700",
-                     "--route", "direct"])
-    assert code == 2
-    assert capsys.readouterr().err == (
+    r = run_cli("fmatrix", "--n", "501", "--n1", "600", "--n2", "700", "--route", "direct")
+    assert r.returncode == 2
+    assert r.stderr == (
         "parameter error: dense F-matrix route is capped at n = 500; "
         "the tridiagonal route is not\n"
     )
 
 
 @pytest.mark.parametrize("route", ["tridiag", "direct"])
-def test_fmatrix_json_limit_law_is_checked_before_the_draw(monkeypatch, capsys, route):
+def test_fmatrix_json_limit_law_is_checked_before_the_draw(monkeypatch, route):
     # n2 = n has no limit law (yprime = 1), so JSON stops before any realization
     def no_draw(*args):
         raise AssertionError("a realization was drawn before the limit-law check")
 
     monkeypatch.setattr(cli, "f_eigs_tridiag", no_draw)
     monkeypatch.setattr(cli, "sample_gaussian_pair", no_draw)
-    code = cli.main(["fmatrix", "--n", "1000", "--n1", "1200", "--n2", "1000",
-                     "--trials", "20", "--format", "json", "--route", route])
-    assert code == 2
-    assert capsys.readouterr().err == (
+    r = run_cli("fmatrix", "--n", "1000", "--n1", "1200", "--n2", "1000",
+                "--trials", "20", "--format", "json", "--route", route)
+    assert r.returncode == 2
+    assert r.stderr == (
         "parameter error: aspect ratio must satisfy yprime in (0, 1)\n"
     )
 
 
-def test_allocation_failure_exits_4_with_one_line(monkeypatch, capsys):
+def test_allocation_failure_exits_4_with_one_line(monkeypatch):
     # the draw is stubbed: a real oversized allocation would fill a large host
     def oversized(d, rng):
         raise MemoryError("Unable to allocate 14.9 GiB for an array")
 
     monkeypatch.setattr(cli, "sample_gaussian_pair", oversized)
-    code = cli.main(["fmatrix", "--n", "500", "--n1", "4000000", "--n2", "4000000",
-                     "--route", "direct"])
-    assert code == 4
-    assert capsys.readouterr().err == (
+    r = run_cli("fmatrix", "--n", "500", "--n1", "4000000", "--n2", "4000000",
+                "--route", "direct")
+    assert r.returncode == 4
+    assert r.stderr == (
         "numerical failure: Unable to allocate 14.9 GiB for an array\n"
     )
 
@@ -448,17 +473,18 @@ def test_fmatrix_json_summary():
     assert 0.0 <= payload["ks_vs_limit"] <= 1.0
 
 
-def test_verify_exit_code_tracks_report(monkeypatch, capsys):
+def test_verify_exit_code_tracks_report(monkeypatch):
     fake = {"seed": 1, "all_pass": True, "criteria": [{"id": "C01", "passed": True}]}
     monkeypatch.setattr(cli, "run_all", lambda seed: fake)
-    assert cli.main(["verify"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    r = run_cli("verify")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
     assert list(payload) == ["schema_version", "seed", "all_pass", "criteria"]
     assert payload["schema_version"] == 1
     fake["all_pass"] = False
-    assert cli.main(["verify"]) == 1
-    out = capsys.readouterr().out
-    assert '"C01"' in out
+    r = run_cli("verify")
+    assert r.returncode == 1
+    assert '"C01"' in r.stdout
 
 
 @pytest.mark.parametrize("command", [

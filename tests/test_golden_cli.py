@@ -1,9 +1,10 @@
 """Byte identity of the CLI: each command line of golden_cli.json reproduces
 its recorded exit code and the SHA-256 of its stdout, stderr and files.
 
-The hashes belong to one numpy build; after an intended byte change,
-rewrite them with ``PYTHONPATH=src python tests/golden_cli.py`` and name the
-command lines whose hashes moved.
+The hashes belong to one numpy build, and those of argparse's rejections to
+one Python version; after an intended byte change, rewrite them with
+``PYTHONPATH=src python tests/golden_cli.py`` and name the command lines whose
+hashes moved.
 """
 
 import json

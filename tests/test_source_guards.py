@@ -9,7 +9,8 @@ import jacobi_spectra
 from jacobi_spectra import cli
 
 PACKAGE = pathlib.Path(jacobi_spectra.__file__).parent
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+TESTS = pathlib.Path(__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -332,3 +333,47 @@ def test_stderr_guard_sees_every_use():
     assert stderr_uses("cli", source) == [
         "3 cli.report", "5 cli.write", "6 cli.<module>", "9 cli.alias", "11 cli.local"]
     assert stderr_uses("spectra", source)[-1] == "14 spectra.main"
+
+
+# the one test that runs the CLI in a fresh interpreter; every other CLI run
+# goes through golden_cli.run_case, in-process, where cli.main returns its code
+CLI_ENTRY_TESTS = {"test_cli.test_python_m_entry_exits_with_the_code_and_bytes_of_main"}
+
+
+def module_runs(module: str, source: str) -> list[str]:
+    """"line caller" of every list or tuple in source that holds "-m" and then
+    jacobi_spectra or one of its modules, outside CLI_ENTRY_TESTS, the caller
+    as located_nodes names it."""
+    found = []
+    for caller, node in located_nodes(module, ast.parse(source)):
+        if isinstance(node, (ast.List, ast.Tuple)) and caller not in CLI_ENTRY_TESTS:
+            items = [e.value if isinstance(e, ast.Constant) else None for e in node.elts]
+            if any(flag == "-m" and isinstance(name, str) and name.split(".")[0] == "jacobi_spectra"
+                   for flag, name in zip(items, items[1:])):
+                found.append(f"{node.lineno} {caller}")
+    return found
+
+
+def test_only_the_entry_test_runs_the_cli_in_a_subprocess():
+    # a CLI test in a fresh interpreter costs an interpreter start and the
+    # imports, and runs where pytest's warning policy does not reach
+    found = {path.name: module_runs(path.stem, path.read_text(encoding="utf-8"))
+             for path in sorted(TESTS.glob("*.py"))}
+    assert {name: runs for name, runs in found.items() if runs} == {}
+
+
+def test_module_run_guard_sees_every_cli_run():
+    source = (
+        "import subprocess, sys\n"
+        "def run_cli(*args):\n"
+        "    return subprocess.run([sys.executable, '-m', 'jacobi_spectra', *args])\n"
+        "CMD = (sys.executable, '-m', 'jacobi_spectra.cli', 'roots')\n"
+        "def test_python_m_entry_exits_with_the_code_and_bytes_of_main():\n"
+        "    return [sys.executable, '-m', 'jacobi_spectra']\n"
+        "def probe(code):\n"
+        "    return [sys.executable, '-c', 'import jacobi_spectra; print(-m)']\n"
+        "def pip():\n    return [sys.executable, '-m', 'pip', 'show', 'jacobi_spectra']\n"
+    )
+    assert module_runs("test_cli", source) == ["3 test_cli.run_cli", "4 test_cli.<module>"]
+    entry = "6 test_demos.test_python_m_entry_exits_with_the_code_and_bytes_of_main"
+    assert module_runs("test_demos", source)[-1] == entry

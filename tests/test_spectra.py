@@ -34,6 +34,7 @@ from jacobi_spectra.spectra import (
     RatioDensity,
     ScalingSequence,
     SemicircleDensity,
+    _closed_form,
     cdf_grid,
     density_eval,
     deviation_probability_bound,
@@ -46,6 +47,7 @@ from jacobi_spectra.spectra import (
     scale_eigenvalues,
 )
 
+from golden_cli import run_case
 from oracles import (
     arcsine_cdf,
     cdf_eval,
@@ -348,6 +350,22 @@ def test_density_eval_matches_the_docstring_formula(model):
 @pytest.mark.parametrize("model", MODELS)
 def test_density_normalization(model):
     assert abs(density_norm(model, 1e-8) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("model", MODELS + [GeneralDensity(10.0, 0.0, 1.0, 26.000001)], ids=repr)
+def test_closed_form_reads_mass_one_at_the_top_end(model):
+    # the unclipped closed form at hi itself, where cdf_grid reads exactly 1
+    assert abs(_closed_form(model)(np.array([model.support[1]]))[0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("params, missing", [
+    ((0.0, 0.0, 3.0, 1.0), "0.5"),  # the density integrates to 0.5
+    ((1.5, 0.0, 1.0, 1.0), "0.556"),  # to 4/9
+    ((0.0, 0.0, 2.0000001, 1.0), "9.94e-08"),  # an atom just above the 1e-9 tolerance
+])
+def test_general_law_with_atoms_raises_naming_the_missing_mass(params, missing):
+    with pytest.raises(ParameterDomainError, match=f"has atoms: .* missing mass {missing}$"):
+        GeneralDensity(*params)
 
 
 def test_cdf_endpoints_and_closed_form():
@@ -667,7 +685,7 @@ def test_median_deviation_falls_faster_than_root_n():
 
 
 @pytest.mark.parametrize("n", [1, 7])
-def test_every_caller_draws_trial_t_as_realize(n, capsys):
+def test_every_caller_draws_trial_t_as_realize(n):
     # trial t of sample, monte_carlo_esd, deviation_report and f_eigs_tridiag
     # is realize(p, base.substream(t)), byte for byte
     trials, seed = 3, 11
@@ -678,8 +696,9 @@ def test_every_caller_draws_trial_t_as_realize(n, capsys):
 
     argv = ["sample", "--n", str(n), "--a", "2", "--b", "3", "--beta", "2",
             "--trials", str(trials), "--seed", str(seed), "--format", "json"]
-    assert cli.main(argv) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
+    record, raw = run_case(argv)
+    assert record["exit"] == 0
+    rows = json.loads(raw["stdout"])["rows"]
     for t, (_, lam) in enumerate(draws):
         assert np.array([v for tt, _, v in rows if tt == t]).tobytes() == lam.tobytes()
 
