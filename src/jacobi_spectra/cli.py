@@ -339,7 +339,3 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalFailureError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

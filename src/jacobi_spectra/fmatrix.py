@@ -25,7 +25,7 @@ from .errors import (
     MagnitudeOverflowError, NumericalFailureError, ParameterDomainError, real_array, whole_number,
 )
 from .spectra import (
-    FMatrixDensity, SemicircleDensity, model_cdf, realize, reciprocal_edge_cdf, run_trials,
+    FMatrixDensity, ReciprocalEdgeDensity, SemicircleDensity, model_cdf, realize, run_trials,
     semicircle_radius,
 )
 from .trieig import Spectrum, eig_generalized_sym
@@ -215,9 +215,9 @@ def semicircle_transform(lam_f, d: FDims):
 def reciprocal_edge_transform(lam_f, d: FDims):
     """Affine rescaling mu = n/(2 (n1 - n)) (lam n1/n2 + 1).
 
-    Limit when n1 >> n but n/n2 -> y' in (0, 1): the reciprocal image of
-    :class:`EdgeDensity` with beta0 = 1/y' - 1, i.e. density
-    (1/4pi) sqrt((x s2 - 1)(1 - x s1)) / x^2 on (1/s2, 1/s1).
+    Limit when n1 >> n but n/n2 -> y' in (0, 1):
+    :class:`~jacobi_spectra.spectra.ReciprocalEdgeDensity` with
+    beta0 = 1/y' - 1, the law of 1/Z for Z ~ ``EdgeDensity(beta0)``.
     """
     n, n1, n2 = d.n, d.n1, d.n2
     if n1 <= n:
@@ -244,18 +244,12 @@ def shifted_semicircle_transform(lam_f, d: FDims):
     return 2.0 * (n1 - n) / (n1 + n2) * num / den
 
 
-# kind -> (F-eigenvalue map (lam, d) -> mu, dims d -> CDF of the limit law of mu)
+# kind -> (F-eigenvalue map (lam, d) -> mu, dims d -> limit law of mu)
 TRANSFORMS = {
-    "none": (
-        lambda lam, d: _f_eigenvalues(lam),
-        lambda d: model_cdf(FMatrixDensity(d.n / d.n1, d.n / d.n2)),
-    ),
-    "thm42": (
-        semicircle_transform,
-        lambda d: model_cdf(SemicircleDensity(semicircle_radius(d.n1 / d.n2))),
-    ),
-    "thm43": (reciprocal_edge_transform, lambda d: reciprocal_edge_cdf(d.n2 / d.n - 1.0)),
-    "thm44": (shifted_semicircle_transform, lambda d: model_cdf(SemicircleDensity(4.0, -2.0))),
+    "none": (lambda lam, d: _f_eigenvalues(lam), lambda d: FMatrixDensity(d.n / d.n1, d.n / d.n2)),
+    "thm42": (semicircle_transform, lambda d: SemicircleDensity(semicircle_radius(d.n1 / d.n2))),
+    "thm43": (reciprocal_edge_transform, lambda d: ReciprocalEdgeDensity((d.n2 - d.n) / d.n)),
+    "thm44": (shifted_semicircle_transform, lambda d: SemicircleDensity(4.0, -2.0)),
 }
 
 
@@ -266,12 +260,13 @@ def _transform(kind: str):
 
 
 def transform_limit_cdf(kind: str, d: FDims):
-    """CDF callable of the limiting law matching a transform at dimensions d.
+    """CDF callable (:func:`~jacobi_spectra.spectra.model_cdf`) of the limit
+    law that ``TRANSFORMS`` pairs with a transform at dimensions d.
 
-    Plug-in parameters are used (y = n/n1, y' = n/n2, g = n1/n2); points as
-    ``cdf_grid`` takes them; ``thm43``'s is :func:`~jacobi_spectra.spectra.reciprocal_edge_cdf`.
+    Plug-in parameters are used: y = n/n1 and y' = n/n2 for ``none``,
+    g = n1/n2 for ``thm42``, beta0 = (n2 - n)/n for ``thm43``.
     """
-    return _transform(kind)[1](d)
+    return model_cdf(_transform(kind)[1](d))
 
 
 def f_esd_pooled(d: FDims, trials: int, rng: RngStream, transform: str = "none") -> np.ndarray:

@@ -252,6 +252,33 @@ class EdgeDensity(DensityModel):
 
 
 @dataclass(frozen=True)
+class ReciprocalEdgeDensity(DensityModel):
+    """Law of 1/Z for Z ~ :class:`EdgeDensity` (beta0): the limit of the thm43
+    F-matrix transform.
+
+    Support [1/s2, 1/s1] with EdgeDensity's s1, s2 and density
+    (1 / 4pi) sqrt((x s2 - 1)(1 - x s1)) / x^2, which is
+    (beta0 / 2pi) sqrt(dlo dhi) / x^2 as sqrt(s1 s2) = 2 beta0. beta0 must be
+    > 0: at 0 the support is unbounded. 1/s1 overflows for beta0 below about
+    1e-154, and the support collapses from beta0 near 1e33 on
+    (MagnitudeOverflowError).
+    """
+
+    beta0: float
+
+    def __post_init__(self):
+        beta0 = real_number(self.beta0)
+        if not 0.0 < beta0 < math.inf:
+            raise ParameterDomainError("growth ratio must be finite and satisfy beta0 > 0")
+        q = math.sqrt(1.0 + beta0) + 1.0
+        t = beta0 / q  # sqrt(1 + beta0) - 1 without cancellation
+        # s2 = 2 q^2 and s1 = 2 t^2 round alike, so the ends meet where t
+        # rounds to q; an s that underflows to 0 puts its end at inf
+        lo, hi = (1.0 / s if s else math.inf for s in (2.0 * q * q, 2.0 * t * t))
+        self._settle((lo, hi), (0.0, beta0 / (2.0 * np.pi), (0.0, 0.0)), beta0=beta0)
+
+
+@dataclass(frozen=True)
 class FMatrixDensity(DensityModel):
     """Classical limiting eigenvalue density of the multivariate F-matrix.
 
@@ -391,13 +418,17 @@ def _closed_form(m: DensityModel):
     return cdf
 
 
-def _cdf_into(m: DensityModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The CDF of m at finite points x in any order, :func:`_closed_form`
-    written block by block into out (which may be x itself). Points at or
+def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
+    """CDF at points that are 1-D, finite and ascending, as an :class:`Ecdf`'s
+    sample is (else ParameterDomainError; :class:`Ecdf` is where points get
+    sorted): :func:`_closed_form` block by block into the output. Points at or
     above hi read exactly 1, at or below lo 0."""
-    hi, cdf = m.support[1], _closed_form(m)
-    for i in range(0, x.size, _BLOCK):
-        xb = x[i : i + _BLOCK]
+    xs = real_array(xs)
+    if xs.ndim != 1 or not finite_ascending(xs):
+        raise ParameterDomainError("CDF points must be a 1-D array, finite and ascending")
+    hi, cdf, out = m.support[1], _closed_form(m), np.empty_like(xs)
+    for i in range(0, xs.size, _BLOCK):
+        xb = xs[i : i + _BLOCK]
         f = cdf(xb)
         f[xb >= hi] = 1.0
         if not np.isfinite(f).all():
@@ -406,44 +437,9 @@ def _cdf_into(m: DensityModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def ascending_points(xs) -> np.ndarray:
-    """xs as a float64 array if it is 1-D, finite and nondecreasing, as an
-    :class:`Ecdf`'s sample is; else ParameterDomainError. :class:`Ecdf` is
-    where points get sorted."""
-    xs = real_array(xs)
-    if xs.ndim != 1 or not finite_ascending(xs):
-        raise ParameterDomainError("CDF points must be a 1-D array, finite and ascending")
-    return xs
-
-
-def cdf_grid(m: DensityModel, xs: np.ndarray) -> np.ndarray:
-    """CDF at ascending finite points (see :func:`ascending_points`), in
-    closed form (:func:`_cdf_into`) block by block into the output."""
-    xs = ascending_points(xs)
-    return _cdf_into(m, xs, np.empty_like(xs))
-
-
 def model_cdf(m: DensityModel):
     """CDF callable for :func:`ks_distance`, on points as :func:`cdf_grid` takes them."""
     return lambda xs: cdf_grid(m, xs)
-
-
-def reciprocal_edge_cdf(beta0: float):
-    """CDF of 1/Z, Z ~ EdgeDensity(beta0) with CDF G: 1 - G(1/x), 0 at x <= 0."""
-    edge = EdgeDensity(beta0)
-
-    def cdf(xs):
-        xs = ascending_points(xs)
-        # 1 - G(1/x) is 0 on the prefix x < the smallest normal float (all
-        # x <= 0 among them), where 1/x is +inf or overflows; the closed form
-        # takes the rest's 1/x, descending, in place
-        pos = np.searchsorted(xs, np.finfo(np.float64).tiny)
-        out = np.zeros_like(xs)
-        rest = np.divide(1.0, xs[pos:], out=out[pos:])
-        np.subtract(1.0, _cdf_into(edge, rest, rest), out=rest)
-        return out
-
-    return cdf
 
 
 # ---------------------------------------------------------------------------

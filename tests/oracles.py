@@ -29,7 +29,9 @@ beta moments and from the Selberg integral's product formula (not from the
 shape table alone), and its off-diagonals from the gamma pairs of a draw in
 exact rationals (not from float complements). The law of the eigenvalue at a
 hard edge comes from the density's scaling under a change of variables (not
-from a sample or a solver).
+from a sample or a solver), and the law of 1/Z for Z ~ ``EdgeDensity`` from
+its definition 1 - G(1/x), G the edge law's CDF (not the production
+``ReciprocalEdgeDensity`` encoding).
 """
 
 import math
@@ -54,6 +56,7 @@ from jacobi_spectra.betarand import (
     _unit,
 )
 from jacobi_spectra.errors import NumericalFailureError, ParameterDomainError
+from jacobi_spectra.spectra import EdgeDensity, cdf_grid
 from jacobi_spectra.trieig import Spectrum
 
 
@@ -436,12 +439,24 @@ def density_formula(m, x: float) -> float:
         factor = 2 / (pi * Fraction(m.radius) ** 2)
     elif name == "EdgeDensity":
         factor = 1 / (4 * pi * x)
+    elif name == "ReciprocalEdgeDensity":  # sqrt((x s2 - 1)(1 - x s1)) = 2 beta0 root
+        factor = 2 * Fraction(m.beta0) / (4 * pi * x * x)
     elif name == "FMatrixDensity":
         y, yp = Fraction(m.y), Fraction(m.yprime)
         factor = (1 - yp) / (2 * pi * x * (x * yp + y))
     else:
         raise ParameterDomainError(f"no docstring formula for {name}")
     return float(root * factor)
+
+
+def reciprocal_edge_cdf(beta0: float, xs: np.ndarray) -> np.ndarray:
+    """CDF of 1/Z, Z ~ EdgeDensity(beta0), at ascending points: 1 - G(1/x),
+    0 below the smallest normal float (x <= 0 among them), where 1/x is
+    infinite or overflows."""
+    out = np.zeros(len(xs))
+    pos = np.searchsorted(xs, np.finfo(np.float64).tiny)
+    out[pos:] = 1.0 - cdf_grid(EdgeDensity(beta0), 1.0 / xs[pos:][::-1])[::-1]
+    return out
 
 
 def arcsine_cdf(xi):

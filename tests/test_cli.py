@@ -434,20 +434,33 @@ def test_fmatrix_direct_cap_is_checked_before_the_draw(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("route", ["tridiag", "direct"])
-def test_fmatrix_json_limit_law_is_checked_before_the_draw(monkeypatch, route):
-    # n2 = n has no limit law (yprime = 1), so JSON stops before any realization
+NO_LAW_AT_N2_EQUAL_TO_N = {
+    "none": "aspect ratio must satisfy yprime in (0, 1)",
+    "thm43": "growth ratio must be finite and satisfy beta0 > 0",
+}
+
+
+@pytest.mark.parametrize("route, transform", [
+    ("tridiag", "none"), ("direct", "none"), ("tridiag", "thm43"), ("direct", "thm43"),
+], ids=["tridiag", "direct", "thm43-tridiag", "thm43-direct"])
+def test_fmatrix_json_limit_law_is_checked_before_the_draw(monkeypatch, route, transform):
+    # n2 = n has no limit law (yprime = 1, beta0 = 0), so JSON stops before any realization
     def no_draw(*args):
         raise AssertionError("a realization was drawn before the limit-law check")
 
     monkeypatch.setattr(cli, "f_eigs_tridiag", no_draw)
     monkeypatch.setattr(cli, "sample_gaussian_pair", no_draw)
-    r = run_cli("fmatrix", "--n", "1000", "--n1", "1200", "--n2", "1000",
-                "--trials", "20", "--format", "json", "--route", route)
+    r = run_cli("fmatrix", "--n", "1000", "--n1", "1200", "--n2", "1000", "--trials", "20",
+                "--format", "json", "--route", route, "--transform", transform)
     assert r.returncode == 2
-    assert r.stderr == (
-        "parameter error: aspect ratio must satisfy yprime in (0, 1)\n"
-    )
+    assert r.stderr == f"parameter error: {NO_LAW_AT_N2_EQUAL_TO_N[transform]}\n"
+
+
+def test_fmatrix_csv_at_n2_equal_to_n_needs_no_limit_law():
+    r = run_cli("fmatrix", "--n", "5", "--n1", "10", "--n2", "5", "--trials", "2",
+                "--format", "csv", "--transform", "thm43")
+    assert r.returncode == 0 and r.stderr == ""
+    assert len(r.stdout.splitlines()) == 1 + 2 * 5
 
 
 def test_allocation_failure_exits_4_with_one_line(monkeypatch):

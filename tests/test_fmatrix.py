@@ -5,7 +5,7 @@ import pytest
 
 from jacobi_spectra import fmatrix
 from jacobi_spectra.betarand import RngStream
-from jacobi_spectra.ensemble import random_matrix, sample_alphas
+from jacobi_spectra.ensemble import JacobiParams, random_matrix, sample_alphas
 from jacobi_spectra.errors import (
     DegenerateSampleError, MagnitudeOverflowError, NumericalFailureError, ParameterDomainError,
 )
@@ -25,7 +25,10 @@ from jacobi_spectra.fmatrix import (
     shifted_semicircle_transform,
     transform_limit_cdf,
 )
-from jacobi_spectra.spectra import REGIMES, Ecdf, ks_distance, realize
+from jacobi_spectra.spectra import (
+    REGIMES, DensityModel, Ecdf, ReciprocalEdgeDensity, cdf_grid, density_eval, ks_distance,
+    realize,
+)
 from jacobi_spectra.trieig import eig_generalized_sym, eig_tridiag
 from jacobi_spectra.verify import TRANSFORM_DIMS
 
@@ -383,8 +386,9 @@ def test_f_transforms_are_the_jacobi_regimes(dims):
     (lambda: transform_limit_cdf("thm41", FDims(5, 10, 20)), "unknown transform 'thm41'"),
     (lambda: f_esd_pooled(FDims(5, 10, 20), 1, RngStream(SEED, 0), "thm41"),
      "unknown transform 'thm41'"),
+    (lambda: transform_limit_cdf("thm43", FDims(5, 10, 5)), "beta0 > 0"),
 ], ids=["thm42-n1=n", "thm43-n1=n", "thm44-n2=n", "thm44-n1=n", "limit-cdf-unknown",
-        "pooled-unknown"])
+        "pooled-unknown", "thm43-limit-n2=n"])
 def test_transforms_reject_dimensions_and_kinds_outside_their_domain(call, match):
     with pytest.raises(ParameterDomainError, match=match):
         call()
@@ -396,6 +400,28 @@ def test_transform_limit_cdfs_reject_non_vector_points(kind):
     for xs in (0.5, np.full((2, 3), 0.5)):
         with pytest.raises(ParameterDomainError, match="1-D"):
             cdf(xs)
+
+
+def test_every_limit_law_is_one_density_model():
+    # a regime's law and a transform's law are each a support and a rational
+    # form, and a transform's limit CDF is cdf_grid on its law
+    p = JacobiParams(50, 20.0, 10.0, 2.0)
+    for regime in REGIMES.values():
+        assert isinstance(regime(p)[0], DensityModel)
+    for d, _, _ in TRANSFORM_DIMS.values():
+        for kind, (_, law_of) in TRANSFORMS.items():
+            law = law_of(d)
+            assert isinstance(law, DensityModel)
+            lo, hi = law.support
+            xs = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 2001)
+            assert transform_limit_cdf(kind, d)(xs).tobytes() == cdf_grid(law, xs).tobytes()
+            assert density_eval(law, xs).max() > 0.0
+
+
+def test_thm43_beta0_is_formed_from_the_integer_difference():
+    # n2/n - 1 reads 9.999999999177334e-07 here, 8.2e-11 relative off
+    law = TRANSFORMS["thm43"][1](FDims(10**6, 2 * 10**6, 10**6 + 1))
+    assert isinstance(law, ReciprocalEdgeDensity) and law.beta0 == 1e-6
 
 
 def test_transform_limit_cdfs_are_cdfs():
@@ -416,8 +442,7 @@ def test_pooled_transformed_esd_close_to_limit():
 
 
 def test_thm43_cdf_on_ascending_points_with_ties_and_nonpositive_points():
-    # the points <= 0 form a prefix that reads 0; the rest go to cdf_grid
-    # through the reversed view of 1/x
+    # the points <= 0 lie below the law's support [1/s2, 1/s1] and read 0
     cdf = transform_limit_cdf("thm43", FDims(40, 400, 80))
     u = RngStream(SEED, 3).uniforms(5150)
     xs = np.sort(np.round(3000.0 * u) / 1000.0 - 0.2)

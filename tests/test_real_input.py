@@ -39,6 +39,7 @@ from jacobi_spectra.fmatrix import (
     reciprocal_edge_transform,
     semicircle_transform,
     shifted_semicircle_transform,
+    transform_limit_cdf,
 )
 from jacobi_spectra.polyroots import (
     JacobiPolyParams,
@@ -54,6 +55,7 @@ from jacobi_spectra.spectra import (
     FMatrixDensity,
     GeneralDensity,
     RatioDensity,
+    ReciprocalEdgeDensity,
     ScalingSequence,
     SemicircleDensity,
     cdf_grid,
@@ -91,7 +93,7 @@ CASES = {
     "reciprocal_edge_transform": lambda: reciprocal_edge_transform(ZS, D),
     "shifted_semicircle_transform": lambda: shifted_semicircle_transform(ZS, D),
     "TRANSFORMS-none": lambda: TRANSFORMS["none"][0](ZS, D),
-    "thm43-limit-cdf": lambda: TRANSFORMS["thm43"][1](D)(ZS),
+    "thm43-limit-cdf": lambda: transform_limit_cdf("thm43", D)(ZS),
     "beta_mean_pm1": lambda: beta_mean_pm1(BetaParams(np.array([Z]), np.array([2.0]))),
     "sample_beta01": lambda: sample_beta01(BetaParams(Z, 2.0), RngStream(1, 0)),
     "BetaPlan": lambda: BetaPlan(BetaParams(np.array([2.0, Z]), np.array([2.0, 3.0]))),
@@ -149,6 +151,7 @@ NONFINITE_PARAMS = {
     "SemicircleDensity-radius": (lambda v: SemicircleDensity(v), (INF,)),
     "SemicircleDensity-center": (lambda v: SemicircleDensity(1.0, v), (NAN, INF, -INF)),
     "EdgeDensity-beta0": (lambda v: EdgeDensity(v), (NAN, INF)),
+    "ReciprocalEdgeDensity-beta0": (lambda v: ReciprocalEdgeDensity(v), (NAN, INF)),
     "deviation_probability_bound-a": (
         lambda v: deviation_probability_bound(10, v, 1.0, 0.5), (NAN, INF, -INF)),
     "deviation_probability_bound-b": (
@@ -269,6 +272,7 @@ EXAMPLES = {
     "RatioDensity": M,
     "SemicircleDensity": SemicircleDensity(1.0),
     "EdgeDensity": EdgeDensity(1.0),
+    "ReciprocalEdgeDensity": ReciprocalEdgeDensity(1.0),
     "FMatrixDensity": FMatrixDensity(0.5, 0.5),
     "ScalingSequence": ScalingSequence(1.0, 0.0, 2),
 }

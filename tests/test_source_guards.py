@@ -377,3 +377,37 @@ def test_module_run_guard_sees_every_cli_run():
     assert module_runs("test_cli", source) == ["3 test_cli.run_cli", "4 test_cli.<module>"]
     entry = "6 test_demos.test_python_m_entry_exits_with_the_code_and_bytes_of_main"
     assert module_runs("test_demos", source)[-1] == entry
+
+
+def main_blocks(source: str) -> list[int]:
+    """Line of every ``if`` in source whose test compares __name__ with
+    "__main__", in either order and at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare):
+            sides = [node.test.left, *node.test.comparators]
+            names = {getattr(s, "id", None) or getattr(s, "value", None) for s in sides}
+            if {"__name__", "__main__"} <= names:
+                found.append(node.lineno)
+    return found
+
+
+def test_only_the_package_main_is_an_entry_point():
+    # python -m jacobi_spectra (__main__.py) and the jacobi-spectra console
+    # script are the CLI's entries; a module's own main block is a third,
+    # untested one
+    found = {path.name: main_blocks(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__main__.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_main_block_guard_sees_every_form():
+    source = (
+        "import sys\n"
+        "if __name__ == '__main__':\n    sys.exit(main())\n"
+        "if '__main__' == __name__:\n    main()\n"
+        "def f():\n    if __name__ == \"__main__\":\n        return 1\n"
+        "if __name__ == 'jacobi_spectra':\n    pass\n"
+        "if name == '__main__':\n    pass\n"
+    )
+    assert main_blocks(source) == [2, 4, 7]

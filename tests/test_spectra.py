@@ -32,6 +32,7 @@ from jacobi_spectra.spectra import (
     FMatrixDensity,
     GeneralDensity,
     RatioDensity,
+    ReciprocalEdgeDensity,
     ScalingSequence,
     SemicircleDensity,
     _closed_form,
@@ -58,6 +59,7 @@ from oracles import (
     ks_whole_array,
     levy_distance,
     levy_grid_search,
+    reciprocal_edge_cdf,
     two_sample_sup_distance,
 )
 
@@ -307,6 +309,23 @@ def test_edge_support_a_few_ulps_wide_is_kept_and_thm43_overflow_raises():
         transform_limit_cdf("thm43", FDims(1, 2, 10**308))
 
 
+@pytest.mark.parametrize("beta0", [1e-9, 1e-6, 1e-3, 1.0])
+def test_reciprocal_edge_support_keeps_its_product_at_small_beta0(beta0):
+    # s1 s2 = 4 beta0^2 exactly; s1 is formed as 2 (beta0 / (sqrt(1 + beta0) + 1))^2,
+    # where EdgeDensity's s - w cancels at small beta0
+    lo, hi = ReciprocalEdgeDensity(beta0).support
+    assert abs((1.0 / lo) * (1.0 / hi) / (4.0 * beta0 * beta0) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("beta0", [0.5, 1.0, 3.0, 99.0])
+def test_reciprocal_edge_cdf_is_one_minus_the_edge_cdf_at_1_over_x(beta0):
+    m = ReciprocalEdgeDensity(beta0)
+    lo, hi = m.support
+    w = hi - lo
+    xs = np.sort(np.r_[-1.0, 0.0, 5e-324, np.linspace(lo - 0.05 * w, hi + 0.05 * w, 201)])
+    assert np.max(np.abs(cdf_grid(m, xs) - reciprocal_edge_cdf(beta0, xs))) < 1e-13
+
+
 def test_fmatrix_support_properties():
     for y in (0.2, 0.7, 1.0):
         for yp in (0.1, 0.5, 0.9):
@@ -330,6 +349,8 @@ MODELS = [
     EdgeDensity(1.0),
     FMatrixDensity(0.5, 1.0 / 3.0),
     FMatrixDensity(1.0, 0.5),
+    ReciprocalEdgeDensity(1.0),
+    ReciprocalEdgeDensity(3.0),
 ]
 
 
@@ -385,7 +406,8 @@ def test_cdf_endpoints_and_closed_form():
               EdgeDensity(1e4), EdgeDensity(1e8), RatioDensity(1e8, 1e8),
               GeneralDensity(0.0, 0.0, 1.0, 2.0), FMatrixDensity(1e-9, 0.5),
               FMatrixDensity(1e-13, 1e-4), GeneralDensity(2.0, 0.0, 1.0, 2.0),
-              GeneralDensity(1.0, 3.0, 1.0, 2.0)],
+              GeneralDensity(1.0, 3.0, 1.0, 2.0), ReciprocalEdgeDensity(1e-3),
+              ReciprocalEdgeDensity(1e4)],
 )
 def test_cdf_grid_matches_scalar_oracle(model):
     lo, hi = model.support
